@@ -1,9 +1,10 @@
 """Brute-force analysis of one-time authentication from keyed hash families.
 
 A family maps (key, message) -> tag over explicit finite spaces. Deception
-probabilities are ratios of key counts, so everything here is computed in
-exact rational arithmetic (`fractions.Fraction`); floats appear only in the
-key-length accounting, which is measured in bits.
+probabilities are ratios of key counts, so everything here is exact: keys
+are counted in integer numpy tables and every probability is a
+`fractions.Fraction`; floats appear only in the key-length accounting, which
+is measured in bits.
 
 Two concrete constructions are provided:
 
@@ -19,18 +20,20 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from typing import Any, Callable
 
+import numpy as np
+
 from .errors import ParameterError
 
 ENUMERATION_CAP = 1 << 22  # |K| * |M| ceiling for brute-force analysis
 PRIME_CAP = 1 << 20
 MESSAGE_SPACE_CAP = 1 << 20  # p**blocks ceiling for the polynomial family
+WORK_CAP = 1 << 27  # |M| * (|M| - 1) * |T|**2 ceiling for the substitution scan
 
 
 class FamilyKind(Enum):
@@ -170,7 +173,7 @@ def make_poly_family(p: int, blocks: int) -> HashFamily:
     family's behavior.
     """
     p = _check_prime(p)
-    if not isinstance(blocks, int) or blocks < 1:
+    if not isinstance(blocks, int) or isinstance(blocks, bool) or blocks < 1:
         raise ParameterError(f"block count must be a positive integer, got {blocks!r}")
     if p**blocks > MESSAGE_SPACE_CAP:
         raise ParameterError(f"message space p**blocks = {p**blocks} exceeds cap {MESSAGE_SPACE_CAP}")
@@ -208,17 +211,50 @@ def verify(family: HashFamily, key_index: int, message, tag_value) -> bool:
     return tag(family, key_index, message) == tag_value
 
 
-def _tag_rows(family: HashFamily) -> dict:
+def _tag_table(family: HashFamily, messages) -> np.ndarray:
+    """len(messages) x |K| array whose cell (i, k) is the position of
+    h(k, messages[i]) in the tag space."""
     n_keys = family.key_space_size
-    if n_keys * len(family.message_space) > ENUMERATION_CAP:
-        raise ParameterError(
-            f"|K|*|M| = {n_keys * len(family.message_space)} exceeds enumeration cap {ENUMERATION_CAP}"
-        )
-    return {m: [family.evaluate(k, m) for k in range(n_keys)] for m in family.message_space}
+    if n_keys * len(messages) > ENUMERATION_CAP:
+        raise ParameterError(f"|K|*|M| = {n_keys * len(messages)} exceeds enumeration cap {ENUMERATION_CAP}")
+    position = {t: i for i, t in enumerate(family.tag_space)}
+    evaluate = family.evaluate
+    table = np.empty((len(messages), n_keys), dtype=np.min_scalar_type(len(family.tag_space) - 1))
+    for row, m in zip(table, messages):
+        try:
+            row[:] = [position[evaluate(k, m)] for k in range(n_keys)]
+        except KeyError:
+            for k in range(n_keys):
+                value = evaluate(k, m)
+                if value not in position:
+                    raise ParameterError(
+                        f"key {k} tags message {m!r} with {value!r}, which is not in the tag space"
+                    ) from None
+            raise
+    return table
+
+
+def _pair_counts(row: np.ndarray, row2: np.ndarray, n_tags: int) -> np.ndarray:
+    """Flat |T|^2 key counts of (row, row2) tag-index pairs, t-major."""
+    return np.bincount(row.astype(np.intp) * n_tags + row2, minlength=n_tags * n_tags)
 
 
 def deception_probabilities(family: HashFamily) -> DeceptionReport:
     """Exact impersonation and substitution probabilities by key enumeration.
+
+    The family is evaluated once into a |M| x |K| table of tag indices.
+    p0 comes from the |M| x |T| count table of one bincount per message.
+    For each observed message m, one bincount gives the joint key counts
+    over (forged message, observed tag, forged tag); conditional fractions
+    are compared by integer cross-multiplication, and a Fraction is formed
+    only for the maximum. Counts never exceed |K| <= ENUMERATION_CAP, so
+    every product fits in int64.
+
+    Before any evaluation, |K|*|M| must not exceed ENUMERATION_CAP
+    (2**22) and the substitution scan's |M|*(|M|-1)*|T|**2 cells must not
+    exceed WORK_CAP (2**27, enough for the affine family up to p = 107).
+    The joint count table of one observed message holds |M|*|T|**2 int64
+    counts, at most 8*WORK_CAP/(|M|-1) bytes.
 
     Ties are broken toward the first maximizer: impersonation scans
     (message, tag) in space order; substitution scans
@@ -226,37 +262,42 @@ def deception_probabilities(family: HashFamily) -> DeceptionReport:
     Observed pairs reachable by no key are skipped (the conditional is
     undefined there).
     """
-    rows = _tag_rows(family)
-    n_keys = family.key_space_size
+    messages, tags = family.message_space, family.tag_space
+    n_keys, n_msgs, n_tags = family.key_space_size, len(messages), len(tags)
+    cells = n_msgs * (n_msgs - 1) * n_tags**2
+    if cells > WORK_CAP:
+        raise ParameterError(f"|M|*(|M|-1)*|T|^2 = {cells} exceeds work cap {WORK_CAP}")
+    table = _tag_table(family, messages)
 
-    best_count = -1
-    best_pair = None
-    for m in family.message_space:
-        counts = Counter(rows[m])
-        for t in family.tag_space:
-            c = counts.get(t, 0)
-            if c > best_count:
-                best_count, best_pair = c, (m, t)
-    p0 = Fraction(best_count, n_keys)
+    counts = np.array([np.bincount(row, minlength=n_tags) for row in table])
+    best_m, best_t = divmod(int(counts.argmax()), n_tags)
+    p0 = Fraction(int(counts[best_m, best_t]), n_keys)
 
-    best_sub = None
-    best_witness = None
-    for m in family.message_space:
-        observed_counts = Counter(rows[m])
-        for m2 in family.message_space:
-            if m2 == m:
-                continue
-            joint = Counter(zip(rows[m], rows[m2]))
-            for t in family.tag_space:
-                support = observed_counts.get(t, 0)
-                if support == 0:
-                    continue
-                for t2 in family.tag_space:
-                    cand = Fraction(joint.get((t, t2), 0), support)
-                    if best_sub is None or cand > best_sub:
-                        best_sub, best_witness = cand, ((m, t), (m2, t2))
+    # joint[i][j, t, t2] = |{k : h(k, m_i) = t and h(k, m_j) = t2}|
+    forged = np.arange(n_msgs, dtype=np.intp)[:, None] * (n_tags * n_tags) + table
+
+    def joint(i: int) -> np.ndarray:
+        observed = table[i].astype(np.intp) * n_tags
+        cells_i = np.bincount((forged + observed).ravel(), minlength=n_msgs * n_tags * n_tags)
+        cells_i = cells_i.reshape(n_msgs, n_tags, n_tags)
+        cells_i[i] = 0  # m' == m is no forgery; every other maximum is positive
+        return cells_i
+
+    best_num, best_den, best_i = -1, 1, None
+    for i in range(n_msgs):
+        top = joint(i).max(axis=(0, 2)).tolist()
+        for c, s in zip(top, counts[i].tolist()):
+            if s and c * best_den > best_num * s:
+                best_num, best_den, best_i = c, s, i
+
+    support = counts[best_i][None, :, None]
+    hits = (joint(best_i) * best_den == best_num * support) & (support > 0)
+    j, t, t2 = np.unravel_index(int(hits.argmax()), hits.shape)
     return DeceptionReport(
-        p0=p0, p1=best_sub, argmax_impersonation=best_pair, argmax_substitution=best_witness
+        p0=p0,
+        p1=Fraction(best_num, best_den),
+        argmax_impersonation=(messages[best_m], tags[best_t]),
+        argmax_substitution=((messages[best_i], tags[t]), (messages[j], tags[t2])),
     )
 
 
@@ -264,24 +305,22 @@ def pairwise_key_counts(family: HashFamily, m, m2) -> dict:
     """Counts |{k : h(k,m)=t and h(k,m2)=t2}| for every tag pair (t, t2)."""
     if m not in family._message_lookup or m2 not in family._message_lookup:
         raise ParameterError("messages must lie in the message space")
-    n_keys = family.key_space_size
-    joint = Counter((family.evaluate(k, m), family.evaluate(k, m2)) for k in range(n_keys))
-    return {
-        (t, t2): joint.get((t, t2), 0) for t in family.tag_space for t2 in family.tag_space
-    }
+    row, row2 = _tag_table(family, (m, m2))
+    counts = _pair_counts(row, row2, len(family.tag_space)).tolist()
+    return dict(zip(itertools.product(family.tag_space, repeat=2), counts))
 
 
 def is_strongly_universal(family: HashFamily) -> bool:
     """Exhaustive check that every (t, t2) cell holds exactly |K|/|T|^2 keys."""
-    n_keys = family.key_space_size
-    cell, rem = divmod(n_keys, len(family.tag_space) ** 2)
+    n_keys, n_tags = family.key_space_size, len(family.tag_space)
+    cell, rem = divmod(n_keys, n_tags**2)
     if rem != 0:
         return False
-    for m, m2 in itertools.combinations(family.message_space, 2):
-        counts = pairwise_key_counts(family, m, m2)
-        if any(c != cell for c in counts.values()):
-            return False
-    return True
+    table = _tag_table(family, family.message_space)
+    return all(
+        (_pair_counts(table[i], table[j], n_tags) == cell).all()
+        for i, j in itertools.combinations(range(len(table)), 2)
+    )
 
 
 def key_length_lower_bound(observed_pairs: int, epsilon) -> float:

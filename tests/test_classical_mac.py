@@ -1,9 +1,14 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from authsim.classical_mac import (
+    ENUMERATION_CAP,
+    WORK_CAP,
     DeceptionReport,
     FamilyKind,
     HashFamily,
@@ -17,6 +22,70 @@ from authsim.classical_mac import (
     verify,
 )
 from authsim.errors import ParameterError
+
+
+def reference_tag_rows(family: HashFamily) -> dict:
+    n_keys = family.key_space_size
+    if n_keys * len(family.message_space) > ENUMERATION_CAP:
+        raise ParameterError(
+            f"|K|*|M| = {n_keys * len(family.message_space)} exceeds enumeration cap {ENUMERATION_CAP}"
+        )
+    return {m: [family.evaluate(k, m) for k in range(n_keys)] for m in family.message_space}
+
+
+def reference_deception_probabilities(family: HashFamily) -> DeceptionReport:
+    """Slow oracle: one Fraction per (m, m', t, t') cell, first maximizer wins."""
+    rows = reference_tag_rows(family)
+    n_keys = family.key_space_size
+
+    best_count = -1
+    best_pair = None
+    for m in family.message_space:
+        counts = Counter(rows[m])
+        for t in family.tag_space:
+            c = counts.get(t, 0)
+            if c > best_count:
+                best_count, best_pair = c, (m, t)
+    p0 = Fraction(best_count, n_keys)
+
+    best_sub = None
+    best_witness = None
+    for m in family.message_space:
+        observed_counts = Counter(rows[m])
+        for m2 in family.message_space:
+            if m2 == m:
+                continue
+            joint = Counter(zip(rows[m], rows[m2]))
+            for t in family.tag_space:
+                support = observed_counts.get(t, 0)
+                if support == 0:
+                    continue
+                for t2 in family.tag_space:
+                    cand = Fraction(joint.get((t, t2), 0), support)
+                    if best_sub is None or cand > best_sub:
+                        best_sub, best_witness = cand, ((m, t), (m2, t2))
+    return DeceptionReport(
+        p0=p0, p1=best_sub, argmax_impersonation=best_pair, argmax_substitution=best_witness
+    )
+
+
+def assert_matches_reference(family):
+    report = deception_probabilities(family)
+    expected = reference_deception_probabilities(family)
+    assert isinstance(report.p0, Fraction) and isinstance(report.p1, Fraction)
+    assert report == expected
+
+
+def table_family(rows, messages, tags):
+    """CUSTOM family whose key k tags messages[i] with rows[i][k]."""
+    lookup = dict(zip(messages, rows))
+    return HashFamily(
+        key_space_size=len(rows[0]),
+        message_space=tuple(messages),
+        tag_space=tuple(tags),
+        evaluate=lambda k, m: lookup[m][k],
+        family_kind=FamilyKind.CUSTOM,
+    )
 
 
 def constant_family(p=3, value=0):
@@ -58,6 +127,11 @@ class TestFamilyConstruction:
             make_poly_family(2, 21)  # 2**21 messages over the cap
         with pytest.raises(ParameterError):
             make_poly_family(5, 0)
+
+    @pytest.mark.parametrize("blocks", [True, False, 2.0])
+    def test_poly_blocks_must_be_int(self, blocks):
+        with pytest.raises(ParameterError):
+            make_poly_family(5, blocks)
 
     def test_family_validation(self):
         with pytest.raises(ParameterError):
@@ -208,6 +282,41 @@ class TestDeceptionProbabilities:
         with pytest.raises(ParameterError):
             deception_probabilities(fam)
 
+    def test_work_cap_checked_before_evaluation(self):
+        def evaluate(k, m):
+            raise AssertionError("evaluated past the work cap")
+
+        fam = HashFamily(
+            key_space_size=1,
+            message_space=tuple(range(1 << 12)),
+            tag_space=tuple(range(16)),
+            evaluate=evaluate,
+            family_kind=FamilyKind.CUSTOM,
+        )
+        assert (1 << 12) * ((1 << 12) - 1) * 16**2 > WORK_CAP
+        with pytest.raises(ParameterError, match="work cap"):
+            deception_probabilities(fam)
+
+    def test_work_cap_admits_affine_p101(self):
+        report = deception_probabilities(make_affine_family(101))
+        assert report.p0 == report.p1 == Fraction(1, 101)
+        assert report.argmax_substitution == ((0, 0), (1, 0))
+
+    def test_tag_outside_tag_space_rejected(self):
+        fam = HashFamily(
+            key_space_size=4,
+            message_space=(0, 1),
+            tag_space=(0, 1),
+            evaluate=lambda k, m: 7 if k == 0 else (k + m) % 2,
+            family_kind=FamilyKind.CUSTOM,
+        )
+        with pytest.raises(ParameterError, match=r"key 0 tags message 0 with 7"):
+            deception_probabilities(fam)
+        with pytest.raises(ParameterError, match=r"key 0 tags message 0 with 7"):
+            pairwise_key_counts(fam, 0, 1)
+        with pytest.raises(ParameterError, match=r"key 0 tags message 0 with 7"):
+            is_strongly_universal(fam)
+
     def test_report_json(self):
         report = deception_probabilities(make_affine_family(5))
         doc = report.to_json_dict()
@@ -225,6 +334,36 @@ class TestDeceptionProbabilities:
                 argmax_impersonation=(0, 0),
                 argmax_substitution=((0, 0), (1, 0)),
             )
+
+
+class TestReferenceOracle:
+    @pytest.mark.parametrize(
+        "family",
+        [make_affine_family(p) for p in (2, 3, 5, 7, 11, 13)]
+        + [make_poly_family(p, blocks) for p, blocks in ((3, 2), (5, 2), (3, 3))]
+        + [constant_family()],
+        ids=lambda family: family.name,
+    )
+    def test_builtin_families(self, family):
+        assert_matches_reference(family)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_random_custom_families(self, data):
+        n_keys = data.draw(st.integers(1, 12), label="n_keys")
+        label = st.one_of(st.text(max_size=2), st.tuples(st.integers(0, 2), st.booleans()))
+        messages = data.draw(st.lists(label, min_size=2, max_size=5, unique=True), label="messages")
+        tags = data.draw(
+            st.lists(st.one_of(st.text(max_size=2), st.frozensets(st.integers(0, 2))), min_size=1, max_size=4, unique=True),
+            label="tags",
+        )
+        row = st.lists(st.sampled_from(tags), min_size=n_keys, max_size=n_keys)
+        rows = data.draw(st.lists(row, min_size=len(messages), max_size=len(messages)), label="rows")
+        family = table_family(rows, messages, tags)
+        assert_matches_reference(family)
+        joint = Counter(zip(rows[0], rows[1]))
+        expected = {(t, t2): joint[(t, t2)] for t in tags for t2 in tags}
+        assert pairwise_key_counts(family, messages[0], messages[1]) == expected
 
 
 class TestKeyLengthBound:

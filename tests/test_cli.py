@@ -225,6 +225,18 @@ class TestDeterminismAndErrors:
         )
         assert run_cli(str(config), str(tmp_path / "r.json"))[0] == 1
 
+    @pytest.mark.parametrize(
+        "params",
+        [{"family": "poly", "p": 5, "blocks": True}, {"family": "affine", "p": 127}],
+        ids=["bool-blocks", "over-work-cap"],
+    )
+    def test_rejected_classical_family_exits_one(self, tmp_path, params):
+        config = write_config(tmp_path, "c.json", {"scenario": "ClassicalMac", "parameters": params})
+        code, out = run_cli(str(config), str(tmp_path / "r.json"))
+        assert code == 1
+        assert "error" in out
+        assert not (tmp_path / "r.json").exists()
+
     def test_main_run(self, tmp_path, capsys):
         out_path = tmp_path / "main.json"
         assert cli.main(["run", "affine-p5", "--output", str(out_path)]) == 0

@@ -71,7 +71,6 @@ from .symmetry_test import (
     CopiesRequired,
     KeyLengthBound,
     SweepRow,
-    SymmetryTestParams,
     acceptance_error_formula,
     acceptance_error_oracle,
     copies_required,

@@ -2,10 +2,13 @@
 
 States are complex amplitude vectors tagged with a tuple of subsystem
 dimensions; operators are dense square matrices with the same tagging.
-Validation happens at construction time (normalization, unitarity,
-hermiticity), so downstream code can assume well-formed objects. Everything
-is sized for desk-scale work: total dimension is capped at 4096 and the
-symmetric projector at 8 copies.
+Validation happens where values enter (normalization, unitarity,
+hermiticity), so downstream code can assume well-formed objects; tensor
+products of validated factors are built without repeating those checks.
+The symmetric subspace is reached through one matrix-free kernel,
+``symmetrize``, that works on the d**n amplitude tensor; the dense projector
+is built from the same kernel. Everything is sized for desk-scale work:
+total dimension is capped at 4096 and the symmetric subspace at 8 copies.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -148,10 +151,26 @@ def density_operator(state: PureState) -> HermitianOperator:
     return HermitianOperator(np.outer(state.amplitudes, state.amplitudes.conj()), state.dims)
 
 
+def _trusted(kind, values: np.ndarray, dims: tuple[int, ...]):
+    """Instance of ``kind`` built from a product of validated factors.
+
+    The dims are checked against the array; the norm, unitarity or
+    hermiticity check is not run again, since the factors passed it.
+    ``values`` is frozen in place, not copied.
+    """
+    obj = object.__new__(kind)
+    values = np.asarray(values, dtype=complex)
+    values.setflags(write=False)
+    object.__setattr__(obj, "amplitudes" if kind is PureState else "matrix", values)
+    object.__setattr__(obj, "dims", _resolve_dims(dims, values.shape[0]))
+    return obj
+
+
 def tensor(factors: Sequence):
     """Kronecker product of states or of operators (one kind per call).
 
-    Subsystem dims concatenate; the result type matches the input type.
+    Subsystem dims concatenate; the result type matches the input type. The
+    dimension cap is checked before any product is formed.
     """
     factors = list(factors)
     if not factors:
@@ -166,10 +185,10 @@ def tensor(factors: Sequence):
         raise ParameterError(f"total dimension {total} exceeds cap {MAX_TOTAL_DIMENSION}")
     dims = tuple(itertools.chain.from_iterable(f.dims for f in factors))
     if kind is PureState:
-        amps = reduce(np.kron, (f.amplitudes for f in factors))
-        return PureState(amps, dims)
-    mat = reduce(np.kron, (f.matrix for f in factors))
-    return kind(mat, dims)
+        values = reduce(np.kron, (f.amplitudes for f in factors))
+    else:
+        values = reduce(np.kron, (f.matrix for f in factors))
+    return _trusted(kind, values, dims)
 
 
 def overlap(a: PureState, b: PureState) -> complex:
@@ -258,29 +277,46 @@ def max_eigenpair(a: HermitianOperator) -> tuple[float, PureState]:
     return float(top), PureState(vec, a.dims)
 
 
-@lru_cache(maxsize=64)
-def _symmetric_projector_cached(d: int, n: int) -> HermitianOperator:
-    total = d**n
-    powers = d ** np.arange(n - 1, -1, -1)
-    idx = np.arange(total)
-    digits = (idx[:, None] // powers) % d
-    proj = np.zeros((total, total))
-    for perm in itertools.permutations(range(n)):
-        targets = (digits[:, perm] * powers).sum(axis=1)
-        proj[targets, idx] += 1.0
-    proj /= math.factorial(n)
-    return HermitianOperator(proj.astype(complex), (d,) * n)
+def symmetrize(t: np.ndarray, n: int) -> np.ndarray:
+    """Apply the symmetric-subspace projector to the first n axes of t.
+
+    The projector is the average of the n! permutation operators (Harrow,
+    "The Church of the Symmetric Subspace", arXiv:1308.6595). It is applied
+    without being formed, by the coset recursion
+
+        Sym_{k+1} = 1/(k+1) * sum_{j<=k} (j k) Sym_k,    (k k) = identity,
+
+    so each step adds k axis swaps of t to a copy of t: n(n-1)/2 swaps in
+    all, with working memory of two arrays the size of t. Axes past the
+    first n are carried along untouched. t itself is not modified.
+    """
+    for k in range(1, n):
+        acc = t.copy()
+        for j in range(k):
+            acc += np.swapaxes(t, j, k)
+        acc /= k + 1
+        t = acc
+    return t
 
 
 def symmetric_projector(d: int, n: int) -> HermitianOperator:
-    """Orthogonal projector onto the symmetric subspace of n d-level systems."""
-    if not (isinstance(d, int) and d >= 1):
+    """Orthogonal projector onto the symmetric subspace of n d-level systems.
+
+    The average of the n! permutation operators (Harrow, arXiv:1308.6595),
+    built column by column by ``symmetrize``'s coset recursion applied to the
+    identity, reshaped to (d,)*n + (d**n,). Not cached: each call holds its
+    own d**n x d**n matrix (256 MiB at the 4096 cap).
+    """
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise ParameterError(f"dimension must be a positive integer, got {d!r}")
-    if not (isinstance(n, int) and 1 <= n <= MAX_COPIES):
+    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_COPIES:
         raise ParameterError(f"copy count must be an integer in [1, {MAX_COPIES}], got {n!r}")
-    if d**n > MAX_TOTAL_DIMENSION:
-        raise ParameterError(f"d**n = {d**n} exceeds cap {MAX_TOTAL_DIMENSION}")
-    return _symmetric_projector_cached(d, n)
+    total = d**n
+    if total > MAX_TOTAL_DIMENSION:
+        raise ParameterError(f"d**n = {total} exceeds cap {MAX_TOTAL_DIMENSION}")
+    eye = np.eye(total).reshape((d,) * n + (total,))
+    proj = symmetrize(eye, n).reshape(total, total)
+    return HermitianOperator(proj, (d,) * n)
 
 
 def random_state(dims, rng: np.random.Generator) -> PureState:

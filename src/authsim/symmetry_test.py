@@ -14,13 +14,10 @@ from dataclasses import dataclass
 from numbers import Real
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import DomainError, ParameterError
-from .quantum_core import (
-    MAX_TOTAL_DIMENSION,
-    PureState,
-    symmetric_projector,
-    tensor,
-)
+from .quantum_core import MAX_COPIES, PureState, symmetrize, tensor
 
 DEFAULT_MESSAGE_SPACE_SIZE = 2**64
 
@@ -41,15 +38,20 @@ def acceptance_error_formula(n, lambda_max) -> float:
 
 def acceptance_error_oracle(n: int, a: PureState, b: PureState) -> float:
     """Same quantity from first principles: <Phi|P_sym|Phi> with
-    Phi = a (x) b^(x)(n-1). Independent of the closed form."""
-    if not isinstance(n, int) or n < 1:
-        raise ParameterError(f"copy count must be an integer >= 1, got {n!r}")
+    Phi = a (x) b^(x)(n-1). Independent of the closed form.
+
+    P_sym is the average of the n! permutations of the n systems (Harrow,
+    arXiv:1308.6595). It is applied to Phi, reshaped to its (d,)*n amplitude
+    tensor, by the coset recursion of ``quantum_core.symmetrize``: n(n-1)/2
+    axis swaps and memory of order d**n, with no d**n x d**n matrix. The
+    kernel treats Phi as a general tensor, not as a product state.
+    """
+    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_COPIES:
+        raise ParameterError(f"copy count must be an integer in [1, {MAX_COPIES}], got {n!r}")
     if a.d != b.d:
         raise ParameterError(f"dimension mismatch: {a.d} vs {b.d}")
-    if a.d**n > MAX_TOTAL_DIMENSION:
-        raise ParameterError(f"d**n = {a.d ** n} exceeds cap {MAX_TOTAL_DIMENSION}")
-    combined = tensor([a] + [b] * (n - 1))
-    return symmetric_projector(a.d, n).expectation(combined)
+    phi = tensor([a] + [b] * (n - 1)).amplitudes.reshape((a.d,) * n)
+    return float(np.vdot(phi, symmetrize(phi, n)).real)
 
 
 def feasibility_threshold(tag_count: int, delta: float) -> float:
@@ -120,9 +122,9 @@ def key_length_requirement(
     epsilon = float(epsilon)
     if not 0.0 < epsilon < 1.0:
         raise ParameterError(f"epsilon {epsilon!r} outside (0, 1)")
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ParameterError(f"copy count must be an integer >= 1, got {n!r}")
-    if not isinstance(d, int) or d < 1:
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise ParameterError(f"tag dimension must be an integer >= 1, got {d!r}")
     if message_space_size <= 2:
         raise ParameterError("message space size must exceed 2 for the log-log comparator")
@@ -134,39 +136,6 @@ def key_length_requirement(
         required_key_bits=security_bits + info_gain,
         classical_reference_bits=classical,
     )
-
-
-@dataclass(frozen=True)
-class SymmetryTestParams:
-    """One verifier operating point: n systems of dimension d, tag overlap
-    lambda_max, |T| possible tags, floor excess delta, security target epsilon."""
-
-    copies: int
-    tag_dimension: int
-    lambda_max: float
-    tag_count: int
-    delta: float
-    epsilon: float
-
-    def __post_init__(self):
-        if not isinstance(self.copies, int) or self.copies < 2:
-            raise ParameterError(f"copies must be an integer >= 2, got {self.copies!r}")
-        if not isinstance(self.tag_dimension, int) or self.tag_dimension < 1:
-            raise ParameterError(f"tag dimension must be a positive integer, got {self.tag_dimension!r}")
-        if not isinstance(self.tag_count, int) or self.tag_count < 2:
-            raise ParameterError(f"tag count must be an integer >= 2, got {self.tag_count!r}")
-        if not 0.0 <= self.lambda_max <= 1.0:
-            raise ParameterError(f"lambda_max {self.lambda_max!r} outside [0, 1]")
-        if not 0.0 < self.delta <= 1.0 / self.tag_count:
-            raise ParameterError(f"delta {self.delta!r} outside (0, 1/{self.tag_count}]")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ParameterError(f"epsilon {self.epsilon!r} outside (0, 1)")
-
-    def required_copies(self) -> CopiesRequired:
-        return copies_required(self.tag_count, self.delta, self.lambda_max)
-
-    def key_bound(self, message_space_size: int = DEFAULT_MESSAGE_SPACE_SIZE) -> KeyLengthBound:
-        return key_length_requirement(self.epsilon, self.copies, self.tag_dimension, message_space_size)
 
 
 class SweepRow(NamedTuple):

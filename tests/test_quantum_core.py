@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from authsim.errors import ParameterError
 from authsim.quantum_core import (
@@ -24,9 +27,57 @@ from authsim.quantum_core import (
     tensor,
     unitary_from_json_dict,
 )
+from authsim.symmetry_test import acceptance_error_formula, acceptance_error_oracle
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+
+# Every (d, n) whose reference projector is small enough to build per example.
+SMALL_SUBSPACES = [(d, n) for d in range(1, 17) for n in range(1, 9) if d**n <= 256]
+# The symtest-oracle benchmark ladder.
+ORACLE_LADDER = [(2, 8), (3, 5), (8, 3), (4, 6), (16, 3)]
+
+
+def reference_symmetric_projector(d: int, n: int) -> HermitianOperator:
+    """Average of all n! permutation matrices on n d-level systems, built
+    densely; the reference that the matrix-free kernel is checked against."""
+    total = d**n
+    powers = d ** np.arange(n - 1, -1, -1)
+    idx = np.arange(total)
+    digits = (idx[:, None] // powers) % d
+    proj = np.zeros((total, total))
+    for perm in itertools.permutations(range(n)):
+        targets = (digits[:, perm] * powers).sum(axis=1)
+        proj[targets, idx] += 1.0
+    proj /= math.factorial(n)
+    return HermitianOperator(proj.astype(complex), (d,) * n)
+
+
+def gram_permanent_acceptance(n: int, a: PureState, b: PureState) -> float:
+    """<Phi|P_sym|Phi> for Phi = a (x) b^(x)(n-1) as perm(G)/n!, where
+    G_ij = <phi_i|phi_j>; needs no d**n object at all."""
+    phis = [a.amplitudes] + [b.amplitudes] * (n - 1)
+    gram = np.array([[np.vdot(x, y) for y in phis] for x in phis])
+    perm = sum(
+        math.prod(gram[i, p[i]] for i in range(n)) for p in itertools.permutations(range(n))
+    )
+    return float((perm / math.factorial(n)).real)
+
+
+@st.composite
+def state_pairs(draw):
+    d, n = draw(st.sampled_from([(d, n) for d, n in SMALL_SUBSPACES if d <= 4 and n <= 5]))
+    part = st.floats(-1.0, 1.0, allow_nan=False)
+
+    def state():
+        re = draw(st.lists(part, min_size=d, max_size=d))
+        im = draw(st.lists(part, min_size=d, max_size=d))
+        vec = np.array(re) + 1j * np.array(im)
+        norm = np.linalg.norm(vec)
+        assume(norm > 1e-3)
+        return PureState(vec / norm, (d,))
+
+    return n, state(), state()
 
 
 class TestConstruction:
@@ -55,6 +106,9 @@ class TestConstruction:
         s = basis_state(0, (2,))
         with pytest.raises(ValueError):
             s.amplitudes[0] = 0.0
+        product = tensor([UnitaryOperator(X), UnitaryOperator(X)])
+        with pytest.raises(ValueError):
+            product.matrix[0, 0] = 0.0
 
 
 class TestTensorAndOverlap:
@@ -239,6 +293,38 @@ class TestSymmetricProjector:
             symmetric_projector(13, 4)  # 13**4 > 4096
         with pytest.raises(ParameterError):
             symmetric_projector(2, 0)
+
+    @pytest.mark.parametrize("d,n", [(2, True), (True, 2)])
+    def test_bool_counts_rejected(self, d, n):
+        with pytest.raises(ParameterError):
+            symmetric_projector(d, n)
+
+    @pytest.mark.parametrize("d,n", SMALL_SUBSPACES)
+    def test_matches_reference(self, d, n):
+        proj = symmetric_projector(d, n)
+        assert proj.dims == (d,) * n
+        assert np.abs(proj.matrix - reference_symmetric_projector(d, n).matrix).max() <= 1e-14
+
+
+class TestSymmetricSubspaceOracle:
+    """acceptance_error_oracle against two routes that share nothing with it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair=state_pairs())
+    def test_random_pairs(self, pair):
+        n, a, b = pair
+        value = acceptance_error_oracle(n, a, b)
+        assert value == pytest.approx(gram_permanent_acceptance(n, a, b), abs=1e-12)
+        reference = reference_symmetric_projector(a.d, n)
+        assert value == pytest.approx(reference.expectation(tensor([a] + [b] * (n - 1))), abs=1e-12)
+
+    @pytest.mark.parametrize("d,n", ORACLE_LADDER)
+    def test_benchmark_ladder(self, d, n):
+        rng = np.random.default_rng(d * 100 + n)
+        for _ in range(5):
+            a, b = random_state(d, rng), random_state(d, rng)
+            lam = abs(np.vdot(a.amplitudes, b.amplitudes))
+            assert abs(acceptance_error_oracle(n, a, b) - acceptance_error_formula(n, lam)) <= 1e-9
 
 
 class TestSerialization:

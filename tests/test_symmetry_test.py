@@ -8,7 +8,6 @@ from authsim.quantum_core import PureState, basis_state, random_state
 from authsim.symmetry_test import (
     SWEEP_COLUMNS,
     SweepRow,
-    SymmetryTestParams,
     acceptance_error_formula,
     acceptance_error_oracle,
     copies_required,
@@ -84,6 +83,14 @@ class TestAcceptanceErrorOracle:
             acceptance_error_oracle(7, basis_state(0, (4,)), basis_state(1, (4,)))  # 4**7 too big
         with pytest.raises(ParameterError):
             acceptance_error_oracle(2, basis_state(0, (2,)), basis_state(0, (3,)))
+
+    @pytest.mark.parametrize("n", [True, False, 0, 9, 10**6, 10**7, 2.0])
+    def test_invalid_copy_count_rejected_before_work(self, n):
+        # d = 1 keeps d**n under the dimension cap, so only the copy check can refuse
+        with pytest.raises(ParameterError, match="copy count"):
+            acceptance_error_oracle(n, basis_state(0, (1,)), basis_state(0, (1,)))
+        with pytest.raises(ParameterError, match="copy count"):
+            acceptance_error_oracle(n, basis_state(0, (3,)), basis_state(1, (3,)))
 
 
 class TestCopiesRequired:
@@ -171,30 +178,10 @@ class TestKeyLengthRequirement:
         with pytest.raises(ParameterError):
             key_length_requirement(0.5, 2, 2, message_space_size=2)
 
-
-class TestParams:
-    def test_valid_point(self):
-        params = SymmetryTestParams(
-            copies=4, tag_dimension=2, lambda_max=0.1, tag_count=4, delta=0.25, epsilon=0.3
-        )
-        assert params.required_copies().n_ceil >= 2
-        assert params.key_bound().required_key_bits > 0
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"copies": 1},
-            {"lambda_max": 1.5},
-            {"delta": 0.5},  # above 1/tag_count
-            {"epsilon": 0.0},
-            {"tag_count": 1},
-        ],
-    )
-    def test_invalid_points(self, kwargs):
-        base = dict(copies=4, tag_dimension=2, lambda_max=0.1, tag_count=4, delta=0.25, epsilon=0.3)
-        base.update(kwargs)
+    @pytest.mark.parametrize("n,d", [(True, 2), (2, True)])
+    def test_bool_counts_rejected(self, n, d):
         with pytest.raises(ParameterError):
-            SymmetryTestParams(**base)
+            key_length_requirement(0.1, n, d)
 
 
 class TestSweep:

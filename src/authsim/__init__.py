@@ -63,6 +63,7 @@ from .quantum_core import (
     overlap,
     partial_trace,
     random_state,
+    random_unitaries,
     random_unitary,
     symmetric_projector,
     tensor,

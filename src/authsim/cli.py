@@ -212,22 +212,32 @@ def _theorem2_entry(report: qmac_framework.Theorem2Report) -> dict:
     }
 
 
+def _spec_int(spec: dict, name: str, default: int, minimum: int) -> int:
+    """Integer field of a parameter object; bools and floats are rejected."""
+    value = spec.get(name, default)
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 def _run_generic_qmac(params: dict, seed: int, base_dir: Path | None) -> dict:
     random_spec = params.get("random_schemes")
     if random_spec is not None:
-        count = int(random_spec.get("count", 100))
-        dim = int(random_spec.get("dim", 2))
-        num_keys = int(random_spec.get("num_keys", 2))
-        num_messages = int(random_spec.get("num_messages", 2))
+        if not isinstance(random_spec, dict):
+            raise ParameterError(f"random_schemes must be an object, got {random_spec!r}")
+        count = _spec_int(random_spec, "count", 100, 1)
+        dim = _spec_int(random_spec, "dim", 2, 1)
+        num_keys = _spec_int(random_spec, "num_keys", 2, 1)
+        num_messages = _spec_int(random_spec, "num_messages", 2, 2)
         rng = np.random.default_rng(seed)
         rows = []
         all_positive = True
         min_margin = None
         for index in range(count):
-            scheme = qmac_framework.random_scheme(
-                rng, dim=dim, num_keys=num_keys, num_messages=num_messages
+            # No name holds the scheme, so it is freed before the next one is drawn.
+            result = qmac_framework.verify_theorem2(
+                qmac_framework.random_scheme(rng, dim=dim, num_keys=num_keys, num_messages=num_messages)
             )
-            result = qmac_framework.verify_theorem2(scheme)
             rows.append(
                 {
                     "index": index,

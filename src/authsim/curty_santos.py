@@ -39,10 +39,8 @@ from .quantum_core import (
     basis_state,
     max_eigenpair,
     measure_projective,
-    operator_to_json_dict,
     partial_trace,
     state_from_json_dict,
-    state_to_json_dict,
     tensor,
     unitary_from_json_dict,
 )
@@ -326,14 +324,6 @@ def as_qmac_scheme(instance: CurtySantosInstance) -> QmacScheme:
 def embedding_json(instance: CurtySantosInstance) -> dict:
     """The embedded scheme in the generic scheme-document format."""
     return scheme_to_json_dict(as_qmac_scheme(instance))
-
-
-def instance_to_json_dict(instance: CurtySantosInstance) -> dict:
-    return {
-        "unitary": operator_to_json_dict(instance.tag_unitary),
-        "basis": [state_to_json_dict(s) for s in instance.basis],
-        "accept_set": list(instance.accept_set),
-    }
 
 
 def instance_from_json_dict(doc: dict) -> CurtySantosInstance:

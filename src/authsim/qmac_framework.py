@@ -16,21 +16,33 @@ the second term is positive and the scheme is strictly weaker than a
 classical code with the same tag count; only schemes whose tags are mutually
 orthogonal for every message (classical-equivalent schemes) sit on the
 1/|T| floor.
+
+Each scheme is compiled once (``QmacScheme.table``): label_fn is walked once
+over messages x keys into a label-index table, from which the partition and
+injectivity checks are read; each realized label gets one tag-state row; and
+each message's pairwise overlaps are computed once, pair by pair with an
+exact per-pair vdot, so reported values do not move in the last bit. Random
+schemes draw their Haar unitaries as one stacked QR per key.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
+from collections.abc import Hashable
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Mapping
+from functools import cached_property
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
 from .errors import InvariantViolation, ParameterError
 from .quantum_core import (
+    NORM_ATOL,
     PureState,
     UnitaryOperator,
-    overlap,
-    random_unitary,
+    _trusted,
+    random_unitaries,
     state_from_json_dict,
     state_to_json_dict,
     operator_to_json_dict,
@@ -71,7 +83,11 @@ class QmacScheme:
             raise ParameterError("key set must be nonempty")
         if len(set(self.key_set)) != len(self.key_set):
             raise ParameterError("key set contains duplicates")
-        if not isinstance(self.multiplicity, int) or self.multiplicity < 1:
+        if (
+            not isinstance(self.multiplicity, int)
+            or isinstance(self.multiplicity, bool)
+            or self.multiplicity < 1
+        ):
             raise ParameterError(f"multiplicity must be a positive integer, got {self.multiplicity!r}")
         d = self.initial_state.d
         for label, gate in self.tag_unitaries.items():
@@ -83,6 +99,114 @@ class QmacScheme:
     @property
     def tags_per_message(self) -> int:
         return len(self.key_set) // self.multiplicity
+
+    @cached_property
+    def table(self) -> SchemeTable:
+        """The scheme compiled once; every analysis below reads it."""
+        return SchemeTable(self)
+
+
+class SchemeTable:
+    """One walk of ``label_fn`` over messages x keys, and what follows from it.
+
+    ``labels`` holds the distinct labels in order of first appearance over
+    (message, key); ``index[mi][ki]`` is the position in ``labels`` of the
+    label of message mi under key ki; ``blocks[mi]`` counts the keys of each
+    label position that message mi reaches, in first-appearance order over
+    the keys. Tag states and overlaps are computed on first use, after
+    callers have validated, so a symmetry violation is reported before a
+    missing tagging unitary. The scheme is taken to be fixed once built. The
+    table keeps the parts of the scheme it reads but not the scheme itself,
+    which holds the table: a reference cycle would leave every dead scheme to
+    the cyclic garbage collector.
+    """
+
+    def __init__(self, scheme: QmacScheme):
+        self.message_set = scheme.message_set
+        self.key_set = scheme.key_set
+        self.multiplicity = scheme.multiplicity
+        self.tag_unitaries = scheme.tag_unitaries
+        self.initial_state = scheme.initial_state
+        positions: dict = {}
+        self.index = []
+        self.blocks = []
+        for message in scheme.message_set:
+            row = [
+                positions.setdefault(scheme.label_fn(key, message), len(positions))
+                for key in scheme.key_set
+            ]
+            self.index.append(row)
+            self.blocks.append(Counter(row))
+        self.labels = tuple(positions)
+
+    def check_partition(self, mi: int) -> None:
+        """Uniform key partition for message index mi (see partition_keys)."""
+        message = self.message_set[mi]
+        n_keys = len(self.key_set)
+        multiplicity = self.multiplicity
+        if n_keys % multiplicity != 0:
+            raise InvariantViolation(
+                f"key count {n_keys} is not a multiple of multiplicity {multiplicity}"
+            )
+        for p, size in self.blocks[mi].items():
+            if size != multiplicity:
+                raise InvariantViolation(
+                    f"symmetry violation at message {message!r}, label {self.labels[p]!r}: "
+                    f"block size {size} != multiplicity {multiplicity}"
+                )
+        expected_blocks = n_keys // multiplicity
+        if len(self.blocks[mi]) != expected_blocks:
+            raise InvariantViolation(
+                f"symmetry violation at message {message!r}: {len(self.blocks[mi])} labels "
+                f"realized, expected |K|/L = {expected_blocks}"
+            )
+
+    def validate(self) -> None:
+        """Uniform partition for every message, then label injectivity per key."""
+        for mi in range(len(self.blocks)):
+            self.check_partition(mi)
+        for ki, key in enumerate(self.key_set):
+            seen: dict = {}
+            for message, row in zip(self.message_set, self.index):
+                p = row[ki]
+                if p in seen:
+                    raise InvariantViolation(
+                        f"key {key!r} maps messages {seen[p]!r} and {message!r} "
+                        f"to the same label {self.labels[p]!r}"
+                    )
+                seen[p] = message
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        """Tag state E_tau |psi_in> of each label, one read-only row per label."""
+        psi = self.initial_state.amplitudes
+        rows = np.empty((len(self.labels), psi.size), dtype=complex)
+        for p, label in enumerate(self.labels):
+            gate = self.tag_unitaries.get(label)
+            if gate is None:
+                raise ParameterError(f"label {label!r} has no tagging unitary")
+            rows[p] = gate.matrix @ psi
+        norms = np.linalg.norm(rows, axis=1)
+        off = np.abs(norms - 1.0) > NORM_ATOL
+        if off.any():
+            norm = norms[np.argmax(off)]
+            raise ParameterError(f"state norm {norm!r} is not 1 within {NORM_ATOL}")
+        rows.setflags(write=False)
+        return rows
+
+    @cached_property
+    def overlaps(self) -> tuple[list, ...]:
+        """Per message, |<Psi_i|Psi_j>| for its label pairs i < j in scan order.
+
+        Scan order is that of itertools.combinations over the message's labels.
+        Each pair is its own vdot of two rows: a Gram product sums in another
+        order and moves reported overlaps in the last bit.
+        """
+        rows = self.states
+        return tuple(
+            [abs(np.vdot(a, b)) for a, b in itertools.combinations([rows[p] for p in blocks], 2)]
+            for blocks in self.blocks
+        )
 
 
 def tag_state(scheme: QmacScheme, key, message) -> PureState:
@@ -98,16 +222,17 @@ def tag_state(scheme: QmacScheme, key, message) -> PureState:
     return gate.apply(scheme.initial_state)
 
 
-def realized_labels(scheme: QmacScheme, message) -> tuple:
-    """Labels reached for a message, in first-appearance order over the keys."""
+def _message_index(scheme: QmacScheme, message) -> int:
     if message not in scheme.message_set:
         raise ParameterError(f"unknown message {message!r}")
-    seen = []
-    for key in scheme.key_set:
-        label = scheme.label_fn(key, message)
-        if label not in seen:
-            seen.append(label)
-    return tuple(seen)
+    return scheme.message_set.index(message)
+
+
+def realized_labels(scheme: QmacScheme, message) -> tuple:
+    """Labels reached for a message, in first-appearance order over the keys."""
+    mi = _message_index(scheme, message)
+    table = scheme.table
+    return tuple(table.labels[p] for p in table.blocks[mi])
 
 
 def partition_keys(scheme: QmacScheme, message) -> dict:
@@ -116,45 +241,18 @@ def partition_keys(scheme: QmacScheme, message) -> dict:
     Blocks must be disjoint (automatic), cover the key set, all have size
     ``multiplicity``, and number |K|/multiplicity.
     """
-    if message not in scheme.message_set:
-        raise ParameterError(f"unknown message {message!r}")
-    blocks: dict = {}
-    for key in scheme.key_set:
-        blocks.setdefault(scheme.label_fn(key, message), []).append(key)
-    n_keys = len(scheme.key_set)
-    if n_keys % scheme.multiplicity != 0:
-        raise InvariantViolation(
-            f"key count {n_keys} is not a multiple of multiplicity {scheme.multiplicity}"
-        )
-    for label, keys in blocks.items():
-        if len(keys) != scheme.multiplicity:
-            raise InvariantViolation(
-                f"symmetry violation at message {message!r}, label {label!r}: "
-                f"block size {len(keys)} != multiplicity {scheme.multiplicity}"
-            )
-    expected_blocks = n_keys // scheme.multiplicity
-    if len(blocks) != expected_blocks:
-        raise InvariantViolation(
-            f"symmetry violation at message {message!r}: {len(blocks)} labels realized, "
-            f"expected |K|/L = {expected_blocks}"
-        )
-    return {label: tuple(keys) for label, keys in blocks.items()}
+    mi = _message_index(scheme, message)
+    table = scheme.table
+    table.check_partition(mi)
+    blocks: dict = {p: [] for p in table.blocks[mi]}
+    for key, p in zip(scheme.key_set, table.index[mi]):
+        blocks[p].append(key)
+    return {table.labels[p]: tuple(keys) for p, keys in blocks.items()}
 
 
 def validate_scheme(scheme: QmacScheme) -> None:
     """Uniform partition for every message + label injectivity per key."""
-    for message in scheme.message_set:
-        partition_keys(scheme, message)
-    for key in scheme.key_set:
-        seen: dict = {}
-        for message in scheme.message_set:
-            label = scheme.label_fn(key, message)
-            if label in seen:
-                raise InvariantViolation(
-                    f"key {key!r} maps messages {seen[label]!r} and {message!r} "
-                    f"to the same label {label!r}"
-                )
-            seen[label] = message
+    scheme.table.validate()
 
 
 def overlap_matrix(scheme: QmacScheme, message) -> tuple[tuple, np.ndarray]:
@@ -164,29 +262,16 @@ def overlap_matrix(scheme: QmacScheme, message) -> tuple[tuple, np.ndarray]:
     symmetric with unit diagonal.
     """
     labels = realized_labels(scheme, message)
-    blocks = {label: None for label in labels}
-    for key in scheme.key_set:
-        label = scheme.label_fn(key, message)
-        if blocks.get(label) is None:
-            blocks[label] = tag_state(scheme, key, message)
-    states = [blocks[label] for label in labels]
-    size = len(states)
-    lam = np.eye(size)
-    for i in range(size):
-        for j in range(i + 1, size):
-            lam[i, j] = lam[j, i] = abs(overlap(states[i], states[j]))
+    overlaps = scheme.table.overlaps[scheme.message_set.index(message)]
+    lam = np.eye(len(labels))
+    for (i, j), value in zip(itertools.combinations(range(len(labels)), 2), overlaps):
+        lam[i, j] = lam[j, i] = value
     return labels, lam
 
 
 def max_offdiagonal_overlap(scheme: QmacScheme) -> float:
     """Largest tag overlap across all messages and distinct label pairs."""
-    best = 0.0
-    for message in scheme.message_set:
-        _, lam = overlap_matrix(scheme, message)
-        if lam.shape[0] > 1:
-            off = lam - np.diag(np.diag(lam))
-            best = max(best, float(off.max()))
-    return best
+    return float(max((max(pairs) for pairs in scheme.table.overlaps if pairs), default=0.0))
 
 
 def is_classical_equivalent(scheme: QmacScheme) -> bool:
@@ -271,23 +356,22 @@ def impersonation_deception(
     reported alongside.
     """
     rule = rule or DecisionRule.projective()
-    validate_scheme(scheme)
+    table = scheme.table
+    table.validate()
     tag_count = scheme.tags_per_message
     floor = 1.0 / tag_count
 
     best_q = 0.0
     witness = None
     q_values = []
-    for message in scheme.message_set:
-        labels, lam = overlap_matrix(scheme, message)
-        for i in range(len(labels)):
-            for j in range(i + 1, len(labels)):
-                q = rule.wrong_tag_acceptance(lam[i, j])
-                q_values.append(q)
-                q_values.append(q)  # both orderings of the pair
-                if q > best_q:
-                    best_q = q
-                    witness = (message, (labels[j], labels[i]))
+    for message, blocks, pairs in zip(scheme.message_set, table.blocks, table.overlaps):
+        q = [rule.wrong_tag_acceptance(lam) for lam in pairs]
+        q_values.extend(itertools.chain.from_iterable(zip(q, q)))  # both orderings of each pair
+        top = max(q, default=0.0)
+        if top > best_q:
+            best_q = top
+            expected, forged = list(itertools.combinations(blocks, 2))[q.index(top)]
+            witness = (message, forged, expected)
     mean_q = sum(q_values) / len(q_values) if q_values else 0.0
 
     witness_state = None
@@ -295,9 +379,10 @@ def impersonation_deception(
     witness_labels = None
     strategy = "guess a tag uniformly (single-label scheme)"
     if witness is not None:
-        witness_message, (forged, expected) = witness
+        witness_message, forged_p, expected_p = witness
+        forged, expected = table.labels[forged_p], table.labels[expected_p]
         witness_labels = (expected, forged)
-        witness_state = scheme.tag_unitaries[forged].apply(scheme.initial_state)
+        witness_state = _trusted(PureState, table.states[forged_p], scheme.initial_state.dims)
         strategy = (
             f"send message {witness_message!r} with the tag state of label {forged!r}; "
             f"worst confusion against expected label {expected!r}"
@@ -350,11 +435,17 @@ def verify_theorem2(scheme: QmacScheme) -> Theorem2Report:
 def random_scheme(
     rng: np.random.Generator, dim: int = 2, num_keys: int = 2, num_messages: int = 2
 ) -> QmacScheme:
-    """Random symmetric scheme: label (k, m), one Haar-random unitary each."""
+    """Random symmetric scheme: label (k, m), one Haar-random unitary each.
+
+    The unitaries of each key are drawn as one stack of |M|; the generator
+    is read in the same order as one draw per (k, m).
+    """
     keys = tuple(range(num_keys))
     messages = tuple(range(num_messages))
     unitaries = {
-        (k, m): random_unitary(dim, rng) for k in keys for m in messages
+        (k, m): gate
+        for k in keys
+        for m, gate in zip(messages, random_unitaries(num_messages, dim, rng))
     }
     return QmacScheme(
         message_set=messages,
@@ -407,11 +498,19 @@ def scheme_from_json_dict(doc: dict) -> QmacScheme:
         table = doc["label_table"]
         unitaries_doc = doc["tag_unitaries"]
         initial = state_from_json_dict(doc["initial_state"])
-        multiplicity = int(doc.get("multiplicity", 1))
+        multiplicity = doc.get("multiplicity", 1)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParameterError(f"malformed scheme document: {exc}") from exc
-    if len(table) != len(keys) or any(len(row) != len(messages) for row in table):
+    if not all(isinstance(item, Hashable) for item in messages + keys):
+        raise ParameterError("scheme keys and messages must be scalars, not lists or objects")
+    if (
+        not isinstance(table, list)
+        or len(table) != len(keys)
+        or any(not isinstance(row, list) or len(row) != len(messages) for row in table)
+    ):
         raise ParameterError("label table shape does not match keys x messages")
+    if not isinstance(unitaries_doc, dict):
+        raise ParameterError("tag_unitaries must be an object mapping labels to operators")
     lookup = {
         (key, message): str(table[ki][mi])
         for ki, key in enumerate(keys)

@@ -30,6 +30,8 @@ EIGEN_ATOL = 1e-8
 
 MAX_TOTAL_DIMENSION = 4096
 MAX_COPIES = 8
+# Matrix entries in one stacked draw of random_unitaries (1 MiB of normals).
+STACK_ENTRIES = 2**16
 
 
 def _frozen_complex(values, ndim: int, what: str) -> np.ndarray:
@@ -99,9 +101,6 @@ class UnitaryOperator:
             raise ParameterError(f"dimension mismatch: operator {self.d}, state {state.d}")
         return PureState(self.matrix @ state.amplitudes, state.dims)
 
-    def dagger(self) -> "UnitaryOperator":
-        return UnitaryOperator(self.matrix.conj().T, self.dims)
-
 
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
@@ -152,11 +151,12 @@ def density_operator(state: PureState) -> HermitianOperator:
 
 
 def _trusted(kind, values: np.ndarray, dims: tuple[int, ...]):
-    """Instance of ``kind`` built from a product of validated factors.
+    """Instance of ``kind`` from values whose check has already been made.
 
-    The dims are checked against the array; the norm, unitarity or
-    hermiticity check is not run again, since the factors passed it.
-    ``values`` is frozen in place, not copied.
+    For a product of validated factors, a stack of unitaries checked at
+    once, or a tag state from a norm-checked table. The dims are checked
+    against the array; the norm, unitarity or hermiticity check is not run
+    again. ``values`` is frozen in place, not copied.
     """
     obj = object.__new__(kind)
     values = np.asarray(values, dtype=complex)
@@ -327,14 +327,44 @@ def random_state(dims, rng: np.random.Generator) -> PureState:
     return PureState(vec / np.linalg.norm(vec), dims)
 
 
-def random_unitary(dims, rng: np.random.Generator) -> UnitaryOperator:
-    """Haar-random unitary via QR with the phase convention diag(R) > 0."""
+def random_unitaries(count: int, dims, rng: np.random.Generator) -> list[UnitaryOperator]:
+    """``count`` Haar-random unitaries via QR with the phase convention diag(R) > 0.
+
+    Stacked draws of normals and batched QR (Mezzadri, "How to generate
+    random matrices from the classical compact groups",
+    arXiv:math-ph/0609050). The normals come off ``rng`` in the order of
+    ``count`` single draws, and the QR of each matrix is the same LAPACK call,
+    so the unitaries and the generator state after the call are those of
+    ``count`` calls to ``random_unitary``. A stack holds at most
+    STACK_ENTRIES matrix entries, so its temporaries stay near 1 MiB however
+    large the matrices. The dimension cap is checked before anything is
+    drawn; the unitarity check runs once per stack.
+    """
+    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+        raise ParameterError(f"unitary count must be a positive integer, got {count!r}")
     dims = tuple(int(x) for x in dims) if not isinstance(dims, int) else (dims,)
     total = math.prod(dims)
-    z = (rng.standard_normal((total, total)) + 1j * rng.standard_normal((total, total))) / math.sqrt(2)
-    q, r = np.linalg.qr(z)
-    phases = np.diag(r) / np.abs(np.diag(r))
-    return UnitaryOperator(q * phases, dims)
+    dims = _resolve_dims(dims, total)
+    if total > MAX_TOTAL_DIMENSION:
+        raise ParameterError(f"total dimension {total} exceeds cap {MAX_TOTAL_DIMENSION}")
+    per_stack = max(1, STACK_ENTRIES // total**2)
+    unitaries = []
+    for start in range(0, count, per_stack):
+        normals = rng.standard_normal((min(per_stack, count - start), 2, total, total))
+        q, r = np.linalg.qr((normals[:, 0] + 1j * normals[:, 1]) / math.sqrt(2))
+        diag = np.diagonal(r, axis1=1, axis2=2)
+        q = q * (diag / np.abs(diag))[:, None, :]
+        defects = np.abs(q.conj().transpose(0, 2, 1) @ q - np.eye(total)).max(axis=(1, 2))
+        if defects.max() > NORM_ATOL:
+            defect = defects[np.argmax(defects > NORM_ATOL)]
+            raise ParameterError(f"matrix is not unitary: max |U†U - I| = {defect:.3e}")
+        unitaries += [_trusted(UnitaryOperator, matrix, dims) for matrix in q]
+    return unitaries
+
+
+def random_unitary(dims, rng: np.random.Generator) -> UnitaryOperator:
+    """Haar-random unitary via QR with the phase convention diag(R) > 0."""
+    return random_unitaries(1, dims, rng)[0]
 
 
 def state_to_json_dict(state: PureState) -> dict:
@@ -344,10 +374,18 @@ def state_to_json_dict(state: PureState) -> dict:
     }
 
 
+def _dims_from_json(value) -> tuple[int, ...]:
+    if not isinstance(value, list) or not all(
+        isinstance(x, int) and not isinstance(x, bool) for x in value
+    ):
+        raise ParameterError(f"dims must be a list of integers, got {value!r}")
+    return tuple(value)
+
+
 def state_from_json_dict(doc: dict) -> PureState:
     try:
         amps = [complex(re, im) for re, im in doc["amplitudes"]]
-        dims = tuple(doc["dims"])
+        dims = _dims_from_json(doc["dims"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParameterError(f"malformed state document: {exc}") from exc
     return PureState(amps, dims)
@@ -369,12 +407,7 @@ def operator_to_json_dict(op) -> dict:
 
 
 def unitary_from_json_dict(doc: dict) -> UnitaryOperator:
-    if "matrix" not in doc:
+    if not isinstance(doc, dict) or "matrix" not in doc:
         raise ParameterError("operator document missing 'matrix'")
-    return UnitaryOperator(_matrix_from_json(doc["matrix"]), tuple(doc.get("dims") or ()) or None)
-
-
-def hermitian_from_json_dict(doc: dict) -> HermitianOperator:
-    if "matrix" not in doc:
-        raise ParameterError("operator document missing 'matrix'")
-    return HermitianOperator(_matrix_from_json(doc["matrix"]), tuple(doc.get("dims") or ()) or None)
+    dims = _dims_from_json(doc["dims"]) if doc.get("dims") else None
+    return UnitaryOperator(_matrix_from_json(doc["matrix"]), dims)

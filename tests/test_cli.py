@@ -158,6 +158,66 @@ class TestGenericQmacScenario:
         assert "invariant failure" in out
 
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            [1],
+            {"count": "x"},
+            {"count": 0},
+            {"count": -3},
+            {"count": 2.0},
+            {"dim": True},
+            {"dim": 2.7},
+            {"dim": 0},
+            {"dim": 100000},
+            {"num_keys": 0},
+            {"num_messages": 1},
+        ],
+        ids=[
+            "spec-list", "count-str", "count-zero", "count-negative", "count-float", "dim-bool",
+            "dim-float", "dim-zero", "dim-over-cap", "no-keys", "one-message",
+        ],
+    )
+    def test_bad_random_schemes_exit_one(self, spec, tmp_path):
+        config = write_config(
+            tmp_path, "r.json", {"scenario": "GenericQmac", "parameters": {"random_schemes": spec}}
+        )
+        code, out = run_cli(str(config), str(tmp_path / "report.json"))
+        assert code == 1
+        assert out.startswith("error: ")
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("keys", [[0], [1]]),
+            ("messages", [[0], {"m": 1}]),
+            ("label_table", 5),
+            ("label_table", [5, 6]),
+            ("tag_unitaries", [1]),
+            ("tag_unitaries", {"0,0": 5}),
+            ("tag_unitaries", {"0,0": {"matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "dims": 2}}),
+            ("tag_unitaries", {"0,0": {"matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "dims": ["a"]}}),
+            ("initial_state", {"amplitudes": [[1, 0], [0, 0]], "dims": "2"}),
+            ("multiplicity", 2.7),
+            ("multiplicity", True),
+        ],
+        ids=["keys-lists", "messages-objects", "table-scalar", "table-rows-scalar",
+             "unitaries-list", "unitary-scalar", "unitary-dims-scalar", "unitary-dims-str",
+             "state-dims-str", "multiplicity-float", "multiplicity-bool"],
+    )
+    def test_malformed_inline_scheme_exits_one(self, field, value, tmp_path):
+        doc = scheme_to_json_dict(random_scheme(np.random.default_rng(7)))
+        if field == "tag_unitaries" and isinstance(value, dict):
+            value = {**doc["tag_unitaries"], **value}
+        doc[field] = value
+        config = write_config(tmp_path, "s.json", {"scenario": "GenericQmac", "parameters": {"scheme": doc}})
+        code, out = run_cli(str(config), str(tmp_path / "report.json"))
+        assert code == 1
+        assert out.startswith("error: ")
+        assert not (tmp_path / "report.json").exists()
+
+
 class TestSymmetrySweepScenario:
     def test_csv_artifact(self, tmp_path):
         out_path = tmp_path / "grid.csv"

@@ -1,19 +1,26 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from authsim.errors import InvariantViolation, ParameterError
 from authsim.qmac_framework import (
+    OVERLAP_TOL,
     AttackReport,
     DecisionRule,
     QmacScheme,
+    Theorem2Report,
     impersonation_deception,
     is_classical_equivalent,
     max_offdiagonal_overlap,
     overlap_matrix,
     partition_keys,
     random_scheme,
+    realized_labels,
     scheme_from_json_dict,
     scheme_to_json_dict,
     tag_state,
@@ -24,6 +31,8 @@ from authsim.quantum_core import (
     UnitaryOperator,
     basis_state,
     density_operator,
+    overlap,
+    random_unitaries,
 )
 from authsim.symmetry_test import acceptance_error_formula
 
@@ -90,6 +99,182 @@ def brute_force_impersonation(scheme, rule):
                     accept = acceptance_error_oracle(rule.copies, expected, forged)
                 best = max(best, floor + (1.0 - floor) * accept)
     return best
+
+
+# ---------------------------------------------------------------------------
+# Reference: the two-pass path that walks label_fn again in every function and
+# builds each overlap matrix twice per verify_theorem2, kept verbatim as the
+# oracle of the compiled table.
+
+
+def reference_realized_labels(scheme: QmacScheme, message) -> tuple:
+    """Labels reached for a message, in first-appearance order over the keys."""
+    if message not in scheme.message_set:
+        raise ParameterError(f"unknown message {message!r}")
+    seen = []
+    for key in scheme.key_set:
+        label = scheme.label_fn(key, message)
+        if label not in seen:
+            seen.append(label)
+    return tuple(seen)
+
+
+def reference_partition_keys(scheme: QmacScheme, message) -> dict:
+    """Key blocks per realized label; raises if the partition is not uniform.
+
+    Blocks must be disjoint (automatic), cover the key set, all have size
+    ``multiplicity``, and number |K|/multiplicity.
+    """
+    if message not in scheme.message_set:
+        raise ParameterError(f"unknown message {message!r}")
+    blocks: dict = {}
+    for key in scheme.key_set:
+        blocks.setdefault(scheme.label_fn(key, message), []).append(key)
+    n_keys = len(scheme.key_set)
+    if n_keys % scheme.multiplicity != 0:
+        raise InvariantViolation(
+            f"key count {n_keys} is not a multiple of multiplicity {scheme.multiplicity}"
+        )
+    for label, keys in blocks.items():
+        if len(keys) != scheme.multiplicity:
+            raise InvariantViolation(
+                f"symmetry violation at message {message!r}, label {label!r}: "
+                f"block size {len(keys)} != multiplicity {scheme.multiplicity}"
+            )
+    expected_blocks = n_keys // scheme.multiplicity
+    if len(blocks) != expected_blocks:
+        raise InvariantViolation(
+            f"symmetry violation at message {message!r}: {len(blocks)} labels realized, "
+            f"expected |K|/L = {expected_blocks}"
+        )
+    return {label: tuple(keys) for label, keys in blocks.items()}
+
+
+def reference_validate_scheme(scheme: QmacScheme) -> None:
+    """Uniform partition for every message + label injectivity per key."""
+    for message in scheme.message_set:
+        reference_partition_keys(scheme, message)
+    for key in scheme.key_set:
+        seen: dict = {}
+        for message in scheme.message_set:
+            label = scheme.label_fn(key, message)
+            if label in seen:
+                raise InvariantViolation(
+                    f"key {key!r} maps messages {seen[label]!r} and {message!r} "
+                    f"to the same label {label!r}"
+                )
+            seen[label] = message
+
+
+def reference_overlap_matrix(scheme: QmacScheme, message) -> tuple[tuple, np.ndarray]:
+    """Pairwise tag-state overlaps |<Psi_tau'|Psi_tau>| for one message.
+
+    Returns (labels, matrix) with labels in realization order; the matrix is
+    symmetric with unit diagonal.
+    """
+    labels = reference_realized_labels(scheme, message)
+    blocks = {label: None for label in labels}
+    for key in scheme.key_set:
+        label = scheme.label_fn(key, message)
+        if blocks.get(label) is None:
+            blocks[label] = tag_state(scheme, key, message)
+    states = [blocks[label] for label in labels]
+    size = len(states)
+    lam = np.eye(size)
+    for i in range(size):
+        for j in range(i + 1, size):
+            lam[i, j] = lam[j, i] = abs(overlap(states[i], states[j]))
+    return labels, lam
+
+
+def reference_max_offdiagonal_overlap(scheme: QmacScheme) -> float:
+    """Largest tag overlap across all messages and distinct label pairs."""
+    best = 0.0
+    for message in scheme.message_set:
+        _, lam = reference_overlap_matrix(scheme, message)
+        if lam.shape[0] > 1:
+            off = lam - np.diag(np.diag(lam))
+            best = max(best, float(off.max()))
+    return best
+
+
+def reference_impersonation_deception(
+    scheme: QmacScheme, rule: DecisionRule | None = None
+) -> AttackReport:
+    """Best impersonation success against the scheme under Bob's rule.
+
+    The forger guesses the right tag with probability 1/|T|; otherwise Bob
+    accepts the mismatched tag with probability Q given by the rule and the
+    pair's overlap, maximized exhaustively over messages and distinct label
+    pairs (first maximizer in scan order wins ties). The mean-Q variant is
+    reported alongside.
+    """
+    rule = rule or DecisionRule.projective()
+    reference_validate_scheme(scheme)
+    tag_count = scheme.tags_per_message
+    floor = 1.0 / tag_count
+
+    best_q = 0.0
+    witness = None
+    q_values = []
+    for message in scheme.message_set:
+        labels, lam = reference_overlap_matrix(scheme, message)
+        for i in range(len(labels)):
+            for j in range(i + 1, len(labels)):
+                q = rule.wrong_tag_acceptance(lam[i, j])
+                q_values.append(q)
+                q_values.append(q)  # both orderings of the pair
+                if q > best_q:
+                    best_q = q
+                    witness = (message, (labels[j], labels[i]))
+    mean_q = sum(q_values) / len(q_values) if q_values else 0.0
+
+    witness_state = None
+    witness_message = None
+    witness_labels = None
+    strategy = "guess a tag uniformly (single-label scheme)"
+    if witness is not None:
+        witness_message, (forged, expected) = witness
+        witness_labels = (expected, forged)
+        witness_state = scheme.tag_unitaries[forged].apply(scheme.initial_state)
+        strategy = (
+            f"send message {witness_message!r} with the tag state of label {forged!r}; "
+            f"worst confusion against expected label {expected!r}"
+        )
+    return AttackReport(
+        attack="impersonation",
+        deception_probability=floor + (1.0 - floor) * best_q,
+        classical_floor=floor,
+        witness_message=witness_message,
+        witness_labels=witness_labels,
+        witness_state=witness_state,
+        witness_strategy=strategy,
+        deception_probability_average=floor + (1.0 - floor) * mean_q,
+    )
+
+
+def reference_verify_theorem2(scheme: QmacScheme) -> Theorem2Report:
+    """Margin of the impersonation probability over 1/|T| (projective rule).
+
+    Overlaps at or below the 1e-9 tolerance are treated as orthogonal, so the
+    margin is exactly zero for classical-equivalent schemes and strictly
+    positive otherwise.
+    """
+    attack = reference_impersonation_deception(scheme, DecisionRule.projective())
+    lam_max = reference_max_offdiagonal_overlap(scheme)
+    classical = lam_max <= OVERLAP_TOL
+    p0 = attack.classical_floor if classical else attack.deception_probability
+    return Theorem2Report(
+        p0=p0,
+        classical_floor=attack.classical_floor,
+        margin=p0 - attack.classical_floor,
+        max_overlap=lam_max,
+        classical_equivalent=classical,
+        attack=attack,
+    )
+
+
+# ---------------------------------------------------------------------------
 
 
 class TestTagState:
@@ -384,3 +569,193 @@ class TestSchemeJson:
                 initial_state=basis_state(0, (2,)),
                 multiplicity=0,
             )
+
+
+@st.composite
+def symmetric_schemes(draw):
+    """Valid symmetric schemes with shuffled key blocks and label orders.
+
+    Tag unitaries come from a small pool that mixes Haar-random gates with
+    exact basis permutations, so equal overlaps (ties for the witness),
+    overlaps of exactly 0 and exactly 1 all occur.
+    """
+    tags = draw(st.integers(1, 4))
+    multiplicity = draw(st.sampled_from((1, 2)))
+    num_messages = draw(st.integers(2, 4))
+    dim = draw(st.integers(1, 4))
+    string_labels = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shift = np.roll(np.eye(dim, dtype=complex), 1, axis=0)
+    pool = random_unitaries(draw(st.integers(1, 4)), dim, rng)
+    pool += [UnitaryOperator(np.linalg.matrix_power(shift, j)) for j in range(dim)]
+    keys = tuple(range(tags * multiplicity))
+    table = {}
+    for m in range(num_messages):
+        block_of_key = rng.permutation(len(keys)) // multiplicity
+        block_label = rng.permutation(tags)
+        for k in keys:
+            b = int(block_label[block_of_key[k]])
+            table[(k, m)] = f"{b}/{m}" if string_labels else (b, m)
+    labels = dict.fromkeys(table.values())
+    return QmacScheme(
+        message_set=tuple(range(num_messages)),
+        key_set=keys,
+        label_fn=lambda k, m: table[(k, m)],
+        tag_unitaries={label: pool[int(rng.integers(len(pool)))] for label in labels},
+        initial_state=basis_state(0, (dim,)),
+        multiplicity=multiplicity,
+    )
+
+
+decision_rules = st.one_of(
+    st.just(DecisionRule.projective()),
+    st.integers(2, 5).map(DecisionRule.symmetry_test),
+)
+
+
+def assert_same_attack(new: AttackReport, ref: AttackReport):
+    assert new.deception_probability == ref.deception_probability
+    assert new.deception_probability_average == ref.deception_probability_average
+    assert new.classical_floor == ref.classical_floor
+    assert new.witness_message == ref.witness_message
+    assert new.witness_labels == ref.witness_labels
+    assert new.witness_strategy == ref.witness_strategy
+    if ref.witness_state is None:
+        assert new.witness_state is None
+    else:
+        assert np.array_equal(new.witness_state.amplitudes, ref.witness_state.amplitudes)
+        assert new.witness_state.dims == ref.witness_state.dims
+
+
+class TestCompiledTableMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(scheme=symmetric_schemes(), rule=decision_rules)
+    def test_random_schemes(self, scheme, rule):
+        assert_same_attack(
+            impersonation_deception(scheme, rule), reference_impersonation_deception(scheme, rule)
+        )
+        new, ref = verify_theorem2(scheme), reference_verify_theorem2(scheme)
+        assert new.p0 == ref.p0
+        assert new.margin == ref.margin
+        assert new.max_overlap == ref.max_overlap
+        assert new.classical_equivalent == ref.classical_equivalent
+        assert_same_attack(new.attack, ref.attack)
+        for m in scheme.message_set:
+            assert realized_labels(scheme, m) == reference_realized_labels(scheme, m)
+            assert partition_keys(scheme, m) == reference_partition_keys(scheme, m)
+            labels, lam = overlap_matrix(scheme, m)
+            ref_labels, ref_lam = reference_overlap_matrix(scheme, m)
+            assert labels == ref_labels
+            assert np.array_equal(lam, ref_lam)
+
+    @pytest.mark.parametrize("dim,num_keys,num_messages", [(2, 2, 2), (4, 8, 8), (16, 16, 16)])
+    def test_benchmark_shapes(self, dim, num_keys, num_messages):
+        rng = np.random.default_rng(dim)
+        for _ in range(2):
+            scheme = random_scheme(rng, dim=dim, num_keys=num_keys, num_messages=num_messages)
+            new, ref = verify_theorem2(scheme), reference_verify_theorem2(scheme)
+            assert (new.p0, new.margin, new.max_overlap) == (ref.p0, ref.margin, ref.max_overlap)
+            assert_same_attack(new.attack, ref.attack)
+
+    def test_label_fn_walked_once(self):
+        calls = []
+        base = random_scheme(np.random.default_rng(31), dim=2, num_keys=3, num_messages=4)
+
+        def label_fn(k, m):
+            calls.append((k, m))
+            return (k, m)
+
+        scheme = QmacScheme(
+            message_set=base.message_set,
+            key_set=base.key_set,
+            label_fn=label_fn,
+            tag_unitaries=base.tag_unitaries,
+            initial_state=base.initial_state,
+        )
+        verify_theorem2(scheme)
+        impersonation_deception(scheme, DecisionRule.symmetry_test(3))
+        validate_scheme(scheme)
+        for m in scheme.message_set:
+            partition_keys(scheme, m)
+            overlap_matrix(scheme, m)
+        assert sorted(calls) == sorted((k, m) for k in scheme.key_set for m in scheme.message_set)
+
+    def test_scheme_freed_without_cycle_collector(self):
+        # the compiled table is cached on the scheme and must not point back
+        # to it, or every dead scheme would wait for the cyclic collector
+        scheme = random_scheme(np.random.default_rng(30), dim=3, num_keys=3, num_messages=3)
+        verify_theorem2(scheme)
+        ref = weakref.ref(scheme)
+        gc.disable()
+        try:
+            del scheme
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
+def rotation_table(labels):
+    return {label: rotation(0.3 * i) for i, label in enumerate(labels)}
+
+
+MALFORMED_SCHEMES = {
+    "non-uniform-partition": dict(
+        key_set=(0, 1, 2),
+        label_fn=lambda k, m: (min(k, 1), m),  # block sizes 2 and 1
+        tag_unitaries=rotation_table([(b, m) for b in (0, 1) for m in (0, 1)]),
+    ),
+    "multiplicity-not-dividing-keys": dict(
+        key_set=(0, 1, 2),
+        label_fn=lambda k, m: (k, m),
+        tag_unitaries=rotation_table([(k, m) for k in (0, 1, 2) for m in (0, 1)]),
+        multiplicity=2,
+    ),
+    "injectivity-clash": dict(
+        key_set=(0, 1),
+        label_fn=lambda k, m: k,  # same label for both messages
+        tag_unitaries=rotation_table([0, 1]),
+    ),
+    "missing-unitary": dict(
+        key_set=(0, 1),
+        label_fn=lambda k, m: (k, m),
+        tag_unitaries=rotation_table([(0, 0), (1, 0), (0, 1)]),
+    ),
+    "partition-violation-before-missing-unitary": dict(
+        key_set=(0, 1, 2),
+        label_fn=lambda k, m: (min(k, 1), m),
+        tag_unitaries=rotation_table([(0, 0)]),
+    ),
+}
+
+
+def outcome(fn, *args):
+    """(exception type, message) of a call, or None when it returns."""
+    try:
+        fn(*args)
+    except (ParameterError, InvariantViolation) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestMalformedSchemesMatchReference:
+    @pytest.mark.parametrize("name", sorted(MALFORMED_SCHEMES))
+    def test_same_exception_and_message(self, name):
+        scheme = QmacScheme(
+            message_set=(0, 1), initial_state=basis_state(0, (2,)), **MALFORMED_SCHEMES[name]
+        )
+        assert outcome(validate_scheme, scheme) == outcome(reference_validate_scheme, scheme)
+        for rule in (DecisionRule.projective(), DecisionRule.symmetry_test(3)):
+            expected = outcome(reference_impersonation_deception, scheme, rule)
+            assert expected is not None
+            assert outcome(impersonation_deception, scheme, rule) == expected
+        assert outcome(verify_theorem2, scheme) == outcome(reference_verify_theorem2, scheme)
+        for m in scheme.message_set:
+            assert outcome(partition_keys, scheme, m) == outcome(reference_partition_keys, scheme, m)
+
+
+def test_tag_state_norm_checked_once_per_table():
+    # a gate that skipped its unitarity check must still not yield a tag state
+    scheme = two_key_qubit_scheme(0.3)
+    object.__setattr__(scheme.tag_unitaries[(1, 1)], "matrix", 2 * np.eye(2, dtype=complex))
+    with pytest.raises(ParameterError, match="state norm"):
+        impersonation_deception(scheme)

@@ -13,13 +13,13 @@ from authsim.quantum_core import (
     UnitaryOperator,
     basis_state,
     density_operator,
-    hermitian_from_json_dict,
     max_eigenpair,
     measure_projective,
     operator_to_json_dict,
     overlap,
     partial_trace,
     random_state,
+    random_unitaries,
     random_unitary,
     state_from_json_dict,
     state_to_json_dict,
@@ -51,6 +51,17 @@ def reference_symmetric_projector(d: int, n: int) -> HermitianOperator:
         proj[targets, idx] += 1.0
     proj /= math.factorial(n)
     return HermitianOperator(proj.astype(complex), (d,) * n)
+
+
+def reference_random_unitary(dims, rng: np.random.Generator) -> UnitaryOperator:
+    """One Haar-random unitary per call (QR, diag(R) phase fix); the
+    sequential draw that the stacked one is checked against."""
+    dims = tuple(int(x) for x in dims) if not isinstance(dims, int) else (dims,)
+    total = math.prod(dims)
+    z = (rng.standard_normal((total, total)) + 1j * rng.standard_normal((total, total))) / math.sqrt(2)
+    q, r = np.linalg.qr(z)
+    phases = np.diag(r) / np.abs(np.diag(r))
+    return UnitaryOperator(q * phases, dims)
 
 
 def gram_permanent_acceptance(n: int, a: PureState, b: PureState) -> float:
@@ -156,6 +167,41 @@ class TestTensorAndOverlap:
     def test_overlap_mismatch(self):
         with pytest.raises(ParameterError):
             overlap(basis_state(0, (2,)), basis_state(0, (4,)))
+
+
+class TestRandomUnitaries:
+    @pytest.mark.parametrize(
+        "dims,count",
+        [(dims, count) for dims in (1, 2, 3, 4, 8, 16, (2, 2), (2, 3)) for count in (1, 2, 7)]
+        + [(64, 40), (256, 3)],  # several stacks per call
+    )
+    def test_stack_equals_sequential_draws(self, dims, count):
+        seed = 1000 * count + (dims if isinstance(dims, int) else sum(dims))
+        stacked_rng, sequential_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        stacked = random_unitaries(count, dims, stacked_rng)
+        sequential = [reference_random_unitary(dims, sequential_rng) for _ in range(count)]
+        assert len(stacked) == count
+        for a, b in zip(stacked, sequential):
+            assert np.array_equal(a.matrix, b.matrix)
+            assert a.dims == b.dims
+            assert not a.matrix.flags.writeable
+        assert stacked_rng.bit_generator.state == sequential_rng.bit_generator.state
+
+    def test_single_draw_matches_reference(self):
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        assert np.array_equal(random_unitary((2, 2), a).matrix, reference_random_unitary((2, 2), b).matrix)
+        assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "count,dims",
+        [(1, 4097), (3, (64, 65)), (1, 100000), (0, 2), (-1, 2), (True, 2), (2.0, 2), (1, 0)],
+    )
+    def test_rejected_before_drawing(self, count, dims):
+        rng = np.random.default_rng(4)
+        before = rng.bit_generator.state
+        with pytest.raises(ParameterError):
+            random_unitaries(count, dims, rng)
+        assert rng.bit_generator.state == before
 
 
 class TestPartialTrace:
@@ -339,9 +385,6 @@ class TestSerialization:
         gate = random_unitary((2, 2), np.random.default_rng(14))
         back = unitary_from_json_dict(operator_to_json_dict(gate))
         assert np.allclose(back.matrix, gate.matrix)
-        herm = HermitianOperator(np.diag([0.25, 0.75]).astype(complex))
-        back_h = hermitian_from_json_dict(operator_to_json_dict(herm))
-        assert np.allclose(back_h.matrix, herm.matrix)
 
     def test_malformed_documents(self):
         with pytest.raises(ParameterError):

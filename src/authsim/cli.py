@@ -10,7 +10,13 @@ A scenario config is a JSON document:
     }
 
 ``run`` also accepts the name of a built-in demonstration scenario (see
-``list``). Reports embed the seed and a SHA-256 of the effective config;
+``list``). A config is read once, where it enters: the top level and each
+parameter object have a ``Spec`` of typed, ranged, defaulted keys
+(``CONFIG_SPEC``, one per kind in ``RUNNERS``), applied by ``read_spec``,
+which rejects unknown keys. Inline ``scheme``, ``unitary`` and ``instance``
+documents go to their own loaders.
+The ``MAX_*`` work caps and the output directory are checked before any
+computation. Reports embed the seed and a SHA-256 of the config as written;
 identical configs produce byte-identical artifacts. Exit codes: 0 success,
 1 usage/parameter errors, 2 invariant-failure diagnostics.
 """
@@ -21,24 +27,15 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import classical_mac, curty_santos, qmac_framework, symmetry_test
 from .errors import InvariantViolation, ParameterError
-from .quantum_core import UnitaryOperator, random_unitary
-from .reporting import (
-    complex_vector_jsonable,
-    config_sha256,
-    format_float,
-    jsonable,
-    render_csv,
-    render_json,
-)
-
-SCENARIO_KINDS = ("ClassicalMac", "GenericQmac", "CurtySantos", "SymmetryTestSweep")
+from .quantum_core import MAX_TOTAL_DIMENSION, UnitaryOperator, random_unitary
+from .reporting import config_sha256, format_float, jsonable, render_csv, render_json
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -48,6 +45,139 @@ NAMED_UNITARIES = {
     "xi": lambda: np.kron(_X, np.eye(2, dtype=complex)),
     "hh": lambda: np.kron(_H, _H),
 }
+
+# Work caps, checked before any computation starts.
+MAX_COUNT = 10_000  # draws of random_schemes and random_sweep
+MAX_SCHEME_ENTRIES = 2**22  # num_keys * num_messages * dim**2 of one random scheme (64 MiB)
+MAX_SWEEP_POINTS = 2**16  # |T values| * |delta_fracs| * |lambda_fracs|
+MAX_MESSAGE_SPACE_BITS = 2**20  # message_space_bits, used as 2**bits
+_EXACT_FLOAT_INT = 2**53  # integers the symmetry-test formulas turn into floats
+
+
+@dataclass(frozen=True)
+class Field:
+    """One key of a config object: ``type`` is int (never bool), float (any
+    number, read as a float), str, dict, list (items read by ``item``) or
+    object (checked later); ``lo``/``hi`` are inclusive. A key without a
+    default is required unless a one-of group governs it."""
+
+    type: type
+    default: object = None
+    lo: float | None = None
+    hi: float | None = None
+    choices: tuple = ()
+    spec: Spec | None = None
+    item: Field | None = None
+
+
+@dataclass(frozen=True)
+class Spec:
+    """The keys of one config object. A one-of group lists alternatives (a
+    key, or keys joined by '/'): at most one may be given, and exactly one
+    unless some alternative has defaults for all its keys."""
+
+    fields: dict
+    one_of: tuple = ()
+
+
+_TYPE_NAMES = {
+    int: "an integer", float: "a number", str: "a string", dict: "an object", list: "a list"
+}
+
+
+def _read_value(field: Field, value, where: str):
+    if field.type is object:
+        return value
+    accepted = (int, float) if field.type is float else field.type
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ParameterError(f"{where} must be {_TYPE_NAMES[field.type]}, got {value!r}")
+    if field.spec is not None:
+        return read_spec(field.spec, value, where)
+    if field.item is not None:
+        return [_read_value(field.item, item, f"{where}[{i}]") for i, item in enumerate(value)]
+    if field.lo is not None and not field.lo <= value:
+        raise ParameterError(f"{where} must be >= {field.lo}, got {value!r}")
+    if field.hi is not None and not value <= field.hi:
+        raise ParameterError(f"{where} must be <= {field.hi}, got {value!r}")
+    if field.choices and value not in field.choices:
+        raise ParameterError(f"{where} must be one of {list(field.choices)}, got {value!r}")
+    return float(value) if field.type is float else value
+
+
+def read_spec(spec: Spec, doc, where: str) -> dict:
+    """Checked copy of the config object ``doc``: unknown keys and broken
+    one-of groups are rejected, each given value is read by its field, and
+    each absent key with a default gets it, read the same way."""
+    if not isinstance(doc, dict):
+        raise ParameterError(f"{where} must be an object, got {doc!r}")
+    unknown = sorted(set(doc) - set(spec.fields))
+    if unknown:
+        raise ParameterError(f"{where}: unknown key(s) {unknown}; allowed keys are {sorted(spec.fields)}")
+    grouped = set()
+    for group in spec.one_of:
+        alternatives = [alt.split("/") for alt in group]
+        grouped.update(*alternatives)
+        given = [alt for alt in alternatives if any(key in doc for key in alt)]
+        optional = any(all(spec.fields[key].default is not None for key in alt) for alt in alternatives)
+        if len(given) > 1 or not (given or optional):
+            many = "at most" if optional else "exactly"
+            raise ParameterError(f"{where} takes {many} one of {' | '.join(group)}")
+    out = {}
+    for key, field in spec.fields.items():
+        if key in doc or field.default is not None:
+            out[key] = _read_value(field, doc[key] if key in doc else field.default, f"{where}.{key}")
+        elif key not in grouped:
+            raise ParameterError(f"{where}.{key} is required")
+    return out
+
+
+# Kind, seed and format are checked by ScenarioConfig, which --seed/--format also reach.
+_OUTPUT_SPEC = Spec({"format": Field(object, "json"), "path": Field(str, "")})
+CONFIG_SPEC = Spec({
+    "scenario": Field(object),
+    "parameters": Field(dict, {}),
+    "seed": Field(object, 0),
+    "output": Field(dict, {}, spec=_OUTPUT_SPEC),
+})
+CLASSICAL_MAC_SPEC = Spec({
+    "family": Field(str, "affine", choices=("affine", "poly")),
+    "p": Field(int, lo=2, hi=classical_mac.PRIME_CAP),
+    # p >= 2 and p**blocks <= MESSAGE_SPACE_CAP bound blocks before p**blocks is computed
+    "blocks": Field(int, 1, lo=1, hi=classical_mac.MESSAGE_SPACE_CAP.bit_length() - 1),
+})
+_RANDOM_SCHEMES_SPEC = Spec({
+    "count": Field(int, 100, lo=1, hi=MAX_COUNT),
+    "dim": Field(int, 2, lo=1, hi=MAX_TOTAL_DIMENSION),
+    "num_keys": Field(int, 2, lo=1),
+    "num_messages": Field(int, 2, lo=2),
+})
+_RULE_SPEC = Spec({
+    "kind": Field(str, "projective", choices=("projective", "symmetry-test")),
+    "copies": Field(int, 2, lo=2, hi=_EXACT_FLOAT_INT),
+})
+# Random schemes are always scored under the projective rule: a rule next to them is an error.
+GENERIC_QMAC_SPEC = Spec({
+    "scheme": Field(dict),
+    "scheme_path": Field(str),
+    "random_schemes": Field(dict, spec=_RANDOM_SCHEMES_SPEC),
+    "rule": Field(dict, {}, spec=_RULE_SPEC),
+}, one_of=(("random_schemes", "scheme", "scheme_path"), ("random_schemes", "rule")))
+CURTY_SANTOS_SPEC = Spec({
+    "unitary_name": Field(str, choices=tuple(NAMED_UNITARIES)),
+    "unitary": Field(dict),
+    "instance": Field(dict),
+    "random_sweep": Field(dict, spec=Spec({"count": Field(int, 200, lo=1, hi=MAX_COUNT)})),
+}, one_of=(("random_sweep", "unitary_name", "unitary", "instance"),))
+_TAG_COUNT = Field(int, lo=2, hi=_EXACT_FLOAT_INT)
+SYMMETRY_SWEEP_SPEC = Spec({
+    "t_values": Field(list, item=_TAG_COUNT),
+    "t_min": replace(_TAG_COUNT, default=2),
+    "t_max": replace(_TAG_COUNT, default=16),
+    "delta_fracs": Field(list, [0.5, 1.0], item=Field(float, lo=0, hi=1)),
+    "lambda_fracs": Field(list, [0.0, 0.5], item=Field(float, lo=0, hi=1)),
+    "d": Field(int, 2, lo=1),
+    "message_space_bits": Field(int, 64, lo=2, hi=MAX_MESSAGE_SPACE_BITS),
+}, one_of=(("t_values", "t_min/t_max"),))
 
 
 @dataclass(frozen=True)
@@ -62,10 +192,8 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if self.scenario_kind not in SCENARIO_KINDS:
-            raise ParameterError(
-                f"unknown scenario {self.scenario_kind!r}; expected one of {SCENARIO_KINDS}"
-            )
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+            raise ParameterError(f"unknown scenario {self.scenario_kind!r}; expected one of {SCENARIO_KINDS}")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < 2**64:
             raise ParameterError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         if self.output_format not in ("json", "csv"):
             raise ParameterError(f"output format must be json or csv, got {self.output_format!r}")
@@ -76,18 +204,19 @@ class ScenarioConfig:
 
 
 def _config_from_dict(doc: dict, base_dir: Path | None, name: str) -> ScenarioConfig:
-    if not isinstance(doc, dict) or "scenario" not in doc:
-        raise ParameterError("config document must be an object with a 'scenario' field")
-    output = doc.get("output") or {}
+    top = read_spec(CONFIG_SPEC, doc, "config")
+    output = top["output"]
+    # parameters stay as written, without defaults: config_sha256 hashes them
     return ScenarioConfig(
-        scenario_kind=doc["scenario"],
-        parameters=doc.get("parameters") or {},
-        seed=int(doc.get("seed", 0)),
-        output_format=output.get("format", "json"),
-        output_path=output.get("path"),
-        base_dir=base_dir,
-        name=name,
+        top["scenario"], top["parameters"], top["seed"], output["format"], output["path"], base_dir, name
     )
+
+
+def _read_json(path: Path, what: str):
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError covers bad UTF-8 and bad JSON
+        raise ParameterError(f"cannot read {what} {path} as UTF-8 JSON: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -152,18 +281,14 @@ def list_scenarios() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# scenario runners (each returns a JSON-ready report dict)
+# scenario runners: (checked parameters, config) -> JSON-ready report
 
 
-def _run_classical_mac(params: dict, seed: int) -> dict:
-    family_kind = params.get("family", "affine")
-    p = params.get("p")
-    if family_kind == "affine":
-        family = classical_mac.make_affine_family(p)
-    elif family_kind == "poly":
-        family = classical_mac.make_poly_family(p, params.get("blocks", 1))
+def _run_classical_mac(params: dict, config: ScenarioConfig) -> dict:
+    if params["family"] == "poly":
+        family = classical_mac.make_poly_family(params["p"], params["blocks"])
     else:
-        raise ParameterError(f"unknown family {family_kind!r}; expected 'affine' or 'poly'")
+        family = classical_mac.make_affine_family(params["p"])
     report = classical_mac.deception_probabilities(family)
     tag_count = len(family.tag_space)
     bound_bits = classical_mac.key_length_lower_bound(1, classical_mac.Fraction(1, tag_count))
@@ -185,18 +310,6 @@ def _run_classical_mac(params: dict, seed: int) -> dict:
     }
 
 
-def _load_decision_rule(params: dict) -> qmac_framework.DecisionRule:
-    rule = params.get("rule")
-    if rule is None:
-        return qmac_framework.DecisionRule.projective()
-    kind = rule.get("kind", "projective")
-    if kind == "projective":
-        return qmac_framework.DecisionRule.projective()
-    if kind == "symmetry-test":
-        return qmac_framework.DecisionRule.symmetry_test(int(rule.get("copies", 2)))
-    raise ParameterError(f"unknown decision rule {kind!r}")
-
-
 def _theorem2_entry(report: qmac_framework.Theorem2Report) -> dict:
     attack = report.attack
     return {
@@ -212,31 +325,23 @@ def _theorem2_entry(report: qmac_framework.Theorem2Report) -> dict:
     }
 
 
-def _spec_int(spec: dict, name: str, default: int, minimum: int) -> int:
-    """Integer field of a parameter object; bools and floats are rejected."""
-    value = spec.get(name, default)
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return value
-
-
-def _run_generic_qmac(params: dict, seed: int, base_dir: Path | None) -> dict:
-    random_spec = params.get("random_schemes")
-    if random_spec is not None:
-        if not isinstance(random_spec, dict):
-            raise ParameterError(f"random_schemes must be an object, got {random_spec!r}")
-        count = _spec_int(random_spec, "count", 100, 1)
-        dim = _spec_int(random_spec, "dim", 2, 1)
-        num_keys = _spec_int(random_spec, "num_keys", 2, 1)
-        num_messages = _spec_int(random_spec, "num_messages", 2, 2)
-        rng = np.random.default_rng(seed)
+def _run_generic_qmac(params: dict, config: ScenarioConfig) -> dict:
+    if "random_schemes" in params:
+        shape = params["random_schemes"]
+        entries = shape["num_keys"] * shape["num_messages"] * shape["dim"] ** 2
+        if entries > MAX_SCHEME_ENTRIES:
+            raise ParameterError(
+                f"a random scheme would hold num_keys * num_messages * dim**2 = {entries} "
+                f"entries; the cap is {MAX_SCHEME_ENTRIES}"
+            )
+        rng = np.random.default_rng(config.seed)
         rows = []
-        all_positive = True
-        min_margin = None
-        for index in range(count):
+        for index in range(shape["count"]):
             # No name holds the scheme, so it is freed before the next one is drawn.
             result = qmac_framework.verify_theorem2(
-                qmac_framework.random_scheme(rng, dim=dim, num_keys=num_keys, num_messages=num_messages)
+                qmac_framework.random_scheme(
+                    rng, dim=shape["dim"], num_keys=shape["num_keys"], num_messages=shape["num_messages"]
+                )
             )
             rows.append(
                 {
@@ -247,33 +352,25 @@ def _run_generic_qmac(params: dict, seed: int, base_dir: Path | None) -> dict:
                     "margin": result.margin,
                 }
             )
-            all_positive = all_positive and result.margin > 0.0
-            min_margin = result.margin if min_margin is None else min(min_margin, result.margin)
         return {
-            "random_schemes": {
-                "count": count,
-                "dim": dim,
-                "num_keys": num_keys,
-                "num_messages": num_messages,
-            },
-            "all_margins_positive": all_positive,
-            "min_margin": min_margin,
+            "random_schemes": shape,
+            "all_margins_positive": all(row["margin"] > 0.0 for row in rows),
+            "min_margin": min(row["margin"] for row in rows),
             "rows": rows,
         }
 
     if "scheme" in params:
-        scheme = qmac_framework.scheme_from_json_dict(params["scheme"])
-    elif "scheme_path" in params:
-        path = Path(params["scheme_path"])
-        if base_dir is not None and not path.is_absolute():
-            path = base_dir / path
-        if not path.is_file():
-            raise ParameterError(f"scheme file not found: {path}")
-        scheme = qmac_framework.scheme_from_json_dict(json.loads(path.read_text()))
+        doc = params["scheme"]
     else:
-        raise ParameterError("GenericQmac needs 'scheme', 'scheme_path', or 'random_schemes'")
-
-    rule = _load_decision_rule(params)
+        path = Path(params["scheme_path"])
+        if config.base_dir is not None and not path.is_absolute():
+            path = config.base_dir / path
+        doc = _read_json(path, "scheme file")
+    scheme = qmac_framework.scheme_from_json_dict(doc)
+    if params["rule"]["kind"] == "symmetry-test":
+        rule = qmac_framework.DecisionRule.symmetry_test(params["rule"]["copies"])
+    else:
+        rule = qmac_framework.DecisionRule.projective()
     result = qmac_framework.verify_theorem2(scheme)
     attack = qmac_framework.impersonation_deception(scheme, rule)
     return {
@@ -293,8 +390,8 @@ def _run_generic_qmac(params: dict, seed: int, base_dir: Path | None) -> dict:
 
 def _cs_instance_report(instance: curty_santos.CurtySantosInstance) -> dict:
     attack = curty_santos.optimal_impersonation(instance)
-    cond13 = curty_santos.condition_13_holds(instance)
     nogo = curty_santos.incompatibility_report(instance)
+    cond13 = nogo.condition_13
     eigenvalues = np.linalg.eigvalsh(curty_santos.attack_operator(instance).matrix)
     honest = []
     for m in (0, 1):
@@ -309,7 +406,7 @@ def _cs_instance_report(instance: curty_santos.CurtySantosInstance) -> dict:
         )
     return {
         "optimal_impersonation": attack.deception_probability,
-        "impersonation_witness": complex_vector_jsonable(attack.witness_state.amplitudes),
+        "impersonation_witness": attack.witness_state.amplitudes.tolist(),
         "attack_operator_eigenvalues": [float(v) for v in eigenvalues],
         "substitution_conclusive": list(nogo.substitution_conclusive),
         "condition13": cond13.holds,
@@ -327,24 +424,18 @@ def _cs_instance_report(instance: curty_santos.CurtySantosInstance) -> dict:
     }
 
 
-def _run_curty_santos(params: dict, seed: int) -> dict:
-    sweep_spec = params.get("random_sweep")
-    if sweep_spec is not None:
-        count = int(sweep_spec.get("count", 200))
-        rng = np.random.default_rng(seed)
+def _run_curty_santos(params: dict, config: ScenarioConfig) -> dict:
+    if "random_sweep" in params:
+        count = params["random_sweep"]["count"]
+        rng = np.random.default_rng(config.seed)
         rows = []
-        secure_count = 0
-        min_impersonation = None
         for index in range(count):
             instance = curty_santos.CurtySantosInstance(tag_unitary=random_unitary((2, 2), rng))
             nogo = curty_santos.incompatibility_report(instance)
-            secure_count += int(nogo.simultaneously_secure)
-            p = nogo.impersonation_probability
-            min_impersonation = p if min_impersonation is None else min(min_impersonation, p)
             rows.append(
                 {
                     "index": index,
-                    "impersonation": p,
+                    "impersonation": nogo.impersonation_probability,
                     "conclusive": list(nogo.substitution_conclusive),
                     "at_floor": nogo.impersonation_at_floor,
                     "blocked": nogo.substitution_blocked,
@@ -353,86 +444,73 @@ def _run_curty_santos(params: dict, seed: int) -> dict:
             )
         return {
             "instances": count,
-            "simultaneously_secure_count": secure_count,
-            "min_impersonation": min_impersonation,
+            "simultaneously_secure_count": sum(row["secure"] for row in rows),
+            "min_impersonation": min(row["impersonation"] for row in rows),
             "rows": rows,
         }
 
     if "unitary_name" in params:
-        name = params["unitary_name"]
-        if name not in NAMED_UNITARIES:
-            raise ParameterError(f"unknown unitary {name!r}; expected one of {sorted(NAMED_UNITARIES)}")
-        instance = curty_santos.CurtySantosInstance(
-            tag_unitary=UnitaryOperator(NAMED_UNITARIES[name](), (2, 2))
-        )
-        report = _cs_instance_report(instance)
-        report["unitary_name"] = name
-        return report
-    if "unitary" in params:
-        instance = curty_santos.instance_from_json_dict({"unitary": params["unitary"]})
-        return _cs_instance_report(instance)
-    if "instance" in params:
-        instance = curty_santos.instance_from_json_dict(params["instance"])
-        return _cs_instance_report(instance)
-    raise ParameterError("CurtySantos needs 'unitary_name', 'unitary', 'instance', or 'random_sweep'")
-
-
-def _run_symmetry_sweep(params: dict, seed: int) -> tuple[dict, list]:
-    if "t_values" in params:
-        t_values = [int(t) for t in params["t_values"]]
+        matrix = NAMED_UNITARIES[params["unitary_name"]]()
+        instance = curty_santos.CurtySantosInstance(tag_unitary=UnitaryOperator(matrix, (2, 2)))
     else:
-        t_values = list(range(int(params.get("t_min", 2)), int(params.get("t_max", 16)) + 1))
-    delta_fracs = tuple(float(f) for f in params.get("delta_fracs", (0.5, 1.0)))
-    lambda_fracs = tuple(float(f) for f in params.get("lambda_fracs", (0.0, 0.5)))
-    d = int(params.get("d", 2))
-    bits = int(params.get("message_space_bits", 64))
-    message_space_size = 2**bits
+        doc = params["instance"] if "instance" in params else {"unitary": params["unitary"]}
+        instance = curty_santos.instance_from_json_dict(doc)
+    report = _cs_instance_report(instance)
+    if "unitary_name" in params:
+        report["unitary_name"] = params["unitary_name"]
+    return report
 
-    rows = symmetry_test.sweep(
-        t_values,
-        delta_fracs=delta_fracs,
-        lambda_fracs=lambda_fracs,
-        d=d,
-        message_space_size=message_space_size,
-    )
 
-    crossovers = []
-    for dfrac in delta_fracs:
-        for lfrac in lambda_fracs:
-            series = symmetry_test.sweep(
-                t_values, (dfrac,), (lfrac,), d=d, message_space_size=message_space_size
-            )
-            first = next(
-                (r.t_size for r in series if r.key_bits_quantum > r.key_bits_classical_ref), None
-            )
-            crossovers.append(
-                {"delta_frac": dfrac, "lambda_frac": lfrac, "first_quantum_exceeds_classical": first}
-            )
+def _crossovers(rows, t_values, delta_fracs, lambda_fracs) -> list[dict]:
+    """First |T| at which the quantum key budget exceeds the classical one, per
+    (delta_frac, lambda_frac) pair, read off the rows of one sweep. Rows carry
+    delta and lambda, not the fractions, so each pair's points are recomputed
+    exactly as ``symmetry_test.sweep`` computes them; skipped points never count."""
+    exceeds = {
+        (r.t_size, r.delta, r.lambda_max) for r in rows if r.key_bits_quantum > r.key_bits_classical_ref
+    }
 
-    report = {
+    def first(dfrac, lfrac):
+        points = ((t, dfrac / t, lfrac * symmetry_test.feasibility_threshold(t, dfrac / t)) for t in t_values)
+        return next((point[0] for point in points if point in exceeds), None)
+
+    return [
+        {"delta_frac": dfrac, "lambda_frac": lfrac, "first_quantum_exceeds_classical": first(dfrac, lfrac)}
+        for dfrac in delta_fracs
+        for lfrac in lambda_fracs
+    ]
+
+
+def _run_symmetry_sweep(params: dict, config: ScenarioConfig) -> dict:
+    t_values = params["t_values"] if "t_values" in params else range(params["t_min"], params["t_max"] + 1)
+    delta_fracs, lambda_fracs = params["delta_fracs"], params["lambda_fracs"]
+    points = len(t_values) * len(delta_fracs) * len(lambda_fracs)
+    if not 1 <= points <= MAX_SWEEP_POINTS:
+        raise ParameterError(
+            f"the sweep grid holds {points} points; it must hold 1 to {MAX_SWEEP_POINTS} (is t_min > t_max?)"
+        )
+    bits = params["message_space_bits"]
+    rows = symmetry_test.sweep(t_values, delta_fracs, lambda_fracs, d=params["d"], message_space_size=2**bits)
+    return {
         "grid": {
-            "t_values": t_values,
-            "delta_fracs": list(delta_fracs),
-            "lambda_fracs": list(lambda_fracs),
-            "d": d,
+            "t_values": list(t_values),
+            "delta_fracs": delta_fracs,
+            "lambda_fracs": lambda_fracs,
+            "d": params["d"],
             "message_space_bits": bits,
         },
-        "rows": [
-            {
-                "T_size": r.t_size,
-                "delta": r.delta,
-                "lambda_max": r.lambda_max,
-                "n_real": r.n_real,
-                "n_ceil": r.n_ceil,
-                "P0": r.p0,
-                "key_bits_quantum": r.key_bits_quantum,
-                "key_bits_classical_ref": r.key_bits_classical_ref,
-            }
-            for r in rows
-        ],
-        "crossover": crossovers,
+        "rows": [dict(zip(symmetry_test.SWEEP_COLUMNS, r)) for r in rows],
+        "crossover": _crossovers(rows, t_values, delta_fracs, lambda_fracs),
     }
-    return report, rows
+
+
+RUNNERS = {
+    "ClassicalMac": (CLASSICAL_MAC_SPEC, _run_classical_mac),
+    "GenericQmac": (GENERIC_QMAC_SPEC, _run_generic_qmac),
+    "CurtySantos": (CURTY_SANTOS_SPEC, _run_curty_santos),
+    "SymmetryTestSweep": (SYMMETRY_SWEEP_SPEC, _run_symmetry_sweep),
+}
+SCENARIO_KINDS = tuple(RUNNERS)
 
 
 # ---------------------------------------------------------------------------
@@ -451,13 +529,14 @@ def _flatten(prefix: str, obj, out: list) -> None:
         out.append((prefix, obj))
 
 
-def _write_artifact(config: ScenarioConfig, report: dict, sweep_rows, path: Path) -> None:
+def _write_artifact(config: ScenarioConfig, report: dict, path: Path) -> None:
     if config.output_format == "json":
         path.write_text(render_json(report), encoding="utf-8")
         return
-    if sweep_rows is not None:
-        header = list(symmetry_test.SWEEP_COLUMNS) + ["seed", "config_sha256"]
-        csv_rows = [list(row) + [config.seed, config.sha256] for row in sweep_rows]
+    if config.scenario_kind == "SymmetryTestSweep":
+        columns = symmetry_test.SWEEP_COLUMNS
+        header = list(columns) + ["seed", "config_sha256"]
+        csv_rows = [[row[c] for c in columns] + [config.seed, config.sha256] for row in report["rows"]]
         path.write_text(render_csv(header, csv_rows), encoding="utf-8")
         return
     flat: list = []
@@ -489,11 +568,7 @@ def load_config(source: str) -> ScenarioConfig:
     """Resolve a config file path or a built-in scenario name."""
     path = Path(source)
     if path.is_file():
-        try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ParameterError(f"config {path} is not valid JSON: {exc}") from exc
-        return _config_from_dict(doc, path.resolve().parent, path.stem)
+        return _config_from_dict(_read_json(path, "config"), path.resolve().parent, path.stem)
     if source in BUILTIN_SCENARIOS:
         spec = BUILTIN_SCENARIOS[source]
         return _config_from_dict(
@@ -511,35 +586,24 @@ def run(
 ) -> int:
     """Execute one scenario; returns the process exit code."""
     stdout = stdout or sys.stdout
+    overrides = {"output_path": output, "output_format": output_format, "seed": seed}
     try:
-        config = load_config(source)
-        if seed is not None or output_format is not None or output is not None:
-            config = ScenarioConfig(
-                scenario_kind=config.scenario_kind,
-                parameters=config.parameters,
-                seed=config.seed if seed is None else seed,
-                output_format=config.output_format if output_format is None else output_format,
-                output_path=config.output_path if output is None else output,
-                base_dir=config.base_dir,
-                name=config.name,
-            )
+        config = replace(load_config(source), **{k: v for k, v in overrides.items() if v is not None})
+        spec, runner = RUNNERS[config.scenario_kind]
+        params = read_spec(spec, config.parameters, "parameters")
+        path = Path(config.output_path or f"{config.name}.{config.output_format}")
+        if path.is_dir() or not path.parent.is_dir():
+            raise ParameterError(f"cannot write the report to {path}: not a file in an existing directory")
 
-        sweep_rows = None
-        if config.scenario_kind == "ClassicalMac":
-            report = _run_classical_mac(config.parameters, config.seed)
-        elif config.scenario_kind == "GenericQmac":
-            report = _run_generic_qmac(config.parameters, config.seed, config.base_dir)
-        elif config.scenario_kind == "CurtySantos":
-            report = _run_curty_santos(config.parameters, config.seed)
-        else:
-            report, sweep_rows = _run_symmetry_sweep(config.parameters, config.seed)
-
+        report = runner(params, config)
         report["scenario"] = config.scenario_kind
         report["seed"] = config.seed
         report["config_sha256"] = config.sha256
 
-        path = Path(config.output_path or f"{config.name}.{config.output_format}")
-        _write_artifact(config, report, sweep_rows, path)
+        try:
+            _write_artifact(config, report, path)
+        except OSError as exc:
+            raise ParameterError(f"cannot write the report to {path}: {exc}") from exc
         print(f"{config.scenario_kind} ({config.name}), seed {config.seed}", file=stdout)
         for line in _summarize(report):
             print(line, file=stdout)

@@ -327,11 +327,14 @@ def embedding_json(instance: CurtySantosInstance) -> dict:
 
 
 def instance_from_json_dict(doc: dict) -> CurtySantosInstance:
-    if "unitary" not in doc:
-        raise ParameterError("instance document missing 'unitary'")
-    gate = unitary_from_json_dict(doc["unitary"])
-    basis = None
-    if "basis" in doc:
-        basis = tuple(state_from_json_dict(s) for s in doc["basis"])
-    accept = tuple(doc.get("accept_set", (0, 1)))
+    try:
+        unitary_doc = doc["unitary"]
+        basis_docs = tuple(doc["basis"]) if "basis" in doc else None
+        accept = tuple(doc.get("accept_set", (0, 1)))
+    except (KeyError, TypeError) as exc:
+        raise ParameterError(f"malformed instance document: {exc}") from exc
+    if not all(isinstance(j, int) and not isinstance(j, bool) for j in accept):
+        raise ParameterError(f"accept set must hold basis indices, got {accept!r}")
+    gate = unitary_from_json_dict(unitary_doc)
+    basis = None if basis_docs is None else tuple(state_from_json_dict(s) for s in basis_docs)
     return CurtySantosInstance(tag_unitary=gate, basis=basis, accept_set=accept)

@@ -53,10 +53,6 @@ def jsonable(obj):
     return obj
 
 
-def complex_vector_jsonable(vec) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(vec)]
-
-
 def _render(obj, indent: int, out: list) -> None:
     pad = "  " * indent
     if obj is None:

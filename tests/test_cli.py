@@ -1,11 +1,14 @@
+import copy
 import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from authsim import cli
+from authsim import cli, symmetry_test
 from authsim.qmac_framework import random_scheme, scheme_to_json_dict
 
 
@@ -309,3 +312,223 @@ class TestDeterminismAndErrors:
         text = out_path.read_text()
         assert text.startswith("key,value\n")
         assert "deception.p0,1/5" in text
+
+
+SWAP_UNITARY = {"dims": [2, 2], "matrix": [[[float(x), 0.0] for x in row] for row in np.eye(4)[[0, 2, 1, 3]]]}
+
+
+def _cfg(kind, params, **top):
+    return {"scenario": kind, "parameters": params, **top}
+
+
+def _scheme_file_rule(**rule):
+    return _cfg("GenericQmac", {"scheme_path": "scheme.json", "rule": rule})
+
+
+# Malformed configs that escaped as tracebacks or exited 0 before the config
+# had one checked boundary: a config document, or the raw bytes of the file.
+MALFORMED_CONFIGS = {
+    "seed-str": _cfg("ClassicalMac", {"p": 5}, seed="abc"),
+    "seed-bool": _cfg("ClassicalMac", {"p": 5}, seed=True),
+    "seed-float": _cfg("ClassicalMac", {"p": 5}, seed=1.5),
+    "parameters-list": _cfg("SymmetryTestSweep", [1]),
+    "parameters-null": _cfg("SymmetryTestSweep", None),
+    "output-list": _cfg("ClassicalMac", {"p": 5}, output=[1]),
+    "output-path-int": _cfg("ClassicalMac", {"p": 5}, output={"path": 5}),
+    "output-unknown-key": _cfg("ClassicalMac", {"p": 5}, output={"fmt": "csv"}),
+    "config-unknown-key": _cfg("ClassicalMac", {"p": 5}, sed=3),
+    "config-not-utf8": b'{"scenario": "ClassicalMac", "parameters": {"p": 5}, "seed": 0}\xff\xfe',
+    "output-dir-missing": _cfg("ClassicalMac", {"p": 5}),
+    "output-is-dir": _cfg("ClassicalMac", {"p": 5}),
+    "cm-unknown-key": _cfg("ClassicalMac", {"p": 5, "q": 7}),
+    "cm-huge-blocks": _cfg("ClassicalMac", {"family": "poly", "p": 2, "blocks": 10**12}),
+    "gq-scheme-path-int": _cfg("GenericQmac", {"scheme_path": 5}),
+    "gq-scheme-path-not-utf8": _cfg("GenericQmac", {"scheme_path": "not-utf8.json"}),
+    "gq-scheme-path-not-json": _cfg("GenericQmac", {"scheme_path": "not-json.json"}),
+    "gq-scheme-path-and-random": _cfg(
+        "GenericQmac", {"scheme_path": "scheme.json", "random_schemes": {"count": 1}}
+    ),
+    "gq-rule-with-random": _cfg(
+        "GenericQmac", {"random_schemes": {"count": 1}, "rule": {"kind": "symmetry-test", "copies": "z"}}
+    ),
+    "gq-rule-int": _cfg("GenericQmac", {"scheme_path": "scheme.json", "rule": 5}),
+    "gq-rule-copies-str": _scheme_file_rule(kind="symmetry-test", copies="z"),
+    "gq-rule-copies-float": _scheme_file_rule(kind="symmetry-test", copies=2.5),
+    "gq-rule-copies-huge": _scheme_file_rule(kind="symmetry-test", copies=10**400),
+    "gq-rule-unknown-key": _scheme_file_rule(kind="projective", n=2),
+    "gq-random-unknown-key": _cfg("GenericQmac", {"random_schemes": {"count": 1, "size": 3}}),
+    "gq-random-count-over-cap": _cfg("GenericQmac", {"random_schemes": {"count": cli.MAX_COUNT + 1}}),
+    "gq-random-entries-over-cap": _cfg(
+        "GenericQmac", {"random_schemes": {"count": 1, "dim": 4096, "num_keys": 16, "num_messages": 16}}
+    ),
+    "cs-sweep-int": _cfg("CurtySantos", {"random_sweep": 5}),
+    "cs-sweep-count-str": _cfg("CurtySantos", {"random_sweep": {"count": "x"}}),
+    "cs-sweep-count-zero": _cfg("CurtySantos", {"random_sweep": {"count": 0}}),
+    "cs-sweep-count-float": _cfg("CurtySantos", {"random_sweep": {"count": 2.5}}),
+    "cs-sweep-count-over-cap": _cfg("CurtySantos", {"random_sweep": {"count": cli.MAX_COUNT + 1}}),
+    "cs-sweep-and-name": _cfg("CurtySantos", {"random_sweep": {"count": 1}, "unitary_name": "xi"}),
+    "cs-name-and-unitary": _cfg("CurtySantos", {"unitary_name": "xi", "unitary": SWAP_UNITARY}),
+    "cs-name-list": _cfg("CurtySantos", {"unitary_name": [1]}),
+    "cs-instance-int": _cfg("CurtySantos", {"instance": 5}),
+    "cs-accept-set-int": _cfg("CurtySantos", {"instance": {"unitary": SWAP_UNITARY, "accept_set": 5}}),
+    "cs-accept-set-floats": _cfg(
+        "CurtySantos", {"instance": {"unitary": SWAP_UNITARY, "accept_set": [0.0, 1.0]}}
+    ),
+    "cs-basis-int": _cfg("CurtySantos", {"instance": {"unitary": SWAP_UNITARY, "basis": 5}}),
+    "st-unknown-key": _cfg("SymmetryTestSweep", {"t_maximum": 5}),
+    "st-t-values-str": _cfg("SymmetryTestSweep", {"t_values": "ab"}),
+    "st-t-values-int": _cfg("SymmetryTestSweep", {"t_values": 5}),
+    "st-t-values-float": _cfg("SymmetryTestSweep", {"t_values": [2.7]}),
+    "st-t-values-empty": _cfg("SymmetryTestSweep", {"t_values": []}),
+    "st-t-values-huge": _cfg("SymmetryTestSweep", {"t_values": [10**400]}),
+    "st-t-values-and-t-min": _cfg("SymmetryTestSweep", {"t_values": [3], "t_min": 2}),
+    "st-t-min-str": _cfg("SymmetryTestSweep", {"t_min": "x"}),
+    "st-t-min-above-t-max": _cfg("SymmetryTestSweep", {"t_min": 9, "t_max": 3}),
+    "st-grid-over-cap": _cfg("SymmetryTestSweep", {"t_max": 10**9}),
+    "st-delta-fracs-str": _cfg("SymmetryTestSweep", {"delta_fracs": "x"}),
+    "st-delta-fracs-empty": _cfg("SymmetryTestSweep", {"delta_fracs": []}),
+    "st-d-bool": _cfg("SymmetryTestSweep", {"d": True}),
+    "st-d-str": _cfg("SymmetryTestSweep", {"d": "x"}),
+    "st-bits-float": _cfg("SymmetryTestSweep", {"message_space_bits": 3.5}),
+    "st-bits-over-cap": _cfg("SymmetryTestSweep", {"message_space_bits": 10**9}),
+}
+
+
+# Report paths other than report.json, relative to the test directory.
+MALFORMED_OUTPUTS = {"output-dir-missing": "missing/report.json", "output-is-dir": "outdir"}
+
+
+def _write_side_files(tmp_path):
+    """Files the malformed configs refer to: a valid scheme and two unreadable ones."""
+    scheme = scheme_to_json_dict(random_scheme(np.random.default_rng(7)))
+    (tmp_path / "scheme.json").write_text(json.dumps(scheme))
+    (tmp_path / "not-utf8.json").write_bytes(b'{"name": "\xff"}')
+    (tmp_path / "not-json.json").write_text("{not json")
+    (tmp_path / "outdir").mkdir()
+
+
+class TestConfigBoundary:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
+    def test_malformed_config_exits_one(self, case, tmp_path):
+        doc = MALFORMED_CONFIGS[case]
+        _write_side_files(tmp_path)
+        config = tmp_path / "config.json"
+        if isinstance(doc, bytes):
+            config.write_bytes(doc)
+        else:
+            config.write_text(json.dumps(doc))
+        before = sorted(tmp_path.rglob("*"))
+        code, out = run_cli(str(config), str(tmp_path / MALFORMED_OUTPUTS.get(case, "report.json")))
+        assert code == 1, out
+        assert out.startswith("error: ")
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("output", sorted(MALFORMED_OUTPUTS.values()))
+    def test_output_path_checked_before_computation(self, output, monkeypatch, tmp_path):
+        (tmp_path / "outdir").mkdir()
+
+        def runner(params, config):
+            raise AssertionError("the scenario ran before the output path was checked")
+
+        monkeypatch.setitem(cli.RUNNERS, "ClassicalMac", (cli.CLASSICAL_MAC_SPEC, runner))
+        code, out = run_cli("affine-p5", str(tmp_path / output))
+        assert code == 1
+        assert out.startswith("error: ")
+
+    def test_sweep_runs_once(self, monkeypatch, tmp_path):
+        calls = []
+        real_sweep = symmetry_test.sweep
+        monkeypatch.setattr(symmetry_test, "sweep", lambda *a, **k: calls.append(a) or real_sweep(*a, **k))
+        assert run_cli("symtest-grid", str(tmp_path / "grid.json"))[0] == 0
+        assert len(calls) == 1
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 20)
+    | st.sampled_from([2**64, 10**400, 0.5, 1e308])
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=4)
+    | st.sampled_from(["poly", "xi", "symmetry-test", "csv"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+CONFIG_KEYS = sorted(
+    {key for spec, _ in cli.RUNNERS.values() for key in spec.fields}
+    | set(cli.CONFIG_SPEC.fields)
+    | {"count", "dim", "num_keys", "num_messages", "kind", "copies", "format", "path"}
+)
+
+
+def _mutate(draw, node):
+    """Drop a key, replace a value with random JSON, add a key, or recurse."""
+    op = draw(st.sampled_from(("drop", "replace", "add", "descend") if node else ("add",)))
+    if op == "add":
+        node[draw(st.sampled_from(CONFIG_KEYS) | st.text(max_size=4))] = draw(JSON_VALUES)
+        return
+    key = draw(st.sampled_from(sorted(node)))
+    if op == "drop":
+        del node[key]
+    elif op == "descend" and isinstance(node[key], dict):
+        _mutate(draw, node[key])
+    elif op == "descend" and isinstance(node[key], list) and node[key]:
+        node[key][draw(st.integers(0, len(node[key]) - 1))] = draw(JSON_VALUES)
+    else:
+        node[key] = draw(JSON_VALUES)
+
+
+@st.composite
+def mutated_builtin_configs(draw):
+    spec = cli.BUILTIN_SCENARIOS[draw(st.sampled_from(sorted(cli.BUILTIN_SCENARIOS)))]
+    doc = {"scenario": spec["scenario"], "parameters": copy.deepcopy(spec["parameters"]), "seed": 0}
+    for _ in range(draw(st.integers(1, 3))):
+        _mutate(draw, doc)
+    return doc
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=mutated_builtin_configs())
+def test_fuzzed_builtin_configs_exit_cleanly(doc, tmp_path):
+    config = tmp_path / "fuzz.json"
+    config.write_text(json.dumps(doc))
+    code, out = run_cli(str(config), str(tmp_path / "fuzz-report.out"))
+    assert code in (0, 1, 2), out
+
+
+def reference_crossovers(t_values, delta_fracs, lambda_fracs, d, message_space_size):
+    """The crossover loop of the original runner: one extra sweep per
+    (delta_frac, lambda_frac) pair, first |T| whose quantum key budget
+    exceeds the classical comparator."""
+    crossovers = []
+    for dfrac in delta_fracs:
+        for lfrac in lambda_fracs:
+            series = symmetry_test.sweep(
+                t_values, (dfrac,), (lfrac,), d=d, message_space_size=message_space_size
+            )
+            first = next(
+                (r.t_size for r in series if r.key_bits_quantum > r.key_bits_classical_ref), None
+            )
+            crossovers.append(
+                {"delta_frac": dfrac, "lambda_frac": lfrac, "first_quantum_exceeds_classical": first}
+            )
+    return crossovers
+
+
+DELTA_FRACS = st.sampled_from([0.05, 0.25, 0.5, 1.0]) | st.floats(1e-3, 1.0)
+LAMBDA_FRACS = st.sampled_from([0.0, 0.5, 0.9]) | st.floats(0.0, 0.999)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    t_values=st.lists(st.integers(2, 40), min_size=1, max_size=8),
+    delta_fracs=st.lists(DELTA_FRACS, min_size=1, max_size=4),
+    lambda_fracs=st.lists(LAMBDA_FRACS, min_size=1, max_size=4),
+    d=st.integers(1, 4),
+    bits=st.integers(2, 80),
+)
+@example(t_values=[2, 2, 3, 16], delta_fracs=[1.0, 1.0, 0.5], lambda_fracs=[0.0, 0.5, 0.0], d=2, bits=4)
+def test_crossovers_match_rerun_reference(t_values, delta_fracs, lambda_fracs, d, bits):
+    rows = symmetry_test.sweep(t_values, delta_fracs, lambda_fracs, d=d, message_space_size=2**bits)
+    derived = cli._crossovers(rows, t_values, delta_fracs, lambda_fracs)
+    assert derived == reference_crossovers(t_values, delta_fracs, lambda_fracs, d, 2**bits)

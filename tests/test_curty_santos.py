@@ -301,3 +301,22 @@ class TestInstanceValidation:
         )
         with pytest.raises(ParameterError):
             instance_from_json_dict({})
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("accept_set", 5),
+            ("accept_set", [0.0, 1.0]),
+            ("accept_set", [[0], [1]]),
+            ("basis", 5),
+            ("basis", [5]),
+        ],
+        ids=["accept-int", "accept-floats", "accept-lists", "basis-int", "basis-item-int"],
+    )
+    def test_malformed_instance_document(self, field, value):
+        identity = UnitaryOperator(np.eye(4, dtype=complex), (2, 2))
+        doc = {"unitary": operator_to_json_dict(identity), field: value}
+        with pytest.raises(ParameterError):
+            instance_from_json_dict(doc)
+        with pytest.raises(ParameterError):
+            instance_from_json_dict([doc])

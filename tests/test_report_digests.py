@@ -1,5 +1,6 @@
 """Byte identity of reports: the SHA-256 of every built-in report, JSON and
-CSV, and of one random-scheme CSV at the largest benchmark scheme size.
+CSV, of one random-scheme CSV at the largest benchmark scheme size, and of
+one config per input form that no built-in uses.
 
 Reports render floats at full repr precision, so a change in summation order
 anywhere on the path (for example a Gram product in place of per-pair inner
@@ -10,9 +11,11 @@ import hashlib
 import io
 import json
 
+import numpy as np
 import pytest
 
 from authsim import cli
+from authsim.qmac_framework import random_scheme, scheme_to_json_dict
 
 BUILTIN_DIGESTS = {
     ("affine-p5", "json"): "e24205cdc6f999c6730aa8072c9e656d6ca180e13611f02330aef5e6d3adb49b",
@@ -57,3 +60,68 @@ def test_random_schemes_csv_bytes(tmp_path):
     config = tmp_path / "random-schemes.json"
     config.write_text(json.dumps(RANDOM_SCHEMES_CONFIG))
     assert report_digest(config, tmp_path / "report.csv", "csv") == RANDOM_SCHEMES_CSV_DIGEST
+
+
+def input_form_configs(directory):
+    """One config per non-built-in input form; writes the scheme file the
+    ``scheme_path`` form reads into ``directory``."""
+    scheme = scheme_to_json_dict(random_scheme(np.random.default_rng(5), dim=3, num_keys=4, num_messages=3))
+    (directory / "scheme.json").write_text(json.dumps(scheme))
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    h_on_a = np.kron(np.array([[1, 1], [1, -1]]) / np.sqrt(2), np.eye(2))
+    basis = [{"dims": [4], "amplitudes": [[float(x), 0.0] for x in row]} for row in np.eye(4)[[3, 1, 2, 0]]]
+
+    def unitary_doc(matrix):
+        return {"dims": [2, 2], "matrix": [[[float(x), 0.0] for x in row] for row in matrix]}
+
+    return {
+        "classical-poly": {"scenario": "ClassicalMac", "parameters": {"family": "poly", "p": 7, "blocks": 2}},
+        "qmac-inline-symmetry-rule": {
+            "scenario": "GenericQmac",
+            "parameters": {"scheme": scheme, "rule": {"kind": "symmetry-test", "copies": 3}},
+        },
+        "qmac-scheme-path": {
+            "scenario": "GenericQmac", "parameters": {"scheme_path": "scheme.json"}, "seed": 9
+        },
+        "cs-unitary": {"scenario": "CurtySantos", "parameters": {"unitary": unitary_doc(swap)}},
+        "cs-instance": {
+            "scenario": "CurtySantos",
+            "parameters": {
+                "instance": {"unitary": unitary_doc(h_on_a), "basis": basis, "accept_set": [2, 0]}
+            },
+        },
+        "sweep-t-values": {
+            "scenario": "SymmetryTestSweep",
+            "parameters": {
+                "t_values": [2, 3, 5, 9, 3],
+                "delta_fracs": [1, 0.5, 1],
+                "lambda_fracs": [0, 0.25, 0],
+                "d": 3,
+                "message_space_bits": 8,
+            },
+        },
+    }
+
+
+# Taken with the runners as they were before the declarative config specs; both write these bytes.
+INPUT_FORM_DIGESTS = {
+    ("classical-poly", "csv"): "2b624b5ccdf278949f0e3235e7867e1dd1c84bddc550db313e6ec0bb39a163da",
+    ("classical-poly", "json"): "9ad36c33408321f06957d0d385ec61f6904e14da48e846e0d586f7d2ab262cef",
+    ("cs-instance", "csv"): "c5927dee7edd91ea3c50c7f1369c37b7ba2a05e5d2dcaf71fb13113c0075d962",
+    ("cs-instance", "json"): "d592771ede6128fc1ffc412c290e6cccdef1bc11826d6a690e0e7ded24a72db6",
+    ("cs-unitary", "csv"): "b7b2351ef5f09f3ed27c72a9a8a3a7a61669744cfff3992a6f4c7e61e4e7a312",
+    ("cs-unitary", "json"): "e4a985ce840cd379063b3af865f1f39ad510ecfb06b265bd5842c5d3490981a5",
+    ("qmac-inline-symmetry-rule", "csv"): "cd25803bc6d748053e557970c16a77e420190ca5a317a164c9019d2f81480486",
+    ("qmac-inline-symmetry-rule", "json"): "4b90dfdd4cd27f95756a9b27ad6a9823253618bed832c693994ff38c05451555",
+    ("qmac-scheme-path", "csv"): "3379f4034a39c9d4b991c7c2711782224ad3a8e803ec17d3d734d058082c1016",
+    ("qmac-scheme-path", "json"): "1fe62410e238f528705ba62bcaab79586e3afa9efee93854af8a68d9b25bf0d9",
+    ("sweep-t-values", "csv"): "5497992baa898f698dfb3d691ce289457386e94599c0faed5c7e100d115c3ca0",
+    ("sweep-t-values", "json"): "07a3beab4334090ea93d70fb422acbef8a05832adc6eb8eb3043ed1f524f1058",
+}
+
+
+@pytest.mark.parametrize("name,fmt", sorted(INPUT_FORM_DIGESTS))
+def test_input_form_report_bytes(name, fmt, tmp_path):
+    config = tmp_path / f"{name}.config.json"
+    config.write_text(json.dumps(input_form_configs(tmp_path)[name]))
+    assert report_digest(config, tmp_path / f"{name}.{fmt}", fmt) == INPUT_FORM_DIGESTS[(name, fmt)]

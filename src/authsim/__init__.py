@@ -28,6 +28,7 @@ from .curty_santos import (
     honest_run,
     impersonation_acceptance,
     incompatibility_report,
+    incompatibility_reports,
     optimal_impersonation,
     simulate_impersonation_acceptance,
     singlet,

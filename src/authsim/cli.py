@@ -34,7 +34,7 @@ import numpy as np
 
 from . import classical_mac, curty_santos, qmac_framework, symmetry_test
 from .errors import InvariantViolation, ParameterError
-from .quantum_core import MAX_TOTAL_DIMENSION, UnitaryOperator, random_unitary
+from .quantum_core import MAX_TOTAL_DIMENSION, UnitaryOperator, random_unitaries
 from .reporting import config_sha256, format_float, jsonable, render_csv, render_json
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -59,7 +59,9 @@ class Field:
     """One key of a config object: ``type`` is int (never bool), float (any
     number, read as a float), str, dict, list (items read by ``item``) or
     object (checked later); ``lo``/``hi`` are inclusive. A key without a
-    default is required unless a one-of group governs it."""
+    default is required unless a one-of group governs it. ``only_with`` =
+    (key, value) allows the key, and gives it its default, only where an
+    earlier key of the object reads that value."""
 
     type: type
     default: object = None
@@ -68,6 +70,7 @@ class Field:
     choices: tuple = ()
     spec: Spec | None = None
     item: Field | None = None
+    only_with: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -124,9 +127,13 @@ def read_spec(spec: Spec, doc, where: str) -> dict:
             raise ParameterError(f"{where} takes {many} one of {' | '.join(group)}")
     out = {}
     for key, field in spec.fields.items():
-        if key in doc or field.default is not None:
+        allowed = not field.only_with or out.get(field.only_with[0]) == field.only_with[1]
+        if key in doc and not allowed:
+            other, value = field.only_with
+            raise ParameterError(f"{where}.{key} is allowed only when {other} is {value!r}")
+        if key in doc or (field.default is not None and allowed):
             out[key] = _read_value(field, doc[key] if key in doc else field.default, f"{where}.{key}")
-        elif key not in grouped:
+        elif field.default is None and key not in grouped:
             raise ParameterError(f"{where}.{key} is required")
     return out
 
@@ -143,7 +150,9 @@ CLASSICAL_MAC_SPEC = Spec({
     "family": Field(str, "affine", choices=("affine", "poly")),
     "p": Field(int, lo=2, hi=classical_mac.PRIME_CAP),
     # p >= 2 and p**blocks <= MESSAGE_SPACE_CAP bound blocks before p**blocks is computed
-    "blocks": Field(int, 1, lo=1, hi=classical_mac.MESSAGE_SPACE_CAP.bit_length() - 1),
+    "blocks": Field(
+        int, 1, lo=1, hi=classical_mac.MESSAGE_SPACE_CAP.bit_length() - 1, only_with=("family", "poly")
+    ),
 })
 _RANDOM_SCHEMES_SPEC = Spec({
     "count": Field(int, 100, lo=1, hi=MAX_COUNT),
@@ -153,7 +162,7 @@ _RANDOM_SCHEMES_SPEC = Spec({
 })
 _RULE_SPEC = Spec({
     "kind": Field(str, "projective", choices=("projective", "symmetry-test")),
-    "copies": Field(int, 2, lo=2, hi=_EXACT_FLOAT_INT),
+    "copies": Field(int, 2, lo=2, hi=_EXACT_FLOAT_INT, only_with=("kind", "symmetry-test")),
 })
 # Random schemes are always scored under the projective rule: a rule next to them is an error.
 GENERIC_QMAC_SPEC = Spec({
@@ -389,6 +398,7 @@ def _run_generic_qmac(params: dict, config: ScenarioConfig) -> dict:
 
 
 def _cs_instance_report(instance: curty_santos.CurtySantosInstance) -> dict:
+    # the report of the verdicts holds no eigenvector: the witness comes from optimal_impersonation
     attack = curty_santos.optimal_impersonation(instance)
     nogo = curty_santos.incompatibility_report(instance)
     cond13 = nogo.condition_13
@@ -427,21 +437,18 @@ def _cs_instance_report(instance: curty_santos.CurtySantosInstance) -> dict:
 def _run_curty_santos(params: dict, config: ScenarioConfig) -> dict:
     if "random_sweep" in params:
         count = params["random_sweep"]["count"]
-        rng = np.random.default_rng(config.seed)
-        rows = []
-        for index in range(count):
-            instance = curty_santos.CurtySantosInstance(tag_unitary=random_unitary((2, 2), rng))
-            nogo = curty_santos.incompatibility_report(instance)
-            rows.append(
-                {
-                    "index": index,
-                    "impersonation": nogo.impersonation_probability,
-                    "conclusive": list(nogo.substitution_conclusive),
-                    "at_floor": nogo.impersonation_at_floor,
-                    "blocked": nogo.substitution_blocked,
-                    "secure": nogo.simultaneously_secure,
-                }
-            )
+        unitaries = random_unitaries(count, (2, 2), np.random.default_rng(config.seed))
+        rows = [
+            {
+                "index": index,
+                "impersonation": nogo.impersonation_probability,
+                "conclusive": list(nogo.substitution_conclusive),
+                "at_floor": nogo.impersonation_at_floor,
+                "blocked": nogo.substitution_blocked,
+                "secure": nogo.simultaneously_secure,
+            }
+            for index, nogo in enumerate(curty_santos.incompatibility_reports(unitaries))
+        ]
         return {
             "instances": count,
             "simultaneously_secure_count": sum(row["secure"] for row in rows),

@@ -21,6 +21,16 @@ The protocol faces a rigid trade-off:
 No unitary makes the diagonal overlaps zero (blocking nothing for the
 impersonator's floor) while keeping them nonzero (blocking conclusive
 discrimination): the two security goals are incompatible.
+
+``incompatibility_reports`` decides both verdicts for a whole stack of
+tagging unitaries that share one basis and accept set: the frame is checked
+once, the attack operators are built as one (n, 4, 4) stack and diagonalised
+by one batched ``eigh``, and each value is bit for bit the one a single
+instance gives. ``incompatibility_report`` is its stack-of-one case. The
+per-instance functions ``condition_13_holds``,
+``substitution_conclusive_probability`` and ``optimal_impersonation``
+compute the same quantities one instance at a time; the tests hold the
+kernel to them.
 """
 
 from __future__ import annotations
@@ -33,6 +43,7 @@ import numpy as np
 from .errors import InvariantViolation, ParameterError
 from .qmac_framework import AttackReport, QmacScheme, scheme_to_json_dict
 from .quantum_core import (
+    NORM_ATOL,
     HermitianOperator,
     PureState,
     UnitaryOperator,
@@ -60,6 +71,30 @@ def computational_basis() -> tuple[PureState, PureState, PureState, PureState]:
     return tuple(basis_state(j, (2, 2)) for j in range(4))
 
 
+def _check_tag_unitary(gate: UnitaryOperator) -> None:
+    if gate.d != 4:
+        raise ParameterError(f"tagging unitary must be 4x4, got {gate.d}")
+
+
+def _checked_basis(basis) -> tuple:
+    """The carrier basis as a tuple (computational when None), checked orthonormal."""
+    basis = tuple(basis if basis is not None else computational_basis())
+    if len(basis) != 4 or any(s.d != 4 for s in basis):
+        raise ParameterError("basis must contain four states of dimension 4")
+    stack = np.array([s.amplitudes for s in basis])
+    defect = np.abs(stack.conj() @ stack.T - np.eye(4)).max()
+    if defect > CONDITION_TOL:
+        raise ParameterError(f"basis is not orthonormal: max Gram defect {defect:.3e}")
+    return basis
+
+
+def _checked_accept_set(accept_set) -> tuple[int, int]:
+    accept = tuple(accept_set)
+    if len(accept) != 2 or len(set(accept)) != 2 or any(j not in range(4) for j in accept):
+        raise ParameterError(f"accept set must be two distinct basis indices, got {accept!r}")
+    return accept
+
+
 @dataclass(frozen=True, eq=False)
 class CurtySantosInstance:
     """Carrier basis, public tagging unitary, and Bob's accepted outcomes."""
@@ -69,21 +104,9 @@ class CurtySantosInstance:
     accept_set: tuple[int, int] = (0, 1)
 
     def __post_init__(self):
-        if self.tag_unitary.d != 4:
-            raise ParameterError(f"tagging unitary must be 4x4, got {self.tag_unitary.d}")
-        basis = self.basis if self.basis is not None else computational_basis()
-        basis = tuple(basis)
-        if len(basis) != 4 or any(s.d != 4 for s in basis):
-            raise ParameterError("basis must contain four states of dimension 4")
-        stack = np.array([s.amplitudes for s in basis])
-        defect = np.abs(stack.conj() @ stack.T - np.eye(4)).max()
-        if defect > CONDITION_TOL:
-            raise ParameterError(f"basis is not orthonormal: max Gram defect {defect:.3e}")
-        object.__setattr__(self, "basis", basis)
-        accept = tuple(self.accept_set)
-        if len(accept) != 2 or len(set(accept)) != 2 or any(j not in range(4) for j in accept):
-            raise ParameterError(f"accept set must be two distinct basis indices, got {accept!r}")
-        object.__setattr__(self, "accept_set", accept)
+        _check_tag_unitary(self.tag_unitary)
+        object.__setattr__(self, "basis", _checked_basis(self.basis))
+        object.__setattr__(self, "accept_set", _checked_accept_set(self.accept_set))
 
     def diagonal_overlap(self, m: int) -> complex:
         """<phi_m|U|phi_m> for the message's accepted basis index."""
@@ -263,25 +286,71 @@ class IncompatibilityReport:
 
 
 def incompatibility_report(instance: CurtySantosInstance, tol: float = 1e-6) -> IncompatibilityReport:
-    cond13 = condition_13_holds(instance)
-    conclusive = tuple(substitution_conclusive_probability(instance, m) for m in (0, 1))
-    cond14 = tuple(o > CONDITION_TOL for o in cond13.diagonal_overlaps)
-    impersonation = optimal_impersonation(instance).deception_probability
-    at_floor = impersonation <= 0.5 + tol
-    blocked = all(c < 1.0 - tol for c in conclusive)
-    overlaps = cond13.diagonal_overlaps
-    witness = int(np.argmax(overlaps)) if max(overlaps) > CONDITION_TOL else 0
-    return IncompatibilityReport(
-        condition_13=cond13,
-        condition_14_per_message=cond14,
-        impersonation_probability=impersonation,
-        substitution_conclusive=conclusive,
-        impersonation_at_floor=at_floor,
-        substitution_blocked=blocked,
-        simultaneously_secure=at_floor and blocked,
-        witness_message=witness,
-        witness_overlap=overlaps[witness],
+    """The report of one instance: the stack-of-one case of ``incompatibility_reports``."""
+    return incompatibility_reports([instance.tag_unitary], instance.basis, instance.accept_set, tol)[0]
+
+
+def incompatibility_reports(
+    unitaries, basis=None, accept_set=(0, 1), tol: float = 1e-6
+) -> list[IncompatibilityReport]:
+    """One ``IncompatibilityReport`` per tagging unitary, all sharing one
+    carrier basis and accept set.
+
+    The basis and accept set are checked once, as ``CurtySantosInstance``
+    checks them. The attack operators are built as one stack, checked
+    Hermitian at once, and their top eigenvalues come from one batched
+    ``eigh`` of (M + M†)/2, the matrix ``max_eigenpair`` diagonalises. Each
+    value is bit for bit what the single-instance computation gives.
+    """
+    unitaries = list(unitaries)
+    if not unitaries:
+        raise ParameterError("the stack of tagging unitaries is empty")
+    for gate in unitaries:
+        _check_tag_unitary(gate)
+    basis, accept = _checked_basis(basis), _checked_accept_set(accept_set)
+    # attack_operator's outer products, summed in its order over the whole (n, 4, 4) stack
+    matrices = np.array([gate.matrix for gate in unitaries])
+    m = np.zeros(matrices.shape, dtype=complex)
+    rotated = []
+    for j in accept:
+        phi = basis[j].amplitudes
+        m += 0.5 * np.outer(phi, phi.conj())
+        rotated.append(matrices @ phi)
+        m += 0.5 * (rotated[-1][:, :, None] * rotated[-1][:, None, :].conj())
+    m_dagger = m.conj().transpose(0, 2, 1)
+    defect = np.abs(m - m_dagger).max()
+    if defect > NORM_ATOL:
+        raise ParameterError(f"matrix is not Hermitian: max |A - A†| = {defect:.3e}")
+    tops = np.linalg.eigh((m + m_dagger) / 2.0)[0][:, -1].tolist()
+    # <phi_j|U phi_j> by a 1x4 @ 4x1 matmul (the dot np.vdot takes), and its
+    # modulus by hypot (the one abs(complex) takes), so the bits match.
+    diagonal = np.stack(
+        [(basis[j].amplitudes.conj() @ r[:, :, None])[:, 0] for j, r in zip(accept, rotated)], axis=1
     )
+    reports = []
+    for impersonation, overlaps in zip(tops, np.hypot(diagonal.real, diagonal.imag).tolist()):
+        overlaps = tuple(overlaps)
+        per_message = tuple(o <= CONDITION_TOL for o in overlaps)
+        conclusive = tuple(1.0 - min(1.0, o) for o in overlaps)
+        at_floor = impersonation <= 0.5 + tol
+        blocked = all(c < 1.0 - tol for c in conclusive)
+        witness = overlaps.index(max(overlaps)) if max(overlaps) > CONDITION_TOL else 0
+        reports.append(
+            IncompatibilityReport(
+                condition_13=Condition13Report(
+                    diagonal_overlaps=overlaps, per_message=per_message, holds=all(per_message)
+                ),
+                condition_14_per_message=tuple(o > CONDITION_TOL for o in overlaps),
+                impersonation_probability=impersonation,
+                substitution_conclusive=conclusive,
+                impersonation_at_floor=at_floor,
+                substitution_blocked=blocked,
+                simultaneously_secure=at_floor and blocked,
+                witness_message=witness,
+                witness_overlap=overlaps[witness],
+            )
+        )
+    return reports
 
 
 def _basis_swap_unitary(instance: CurtySantosInstance, m: int) -> UnitaryOperator:

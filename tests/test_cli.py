@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from authsim import cli, symmetry_test
+from authsim import cli, curty_santos, symmetry_test
 from authsim.qmac_framework import random_scheme, scheme_to_json_dict
 
 
@@ -341,6 +341,7 @@ MALFORMED_CONFIGS = {
     "output-dir-missing": _cfg("ClassicalMac", {"p": 5}),
     "output-is-dir": _cfg("ClassicalMac", {"p": 5}),
     "cm-unknown-key": _cfg("ClassicalMac", {"p": 5, "q": 7}),
+    "cm-blocks-with-affine": _cfg("ClassicalMac", {"family": "affine", "p": 5, "blocks": 7}),
     "cm-huge-blocks": _cfg("ClassicalMac", {"family": "poly", "p": 2, "blocks": 10**12}),
     "gq-scheme-path-int": _cfg("GenericQmac", {"scheme_path": 5}),
     "gq-scheme-path-not-utf8": _cfg("GenericQmac", {"scheme_path": "not-utf8.json"}),
@@ -356,6 +357,7 @@ MALFORMED_CONFIGS = {
     "gq-rule-copies-float": _scheme_file_rule(kind="symmetry-test", copies=2.5),
     "gq-rule-copies-huge": _scheme_file_rule(kind="symmetry-test", copies=10**400),
     "gq-rule-unknown-key": _scheme_file_rule(kind="projective", n=2),
+    "gq-rule-copies-with-projective": _scheme_file_rule(kind="projective", copies=9),
     "gq-random-unknown-key": _cfg("GenericQmac", {"random_schemes": {"count": 1, "size": 3}}),
     "gq-random-count-over-cap": _cfg("GenericQmac", {"random_schemes": {"count": cli.MAX_COUNT + 1}}),
     "gq-random-entries-over-cap": _cfg(
@@ -441,6 +443,31 @@ class TestConfigBoundary:
         monkeypatch.setattr(symmetry_test, "sweep", lambda *a, **k: calls.append(a) or real_sweep(*a, **k))
         assert run_cli("symtest-grid", str(tmp_path / "grid.json"))[0] == 0
         assert len(calls) == 1
+
+    def test_nogo_sweep_is_batched(self, monkeypatch, tmp_path):
+        """One stacked draw, one kernel call, no instance per unitary."""
+        calls = {"random_unitaries": 0, "incompatibility_reports": 0, "instances": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(cli, "random_unitaries", counted("random_unitaries", cli.random_unitaries))
+        monkeypatch.setattr(
+            curty_santos, "incompatibility_reports",
+            counted("incompatibility_reports", curty_santos.incompatibility_reports),
+        )
+        instance_check = curty_santos.CurtySantosInstance.__post_init__
+        monkeypatch.setattr(
+            curty_santos.CurtySantosInstance, "__post_init__", counted("instances", instance_check)
+        )
+        assert run_cli("cs-nogo-sweep", str(tmp_path / "nogo.json"))[0] == 0
+        assert calls["random_unitaries"] == 1
+        assert calls["incompatibility_reports"] == 1
+        assert calls["instances"] <= 1
 
 
 JSON_VALUES = st.recursive(

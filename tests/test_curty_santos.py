@@ -1,10 +1,16 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from authsim.cli import NAMED_UNITARIES
 from authsim.curty_santos import (
+    CONDITION_TOL,
     CurtySantosInstance,
+    IncompatibilityReport,
     as_qmac_scheme,
     attack_operator,
     condition_13_holds,
@@ -12,6 +18,7 @@ from authsim.curty_santos import (
     honest_run,
     impersonation_acceptance,
     incompatibility_report,
+    incompatibility_reports,
     instance_from_json_dict,
     optimal_impersonation,
     simulate_impersonation_acceptance,
@@ -32,6 +39,7 @@ from authsim.quantum_core import (
     operator_to_json_dict,
     partial_trace,
     random_state,
+    random_unitaries,
     random_unitary,
     state_to_json_dict,
 )
@@ -219,6 +227,103 @@ class TestNoGoDichotomy:
         for _ in range(200):
             instance = make_instance(random_unitary((2, 2), rng).matrix)
             assert not incompatibility_report(instance).simultaneously_secure
+
+
+def reference_incompatibility_report(instance: CurtySantosInstance, tol: float = 1e-6) -> IncompatibilityReport:
+    """The per-instance report as it was before the batched kernel: one
+    eigenpair and two diagonal overlaps per instance."""
+    cond13 = condition_13_holds(instance)
+    conclusive = tuple(substitution_conclusive_probability(instance, m) for m in (0, 1))
+    cond14 = tuple(o > CONDITION_TOL for o in cond13.diagonal_overlaps)
+    impersonation = optimal_impersonation(instance).deception_probability
+    at_floor = impersonation <= 0.5 + tol
+    blocked = all(c < 1.0 - tol for c in conclusive)
+    overlaps = cond13.diagonal_overlaps
+    witness = int(np.argmax(overlaps)) if max(overlaps) > CONDITION_TOL else 0
+    return IncompatibilityReport(
+        condition_13=cond13,
+        condition_14_per_message=cond14,
+        impersonation_probability=impersonation,
+        substitution_conclusive=conclusive,
+        impersonation_at_floor=at_floor,
+        substitution_blocked=blocked,
+        simultaneously_secure=at_floor and blocked,
+        witness_message=witness,
+        witness_overlap=overlaps[witness],
+    )
+
+
+ACCEPT_SETS = list(itertools.permutations(range(4), 2))
+
+
+def error_message(call) -> str:
+    with pytest.raises(ParameterError) as info:
+        call()
+    return str(info.value)
+
+
+class TestBatchedReports:
+    """``incompatibility_reports`` against the per-instance reference, compared with ==."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(1, 8),
+        computational=st.booleans(),
+        accept=st.sampled_from(ACCEPT_SETS),
+    )
+    def test_matches_reference(self, seed, count, computational, accept):
+        rng = np.random.default_rng(seed)
+        unitaries = random_unitaries(count, (2, 2), rng)
+        basis = None if computational else [PureState(row) for row in random_unitary(4, rng).matrix]
+        instances = [CurtySantosInstance(tag_unitary=u, basis=basis, accept_set=accept) for u in unitaries]
+        expected = [reference_incompatibility_report(instance) for instance in instances]
+        assert incompatibility_reports(unitaries, basis, accept) == expected
+        assert incompatibility_report(instances[0]) == expected[0]
+
+    @pytest.mark.parametrize("accept", ACCEPT_SETS)
+    def test_named_unitaries_on_the_thresholds(self, accept):
+        unitaries = [UnitaryOperator(NAMED_UNITARIES[name](), (2, 2)) for name in ("identity", "xi", "hh")]
+        expected = [
+            reference_incompatibility_report(CurtySantosInstance(tag_unitary=u, accept_set=accept))
+            for u in unitaries
+        ]
+        assert incompatibility_reports(unitaries, accept_set=accept) == expected
+        assert not any(report.simultaneously_secure for report in expected)
+
+    def test_empty_stack_rejected(self):
+        assert "empty" in error_message(lambda: incompatibility_reports([]))
+
+    def test_wrong_dimension_in_stack(self):
+        small = UnitaryOperator(np.eye(2, dtype=complex))
+        stack = [UnitaryOperator(np.eye(4, dtype=complex), (2, 2)), small]
+        assert error_message(lambda: incompatibility_reports(stack)) == error_message(
+            lambda: CurtySantosInstance(tag_unitary=small)
+        )
+
+    @pytest.mark.parametrize(
+        "basis,accept",
+        [
+            ("skew", (0, 1)),
+            ("short", (0, 1)),
+            (None, (0, 0)),
+            (None, (0, 4)),
+            (None, (1,)),
+            (None, (0, 1, 2)),
+        ],
+        ids=["skew-basis", "short-basis", "accept-repeated", "accept-out-of-range", "accept-one", "accept-three"],
+    )
+    def test_bad_frame_rejected_as_the_instance_rejects_it(self, basis, accept):
+        states = [basis_state(j, (2, 2)) for j in range(4)]
+        if basis == "skew":
+            states[1] = PureState((states[0].amplitudes + states[1].amplitudes) / math.sqrt(2))
+            basis = states
+        elif basis == "short":
+            basis = states[:3]
+        identity = UnitaryOperator(np.eye(4, dtype=complex), (2, 2))
+        assert error_message(lambda: incompatibility_reports([identity], basis, accept)) == error_message(
+            lambda: CurtySantosInstance(tag_unitary=identity, basis=basis, accept_set=accept)
+        )
 
 
 class TestEmbedding:

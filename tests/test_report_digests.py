@@ -1,6 +1,7 @@
 """Byte identity of reports: the SHA-256 of every built-in report, JSON and
-CSV, of one random-scheme CSV at the largest benchmark scheme size, and of
-one config per input form that no built-in uses.
+CSV, of one random-scheme CSV at the largest benchmark scheme size, of one
+config per input form that no built-in uses, and of a Curty-Santos random
+sweep long enough to cross a stack boundary of ``random_unitaries``.
 
 Reports render floats at full repr precision, so a change in summation order
 anywhere on the path (for example a Gram product in place of per-pair inner
@@ -90,6 +91,9 @@ def input_form_configs(directory):
                 "instance": {"unitary": unitary_doc(h_on_a), "basis": basis, "accept_set": [2, 0]}
             },
         },
+        "cs-sweep-stack-boundary": {
+            "scenario": "CurtySantos", "parameters": {"random_sweep": {"count": 5000}}, "seed": 11
+        },
         "sweep-t-values": {
             "scenario": "SymmetryTestSweep",
             "parameters": {
@@ -109,6 +113,10 @@ INPUT_FORM_DIGESTS = {
     ("classical-poly", "json"): "9ad36c33408321f06957d0d385ec61f6904e14da48e846e0d586f7d2ab262cef",
     ("cs-instance", "csv"): "c5927dee7edd91ea3c50c7f1369c37b7ba2a05e5d2dcaf71fb13113c0075d962",
     ("cs-instance", "json"): "d592771ede6128fc1ffc412c290e6cccdef1bc11826d6a690e0e7ded24a72db6",
+    # Taken with one draw and one report per unitary; 5000 draws of 4x4 cross
+    # the 4096-draw stack boundary of random_unitaries.
+    ("cs-sweep-stack-boundary", "csv"): "a923aacc97ae1c42557477d8c2635f04a4f43c80f9a0c638faefa50862019778",
+    ("cs-sweep-stack-boundary", "json"): "a679f0c6010a9c37e769613b7e21f30bf272c63143b4c2fbb894cda5334b9a13",
     ("cs-unitary", "csv"): "b7b2351ef5f09f3ed27c72a9a8a3a7a61669744cfff3992a6f4c7e61e4e7a312",
     ("cs-unitary", "json"): "e4a985ce840cd379063b3af865f1f39ad510ecfb06b265bd5842c5d3490981a5",
     ("qmac-inline-symmetry-rule", "csv"): "cd25803bc6d748053e557970c16a77e420190ca5a317a164c9019d2f81480486",

@@ -13,9 +13,6 @@ from .classical_mac import (
     key_length_lower_bound,
     make_affine_family,
     make_poly_family,
-    pairwise_key_counts,
-    tag,
-    verify,
 )
 from .curty_santos import (
     Condition13Report,
@@ -41,15 +38,11 @@ from .qmac_framework import (
     QmacScheme,
     Theorem2Report,
     impersonation_deception,
-    is_classical_equivalent,
     max_offdiagonal_overlap,
     overlap_matrix,
-    partition_keys,
     random_scheme,
-    realized_labels,
     scheme_from_json_dict,
     scheme_to_json_dict,
-    tag_state,
     validate_scheme,
     verify_theorem2,
 )
@@ -58,7 +51,6 @@ from .quantum_core import (
     PureState,
     UnitaryOperator,
     basis_state,
-    density_operator,
     max_eigenpair,
     measure_projective,
     overlap,

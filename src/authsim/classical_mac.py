@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from typing import Any, Callable
 
 import numpy as np
@@ -77,10 +76,6 @@ class HashFamily:
         elif self.epsilon is not None:
             raise ParameterError("epsilon is only meaningful for epsilon-ASU families")
 
-    @cached_property
-    def _message_lookup(self) -> frozenset:
-        return frozenset(self.message_space)
-
 
 @dataclass(frozen=True)
 class DeceptionReport:
@@ -104,19 +99,6 @@ class DeceptionReport:
             raise ParameterError(f"p0 = {self.p0} outside (0, 1]")
         if not 0 <= self.p1 <= 1:
             raise ParameterError(f"p1 = {self.p1} outside [0, 1]")
-
-    def to_json_dict(self) -> dict:
-        def plain(x):
-            return list(x) if isinstance(x, tuple) else x
-
-        (m, t) = self.argmax_impersonation
-        ((om, ot), (fm, ft)) = self.argmax_substitution
-        return {
-            "p0": f"{self.p0.numerator}/{self.p0.denominator}",
-            "p1": f"{self.p1.numerator}/{self.p1.denominator}",
-            "argmax_impersonation": [plain(m), plain(t)],
-            "argmax_substitution": [[plain(om), plain(ot)], [plain(fm), plain(ft)]],
-        }
 
 
 def _is_prime(n: int) -> bool:
@@ -195,20 +177,6 @@ def make_poly_family(p: int, blocks: int) -> HashFamily:
         epsilon=Fraction(blocks, p),
         name=f"poly-p{p}-l{blocks}",
     )
-
-
-def tag(family: HashFamily, key_index: int, message) -> Any:
-    """Evaluate h(k, m) after range-checking both inputs."""
-    if not isinstance(key_index, int) or not 0 <= key_index < family.key_space_size:
-        raise ParameterError(f"key index {key_index!r} outside [0, {family.key_space_size})")
-    if message not in family._message_lookup:
-        raise ParameterError(f"message {message!r} not in the message space")
-    return family.evaluate(key_index, message)
-
-
-def verify(family: HashFamily, key_index: int, message, tag_value) -> bool:
-    """Accept iff tag_value equals h(k, m). Deterministic."""
-    return tag(family, key_index, message) == tag_value
 
 
 def _tag_table(family: HashFamily, messages) -> np.ndarray:
@@ -299,15 +267,6 @@ def deception_probabilities(family: HashFamily) -> DeceptionReport:
         argmax_impersonation=(messages[best_m], tags[best_t]),
         argmax_substitution=((messages[best_i], tags[t]), (messages[j], tags[t2])),
     )
-
-
-def pairwise_key_counts(family: HashFamily, m, m2) -> dict:
-    """Counts |{k : h(k,m)=t and h(k,m2)=t2}| for every tag pair (t, t2)."""
-    if m not in family._message_lookup or m2 not in family._message_lookup:
-        raise ParameterError("messages must lie in the message space")
-    row, row2 = _tag_table(family, (m, m2))
-    counts = _pair_counts(row, row2, len(family.tag_space)).tolist()
-    return dict(zip(itertools.product(family.tag_space, repeat=2), counts))
 
 
 def is_strongly_universal(family: HashFamily) -> bool:

@@ -27,7 +27,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -310,7 +310,7 @@ def _run_classical_mac(params: dict, config: ScenarioConfig) -> dict:
             "message_space_size": len(family.message_space),
             "tag_space_size": tag_count,
         },
-        "deception": report.to_json_dict(),
+        "deception": jsonable(asdict(report)),
         "theorem1": {
             "epsilon": f"1/{tag_count}",
             "bound_bits": bound_bits,

@@ -41,12 +41,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation, ParameterError
-from .qmac_framework import AttackReport, QmacScheme, scheme_to_json_dict
+from .qmac_framework import AttackReport, QmacScheme
 from .quantum_core import (
     NORM_ATOL,
     HermitianOperator,
     PureState,
     UnitaryOperator,
+    _check_document,
     basis_state,
     max_eigenpair,
     measure_projective,
@@ -390,20 +391,15 @@ def as_qmac_scheme(instance: CurtySantosInstance) -> QmacScheme:
     )
 
 
-def embedding_json(instance: CurtySantosInstance) -> dict:
-    """The embedded scheme in the generic scheme-document format."""
-    return scheme_to_json_dict(as_qmac_scheme(instance))
-
-
 def instance_from_json_dict(doc: dict) -> CurtySantosInstance:
+    _check_document(doc, "instance", ("unitary",), ("basis", "accept_set"))
     try:
-        unitary_doc = doc["unitary"]
         basis_docs = tuple(doc["basis"]) if "basis" in doc else None
         accept = tuple(doc.get("accept_set", (0, 1)))
-    except (KeyError, TypeError) as exc:
+    except TypeError as exc:
         raise ParameterError(f"malformed instance document: {exc}") from exc
     if not all(isinstance(j, int) and not isinstance(j, bool) for j in accept):
         raise ParameterError(f"accept set must hold basis indices, got {accept!r}")
-    gate = unitary_from_json_dict(unitary_doc)
+    gate = unitary_from_json_dict(doc["unitary"])
     basis = None if basis_docs is None else tuple(state_from_json_dict(s) for s in basis_docs)
     return CurtySantosInstance(tag_unitary=gate, basis=basis, accept_set=accept)

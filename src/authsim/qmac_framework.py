@@ -17,8 +17,8 @@ classical code with the same tag count; only schemes whose tags are mutually
 orthogonal for every message (classical-equivalent schemes) sit on the
 1/|T| floor.
 
-Each scheme is compiled once (``QmacScheme.table``): label_fn is walked once
-over messages x keys into a label-index table, from which the partition and
+Each scheme compiles itself on construction: label_fn is walked once over
+messages x keys into a label-index table, from which the partition and
 injectivity checks are read; each realized label gets one tag-state row; and
 each message's pairwise overlaps are computed once, pair by pair with an
 exact per-pair vdot, so reported values do not move in the last bit. Random
@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from collections.abc import Hashable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Mapping
 
@@ -41,6 +41,7 @@ from .quantum_core import (
     NORM_ATOL,
     PureState,
     UnitaryOperator,
+    _check_document,
     _trusted,
     random_unitaries,
     state_from_json_dict,
@@ -61,9 +62,18 @@ class QmacScheme:
     """Message set, key set, label function, tagging unitaries, initial state.
 
     Keys are implicitly uniform. ``multiplicity`` is the number of keys
-    sharing each realized label for a given message; structural symmetry is
-    enforced by :func:`validate_scheme` / :func:`partition_keys` rather than
-    at construction, so malformed schemes can be built and then diagnosed.
+    sharing each realized label for a given message.
+
+    Construction compiles the scheme with one walk of ``label_fn`` over
+    messages x keys: ``labels`` holds the distinct labels in order of first
+    appearance over (message, key); ``index[mi][ki]`` is the position in
+    ``labels`` of the label of message mi under key ki; ``blocks[mi]`` counts
+    the keys of each label position that message mi reaches, in
+    first-appearance order over the keys. Structural symmetry is checked by
+    :meth:`validate` rather than at construction, so malformed schemes can be
+    built and then diagnosed; tag states and overlaps are computed on first
+    use, after validation, so a symmetry violation is reported before a
+    missing tagging unitary. The scheme is taken to be fixed once built.
     """
 
     message_set: tuple
@@ -73,6 +83,9 @@ class QmacScheme:
     initial_state: PureState
     multiplicity: int = 1
     name: str = ""
+    labels: tuple = field(init=False, repr=False)
+    index: list = field(init=False, repr=False)
+    blocks: list = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.message_set) < 2:
@@ -95,52 +108,22 @@ class QmacScheme:
                 raise ParameterError(
                     f"tag unitary for label {label!r} has dimension {gate.d}, state has {d}"
                 )
+        positions: dict = {}
+        index = [
+            [positions.setdefault(self.label_fn(key, message), len(positions)) for key in self.key_set]
+            for message in self.message_set
+        ]
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "blocks", [Counter(row) for row in index])
+        object.__setattr__(self, "labels", tuple(positions))
 
     @property
     def tags_per_message(self) -> int:
         return len(self.key_set) // self.multiplicity
 
-    @cached_property
-    def table(self) -> SchemeTable:
-        """The scheme compiled once; every analysis below reads it."""
-        return SchemeTable(self)
-
-
-class SchemeTable:
-    """One walk of ``label_fn`` over messages x keys, and what follows from it.
-
-    ``labels`` holds the distinct labels in order of first appearance over
-    (message, key); ``index[mi][ki]`` is the position in ``labels`` of the
-    label of message mi under key ki; ``blocks[mi]`` counts the keys of each
-    label position that message mi reaches, in first-appearance order over
-    the keys. Tag states and overlaps are computed on first use, after
-    callers have validated, so a symmetry violation is reported before a
-    missing tagging unitary. The scheme is taken to be fixed once built. The
-    table keeps the parts of the scheme it reads but not the scheme itself,
-    which holds the table: a reference cycle would leave every dead scheme to
-    the cyclic garbage collector.
-    """
-
-    def __init__(self, scheme: QmacScheme):
-        self.message_set = scheme.message_set
-        self.key_set = scheme.key_set
-        self.multiplicity = scheme.multiplicity
-        self.tag_unitaries = scheme.tag_unitaries
-        self.initial_state = scheme.initial_state
-        positions: dict = {}
-        self.index = []
-        self.blocks = []
-        for message in scheme.message_set:
-            row = [
-                positions.setdefault(scheme.label_fn(key, message), len(positions))
-                for key in scheme.key_set
-            ]
-            self.index.append(row)
-            self.blocks.append(Counter(row))
-        self.labels = tuple(positions)
-
     def check_partition(self, mi: int) -> None:
-        """Uniform key partition for message index mi (see partition_keys)."""
+        """Uniform key partition for message index mi: the label blocks cover
+        the key set, all have size ``multiplicity``, and number |K|/L."""
         message = self.message_set[mi]
         n_keys = len(self.key_set)
         multiplicity = self.multiplicity
@@ -209,50 +192,9 @@ class SchemeTable:
         )
 
 
-def tag_state(scheme: QmacScheme, key, message) -> PureState:
-    """Quantum tag E_f(k,m) |psi_in> for one key/message pair."""
-    if key not in scheme.key_set:
-        raise ParameterError(f"unknown key {key!r}")
-    if message not in scheme.message_set:
-        raise ParameterError(f"unknown message {message!r}")
-    label = scheme.label_fn(key, message)
-    gate = scheme.tag_unitaries.get(label)
-    if gate is None:
-        raise ParameterError(f"label {label!r} has no tagging unitary")
-    return gate.apply(scheme.initial_state)
-
-
-def _message_index(scheme: QmacScheme, message) -> int:
-    if message not in scheme.message_set:
-        raise ParameterError(f"unknown message {message!r}")
-    return scheme.message_set.index(message)
-
-
-def realized_labels(scheme: QmacScheme, message) -> tuple:
-    """Labels reached for a message, in first-appearance order over the keys."""
-    mi = _message_index(scheme, message)
-    table = scheme.table
-    return tuple(table.labels[p] for p in table.blocks[mi])
-
-
-def partition_keys(scheme: QmacScheme, message) -> dict:
-    """Key blocks per realized label; raises if the partition is not uniform.
-
-    Blocks must be disjoint (automatic), cover the key set, all have size
-    ``multiplicity``, and number |K|/multiplicity.
-    """
-    mi = _message_index(scheme, message)
-    table = scheme.table
-    table.check_partition(mi)
-    blocks: dict = {p: [] for p in table.blocks[mi]}
-    for key, p in zip(scheme.key_set, table.index[mi]):
-        blocks[p].append(key)
-    return {table.labels[p]: tuple(keys) for p, keys in blocks.items()}
-
-
 def validate_scheme(scheme: QmacScheme) -> None:
     """Uniform partition for every message + label injectivity per key."""
-    scheme.table.validate()
+    scheme.validate()
 
 
 def overlap_matrix(scheme: QmacScheme, message) -> tuple[tuple, np.ndarray]:
@@ -261,22 +203,19 @@ def overlap_matrix(scheme: QmacScheme, message) -> tuple[tuple, np.ndarray]:
     Returns (labels, matrix) with labels in realization order; the matrix is
     symmetric with unit diagonal.
     """
-    labels = realized_labels(scheme, message)
-    overlaps = scheme.table.overlaps[scheme.message_set.index(message)]
+    if message not in scheme.message_set:
+        raise ParameterError(f"unknown message {message!r}")
+    mi = scheme.message_set.index(message)
+    labels = tuple(scheme.labels[p] for p in scheme.blocks[mi])
     lam = np.eye(len(labels))
-    for (i, j), value in zip(itertools.combinations(range(len(labels)), 2), overlaps):
+    for (i, j), value in zip(itertools.combinations(range(len(labels)), 2), scheme.overlaps[mi]):
         lam[i, j] = lam[j, i] = value
     return labels, lam
 
 
 def max_offdiagonal_overlap(scheme: QmacScheme) -> float:
     """Largest tag overlap across all messages and distinct label pairs."""
-    return float(max((max(pairs) for pairs in scheme.table.overlaps if pairs), default=0.0))
-
-
-def is_classical_equivalent(scheme: QmacScheme) -> bool:
-    """True when every message's tags are mutually orthogonal (within 1e-9)."""
-    return max_offdiagonal_overlap(scheme) <= OVERLAP_TOL
+    return float(max((max(pairs) for pairs in scheme.overlaps if pairs), default=0.0))
 
 
 @dataclass(frozen=True)
@@ -356,15 +295,14 @@ def impersonation_deception(
     reported alongside.
     """
     rule = rule or DecisionRule.projective()
-    table = scheme.table
-    table.validate()
+    scheme.validate()
     tag_count = scheme.tags_per_message
     floor = 1.0 / tag_count
 
     best_q = 0.0
     witness = None
     q_values = []
-    for message, blocks, pairs in zip(scheme.message_set, table.blocks, table.overlaps):
+    for message, blocks, pairs in zip(scheme.message_set, scheme.blocks, scheme.overlaps):
         q = [rule.wrong_tag_acceptance(lam) for lam in pairs]
         q_values.extend(itertools.chain.from_iterable(zip(q, q)))  # both orderings of each pair
         top = max(q, default=0.0)
@@ -380,9 +318,9 @@ def impersonation_deception(
     strategy = "guess a tag uniformly (single-label scheme)"
     if witness is not None:
         witness_message, forged_p, expected_p = witness
-        forged, expected = table.labels[forged_p], table.labels[expected_p]
+        forged, expected = scheme.labels[forged_p], scheme.labels[expected_p]
         witness_labels = (expected, forged)
-        witness_state = _trusted(PureState, table.states[forged_p], scheme.initial_state.dims)
+        witness_state = _trusted(PureState, scheme.states[forged_p], scheme.initial_state.dims)
         strategy = (
             f"send message {witness_message!r} with the tag state of label {forged!r}; "
             f"worst confusion against expected label {expected!r}"
@@ -438,7 +376,10 @@ def random_scheme(
     """Random symmetric scheme: label (k, m), one Haar-random unitary each.
 
     The unitaries of each key are drawn as one stack of |M|; the generator
-    is read in the same order as one draw per (k, m).
+    is read in the same order as one draw per (k, m). One stack of |K|*|M|
+    for the whole scheme gives the same unitaries, but its larger
+    temporaries raised the peak RSS of the 16 x 16 x 16 benchmark schemes
+    from 39.0 to 43.8 MB, so the draw stays one stack per key.
     """
     keys = tuple(range(num_keys))
     messages = tuple(range(num_messages))
@@ -470,11 +411,9 @@ def scheme_to_json_dict(scheme: QmacScheme) -> dict:
     Labels are canonicalized to strings; loading the document back yields an
     equivalent scheme whose labels are those strings.
     """
-    label_table = [
-        [_label_to_str(scheme.label_fn(k, m)) for m in scheme.message_set]
-        for k in scheme.key_set
-    ]
-    used = {lbl for row in label_table for lbl in row}
+    names = [_label_to_str(label) for label in scheme.labels]
+    label_table = [[names[row[ki]] for row in scheme.index] for ki in range(len(scheme.key_set))]
+    used = set(names)
     unitaries = {}
     for label, gate in scheme.tag_unitaries.items():
         key = _label_to_str(label)
@@ -492,15 +431,20 @@ def scheme_to_json_dict(scheme: QmacScheme) -> dict:
 
 
 def scheme_from_json_dict(doc: dict) -> QmacScheme:
+    _check_document(
+        doc,
+        "scheme",
+        ("messages", "keys", "label_table", "tag_unitaries", "initial_state"),
+        ("name", "multiplicity"),
+    )
     try:
         messages = tuple(doc["messages"])
         keys = tuple(doc["keys"])
-        table = doc["label_table"]
-        unitaries_doc = doc["tag_unitaries"]
-        initial = state_from_json_dict(doc["initial_state"])
-        multiplicity = doc.get("multiplicity", 1)
-    except (KeyError, TypeError, ValueError) as exc:
+    except TypeError as exc:
         raise ParameterError(f"malformed scheme document: {exc}") from exc
+    table = doc["label_table"]
+    unitaries_doc = doc["tag_unitaries"]
+    initial = state_from_json_dict(doc["initial_state"])
     if not all(isinstance(item, Hashable) for item in messages + keys):
         raise ParameterError("scheme keys and messages must be scalars, not lists or objects")
     if (
@@ -526,6 +470,6 @@ def scheme_from_json_dict(doc: dict) -> QmacScheme:
         label_fn=lambda k, m: lookup[(k, m)],
         tag_unitaries=unitaries,
         initial_state=initial,
-        multiplicity=multiplicity,
+        multiplicity=doc.get("multiplicity", 1),
         name=str(doc.get("name", "")),
     )

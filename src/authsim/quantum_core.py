@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
@@ -42,13 +43,29 @@ def _frozen_complex(values, ndim: int, what: str) -> np.ndarray:
     return arr
 
 
-def _resolve_dims(dims, total: int) -> tuple[int, ...]:
-    if dims is None:
+def _resolve_dims(dims, total: int | None = None) -> tuple[int, ...]:
+    """Subsystem dimensions as a tuple of positive ints.
+
+    ``dims`` is an int or a sequence of them, each taken by
+    ``operator.index`` (numpy integers pass; bools, floats and strings do
+    not). When ``total`` is given, None means one system of that dimension
+    and the dims must multiply to it.
+    """
+    if dims is None and total is not None:
         return (total,)
-    dims = tuple(int(x) for x in dims)
+    try:
+        items = tuple(dims)
+    except TypeError:
+        items = (dims,)
+    try:
+        dims = tuple(map(operator.index, items))
+    except TypeError:
+        dims = None
+    if dims is None or any(isinstance(x, bool) for x in items):
+        raise ParameterError(f"subsystem dimensions must be integers, got {items!r}")
     if not dims or any(x < 1 for x in dims):
         raise ParameterError(f"subsystem dimensions must be positive, got {dims}")
-    if math.prod(dims) != total:
+    if total is not None and math.prod(dims) != total:
         raise ParameterError(f"dims {dims} do not multiply to total dimension {total}")
     return dims
 
@@ -96,11 +113,6 @@ class UnitaryOperator:
     def d(self) -> int:
         return self.matrix.shape[0]
 
-    def apply(self, state: PureState) -> PureState:
-        if state.d != self.d:
-            raise ParameterError(f"dimension mismatch: operator {self.d}, state {state.d}")
-        return PureState(self.matrix @ state.amplitudes, state.dims)
-
 
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
@@ -123,12 +135,6 @@ class HermitianOperator:
     def d(self) -> int:
         return self.matrix.shape[0]
 
-    def expectation(self, state: PureState) -> float:
-        """Real quadratic form <psi|A|psi>."""
-        if state.d != self.d:
-            raise ParameterError(f"dimension mismatch: operator {self.d}, state {state.d}")
-        return float(np.vdot(state.amplitudes, self.matrix @ state.amplitudes).real)
-
     @property
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
@@ -136,18 +142,13 @@ class HermitianOperator:
 
 def basis_state(index: int, dims) -> PureState:
     """Computational basis vector |index> on subsystems of the given dims."""
-    dims = tuple(int(x) for x in dims) if not isinstance(dims, int) else (dims,)
+    dims = _resolve_dims(dims)
     total = math.prod(dims)
     if not 0 <= index < total:
         raise ParameterError(f"basis index {index} out of range for dimension {total}")
     amps = np.zeros(total, dtype=complex)
     amps[index] = 1.0
     return PureState(amps, dims)
-
-
-def density_operator(state: PureState) -> HermitianOperator:
-    """Rank-one projector |psi><psi|."""
-    return HermitianOperator(np.outer(state.amplitudes, state.amplitudes.conj()), state.dims)
 
 
 def _trusted(kind, values: np.ndarray, dims: tuple[int, ...]):
@@ -321,7 +322,7 @@ def symmetric_projector(d: int, n: int) -> HermitianOperator:
 
 def random_state(dims, rng: np.random.Generator) -> PureState:
     """Haar-random pure state (normalized complex Gaussian vector)."""
-    dims = tuple(int(x) for x in dims) if not isinstance(dims, int) else (dims,)
+    dims = _resolve_dims(dims)
     total = math.prod(dims)
     vec = rng.standard_normal(total) + 1j * rng.standard_normal(total)
     return PureState(vec / np.linalg.norm(vec), dims)
@@ -342,9 +343,8 @@ def random_unitaries(count: int, dims, rng: np.random.Generator) -> list[Unitary
     """
     if not isinstance(count, int) or isinstance(count, bool) or count < 1:
         raise ParameterError(f"unitary count must be a positive integer, got {count!r}")
-    dims = tuple(int(x) for x in dims) if not isinstance(dims, int) else (dims,)
+    dims = _resolve_dims(dims)
     total = math.prod(dims)
-    dims = _resolve_dims(dims, total)
     if total > MAX_TOTAL_DIMENSION:
         raise ParameterError(f"total dimension {total} exceeds cap {MAX_TOTAL_DIMENSION}")
     per_stack = max(1, STACK_ENTRIES // total**2)
@@ -374,40 +374,56 @@ def state_to_json_dict(state: PureState) -> dict:
     }
 
 
+def _check_document(doc, what: str, required: tuple, optional: tuple = ()) -> None:
+    """Reject a ``what`` document that is not an object, lacks a required
+    key or has a key outside ``required`` and ``optional``."""
+    if not isinstance(doc, dict):
+        raise ParameterError(f"{what} document must be an object, got {doc!r}")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise ParameterError(f"{what} document is missing key(s) {missing}")
+    unknown = [key for key in doc if key not in required and key not in optional]
+    if unknown:
+        raise ParameterError(
+            f"{what} document: unknown key(s) {unknown}; allowed keys are {sorted(required + optional)}"
+        )
+
+
 def _dims_from_json(value) -> tuple[int, ...]:
-    if not isinstance(value, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in value
-    ):
+    if not isinstance(value, list):
         raise ParameterError(f"dims must be a list of integers, got {value!r}")
-    return tuple(value)
+    return _resolve_dims(value)
+
+
+def _complex_from_json(pair) -> complex:
+    """One [re, im] component; JSON true/false are not numbers here."""
+    re, im = pair
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (re, im)):
+        raise ParameterError(f"component {pair!r} is not a pair of numbers")
+    return complex(re, im)
 
 
 def state_from_json_dict(doc: dict) -> PureState:
+    _check_document(doc, "state", ("amplitudes", "dims"))
     try:
-        amps = [complex(re, im) for re, im in doc["amplitudes"]]
-        dims = _dims_from_json(doc["dims"])
-    except (KeyError, TypeError, ValueError) as exc:
+        amps = [_complex_from_json(pair) for pair in doc["amplitudes"]]
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"malformed state document: {exc}") from exc
-    return PureState(amps, dims)
-
-
-def _matrix_to_json(matrix: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
-
-
-def _matrix_from_json(rows) -> np.ndarray:
-    try:
-        return np.array([[complex(re, im) for re, im in row] for row in rows])
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"malformed matrix document: {exc}") from exc
+    return PureState(amps, _dims_from_json(doc["dims"]))
 
 
 def operator_to_json_dict(op) -> dict:
-    return {"dims": list(op.dims), "matrix": _matrix_to_json(op.matrix)}
+    return {
+        "dims": list(op.dims),
+        "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in op.matrix],
+    }
 
 
 def unitary_from_json_dict(doc: dict) -> UnitaryOperator:
-    if not isinstance(doc, dict) or "matrix" not in doc:
-        raise ParameterError("operator document missing 'matrix'")
-    dims = _dims_from_json(doc["dims"]) if doc.get("dims") else None
-    return UnitaryOperator(_matrix_from_json(doc["matrix"]), dims)
+    _check_document(doc, "operator", ("matrix",), ("dims",))
+    try:
+        matrix = np.array([[_complex_from_json(pair) for pair in row] for row in doc["matrix"]])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParameterError(f"malformed matrix document: {exc}") from exc
+    dims = _dims_from_json(doc["dims"]) if "dims" in doc else None
+    return UnitaryOperator(matrix, dims)

@@ -325,6 +325,19 @@ def _scheme_file_rule(**rule):
     return _cfg("GenericQmac", {"scheme_path": "scheme.json", "rule": rule})
 
 
+def _swap_unitary(**changes):
+    doc = copy.deepcopy(SWAP_UNITARY)
+    doc.update(changes)
+    return doc
+
+
+def _inline_scheme(edit):
+    """A valid inline scheme document after ``edit`` changes it in place."""
+    doc = scheme_to_json_dict(random_scheme(np.random.default_rng(7)))
+    edit(doc)
+    return _cfg("GenericQmac", {"scheme": doc})
+
+
 # Malformed configs that escaped as tracebacks or exited 0 before the config
 # had one checked boundary: a config document, or the raw bytes of the file.
 MALFORMED_CONFIGS = {
@@ -377,6 +390,24 @@ MALFORMED_CONFIGS = {
         "CurtySantos", {"instance": {"unitary": SWAP_UNITARY, "accept_set": [0.0, 1.0]}}
     ),
     "cs-basis-int": _cfg("CurtySantos", {"instance": {"unitary": SWAP_UNITARY, "basis": 5}}),
+    "cs-instance-unknown-key": _cfg(
+        "CurtySantos", {"instance": {"unitary": SWAP_UNITARY, "acept_set": [0, 1]}}
+    ),
+    "cs-unitary-unknown-key": _cfg("CurtySantos", {"unitary": _swap_unitary(bogus=1)}),
+    "cs-unitary-dims-zero": _cfg("CurtySantos", {"unitary": _swap_unitary(dims=0)}),
+    "cs-unitary-dims-false": _cfg("CurtySantos", {"unitary": _swap_unitary(dims=False)}),
+    "cs-unitary-dims-empty": _cfg("CurtySantos", {"unitary": _swap_unitary(dims=[])}),
+    "cs-unitary-component-true": _cfg(
+        "CurtySantos", {"unitary": _swap_unitary(matrix=[[[bool(x), 0.0] for x in row] for row in np.eye(4)])}
+    ),
+    "cs-unitary-component-huge": _cfg(
+        "CurtySantos", {"unitary": _swap_unitary(matrix=[[[10**400, 0.0]] * 4] * 4)}
+    ),
+    "gq-scheme-unknown-key": _inline_scheme(lambda doc: doc.update(comment="x")),
+    "gq-initial-state-unknown-key": _inline_scheme(lambda doc: doc["initial_state"].update(norm=1)),
+    "gq-initial-state-component-true": _inline_scheme(
+        lambda doc: doc["initial_state"].update(amplitudes=[[True, 0.0], [0.0, 0.0]])
+    ),
     "st-unknown-key": _cfg("SymmetryTestSweep", {"t_maximum": 5}),
     "st-t-values-str": _cfg("SymmetryTestSweep", {"t_values": "ab"}),
     "st-t-values-int": _cfg("SymmetryTestSweep", {"t_values": 5}),

@@ -14,7 +14,6 @@ from authsim.curty_santos import (
     as_qmac_scheme,
     attack_operator,
     condition_13_holds,
-    embedding_json,
     honest_run,
     impersonation_acceptance,
     incompatibility_report,
@@ -29,7 +28,8 @@ from authsim.errors import ParameterError
 from authsim.qmac_framework import (
     impersonation_deception,
     overlap_matrix,
-    partition_keys,
+    scheme_from_json_dict,
+    scheme_to_json_dict,
     validate_scheme,
 )
 from authsim.quantum_core import (
@@ -331,16 +331,14 @@ class TestEmbedding:
         scheme = as_qmac_scheme(hh_instance)
         validate_scheme(scheme)
         assert scheme.tags_per_message == 2
-        blocks = partition_keys(scheme, 0)
-        assert sorted(blocks.keys()) == [(0, 0), (1, 0)]
-        assert all(len(keys) == 1 for keys in blocks.values())
+        blocks = scheme.blocks[0]
+        assert sorted(scheme.labels[p] for p in blocks) == [(0, 0), (1, 0)]
+        assert all(size == 1 for size in blocks.values())
 
     def test_embedding_tag_states(self, xi_instance):
         scheme = as_qmac_scheme(xi_instance)
-        from authsim.qmac_framework import tag_state
-
-        state = tag_state(scheme, 1, 0)  # key 1 applies U to |00>
-        assert np.allclose(state.amplitudes, basis_state(2, (2, 2)).amplitudes)
+        state = scheme.states[scheme.index[0][1]]  # key 1 applies U to |00>
+        assert np.allclose(state, basis_state(2, (2, 2)).amplitudes)
 
     def test_embedding_overlaps_match_diagonals(self, hh_instance):
         scheme = as_qmac_scheme(hh_instance)
@@ -356,9 +354,7 @@ class TestEmbedding:
         assert report.deception_probability == pytest.approx(0.625, abs=1e-12)
 
     def test_embedding_json_loads(self, hh_instance):
-        from authsim.qmac_framework import scheme_from_json_dict
-
-        doc = embedding_json(hh_instance)
+        doc = scheme_to_json_dict(as_qmac_scheme(hh_instance))
         back = scheme_from_json_dict(doc)
         validate_scheme(back)
         report = impersonation_deception(back)

@@ -12,7 +12,6 @@ from authsim.quantum_core import (
     PureState,
     UnitaryOperator,
     basis_state,
-    density_operator,
     max_eigenpair,
     measure_projective,
     operator_to_json_dict,
@@ -36,6 +35,11 @@ H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 SMALL_SUBSPACES = [(d, n) for d in range(1, 17) for n in range(1, 9) if d**n <= 256]
 # The symtest-oracle benchmark ladder.
 ORACLE_LADDER = [(2, 8), (3, 5), (8, 3), (4, 6), (16, 3)]
+
+
+def density_operator(state: PureState) -> HermitianOperator:
+    """Rank-one projector |psi><psi|."""
+    return HermitianOperator(np.outer(state.amplitudes, state.amplitudes.conj()), state.dims)
 
 
 def reference_symmetric_projector(d: int, n: int) -> HermitianOperator:
@@ -103,6 +107,24 @@ class TestConstruction:
         s = PureState(np.array([1.0, 0, 0, 0]))
         assert s.dims == (4,)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: PureState(np.ones(4) / 2, (2.5, 2)),
+            lambda: HermitianOperator(np.eye(4), (2, True)),
+            lambda: basis_state(1, (True, 4)),
+            lambda: random_state((2.9,), np.random.default_rng(0)),
+        ],
+        ids=["state", "operator", "basis_state", "random_state"],
+    )
+    def test_dims_must_be_integers(self, build):
+        with pytest.raises(ParameterError, match="must be integers"):
+            build()
+
+    def test_numpy_integer_dims_accepted(self):
+        s = basis_state(1, (np.int64(2), np.int32(2)))
+        assert s.dims == (2, 2) and all(type(x) is int for x in s.dims)
+
     def test_unitarity_enforced(self):
         with pytest.raises(ParameterError):
             UnitaryOperator(np.array([[1, 0], [0, 2]], dtype=complex))
@@ -134,8 +156,8 @@ class TestTensorAndOverlap:
 
     def test_flip_first_qubit(self):
         gate = tensor([UnitaryOperator(X), UnitaryOperator(np.eye(2, dtype=complex))])
-        out = gate.apply(basis_state(0, (2, 2)))
-        assert np.allclose(out.amplitudes, basis_state(2, (2, 2)).amplitudes)
+        out = gate.matrix @ basis_state(0, (2, 2)).amplitudes
+        assert np.allclose(out, basis_state(2, (2, 2)).amplitudes)
 
     def test_norm_and_unitarity_preserved(self):
         rng = np.random.default_rng(11)
@@ -194,7 +216,10 @@ class TestRandomUnitaries:
 
     @pytest.mark.parametrize(
         "count,dims",
-        [(1, 4097), (3, (64, 65)), (1, 100000), (0, 2), (-1, 2), (True, 2), (2.0, 2), (1, 0)],
+        [
+            (1, 4097), (3, (64, 65)), (1, 100000), (0, 2), (-1, 2), (True, 2), (2.0, 2), (1, 0),
+            (1, 2.0), (1, (True, 2)),
+        ],
     )
     def test_rejected_before_drawing(self, count, dims):
         rng = np.random.default_rng(4)
@@ -361,8 +386,9 @@ class TestSymmetricSubspaceOracle:
         n, a, b = pair
         value = acceptance_error_oracle(n, a, b)
         assert value == pytest.approx(gram_permanent_acceptance(n, a, b), abs=1e-12)
-        reference = reference_symmetric_projector(a.d, n)
-        assert value == pytest.approx(reference.expectation(tensor([a] + [b] * (n - 1))), abs=1e-12)
+        reference = reference_symmetric_projector(a.d, n).matrix
+        phi = tensor([a] + [b] * (n - 1)).amplitudes
+        assert value == pytest.approx(np.vdot(phi, reference @ phi).real, abs=1e-12)
 
     @pytest.mark.parametrize("d,n", ORACLE_LADDER)
     def test_benchmark_ladder(self, d, n):

@@ -41,6 +41,7 @@ from .qmac_framework import (
     max_offdiagonal_overlap,
     overlap_matrix,
     random_scheme,
+    random_schemes,
     scheme_from_json_dict,
     scheme_to_json_dict,
     validate_scheme,

@@ -334,6 +334,16 @@ def _theorem2_entry(report: qmac_framework.Theorem2Report) -> dict:
     }
 
 
+def _random_scheme_row(index: int, result: qmac_framework.Theorem2Report) -> dict:
+    return {
+        "index": index,
+        "lambda_max": result.max_overlap,
+        "p0": result.p0,
+        "classical_floor": result.classical_floor,
+        "margin": result.margin,
+    }
+
+
 def _run_generic_qmac(params: dict, config: ScenarioConfig) -> dict:
     if "random_schemes" in params:
         shape = params["random_schemes"]
@@ -343,24 +353,19 @@ def _run_generic_qmac(params: dict, config: ScenarioConfig) -> dict:
                 f"a random scheme would hold num_keys * num_messages * dim**2 = {entries} "
                 f"entries; the cap is {MAX_SCHEME_ENTRIES}"
             )
-        rng = np.random.default_rng(config.seed)
-        rows = []
-        for index in range(shape["count"]):
-            # No name holds the scheme, so it is freed before the next one is drawn.
-            result = qmac_framework.verify_theorem2(
-                qmac_framework.random_scheme(
-                    rng, dim=shape["dim"], num_keys=shape["num_keys"], num_messages=shape["num_messages"]
-                )
-            )
-            rows.append(
-                {
-                    "index": index,
-                    "lambda_max": result.max_overlap,
-                    "p0": result.p0,
-                    "classical_floor": result.classical_floor,
-                    "margin": result.margin,
-                }
-            )
+        schemes = qmac_framework.random_schemes(
+            np.random.default_rng(config.seed),
+            shape["count"],
+            shape["dim"],
+            shape["num_keys"],
+            shape["num_messages"],
+        )
+        # No name holds a scheme or its report (enumerate would keep the last
+        # one), so each is freed before the next stack of unitaries is drawn.
+        rows = [
+            _random_scheme_row(index, qmac_framework.verify_theorem2(next(schemes)))
+            for index in range(shape["count"])
+        ]
         return {
             "random_schemes": shape,
             "all_margins_positive": all(row["margin"] > 0.0 for row in rows),

@@ -84,7 +84,7 @@ def _checked_basis(basis) -> tuple:
         raise ParameterError("basis must contain four states of dimension 4")
     stack = np.array([s.amplitudes for s in basis])
     defect = np.abs(stack.conj() @ stack.T - np.eye(4)).max()
-    if defect > CONDITION_TOL:
+    if not defect <= CONDITION_TOL:
         raise ParameterError(f"basis is not orthonormal: max Gram defect {defect:.3e}")
     return basis
 
@@ -320,7 +320,7 @@ def incompatibility_reports(
         m += 0.5 * (rotated[-1][:, :, None] * rotated[-1][:, None, :].conj())
     m_dagger = m.conj().transpose(0, 2, 1)
     defect = np.abs(m - m_dagger).max()
-    if defect > NORM_ATOL:
+    if not defect <= NORM_ATOL:
         raise ParameterError(f"matrix is not Hermitian: max |A - A†| = {defect:.3e}")
     tops = np.linalg.eigh((m + m_dagger) / 2.0)[0][:, -1].tolist()
     # <phi_j|U phi_j> by a 1x4 @ 4x1 matmul (the dot np.vdot takes), and its

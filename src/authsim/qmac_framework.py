@@ -20,37 +20,41 @@ orthogonal for every message (classical-equivalent schemes) sit on the
 Each scheme compiles itself on construction: label_fn is walked once over
 messages x keys into a label-index table, from which the partition and
 injectivity checks are read; each realized label gets one tag-state row; and
-each message's pairwise overlaps are computed once, pair by pair with an
-exact per-pair vdot, so reported values do not move in the last bit. Random
-schemes draw their Haar unitaries as one stacked QR per key.
+the overlaps of every label pair of every message are computed once, in
+bounded batches of stacked 1 x d by d x 1 products that give each pair the
+bits of its own vdot, and kept as one flat list that the decision rules
+score in one call. Random schemes come from one stream of Haar unitaries
+drawn in stacks that span schemes (``random_schemes``), bit for bit the
+unitaries of one draw per tag.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from collections import Counter
 from collections.abc import Hashable
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 import numpy as np
 
 from .errors import InvariantViolation, ParameterError
 from .quantum_core import (
     NORM_ATOL,
+    STACK_ENTRIES,
     PureState,
     UnitaryOperator,
     _check_document,
     _trusted,
-    random_unitaries,
+    iter_random_unitaries,
     state_from_json_dict,
     state_to_json_dict,
     operator_to_json_dict,
     unitary_from_json_dict,
     basis_state,
 )
-from .symmetry_test import acceptance_error_formula
 
 OVERLAP_TOL = 1e-9
 
@@ -170,7 +174,7 @@ class QmacScheme:
                 raise ParameterError(f"label {label!r} has no tagging unitary")
             rows[p] = gate.matrix @ psi
         norms = np.linalg.norm(rows, axis=1)
-        off = np.abs(norms - 1.0) > NORM_ATOL
+        off = ~(np.abs(norms - 1.0) <= NORM_ATOL)
         if off.any():
             norm = norms[np.argmax(off)]
             raise ParameterError(f"state norm {norm!r} is not 1 within {NORM_ATOL}")
@@ -178,18 +182,33 @@ class QmacScheme:
         return rows
 
     @cached_property
-    def overlaps(self) -> tuple[list, ...]:
-        """Per message, |<Psi_i|Psi_j>| for its label pairs i < j in scan order.
+    def pair_starts(self) -> list[int]:
+        """Position in ``overlaps`` of each message's first pair, then the pair count."""
+        return list(itertools.accumulate((len(b) * (len(b) - 1) // 2 for b in self.blocks), initial=0))
 
-        Scan order is that of itertools.combinations over the message's labels.
-        Each pair is its own vdot of two rows: a Gram product sums in another
-        order and moves reported overlaps in the last bit.
+    @cached_property
+    def overlaps(self) -> list[float]:
+        """|<Psi_i|Psi_j>| for the label pairs i < j of every message, flat.
+
+        Messages follow in order, message mi's pairs from ``pair_starts[mi]``,
+        each message's in itertools.combinations order over its labels. Each
+        pair is the 1 x d by d x 1 matmul of its conjugated and plain rows,
+        which reaches the zdot kernel np.vdot calls, and its modulus is
+        np.hypot, which abs of a complex scalar calls, so every value is bit
+        for bit abs(np.vdot(row_i, row_j)); a Gram product, einsum or np.abs
+        would move reported overlaps in the last bit. Pairs go in batches of
+        at most STACK_ENTRIES gathered entries per side.
         """
         rows = self.states
-        return tuple(
-            [abs(np.vdot(a, b)) for a, b in itertools.combinations([rows[p] for p in blocks], 2)]
-            for blocks in self.blocks
-        )
+        pairs = [pair for blocks in self.blocks for pair in itertools.combinations(blocks, 2)]
+        index = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+        step = max(1, STACK_ENTRIES // rows.shape[1])
+        values: list[float] = []
+        for start in range(0, len(index), step):
+            batch = index[start : start + step]
+            dots = rows[batch[:, 0]].conj()[:, None, :] @ rows[batch[:, 1]][:, :, None]
+            values += np.hypot(dots.real, dots.imag).ravel().tolist()
+        return values
 
 
 def validate_scheme(scheme: QmacScheme) -> None:
@@ -208,14 +227,15 @@ def overlap_matrix(scheme: QmacScheme, message) -> tuple[tuple, np.ndarray]:
     mi = scheme.message_set.index(message)
     labels = tuple(scheme.labels[p] for p in scheme.blocks[mi])
     lam = np.eye(len(labels))
-    for (i, j), value in zip(itertools.combinations(range(len(labels)), 2), scheme.overlaps[mi]):
+    pairs = scheme.overlaps[scheme.pair_starts[mi] : scheme.pair_starts[mi + 1]]
+    for (i, j), value in zip(itertools.combinations(range(len(labels)), 2), pairs):
         lam[i, j] = lam[j, i] = value
     return labels, lam
 
 
 def max_offdiagonal_overlap(scheme: QmacScheme) -> float:
     """Largest tag overlap across all messages and distinct label pairs."""
-    return float(max((max(pairs) for pairs in scheme.overlaps if pairs), default=0.0))
+    return float(max(scheme.overlaps, default=0.0))
 
 
 @dataclass(frozen=True)
@@ -248,10 +268,24 @@ class DecisionRule:
     def symmetry_test(cls, copies: int) -> "DecisionRule":
         return cls(kind="symmetry-test", copies=copies)
 
-    def wrong_tag_acceptance(self, lam: float) -> float:
+    def wrong_tag_acceptances(self, overlaps: list[float]) -> list[float]:
+        """Probability of accepting a wrong tag at each overlap.
+
+        Each value is computed as ``symmetry_test.acceptance_error_formula``
+        computes it, operation for operation: the square is Python float
+        ``** 2`` (libm pow, which differs from np.square in the last bit of
+        about 0.08% of values). The symmetry-test rule keeps the formula's
+        range check.
+        """
         if self.kind == "projective":
-            return float(lam) ** 2
-        return acceptance_error_formula(self.copies, lam)
+            return [float(lam) ** 2 for lam in overlaps]
+        n = float(self.copies)
+        accepted = []
+        for lam in overlaps:
+            if not 0.0 <= lam <= 1.0 + 1e-12:
+                raise ParameterError(f"overlap {lam!r} outside [0, 1]")
+            accepted.append((1.0 + (n - 1.0) * float(lam) ** 2) / n)
+        return accepted
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,32 +326,28 @@ def impersonation_deception(
     accepts the mismatched tag with probability Q given by the rule and the
     pair's overlap, maximized exhaustively over messages and distinct label
     pairs (first maximizer in scan order wins ties). The mean-Q variant is
-    reported alongside.
+    reported alongside, summed in scan order with each pair counted once
+    per ordering.
     """
     rule = rule or DecisionRule.projective()
     scheme.validate()
     tag_count = scheme.tags_per_message
     floor = 1.0 / tag_count
 
-    best_q = 0.0
-    witness = None
-    q_values = []
-    for message, blocks, pairs in zip(scheme.message_set, scheme.blocks, scheme.overlaps):
-        q = [rule.wrong_tag_acceptance(lam) for lam in pairs]
-        q_values.extend(itertools.chain.from_iterable(zip(q, q)))  # both orderings of each pair
-        top = max(q, default=0.0)
-        if top > best_q:
-            best_q = top
-            expected, forged = list(itertools.combinations(blocks, 2))[q.index(top)]
-            witness = (message, forged, expected)
-    mean_q = sum(q_values) / len(q_values) if q_values else 0.0
+    q = rule.wrong_tag_acceptances(scheme.overlaps)
+    best_q = max(q, default=0.0)
+    mean_q = sum(itertools.chain.from_iterable(zip(q, q))) / (2 * len(q)) if q else 0.0
 
     witness_state = None
     witness_message = None
     witness_labels = None
     strategy = "guess a tag uniformly (single-label scheme)"
-    if witness is not None:
-        witness_message, forged_p, expected_p = witness
+    if best_q > 0.0:
+        position = q.index(best_q)
+        mi = bisect.bisect_right(scheme.pair_starts, position) - 1
+        pairs = itertools.combinations(scheme.blocks[mi], 2)
+        expected_p, forged_p = next(itertools.islice(pairs, position - scheme.pair_starts[mi], None))
+        witness_message = scheme.message_set[mi]
         forged, expected = scheme.labels[forged_p], scheme.labels[expected_p]
         witness_labels = (expected, forged)
         witness_state = _trusted(PureState, scheme.states[forged_p], scheme.initial_state.dims)
@@ -370,33 +400,42 @@ def verify_theorem2(scheme: QmacScheme) -> Theorem2Report:
     )
 
 
-def random_scheme(
-    rng: np.random.Generator, dim: int = 2, num_keys: int = 2, num_messages: int = 2
-) -> QmacScheme:
-    """Random symmetric scheme: label (k, m), one Haar-random unitary each.
+def random_schemes(
+    rng: np.random.Generator, count: int, dim: int = 2, num_keys: int = 2, num_messages: int = 2
+) -> Iterator[QmacScheme]:
+    """``count`` random symmetric schemes, built as they are taken: label
+    (k, m), one Haar-random unitary each.
 
-    The unitaries of each key are drawn as one stack of |M|; the generator
-    is read in the same order as one draw per (k, m). One stack of |K|*|M|
-    for the whole scheme gives the same unitaries, but its larger
-    temporaries raised the peak RSS of the 16 x 16 x 16 benchmark schemes
-    from 39.0 to 43.8 MB, so the draw stays one stack per key.
+    The unitaries of all schemes come off one ``iter_random_unitaries``
+    stream, scheme after scheme and key-major within a scheme, so a stack
+    of draws may span schemes (all 100 of the 2 x 2 x 2 built-in share one
+    QR call) while the unitaries and the generator state after the last
+    scheme are those of one draw per (scheme, k, m). A stack is drawn only
+    when the previous one is used up and stays within STACK_ENTRIES entries,
+    so a caller that drops each scheme before taking the next keeps peak
+    memory to about one scheme.
     """
     keys = tuple(range(num_keys))
     messages = tuple(range(num_messages))
-    unitaries = {
-        (k, m): gate
-        for k in keys
-        for m, gate in zip(messages, random_unitaries(num_messages, dim, rng))
-    }
-    return QmacScheme(
-        message_set=messages,
-        key_set=keys,
-        label_fn=lambda k, m: (k, m),
-        tag_unitaries=unitaries,
-        initial_state=basis_state(0, (dim,)),
-        multiplicity=1,
-        name=f"random-{dim}d-{num_keys}k",
-    )
+    labels = [(k, m) for k in keys for m in messages]
+    gates = iter_random_unitaries(count * len(labels), dim, rng)
+    for _ in range(count):
+        yield QmacScheme(
+            message_set=messages,
+            key_set=keys,
+            label_fn=lambda k, m: (k, m),
+            tag_unitaries=dict(zip(labels, itertools.islice(gates, len(labels)))),
+            initial_state=basis_state(0, (dim,)),
+            multiplicity=1,
+            name=f"random-{dim}d-{num_keys}k",
+        )
+
+
+def random_scheme(
+    rng: np.random.Generator, dim: int = 2, num_keys: int = 2, num_messages: int = 2
+) -> QmacScheme:
+    """One random symmetric scheme: the count-1 case of ``random_schemes``."""
+    return next(random_schemes(rng, 1, dim, num_keys, num_messages))
 
 
 def _label_to_str(label) -> str:

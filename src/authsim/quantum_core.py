@@ -5,6 +5,7 @@ dimensions; operators are dense square matrices with the same tagging.
 Validation happens where values enter (normalization, unitarity,
 hermiticity), so downstream code can assume well-formed objects; tensor
 products of validated factors are built without repeating those checks.
+Every tolerance check is written ``not (value <= tol)``, so a NaN fails it.
 The symmetric subspace is reached through one matrix-free kernel,
 ``symmetrize``, that works on the d**n amplitude tensor; the dense projector
 is built from the same kernel. Everything is sized for desk-scale work:
@@ -18,7 +19,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -31,8 +32,9 @@ EIGEN_ATOL = 1e-8
 
 MAX_TOTAL_DIMENSION = 4096
 MAX_COPIES = 8
-# Matrix entries in one stacked draw of random_unitaries (1 MiB of normals).
-STACK_ENTRIES = 2**16
+# Matrix entries in one stacked draw of Haar unitaries: 64 KiB of normals, so
+# 16 draws of 16 x 16 or 1024 of 2 x 2 share one QR call.
+STACK_ENTRIES = 2**12
 
 
 def _frozen_complex(values, ndim: int, what: str) -> np.ndarray:
@@ -84,7 +86,7 @@ class PureState:
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dims", _resolve_dims(self.dims, amps.size))
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_ATOL:
+        if not abs(norm - 1.0) <= NORM_ATOL:
             raise ParameterError(f"state norm {norm!r} is not 1 within {NORM_ATOL}")
 
     @property
@@ -106,7 +108,7 @@ class UnitaryOperator:
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "dims", _resolve_dims(self.dims, mat.shape[0]))
         defect = np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max()
-        if defect > NORM_ATOL:
+        if not defect <= NORM_ATOL:
             raise ParameterError(f"matrix is not unitary: max |U†U - I| = {defect:.3e}")
 
     @property
@@ -128,7 +130,7 @@ class HermitianOperator:
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "dims", _resolve_dims(self.dims, mat.shape[0]))
         defect = np.abs(mat - mat.conj().T).max()
-        if defect > NORM_ATOL:
+        if not defect <= NORM_ATOL:
             raise ParameterError(f"matrix is not Hermitian: max |A - A†| = {defect:.3e}")
 
     @property
@@ -154,16 +156,21 @@ def basis_state(index: int, dims) -> PureState:
 def _trusted(kind, values: np.ndarray, dims: tuple[int, ...]):
     """Instance of ``kind`` from values whose check has already been made.
 
-    For a product of validated factors, a stack of unitaries checked at
-    once, or a tag state from a norm-checked table. The dims are checked
-    against the array; the norm, unitarity or hermiticity check is not run
-    again. ``values`` is frozen in place, not copied.
+    For a product of validated factors or a tag state from a norm-checked
+    table. The dims are checked against the array; the norm, unitarity or
+    hermiticity check is not run again. ``values`` is frozen in place, not
+    copied.
     """
-    obj = object.__new__(kind)
     values = np.asarray(values, dtype=complex)
     values.setflags(write=False)
+    return _wrap(kind, values, _resolve_dims(dims, values.shape[0]))
+
+
+def _wrap(kind, values: np.ndarray, dims: tuple[int, ...]):
+    """Instance of ``kind`` on frozen, checked values and resolved dims."""
+    obj = object.__new__(kind)
     object.__setattr__(obj, "amplitudes" if kind is PureState else "matrix", values)
-    object.__setattr__(obj, "dims", _resolve_dims(dims, values.shape[0]))
+    object.__setattr__(obj, "dims", dims)
     return obj
 
 
@@ -232,21 +239,21 @@ def partial_trace(obj, keep) -> HermitianOperator:
 def measure_projective(rho: HermitianOperator, basis: Sequence[PureState]) -> np.ndarray:
     """Outcome probabilities <phi_j|rho|phi_j> for a complete orthonormal basis."""
     d = rho.d
-    if abs(rho.trace - 1.0) > ALGEBRA_ATOL:
+    if not abs(rho.trace - 1.0) <= ALGEBRA_ATOL:
         raise ParameterError(f"density operator trace {rho.trace!r} is not 1")
-    if np.linalg.eigvalsh(rho.matrix).min() < -ALGEBRA_ATOL:
+    if not np.linalg.eigvalsh(rho.matrix).min() >= -ALGEBRA_ATOL:
         raise ParameterError("density operator is not positive semidefinite")
     if len(basis) != d or any(s.d != d for s in basis):
         raise ParameterError(f"basis must contain {d} states of dimension {d}")
     stack = np.array([s.amplitudes for s in basis])
     gram_defect = np.abs(stack.conj() @ stack.T - np.eye(d)).max()
-    if gram_defect > ALGEBRA_ATOL:
+    if not gram_defect <= ALGEBRA_ATOL:
         raise ParameterError(f"basis is not orthonormal: max Gram defect {gram_defect:.3e}")
     probs = np.einsum("ji,jk,ki->i", stack.conj().T, rho.matrix, stack.T).real
-    if probs.min() < -1e-12:
+    if not probs.min() >= -1e-12:
         raise InvariantViolation(f"negative outcome probability {probs.min():.3e}")
     probs = np.clip(probs, 0.0, None)
-    if abs(probs.sum() - 1.0) > ALGEBRA_ATOL:
+    if not abs(probs.sum() - 1.0) <= ALGEBRA_ATOL:
         raise InvariantViolation(f"outcome probabilities sum to {probs.sum()!r}")
     return probs
 
@@ -328,18 +335,21 @@ def random_state(dims, rng: np.random.Generator) -> PureState:
     return PureState(vec / np.linalg.norm(vec), dims)
 
 
-def random_unitaries(count: int, dims, rng: np.random.Generator) -> list[UnitaryOperator]:
-    """``count`` Haar-random unitaries via QR with the phase convention diag(R) > 0.
+def iter_random_unitaries(count: int, dims, rng: np.random.Generator) -> Iterator[UnitaryOperator]:
+    """``count`` Haar-random unitaries via QR with the phase convention
+    diag(R) > 0, drawn one stack at a time as they are taken.
 
     Stacked draws of normals and batched QR (Mezzadri, "How to generate
     random matrices from the classical compact groups",
     arXiv:math-ph/0609050). The normals come off ``rng`` in the order of
     ``count`` single draws, and the QR of each matrix is the same LAPACK call,
-    so the unitaries and the generator state after the call are those of
-    ``count`` calls to ``random_unitary``. A stack holds at most
-    STACK_ENTRIES matrix entries, so its temporaries stay near 1 MiB however
-    large the matrices. The dimension cap is checked before anything is
-    drawn; the unitarity check runs once per stack.
+    so the unitaries, and the generator state once all are taken, are those
+    of ``count`` calls to ``random_unitary``. A stack holds at most
+    STACK_ENTRIES matrix entries, so its temporaries stay near 64 KiB however
+    large the matrices, and it is drawn only when the previous one is used
+    up. The count, dims and dimension cap are checked before anything is
+    drawn; the unitarity check runs once per stack, and each unitary is a
+    read-only view into its checked stack.
     """
     if not isinstance(count, int) or isinstance(count, bool) or count < 1:
         raise ParameterError(f"unitary count must be a positive integer, got {count!r}")
@@ -348,18 +358,28 @@ def random_unitaries(count: int, dims, rng: np.random.Generator) -> list[Unitary
     if total > MAX_TOTAL_DIMENSION:
         raise ParameterError(f"total dimension {total} exceeds cap {MAX_TOTAL_DIMENSION}")
     per_stack = max(1, STACK_ENTRIES // total**2)
-    unitaries = []
     for start in range(0, count, per_stack):
-        normals = rng.standard_normal((min(per_stack, count - start), 2, total, total))
-        q, r = np.linalg.qr((normals[:, 0] + 1j * normals[:, 1]) / math.sqrt(2))
-        diag = np.diagonal(r, axis1=1, axis2=2)
-        q = q * (diag / np.abs(diag))[:, None, :]
-        defects = np.abs(q.conj().transpose(0, 2, 1) @ q - np.eye(total)).max(axis=(1, 2))
-        if defects.max() > NORM_ATOL:
-            defect = defects[np.argmax(defects > NORM_ATOL)]
-            raise ParameterError(f"matrix is not unitary: max |U†U - I| = {defect:.3e}")
-        unitaries += [_trusted(UnitaryOperator, matrix, dims) for matrix in q]
-    return unitaries
+        # bound to no name, so a used-up stack is released before the next is drawn
+        yield from _haar_stack(min(per_stack, count - start), dims, total, rng)
+
+
+def _haar_stack(size: int, dims: tuple[int, ...], total: int, rng: np.random.Generator) -> list:
+    """One checked stack of ``size`` Haar unitaries, each a read-only view into it."""
+    normals = rng.standard_normal((size, 2, total, total))
+    q, r = np.linalg.qr((normals[:, 0] + 1j * normals[:, 1]) / math.sqrt(2))
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    q = q * (diag / np.abs(diag))[:, None, :]
+    defects = np.abs(q.conj().transpose(0, 2, 1) @ q - np.eye(total)).max(axis=(1, 2))
+    off = ~(defects <= NORM_ATOL)
+    if off.any():
+        raise ParameterError(f"matrix is not unitary: max |U†U - I| = {defects[np.argmax(off)]:.3e}")
+    q.setflags(write=False)
+    return [_wrap(UnitaryOperator, matrix, dims) for matrix in q]
+
+
+def random_unitaries(count: int, dims, rng: np.random.Generator) -> list[UnitaryOperator]:
+    """``count`` Haar-random unitaries as a list: ``iter_random_unitaries`` run to its end."""
+    return list(iter_random_unitaries(count, dims, rng))
 
 
 def random_unitary(dims, rng: np.random.Generator) -> UnitaryOperator:

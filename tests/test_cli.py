@@ -1,14 +1,16 @@
 import copy
+import gc
 import io
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from authsim import cli, curty_santos, symmetry_test
+from authsim import cli, curty_santos, qmac_framework, quantum_core, symmetry_test
 from authsim.qmac_framework import random_scheme, scheme_to_json_dict
 
 
@@ -338,6 +340,18 @@ def _inline_scheme(edit):
     return _cfg("GenericQmac", {"scheme": doc})
 
 
+def _with_first_component(matrix, value):
+    """A copy of a matrix document whose [0][0] entry is [value, 0.0]."""
+    matrix = copy.deepcopy(matrix)
+    matrix[0][0] = [value, 0.0]
+    return matrix
+
+
+def _set_first_tag_component(doc, value):
+    label = next(iter(doc["tag_unitaries"]))
+    doc["tag_unitaries"][label]["matrix"] = _with_first_component(doc["tag_unitaries"][label]["matrix"], value)
+
+
 # Malformed configs that escaped as tracebacks or exited 0 before the config
 # had one checked boundary: a config document, or the raw bytes of the file.
 MALFORMED_CONFIGS = {
@@ -403,6 +417,22 @@ MALFORMED_CONFIGS = {
     "cs-unitary-component-huge": _cfg(
         "CurtySantos", {"unitary": _swap_unitary(matrix=[[[10**400, 0.0]] * 4] * 4)}
     ),
+    "cs-unitary-component-nan": _cfg(
+        "CurtySantos", {"unitary": _swap_unitary(matrix=_with_first_component(SWAP_UNITARY["matrix"], math.nan))}
+    ),
+    "cs-unitary-component-infinity": _cfg(
+        "CurtySantos", {"unitary": _swap_unitary(matrix=_with_first_component(SWAP_UNITARY["matrix"], math.inf))}
+    ),
+    "gq-scheme-unitary-component-nan": _inline_scheme(lambda doc: _set_first_tag_component(doc, math.nan)),
+    "gq-scheme-unitary-component-infinity": _inline_scheme(
+        lambda doc: _set_first_tag_component(doc, math.inf)
+    ),
+    "gq-initial-state-component-nan": _inline_scheme(
+        lambda doc: doc["initial_state"].update(amplitudes=[[math.nan, 0.0], [0.0, 0.0]])
+    ),
+    "gq-initial-state-component-infinity": _inline_scheme(
+        lambda doc: doc["initial_state"].update(amplitudes=[[math.inf, 0.0], [0.0, 0.0]])
+    ),
     "gq-scheme-unknown-key": _inline_scheme(lambda doc: doc.update(comment="x")),
     "gq-initial-state-unknown-key": _inline_scheme(lambda doc: doc["initial_state"].update(norm=1)),
     "gq-initial-state-component-true": _inline_scheme(
@@ -456,6 +486,26 @@ class TestConfigBoundary:
         assert out.startswith("error: ")
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize(
+        "case,check",
+        [
+            ("cs-unitary-component-nan", "not unitary"),
+            ("cs-unitary-component-infinity", "not unitary"),
+            ("gq-scheme-unitary-component-nan", "not unitary"),
+            ("gq-scheme-unitary-component-infinity", "not unitary"),
+            ("gq-initial-state-component-nan", "state norm"),
+            ("gq-initial-state-component-infinity", "state norm"),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_component_rejected_where_it_enters(self, case, check, tmp_path):
+        # NaN fails every tolerance check, so the value stops at its entry
+        # check rather than in an eigensolver or the renderer
+        config = write_config(tmp_path, "config.json", MALFORMED_CONFIGS[case])
+        code, out = run_cli(str(config), str(tmp_path / "report.json"))
+        assert code == 1
+        assert check in out, out
+
     @pytest.mark.parametrize("output", sorted(MALFORMED_OUTPUTS.values()))
     def test_output_path_checked_before_computation(self, output, monkeypatch, tmp_path):
         (tmp_path / "outdir").mkdir()
@@ -474,6 +524,39 @@ class TestConfigBoundary:
         monkeypatch.setattr(symmetry_test, "sweep", lambda *a, **k: calls.append(a) or real_sweep(*a, **k))
         assert run_cli("symtest-grid", str(tmp_path / "grid.json"))[0] == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "shape",
+        # a stack of 16 x 16 draws spans one key, one of 2 x 2 draws spans 128 schemes
+        [{"count": 4, "dim": 16, "num_keys": 2, "num_messages": 16}, {"count": 300}],
+    )
+    def test_random_schemes_freed_before_next_stack(self, shape, monkeypatch, tmp_path):
+        """Peak memory stays near one scheme: with the cycle collector off,
+        every scheme the loop has taken is gone when the next stack is drawn."""
+        taken, alive_at_draw = [], []
+        real_schemes, real_stack = qmac_framework.random_schemes, quantum_core._haar_stack
+
+        def watched_schemes(*args):
+            for scheme in real_schemes(*args):
+                taken.append(weakref.ref(scheme))
+                yield scheme
+                del scheme
+
+        def watched_stack(*args):
+            alive_at_draw.append(sum(ref() is not None for ref in taken))
+            return real_stack(*args)
+
+        monkeypatch.setattr(qmac_framework, "random_schemes", watched_schemes)
+        monkeypatch.setattr(quantum_core, "_haar_stack", watched_stack)
+        config = write_config(tmp_path, "c.json", _cfg("GenericQmac", {"random_schemes": shape}))
+        gc.disable()
+        try:
+            assert run_cli(str(config), str(tmp_path / "r.json"))[0] == 0
+        finally:
+            gc.enable()
+        assert len(taken) == shape["count"]
+        assert len(alive_at_draw) > 1
+        assert alive_at_draw == [0] * len(alive_at_draw)
 
     def test_nogo_sweep_is_batched(self, monkeypatch, tmp_path):
         """One stacked draw, one kernel call, no instance per unitary."""

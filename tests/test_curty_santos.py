@@ -35,6 +35,7 @@ from authsim.qmac_framework import (
 from authsim.quantum_core import (
     PureState,
     UnitaryOperator,
+    _trusted,
     basis_state,
     operator_to_json_dict,
     partial_trace,
@@ -300,6 +301,12 @@ class TestBatchedReports:
         assert error_message(lambda: incompatibility_reports(stack)) == error_message(
             lambda: CurtySantosInstance(tag_unitary=small)
         )
+
+    def test_nan_attack_operator_fails_hermiticity_check(self):
+        # a gate that skipped its unitarity check must stop at the stacked
+        # hermiticity check, not in the eigensolver
+        broken = _trusted(UnitaryOperator, np.full((4, 4), math.nan, dtype=complex), (2, 2))
+        assert "not Hermitian" in error_message(lambda: incompatibility_reports([broken]))
 
     @pytest.mark.parametrize(
         "basis,accept",

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import weakref
 
@@ -18,6 +19,7 @@ from authsim.qmac_framework import (
     max_offdiagonal_overlap,
     overlap_matrix,
     random_scheme,
+    random_schemes,
     scheme_from_json_dict,
     scheme_to_json_dict,
     validate_scheme,
@@ -224,6 +226,13 @@ def reference_max_offdiagonal_overlap(scheme: QmacScheme) -> float:
     return best
 
 
+def reference_wrong_tag_acceptance(rule: DecisionRule, lam) -> float:
+    """Bob's acceptance of a wrong tag at overlap lam, one closed form per call."""
+    if rule.kind == "projective":
+        return float(lam) ** 2
+    return acceptance_error_formula(rule.copies, lam)
+
+
 def reference_impersonation_deception(
     scheme: QmacScheme, rule: DecisionRule | None = None
 ) -> AttackReport:
@@ -247,7 +256,7 @@ def reference_impersonation_deception(
         labels, lam = reference_overlap_matrix(scheme, message)
         for i in range(len(labels)):
             for j in range(i + 1, len(labels)):
-                q = rule.wrong_tag_acceptance(lam[i, j])
+                q = reference_wrong_tag_acceptance(rule, lam[i, j])
                 q_values.append(q)
                 q_values.append(q)  # both orderings of the pair
                 if q > best_q:
@@ -600,7 +609,7 @@ def symmetric_schemes(draw):
     tags = draw(st.integers(1, 4))
     multiplicity = draw(st.sampled_from((1, 2)))
     num_messages = draw(st.integers(2, 4))
-    dim = draw(st.integers(1, 4))
+    dim = draw(st.integers(1, 16))
     string_labels = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shift = np.roll(np.eye(dim, dtype=complex), 1, axis=0)
@@ -778,9 +787,80 @@ class TestMalformedSchemesMatchReference:
             assert outcome(partition_keys, scheme, m) == outcome(reference_partition_keys, scheme, m)
 
 
+class TestRandomSchemesStream:
+    """Schemes drawn from one stream, in stacks that span schemes, against
+    one ``random_scheme`` call per scheme."""
+
+    @pytest.mark.parametrize(
+        "dim,num_keys,num_messages,count",
+        # unitaries per stack: 4096, 1024, 455 (boundaries inside schemes), 16
+        [(1, 2, 2, 1100), (2, 2, 2, 300), (3, 4, 3, 80), (16, 16, 16, 3)],
+    )
+    def test_stream_equals_sequential_schemes(self, dim, num_keys, num_messages, count):
+        seed = 100 * dim + count
+        stream_rng, sequential_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        stream = list(random_schemes(stream_rng, count, dim, num_keys, num_messages))
+        sequential = [random_scheme(sequential_rng, dim, num_keys, num_messages) for _ in range(count)]
+        assert len(stream) == count
+        for a, b in zip(stream, sequential):
+            assert (a.name, a.message_set, a.key_set, a.labels) == (b.name, b.message_set, b.key_set, b.labels)
+            assert a.index == b.index
+            assert np.array_equal(a.initial_state.amplitudes, b.initial_state.amplitudes)
+            assert list(a.tag_unitaries) == list(b.tag_unitaries)
+            for label, gate in a.tag_unitaries.items():
+                assert np.array_equal(gate.matrix, b.tag_unitaries[label].matrix)
+                assert gate.dims == b.tag_unitaries[label].dims == (dim,)
+                assert not gate.matrix.flags.writeable
+        assert stream_rng.bit_generator.state == sequential_rng.bit_generator.state
+
+
+class TestOverlapKernel:
+    """The stacked overlap kernel and the list scoring against their
+    one-value-at-a-time definitions, compared with ==. A numpy or BLAS
+    change that breaks the bit identity fails here by name."""
+
+    @pytest.mark.parametrize(
+        "dim,num_keys,num_messages",
+        # the last shape has 1920 pairs of 16 entries, in 8 batches of 256
+        [(dim, 4, 3) for dim in range(1, 65)] + [(16, 16, 16)],
+    )
+    def test_stacked_matmul_hypot_is_abs_vdot(self, dim, num_keys, num_messages):
+        scheme = random_scheme(np.random.default_rng(dim), dim, num_keys, num_messages)
+        rows = scheme.states
+        expected = [
+            abs(np.vdot(rows[i], rows[j]))
+            for blocks in scheme.blocks
+            for i, j in itertools.combinations(blocks, 2)
+        ]
+        assert scheme.overlaps == expected
+        assert all(type(value) is float for value in scheme.overlaps)
+        per_message = num_keys * (num_keys - 1) // 2
+        assert scheme.pair_starts == [mi * per_message for mi in range(num_messages + 1)]
+
+    def test_scored_q_is_python_float_square(self):
+        lams = np.random.default_rng(1).random(20000).tolist() + [0.0, 1.0, 1.0 + 1e-12]
+        assert DecisionRule.projective().wrong_tag_acceptances(lams) == [float(lam) ** 2 for lam in lams]
+        for copies in (2, 3, 7):
+            rule = DecisionRule.symmetry_test(copies)
+            assert rule.wrong_tag_acceptances(lams) == [acceptance_error_formula(copies, lam) for lam in lams]
+
+    def test_symmetry_rule_keeps_range_check(self):
+        with pytest.raises(ParameterError, match="outside"):
+            DecisionRule.symmetry_test(3).wrong_tag_acceptances([0.5, 1.0 + 1e-9])
+        assert DecisionRule.projective().wrong_tag_acceptances([]) == []
+
+
 def test_tag_state_norm_checked_once_per_table():
     # a gate that skipped its unitarity check must still not yield a tag state
     scheme = two_key_qubit_scheme(0.3)
     object.__setattr__(scheme.tag_unitaries[(1, 1)], "matrix", 2 * np.eye(2, dtype=complex))
+    with pytest.raises(ParameterError, match="state norm"):
+        impersonation_deception(scheme)
+
+
+def test_tag_state_nan_norm_rejected():
+    # NaN fails the norm check too
+    scheme = two_key_qubit_scheme(0.3)
+    object.__setattr__(scheme.tag_unitaries[(1, 1)], "matrix", np.full((2, 2), math.nan, dtype=complex))
     with pytest.raises(ParameterError, match="state norm"):
         impersonation_deception(scheme)

@@ -11,6 +11,7 @@ from authsim.quantum_core import (
     HermitianOperator,
     PureState,
     UnitaryOperator,
+    _trusted,
     basis_state,
     max_eigenpair,
     measure_projective,
@@ -142,6 +143,39 @@ class TestConstruction:
         product = tensor([UnitaryOperator(X), UnitaryOperator(X)])
         with pytest.raises(ValueError):
             product.matrix[0, 0] = 0.0
+
+
+class TestNonFiniteRejected:
+    """Every tolerance check is written ``not (value <= tol)``: NaN fails it."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_entry_checks(self, bad):
+        with pytest.raises(ParameterError, match="state norm"):
+            PureState(np.array([bad, 0.0]))
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ParameterError, match="not unitary"):
+                UnitaryOperator(np.array([[bad, 0], [0, 1]], dtype=complex))
+            with pytest.raises(ParameterError, match="not Hermitian"):
+                HermitianOperator(np.array([[bad, 0], [0, 1]], dtype=complex))
+
+    def test_stacked_unitarity_check(self):
+        class NanNormals:
+            def standard_normal(self, shape):
+                return np.full(shape, math.nan)
+
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ParameterError, match=r"not unitary: max \|U†U - I\| = nan"):
+                random_unitaries(3, 2, NanNormals())
+
+    def test_measurement_checks(self):
+        basis = [basis_state(j, (2,)) for j in range(2)]
+        rho = _trusted(HermitianOperator, np.array([[math.nan, 0], [0, 0.5]], dtype=complex), (2,))
+        with pytest.raises(ParameterError, match="trace"):
+            measure_projective(rho, basis)
+        half = HermitianOperator(np.eye(2, dtype=complex) / 2)
+        skewed = [basis[0], _trusted(PureState, np.array([math.nan, 1.0]), (2,))]
+        with pytest.raises(ParameterError, match="orthonormal"):
+            measure_projective(half, skewed)
 
 
 class TestTensorAndOverlap:

@@ -1,7 +1,7 @@
 """Byte identity of reports: the SHA-256 of every built-in report, JSON and
-CSV, of one random-scheme CSV at the largest benchmark scheme size, of one
-config per input form that no built-in uses, and of a Curty-Santos random
-sweep long enough to cross a stack boundary of ``random_unitaries``.
+CSV, of random-scheme reports at each benchmark scheme size past 2 x 2 x 2,
+of one config per input form that no built-in uses, and of a Curty-Santos
+random sweep long enough to cross a stack boundary of ``random_unitaries``.
 
 Reports render floats at full repr precision, so a change in summation order
 anywhere on the path (for example a Gram product in place of per-pair inner
@@ -42,6 +42,19 @@ RANDOM_SCHEMES_CONFIG = {
 }
 RANDOM_SCHEMES_CSV_DIGEST = "c59a8cef6c061c2c407eca604b75a949deed249ef44d82068e7785317468f9cd"
 
+# Taken with one stack of Haar draws per key of each scheme and one vdot per
+# tag pair; the reports must not move when draws and overlaps are batched.
+LADDER_SHAPES = {
+    "4x8x8": {"count": 40, "dim": 4, "num_keys": 8, "num_messages": 8},
+    "8x16x16": {"count": 20, "dim": 8, "num_keys": 16, "num_messages": 16},
+}
+LADDER_DIGESTS = {
+    ("4x8x8", "json"): "12b0e6eab484102b357a4f1ce35f6996e81b0f8094d2fb8829fc05dfc9a3d282",
+    ("4x8x8", "csv"): "eb987e1e9cb37150baf4572cd4ece90d7a2e6f9e9ade02536e906c4599a38c4a",
+    ("8x16x16", "json"): "b2db743dfe9a6e09927d58d4cbd0e0cb96a927ccb0cee92cf754342cbd6207c7",
+    ("8x16x16", "csv"): "b69184945f1649d43eaec8c56bfb3fb88279e9ea9b030bf30b79d5613755b1f8",
+}
+
 
 def report_digest(source, path, fmt):
     assert cli.run(str(source), output=str(path), output_format=fmt, stdout=io.StringIO()) == 0
@@ -63,11 +76,20 @@ def test_random_schemes_csv_bytes(tmp_path):
     assert report_digest(config, tmp_path / "report.csv", "csv") == RANDOM_SCHEMES_CSV_DIGEST
 
 
+@pytest.mark.parametrize("shape,fmt", sorted(LADDER_DIGESTS))
+def test_random_schemes_ladder_bytes(shape, fmt, tmp_path):
+    config = tmp_path / "random-schemes.json"
+    params = {"random_schemes": LADDER_SHAPES[shape]}
+    config.write_text(json.dumps({"scenario": "GenericQmac", "parameters": params, "seed": 7}))
+    assert report_digest(config, tmp_path / f"report.{fmt}", fmt) == LADDER_DIGESTS[(shape, fmt)]
+
+
 def input_form_configs(directory):
     """One config per non-built-in input form; writes the scheme file the
     ``scheme_path`` form reads into ``directory``."""
     scheme = scheme_to_json_dict(random_scheme(np.random.default_rng(5), dim=3, num_keys=4, num_messages=3))
     (directory / "scheme.json").write_text(json.dumps(scheme))
+    wide = scheme_to_json_dict(random_scheme(np.random.default_rng(13), dim=16, num_keys=6, num_messages=4))
     swap = np.eye(4)[[0, 2, 1, 3]]
     h_on_a = np.kron(np.array([[1, 1], [1, -1]]) / np.sqrt(2), np.eye(2))
     basis = [{"dims": [4], "amplitudes": [[float(x), 0.0] for x in row]} for row in np.eye(4)[[3, 1, 2, 0]]]
@@ -80,6 +102,10 @@ def input_form_configs(directory):
         "qmac-inline-symmetry-rule": {
             "scenario": "GenericQmac",
             "parameters": {"scheme": scheme, "rule": {"kind": "symmetry-test", "copies": 3}},
+        },
+        "qmac-inline-dim16-symmetry-rule": {
+            "scenario": "GenericQmac",
+            "parameters": {"scheme": wide, "rule": {"kind": "symmetry-test", "copies": 5}},
         },
         "qmac-scheme-path": {
             "scenario": "GenericQmac", "parameters": {"scheme_path": "scheme.json"}, "seed": 9
@@ -114,13 +140,16 @@ INPUT_FORM_DIGESTS = {
     ("cs-instance", "csv"): "c5927dee7edd91ea3c50c7f1369c37b7ba2a05e5d2dcaf71fb13113c0075d962",
     ("cs-instance", "json"): "d592771ede6128fc1ffc412c290e6cccdef1bc11826d6a690e0e7ded24a72db6",
     # Taken with one draw and one report per unitary; 5000 draws of 4x4 cross
-    # the 4096-draw stack boundary of random_unitaries.
+    # the stack boundaries of random_unitaries.
     ("cs-sweep-stack-boundary", "csv"): "a923aacc97ae1c42557477d8c2635f04a4f43c80f9a0c638faefa50862019778",
     ("cs-sweep-stack-boundary", "json"): "a679f0c6010a9c37e769613b7e21f30bf272c63143b4c2fbb894cda5334b9a13",
     ("cs-unitary", "csv"): "b7b2351ef5f09f3ed27c72a9a8a3a7a61669744cfff3992a6f4c7e61e4e7a312",
     ("cs-unitary", "json"): "e4a985ce840cd379063b3af865f1f39ad510ecfb06b265bd5842c5d3490981a5",
     ("qmac-inline-symmetry-rule", "csv"): "cd25803bc6d748053e557970c16a77e420190ca5a317a164c9019d2f81480486",
     ("qmac-inline-symmetry-rule", "json"): "4b90dfdd4cd27f95756a9b27ad6a9823253618bed832c693994ff38c05451555",
+    # Taken with one vdot per tag pair and one acceptance_error_formula call per overlap.
+    ("qmac-inline-dim16-symmetry-rule", "csv"): "af364c4cf086e30fa3281d47abddd9abccda52c4e75ca84d6b5439c46a1ae5d6",
+    ("qmac-inline-dim16-symmetry-rule", "json"): "ff64a1dc37db19ba243a6bb637b4cf03b356ebe06eb28cf52d7aae3610f55e85",
     ("qmac-scheme-path", "csv"): "3379f4034a39c9d4b991c7c2711782224ad3a8e803ec17d3d734d058082c1016",
     ("qmac-scheme-path", "json"): "1fe62410e238f528705ba62bcaab79586e3afa9efee93854af8a68d9b25bf0d9",
     ("sweep-t-values", "csv"): "5497992baa898f698dfb3d691ce289457386e94599c0faed5c7e100d115c3ca0",

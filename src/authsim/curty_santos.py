@@ -27,10 +27,8 @@ tagging unitaries that share one basis and accept set: the frame is checked
 once, the attack operators are built as one (n, 4, 4) stack and diagonalised
 by one batched ``eigh``, and each value is bit for bit the one a single
 instance gives. ``incompatibility_report`` is its stack-of-one case. The
-per-instance functions ``condition_13_holds``,
-``substitution_conclusive_probability`` and ``optimal_impersonation``
-compute the same quantities one instance at a time; the tests hold the
-kernel to them.
+tests hold the kernel to a per-instance reference built on
+``optimal_impersonation``.
 """
 
 from __future__ import annotations
@@ -58,6 +56,10 @@ from .quantum_core import (
 )
 
 CONDITION_TOL = 1e-9
+VERDICT_TOL = 1e-6
+# Control-qubit projectors |0><0| and |1><1|, and identities, for the controlled gates.
+P0, P1 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+EYE2, EYE4 = np.eye(2, dtype=complex), np.eye(4, dtype=complex)
 
 
 def singlet() -> PureState:
@@ -109,13 +111,6 @@ class CurtySantosInstance:
         object.__setattr__(self, "basis", _checked_basis(self.basis))
         object.__setattr__(self, "accept_set", _checked_accept_set(self.accept_set))
 
-    def diagonal_overlap(self, m: int) -> complex:
-        """<phi_m|U|phi_m> for the message's accepted basis index."""
-        j = self.accept_set[m]
-        return complex(
-            np.vdot(self.basis[j].amplitudes, self.tag_unitary.matrix @ self.basis[j].amplitudes)
-        )
-
 
 def _check_message(m) -> int:
     if m not in (0, 1):
@@ -125,20 +120,12 @@ def _check_message(m) -> int:
 
 def _encode_operator(instance: CurtySantosInstance) -> np.ndarray:
     """Alice's controlled tagging on (A, C), as a matrix on A x B x C."""
-    u = instance.tag_unitary.matrix
-    p0 = np.array([[1, 0], [0, 0]], dtype=complex)
-    p1 = np.array([[0, 0], [0, 1]], dtype=complex)
-    eye2, eye4 = np.eye(2, dtype=complex), np.eye(4, dtype=complex)
-    return np.kron(p0, np.kron(eye2, eye4)) + np.kron(p1, np.kron(eye2, u))
+    return np.kron(P0, np.kron(EYE2, EYE4)) + np.kron(P1, np.kron(EYE2, instance.tag_unitary.matrix))
 
 
 def _decode_operator(instance: CurtySantosInstance) -> np.ndarray:
     """Bob's controlled undo on (B, C), as a matrix on A x B x C."""
-    u = instance.tag_unitary.matrix
-    p0 = np.array([[1, 0], [0, 0]], dtype=complex)
-    p1 = np.array([[0, 0], [0, 1]], dtype=complex)
-    eye2, eye4 = np.eye(2, dtype=complex), np.eye(4, dtype=complex)
-    return np.kron(eye2, np.kron(p0, u.conj().T) + np.kron(p1, eye4))
+    return np.kron(EYE2, np.kron(P0, instance.tag_unitary.matrix.conj().T) + np.kron(P1, EYE4))
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,23 +235,6 @@ class Condition13Report:
     holds: bool
 
 
-def condition_13_holds(instance: CurtySantosInstance) -> Condition13Report:
-    overlaps = tuple(abs(instance.diagonal_overlap(m)) for m in (0, 1))
-    per_message = tuple(o <= CONDITION_TOL for o in overlaps)
-    return Condition13Report(
-        diagonal_overlaps=overlaps, per_message=per_message, holds=all(per_message)
-    )
-
-
-def substitution_conclusive_probability(instance: CurtySantosInstance, m: int) -> float:
-    """Rate of conclusive unambiguous discrimination between |phi_m> and
-    U|phi_m> at equal priors: 1 - |<phi_m|U|phi_m>|. A conclusive outcome
-    lets the adversary forge the flipped message with certainty; no success
-    rate is assigned to the inconclusive branch."""
-    m = _check_message(m)
-    return 1.0 - min(1.0, abs(instance.diagonal_overlap(m)))
-
-
 @dataclass(frozen=True)
 class IncompatibilityReport:
     """Joint security status of the two attacks for one instance.
@@ -286,14 +256,12 @@ class IncompatibilityReport:
     witness_overlap: float
 
 
-def incompatibility_report(instance: CurtySantosInstance, tol: float = 1e-6) -> IncompatibilityReport:
+def incompatibility_report(instance: CurtySantosInstance) -> IncompatibilityReport:
     """The report of one instance: the stack-of-one case of ``incompatibility_reports``."""
-    return incompatibility_reports([instance.tag_unitary], instance.basis, instance.accept_set, tol)[0]
+    return incompatibility_reports([instance.tag_unitary], instance.basis, instance.accept_set)[0]
 
 
-def incompatibility_reports(
-    unitaries, basis=None, accept_set=(0, 1), tol: float = 1e-6
-) -> list[IncompatibilityReport]:
+def incompatibility_reports(unitaries, basis=None, accept_set=(0, 1)) -> list[IncompatibilityReport]:
     """One ``IncompatibilityReport`` per tagging unitary, all sharing one
     carrier basis and accept set.
 
@@ -333,8 +301,8 @@ def incompatibility_reports(
         overlaps = tuple(overlaps)
         per_message = tuple(o <= CONDITION_TOL for o in overlaps)
         conclusive = tuple(1.0 - min(1.0, o) for o in overlaps)
-        at_floor = impersonation <= 0.5 + tol
-        blocked = all(c < 1.0 - tol for c in conclusive)
+        at_floor = impersonation <= 0.5 + VERDICT_TOL
+        blocked = all(c < 1.0 - VERDICT_TOL for c in conclusive)
         witness = overlaps.index(max(overlaps)) if max(overlaps) > CONDITION_TOL else 0
         reports.append(
             IncompatibilityReport(
@@ -374,7 +342,7 @@ def as_qmac_scheme(instance: CurtySantosInstance) -> QmacScheme:
     when k = 1. The overlap matrices and the impersonation evaluation of the
     embedding match the protocol's own quantities.
     """
-    u_by_key = {0: np.eye(4, dtype=complex), 1: instance.tag_unitary.matrix}
+    u_by_key = {0: EYE4, 1: instance.tag_unitary.matrix}
     unitaries = {}
     for k in (0, 1):
         for m in (0, 1):

@@ -55,6 +55,7 @@ from .quantum_core import (
     unitary_from_json_dict,
     basis_state,
 )
+from .symmetry_test import acceptance_error_formula
 
 OVERLAP_TOL = 1e-9
 
@@ -271,21 +272,14 @@ class DecisionRule:
     def wrong_tag_acceptances(self, overlaps: list[float]) -> list[float]:
         """Probability of accepting a wrong tag at each overlap.
 
-        Each value is computed as ``symmetry_test.acceptance_error_formula``
-        computes it, operation for operation: the square is Python float
-        ``** 2`` (libm pow, which differs from np.square in the last bit of
-        about 0.08% of values). The symmetry-test rule keeps the formula's
-        range check.
+        The projective rule squares each overlap as Python float ``** 2``
+        (libm pow, which differs from np.square in the last bit of about
+        0.08% of values); the symmetry-test rule is
+        ``symmetry_test.acceptance_error_formula``, range check included.
         """
         if self.kind == "projective":
             return [float(lam) ** 2 for lam in overlaps]
-        n = float(self.copies)
-        accepted = []
-        for lam in overlaps:
-            if not 0.0 <= lam <= 1.0 + 1e-12:
-                raise ParameterError(f"overlap {lam!r} outside [0, 1]")
-            accepted.append((1.0 + (n - 1.0) * float(lam) ** 2) / n)
-        return accepted
+        return [acceptance_error_formula(self.copies, lam) for lam in overlaps]
 
 
 @dataclass(frozen=True, eq=False)

@@ -107,6 +107,8 @@ class UnitaryOperator:
             raise ParameterError(f"operator must be square, got shape {mat.shape}")
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "dims", _resolve_dims(self.dims, mat.shape[0]))
+        if not np.isfinite(mat).all():  # checked before U†U, whose product an infinity turns to NaN
+            raise ParameterError("matrix is not unitary: it has a non-finite entry")
         defect = np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max()
         if not defect <= NORM_ATOL:
             raise ParameterError(f"matrix is not unitary: max |U†U - I| = {defect:.3e}")

@@ -497,7 +497,6 @@ class TestConfigBoundary:
             ("gq-initial-state-component-infinity", "state norm"),
         ],
     )
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_non_finite_component_rejected_where_it_enters(self, case, check, tmp_path):
         # NaN fails every tolerance check, so the value stops at its entry
         # check rather than in an eigensolver or the renderer

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from authsim.cli import NAMED_UNITARIES
 from authsim.curty_santos import (
     CONDITION_TOL,
+    VERDICT_TOL,
+    Condition13Report,
     CurtySantosInstance,
     IncompatibilityReport,
+    _check_message,
     as_qmac_scheme,
     attack_operator,
-    condition_13_holds,
     honest_run,
     impersonation_acceptance,
     incompatibility_report,
@@ -22,7 +24,6 @@ from authsim.curty_santos import (
     optimal_impersonation,
     simulate_impersonation_acceptance,
     singlet,
-    substitution_conclusive_probability,
 )
 from authsim.errors import ParameterError
 from authsim.qmac_framework import (
@@ -230,7 +231,29 @@ class TestNoGoDichotomy:
             assert not incompatibility_report(instance).simultaneously_secure
 
 
-def reference_incompatibility_report(instance: CurtySantosInstance, tol: float = 1e-6) -> IncompatibilityReport:
+def diagonal_overlap(instance: CurtySantosInstance, m: int) -> complex:
+    """<phi_m|U|phi_m> for the message's accepted basis index."""
+    j = instance.accept_set[m]
+    return complex(np.vdot(instance.basis[j].amplitudes, instance.tag_unitary.matrix @ instance.basis[j].amplitudes))
+
+
+def condition_13_holds(instance: CurtySantosInstance) -> Condition13Report:
+    """Whether <phi_m|U|phi_m> vanishes for each message (the floor condition)."""
+    overlaps = tuple(abs(diagonal_overlap(instance, m)) for m in (0, 1))
+    per_message = tuple(o <= CONDITION_TOL for o in overlaps)
+    return Condition13Report(diagonal_overlaps=overlaps, per_message=per_message, holds=all(per_message))
+
+
+def substitution_conclusive_probability(instance: CurtySantosInstance, m: int) -> float:
+    """Rate of conclusive unambiguous discrimination between |phi_m> and
+    U|phi_m> at equal priors: 1 - |<phi_m|U|phi_m>|. A conclusive outcome
+    lets the adversary forge the flipped message with certainty; no success
+    rate is assigned to the inconclusive branch."""
+    m = _check_message(m)
+    return 1.0 - min(1.0, abs(diagonal_overlap(instance, m)))
+
+
+def reference_incompatibility_report(instance: CurtySantosInstance, tol: float = VERDICT_TOL) -> IncompatibilityReport:
     """The per-instance report as it was before the batched kernel: one
     eigenpair and two diagonal overlaps per instance."""
     cond13 = condition_13_holds(instance)
@@ -351,7 +374,7 @@ class TestEmbedding:
         scheme = as_qmac_scheme(hh_instance)
         for m in (0, 1):
             _, lam = overlap_matrix(scheme, m)
-            expected = abs(hh_instance.diagonal_overlap(m))
+            expected = abs(diagonal_overlap(hh_instance, m))
             assert lam[0, 1] == pytest.approx(expected, abs=1e-12)
 
     def test_embedding_impersonation_value(self, hh_instance):

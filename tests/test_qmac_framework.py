@@ -849,6 +849,20 @@ class TestOverlapKernel:
             DecisionRule.symmetry_test(3).wrong_tag_acceptances([0.5, 1.0 + 1e-9])
         assert DecisionRule.projective().wrong_tag_acceptances([]) == []
 
+    @pytest.mark.parametrize("lam", [1.0 + 1e-11, math.nan], ids=["above-slack", "nan"])
+    def test_symmetry_rule_rejects_overlap_out_of_range(self, lam):
+        with pytest.raises(ParameterError, match=r"outside \[0, 1\]"):
+            DecisionRule.symmetry_test(3).wrong_tag_acceptances([0.5, lam])
+
+    def test_symmetry_rule_accepts_overlap_within_slack(self):
+        lam = 1.0 + 1e-13
+        assert DecisionRule.symmetry_test(3).wrong_tag_acceptances([lam]) == [(1.0 + 2.0 * lam**2) / 3.0]
+
+    def test_projective_rule_checks_no_range(self):
+        lams = [1.0 + 1e-11, -0.5, 2.0]
+        assert DecisionRule.projective().wrong_tag_acceptances(lams) == [lam**2 for lam in lams]
+        assert math.isnan(DecisionRule.projective().wrong_tag_acceptances([math.nan])[0])
+
 
 def test_tag_state_norm_checked_once_per_table():
     # a gate that skipped its unitarity check must still not yield a tag state

@@ -12,9 +12,9 @@ A scenario config is a JSON document:
 ``run`` also accepts the name of a built-in demonstration scenario (see
 ``list``). A config is read once, where it enters: the top level and each
 parameter object have a ``Spec`` of typed, ranged, defaulted keys
-(``CONFIG_SPEC``, one per kind in ``RUNNERS``), applied by ``read_spec``,
-which rejects unknown keys. Inline ``scheme``, ``unitary`` and ``instance``
-documents go to their own loaders.
+(``CONFIG_SPEC``, one per kind in ``RUNNERS``), applied by
+``spec.read_spec``, which rejects unknown keys; the ``--seed``, ``--format``
+and ``--output`` overrides are read by the fields of the keys they replace.
 The ``MAX_*`` work caps and the output directory are checked before any
 computation. Reports embed the seed and a SHA-256 of the config as written;
 identical configs produce byte-identical artifacts. Exit codes: 0 success,
@@ -36,6 +36,7 @@ from . import classical_mac, curty_santos, qmac_framework, symmetry_test
 from .errors import InvariantViolation, ParameterError
 from .quantum_core import MAX_TOTAL_DIMENSION, UnitaryOperator, random_unitaries
 from .reporting import config_sha256, format_float, jsonable, render_csv, render_json
+from .spec import Field, Spec, _read_value, read_spec
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -53,99 +54,6 @@ MAX_SWEEP_POINTS = 2**16  # |T values| * |delta_fracs| * |lambda_fracs|
 MAX_MESSAGE_SPACE_BITS = 2**20  # message_space_bits, used as 2**bits
 _EXACT_FLOAT_INT = 2**53  # integers the symmetry-test formulas turn into floats
 
-
-@dataclass(frozen=True)
-class Field:
-    """One key of a config object: ``type`` is int (never bool), float (any
-    number, read as a float), str, dict, list (items read by ``item``) or
-    object (checked later); ``lo``/``hi`` are inclusive. A key without a
-    default is required unless a one-of group governs it. ``only_with`` =
-    (key, value) allows the key, and gives it its default, only where an
-    earlier key of the object reads that value."""
-
-    type: type
-    default: object = None
-    lo: float | None = None
-    hi: float | None = None
-    choices: tuple = ()
-    spec: Spec | None = None
-    item: Field | None = None
-    only_with: tuple = ()
-
-
-@dataclass(frozen=True)
-class Spec:
-    """The keys of one config object. A one-of group lists alternatives (a
-    key, or keys joined by '/'): at most one may be given, and exactly one
-    unless some alternative has defaults for all its keys."""
-
-    fields: dict
-    one_of: tuple = ()
-
-
-_TYPE_NAMES = {
-    int: "an integer", float: "a number", str: "a string", dict: "an object", list: "a list"
-}
-
-
-def _read_value(field: Field, value, where: str):
-    if field.type is object:
-        return value
-    accepted = (int, float) if field.type is float else field.type
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        raise ParameterError(f"{where} must be {_TYPE_NAMES[field.type]}, got {value!r}")
-    if field.spec is not None:
-        return read_spec(field.spec, value, where)
-    if field.item is not None:
-        return [_read_value(field.item, item, f"{where}[{i}]") for i, item in enumerate(value)]
-    if field.lo is not None and not field.lo <= value:
-        raise ParameterError(f"{where} must be >= {field.lo}, got {value!r}")
-    if field.hi is not None and not value <= field.hi:
-        raise ParameterError(f"{where} must be <= {field.hi}, got {value!r}")
-    if field.choices and value not in field.choices:
-        raise ParameterError(f"{where} must be one of {list(field.choices)}, got {value!r}")
-    return float(value) if field.type is float else value
-
-
-def read_spec(spec: Spec, doc, where: str) -> dict:
-    """Checked copy of the config object ``doc``: unknown keys and broken
-    one-of groups are rejected, each given value is read by its field, and
-    each absent key with a default gets it, read the same way."""
-    if not isinstance(doc, dict):
-        raise ParameterError(f"{where} must be an object, got {doc!r}")
-    unknown = sorted(set(doc) - set(spec.fields))
-    if unknown:
-        raise ParameterError(f"{where}: unknown key(s) {unknown}; allowed keys are {sorted(spec.fields)}")
-    grouped = set()
-    for group in spec.one_of:
-        alternatives = [alt.split("/") for alt in group]
-        grouped.update(*alternatives)
-        given = [alt for alt in alternatives if any(key in doc for key in alt)]
-        optional = any(all(spec.fields[key].default is not None for key in alt) for alt in alternatives)
-        if len(given) > 1 or not (given or optional):
-            many = "at most" if optional else "exactly"
-            raise ParameterError(f"{where} takes {many} one of {' | '.join(group)}")
-    out = {}
-    for key, field in spec.fields.items():
-        allowed = not field.only_with or out.get(field.only_with[0]) == field.only_with[1]
-        if key in doc and not allowed:
-            other, value = field.only_with
-            raise ParameterError(f"{where}.{key} is allowed only when {other} is {value!r}")
-        if key in doc or (field.default is not None and allowed):
-            out[key] = _read_value(field, doc[key] if key in doc else field.default, f"{where}.{key}")
-        elif field.default is None and key not in grouped:
-            raise ParameterError(f"{where}.{key} is required")
-    return out
-
-
-# Kind, seed and format are checked by ScenarioConfig, which --seed/--format also reach.
-_OUTPUT_SPEC = Spec({"format": Field(object, "json"), "path": Field(str, "")})
-CONFIG_SPEC = Spec({
-    "scenario": Field(object),
-    "parameters": Field(dict, {}),
-    "seed": Field(object, 0),
-    "output": Field(dict, {}, spec=_OUTPUT_SPEC),
-})
 CLASSICAL_MAC_SPEC = Spec({
     "family": Field(str, "affine", choices=("affine", "poly")),
     "p": Field(int, lo=2, hi=classical_mac.PRIME_CAP),
@@ -198,14 +106,6 @@ class ScenarioConfig:
     output_path: str | None = None
     base_dir: Path | None = None  # for resolving referenced files
     name: str = "scenario"
-
-    def __post_init__(self):
-        if self.scenario_kind not in SCENARIO_KINDS:
-            raise ParameterError(f"unknown scenario {self.scenario_kind!r}; expected one of {SCENARIO_KINDS}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < 2**64:
-            raise ParameterError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        if self.output_format not in ("json", "csv"):
-            raise ParameterError(f"output format must be json or csv, got {self.output_format!r}")
 
     @property
     def sha256(self) -> str:
@@ -374,13 +274,13 @@ def _run_generic_qmac(params: dict, config: ScenarioConfig) -> dict:
         }
 
     if "scheme" in params:
-        doc = params["scheme"]
+        doc, where = params["scheme"], "parameters.scheme"
     else:
         path = Path(params["scheme_path"])
         if config.base_dir is not None and not path.is_absolute():
             path = config.base_dir / path
-        doc = _read_json(path, "scheme file")
-    scheme = qmac_framework.scheme_from_json_dict(doc)
+        doc, where = _read_json(path, "scheme file"), str(path)
+    scheme = qmac_framework.scheme_from_json_dict(doc, where)
     if params["rule"]["kind"] == "symmetry-test":
         rule = qmac_framework.DecisionRule.symmetry_test(params["rule"]["copies"])
     else:
@@ -464,9 +364,10 @@ def _run_curty_santos(params: dict, config: ScenarioConfig) -> dict:
     if "unitary_name" in params:
         matrix = NAMED_UNITARIES[params["unitary_name"]]()
         instance = curty_santos.CurtySantosInstance(tag_unitary=UnitaryOperator(matrix, (2, 2)))
-    else:
-        doc = params["instance"] if "instance" in params else {"unitary": params["unitary"]}
-        instance = curty_santos.instance_from_json_dict(doc)
+    elif "instance" in params:
+        instance = curty_santos.instance_from_json_dict(params["instance"], "parameters.instance")
+    else:  # read as the instance {"unitary": ...} at "parameters", so errors name parameters.unitary
+        instance = curty_santos.instance_from_json_dict({"unitary": params["unitary"]}, "parameters")
     report = _cs_instance_report(instance)
     if "unitary_name" in params:
         report["unitary_name"] = params["unitary_name"]
@@ -523,6 +424,18 @@ RUNNERS = {
     "SymmetryTestSweep": (SYMMETRY_SWEEP_SPEC, _run_symmetry_sweep),
 }
 SCENARIO_KINDS = tuple(RUNNERS)
+_OUTPUT_SPEC = Spec({"format": Field(str, "json", choices=("json", "csv")), "path": Field(str, "")})
+CONFIG_SPEC = Spec({
+    "scenario": Field(str, choices=SCENARIO_KINDS),
+    "parameters": Field(dict, {}),
+    "seed": Field(int, 0, lo=0, hi=2**64 - 1),
+    "output": Field(dict, {}, spec=_OUTPUT_SPEC),
+})
+_OVERRIDES = {  # ScenarioConfig attribute -> (its flag, the field of the config key it overrides)
+    "seed": ("--seed", CONFIG_SPEC.fields["seed"]),
+    "output_format": ("--format", _OUTPUT_SPEC.fields["format"]),
+    "output_path": ("--output", _OUTPUT_SPEC.fields["path"]),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -598,9 +511,14 @@ def run(
 ) -> int:
     """Execute one scenario; returns the process exit code."""
     stdout = stdout or sys.stdout
-    overrides = {"output_path": output, "output_format": output_format, "seed": seed}
+    given = {"seed": seed, "output_format": output_format, "output_path": output}
     try:
-        config = replace(load_config(source), **{k: v for k, v in overrides.items() if v is not None})
+        overrides = {
+            key: _read_value(field, given[key], flag)
+            for key, (flag, field) in _OVERRIDES.items()
+            if given[key] is not None
+        }
+        config = replace(load_config(source), **overrides)
         spec, runner = RUNNERS[config.scenario_kind]
         params = read_spec(spec, config.parameters, "parameters")
         path = Path(config.output_path or f"{config.name}.{config.output_format}")

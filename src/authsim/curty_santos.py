@@ -45,7 +45,6 @@ from .quantum_core import (
     HermitianOperator,
     PureState,
     UnitaryOperator,
-    _check_document,
     basis_state,
     max_eigenpair,
     measure_projective,
@@ -54,6 +53,7 @@ from .quantum_core import (
     tensor,
     unitary_from_json_dict,
 )
+from .spec import Field, Spec, read_spec
 
 CONDITION_TOL = 1e-9
 VERDICT_TOL = 1e-6
@@ -200,16 +200,22 @@ def simulate_impersonation_acceptance(instance: CurtySantosInstance, psi: PureSt
     return float(distribution[list(instance.accept_set)].sum())
 
 
+def _attack_operators(matrices: np.ndarray, basis, accept) -> np.ndarray:
+    """The (n, 4, 4) attack operators of n tagging matrices: for each accepted
+    j, half the projector onto phi_j, then half that onto U phi_j, in order."""
+    m = np.zeros(matrices.shape, dtype=complex)
+    for j in accept:
+        phi = basis[j].amplitudes
+        m += 0.5 * np.outer(phi, phi.conj())
+        rotated = matrices @ phi
+        m += 0.5 * (rotated[:, :, None] * rotated[:, None, :].conj())
+    return m
+
+
 def attack_operator(instance: CurtySantosInstance) -> HermitianOperator:
     """Operator M with <psi|M|psi> = impersonation acceptance of psi."""
-    u = instance.tag_unitary.matrix
-    m = np.zeros((4, 4), dtype=complex)
-    for j in instance.accept_set:
-        phi = instance.basis[j].amplitudes
-        m += 0.5 * np.outer(phi, phi.conj())
-        rotated = u @ phi
-        m += 0.5 * np.outer(rotated, rotated.conj())
-    return HermitianOperator(m, (2, 2))
+    matrices = instance.tag_unitary.matrix[None]
+    return HermitianOperator(_attack_operators(matrices, instance.basis, instance.accept_set)[0], (2, 2))
 
 
 def optimal_impersonation(instance: CurtySantosInstance) -> AttackReport:
@@ -266,10 +272,11 @@ def incompatibility_reports(unitaries, basis=None, accept_set=(0, 1)) -> list[In
     carrier basis and accept set.
 
     The basis and accept set are checked once, as ``CurtySantosInstance``
-    checks them. The attack operators are built as one stack, checked
-    Hermitian at once, and their top eigenvalues come from one batched
-    ``eigh`` of (M + M†)/2, the matrix ``max_eigenpair`` diagonalises. Each
-    value is bit for bit what the single-instance computation gives.
+    checks them. The attack operators are built as one stack by the
+    builder ``attack_operator`` also uses, checked Hermitian at once, and
+    their top eigenvalues come from one batched ``eigh`` of (M + M†)/2, the
+    matrix ``max_eigenpair`` diagonalises. Each value is bit for bit what
+    the single-instance computation gives.
     """
     unitaries = list(unitaries)
     if not unitaries:
@@ -277,15 +284,8 @@ def incompatibility_reports(unitaries, basis=None, accept_set=(0, 1)) -> list[In
     for gate in unitaries:
         _check_tag_unitary(gate)
     basis, accept = _checked_basis(basis), _checked_accept_set(accept_set)
-    # attack_operator's outer products, summed in its order over the whole (n, 4, 4) stack
     matrices = np.array([gate.matrix for gate in unitaries])
-    m = np.zeros(matrices.shape, dtype=complex)
-    rotated = []
-    for j in accept:
-        phi = basis[j].amplitudes
-        m += 0.5 * np.outer(phi, phi.conj())
-        rotated.append(matrices @ phi)
-        m += 0.5 * (rotated[-1][:, :, None] * rotated[-1][:, None, :].conj())
+    m = _attack_operators(matrices, basis, accept)
     m_dagger = m.conj().transpose(0, 2, 1)
     defect = np.abs(m - m_dagger).max()
     if not defect <= NORM_ATOL:
@@ -293,9 +293,8 @@ def incompatibility_reports(unitaries, basis=None, accept_set=(0, 1)) -> list[In
     tops = np.linalg.eigh((m + m_dagger) / 2.0)[0][:, -1].tolist()
     # <phi_j|U phi_j> by a 1x4 @ 4x1 matmul (the dot np.vdot takes), and its
     # modulus by hypot (the one abs(complex) takes), so the bits match.
-    diagonal = np.stack(
-        [(basis[j].amplitudes.conj() @ r[:, :, None])[:, 0] for j, r in zip(accept, rotated)], axis=1
-    )
+    phis = [basis[j].amplitudes for j in accept]
+    diagonal = np.stack([(phi.conj() @ (matrices @ phi)[:, :, None])[:, 0] for phi in phis], axis=1)
     reports = []
     for impersonation, overlaps in zip(tops, np.hypot(diagonal.real, diagonal.imag).tolist()):
         overlaps = tuple(overlaps)
@@ -359,15 +358,15 @@ def as_qmac_scheme(instance: CurtySantosInstance) -> QmacScheme:
     )
 
 
-def instance_from_json_dict(doc: dict) -> CurtySantosInstance:
-    _check_document(doc, "instance", ("unitary",), ("basis", "accept_set"))
-    try:
-        basis_docs = tuple(doc["basis"]) if "basis" in doc else None
-        accept = tuple(doc.get("accept_set", (0, 1)))
-    except TypeError as exc:
-        raise ParameterError(f"malformed instance document: {exc}") from exc
-    if not all(isinstance(j, int) and not isinstance(j, bool) for j in accept):
-        raise ParameterError(f"accept set must hold basis indices, got {accept!r}")
-    gate = unitary_from_json_dict(doc["unitary"])
-    basis = None if basis_docs is None else tuple(state_from_json_dict(s) for s in basis_docs)
-    return CurtySantosInstance(tag_unitary=gate, basis=basis, accept_set=accept)
+INSTANCE_SPEC = Spec({
+    "unitary": Field(dict), "basis": Field(list), "accept_set": Field(list, [0, 1], item=Field(int))
+}, optional=("basis",))
+
+
+def instance_from_json_dict(doc: dict, where: str = "instance") -> CurtySantosInstance:
+    doc = read_spec(INSTANCE_SPEC, doc, where)
+    basis = doc.get("basis")
+    if basis is not None:
+        basis = [state_from_json_dict(state, f"{where}.basis[{i}]") for i, state in enumerate(basis)]
+    gate = unitary_from_json_dict(doc["unitary"], f"{where}.unitary")
+    return CurtySantosInstance(tag_unitary=gate, basis=basis, accept_set=doc["accept_set"])

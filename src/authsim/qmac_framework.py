@@ -46,7 +46,6 @@ from .quantum_core import (
     STACK_ENTRIES,
     PureState,
     UnitaryOperator,
-    _check_document,
     _trusted,
     iter_random_unitaries,
     state_from_json_dict,
@@ -55,6 +54,7 @@ from .quantum_core import (
     unitary_from_json_dict,
     basis_state,
 )
+from .spec import Field, Spec, read_spec
 from .symmetry_test import acceptance_error_formula
 
 OVERLAP_TOL = 1e-9
@@ -463,46 +463,37 @@ def scheme_to_json_dict(scheme: QmacScheme) -> dict:
     }
 
 
-def scheme_from_json_dict(doc: dict) -> QmacScheme:
-    _check_document(
-        doc,
-        "scheme",
-        ("messages", "keys", "label_table", "tag_unitaries", "initial_state"),
-        ("name", "multiplicity"),
-    )
-    try:
-        messages = tuple(doc["messages"])
-        keys = tuple(doc["keys"])
-    except TypeError as exc:
-        raise ParameterError(f"malformed scheme document: {exc}") from exc
-    table = doc["label_table"]
-    unitaries_doc = doc["tag_unitaries"]
-    initial = state_from_json_dict(doc["initial_state"])
-    if not all(isinstance(item, Hashable) for item in messages + keys):
-        raise ParameterError("scheme keys and messages must be scalars, not lists or objects")
-    if (
-        not isinstance(table, list)
-        or len(table) != len(keys)
-        or any(not isinstance(row, list) or len(row) != len(messages) for row in table)
-    ):
-        raise ParameterError("label table shape does not match keys x messages")
-    if not isinstance(unitaries_doc, dict):
-        raise ParameterError("tag_unitaries must be an object mapping labels to operators")
+SCHEME_SPEC = Spec({
+    "name": Field(str, ""),
+    "messages": Field(list, item=Field(Hashable)),
+    "keys": Field(list, item=Field(Hashable)),
+    "multiplicity": Field(int, 1, lo=1),
+    "label_table": Field(list, item=Field(list)),
+    "tag_unitaries": Field(dict),
+    "initial_state": Field(dict),
+})
+
+
+def scheme_from_json_dict(doc: dict, where: str = "scheme") -> QmacScheme:
+    doc = read_spec(SCHEME_SPEC, doc, where)
+    messages, keys, table = tuple(doc["messages"]), tuple(doc["keys"]), doc["label_table"]
+    if len(table) != len(keys) or any(len(row) != len(messages) for row in table):
+        raise ParameterError(f"{where}.label_table shape does not match keys x messages")
     lookup = {
-        (key, message): str(table[ki][mi])
-        for ki, key in enumerate(keys)
-        for mi, message in enumerate(messages)
+        (key, message): str(label) for key, row in zip(keys, table) for message, label in zip(messages, row)
     }
-    missing = {lbl for lbl in lookup.values() if lbl not in unitaries_doc}
+    missing = set(lookup.values()) - set(doc["tag_unitaries"])
     if missing:
-        raise ParameterError(f"labels without tagging unitaries: {sorted(missing)}")
-    unitaries = {lbl: unitary_from_json_dict(spec) for lbl, spec in unitaries_doc.items()}
+        raise ParameterError(f"{where}: labels without tagging unitaries: {sorted(missing)}")
     return QmacScheme(
         message_set=messages,
         key_set=keys,
         label_fn=lambda k, m: lookup[(k, m)],
-        tag_unitaries=unitaries,
-        initial_state=initial,
-        multiplicity=doc.get("multiplicity", 1),
-        name=str(doc.get("name", "")),
+        tag_unitaries={
+            label: unitary_from_json_dict(op, f"{where}.tag_unitaries.{label}")
+            for label, op in doc["tag_unitaries"].items()
+        },
+        initial_state=state_from_json_dict(doc["initial_state"], f"{where}.initial_state"),
+        multiplicity=doc["multiplicity"],
+        name=doc["name"],
     )

@@ -1,0 +1,102 @@
+"""Declarative reader for every JSON object authsim takes in: the scenario
+config, its parameter objects, and the state, operator, scheme and instance
+documents. Each has a ``Spec``, applied once by ``read_spec``; an error names
+its exact spot, e.g. ``parameters.scheme.tag_unitaries.0,0.matrix[1][0]``.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Hashable
+from dataclasses import dataclass
+
+from .errors import ParameterError
+
+
+@dataclass(frozen=True)
+class Field:
+    """One key of a JSON object: ``type`` is int (never bool), float (any
+    number, read as a float), str, dict, list (items read by ``item``) or
+    Hashable (any JSON scalar); ``lo``/``hi`` are inclusive and bound a
+    list's length. A key without a default is required unless a one-of
+    group or the spec's ``optional`` names it. ``only_with`` = (key, value)
+    allows the key, and gives it its default, only where an earlier key of
+    the object reads that value."""
+
+    type: type
+    default: object = None
+    lo: float | None = None
+    hi: float | None = None
+    choices: tuple = ()
+    spec: Spec | None = None
+    item: Field | None = None
+    only_with: tuple = ()
+
+
+@dataclass(frozen=True)
+class Spec:
+    """The keys of one JSON object. A one-of group lists alternatives (a
+    key, or keys joined by '/'): at most one may be given, and exactly one
+    unless some alternative has defaults for all its keys. ``optional``
+    names keys that may be absent and have no default."""
+
+    fields: dict
+    one_of: tuple = ()
+    optional: tuple = ()
+
+
+_TYPE_NAMES = {
+    int: "an integer", float: "a number", str: "a string", dict: "an object", list: "a list",
+    Hashable: "a scalar",
+}
+
+
+def _read_value(field: Field, value, where: str):
+    accepted = (int, float) if field.type is float else field.type
+    if isinstance(value, bool) and field.type is not Hashable or not isinstance(value, accepted):
+        raise ParameterError(f"{where} must be {_TYPE_NAMES[field.type]}, got {value!r}")
+    if field.spec is not None:
+        return read_spec(field.spec, value, where)
+    if field.item is not None:
+        value = [_read_value(field.item, item, f"{where}[{i}]") for i, item in enumerate(value)]
+    size, of = (len(value), "the length of ") if field.type is list else (value, "")
+    if field.lo is not None and not field.lo <= size:
+        raise ParameterError(f"{of}{where} must be >= {field.lo}, got {size!r}")
+    if field.hi is not None and not size <= field.hi:
+        raise ParameterError(f"{of}{where} must be <= {field.hi}, got {size!r}")
+    if field.choices and value not in field.choices:
+        raise ParameterError(f"{where} must be one of {list(field.choices)}, got {value!r}")
+    try:
+        return float(value) if field.type is float else value
+    except OverflowError:
+        raise ParameterError(f"{where} is too large for a float, got {value!r}") from None
+
+
+def read_spec(spec: Spec, doc, where: str) -> dict:
+    """Checked copy of the JSON object ``doc``: unknown keys and broken
+    one-of groups are rejected, each given value is read by its field, and
+    each absent key with a default gets it, read the same way."""
+    if not isinstance(doc, dict):
+        raise ParameterError(f"{where} must be an object, got {doc!r}")
+    unknown = sorted(set(doc) - set(spec.fields))
+    if unknown:
+        raise ParameterError(f"{where}: unknown key(s) {unknown}; allowed keys are {sorted(spec.fields)}")
+    optional = set(spec.optional)
+    for group in spec.one_of:
+        alternatives = [alt.split("/") for alt in group]
+        optional.update(*alternatives)
+        given = [alt for alt in alternatives if any(key in doc for key in alt)]
+        defaulted = any(all(spec.fields[key].default is not None for key in alt) for alt in alternatives)
+        if len(given) > 1 or not (given or defaulted):
+            many = "at most" if defaulted else "exactly"
+            raise ParameterError(f"{where} takes {many} one of {' | '.join(group)}")
+    out = {}
+    for key, field in spec.fields.items():
+        allowed = not field.only_with or out.get(field.only_with[0]) == field.only_with[1]
+        if key in doc and not allowed:
+            other, value = field.only_with
+            raise ParameterError(f"{where}.{key} is allowed only when {other} is {value!r}")
+        if key in doc or (field.default is not None and allowed):
+            out[key] = _read_value(field, doc[key] if key in doc else field.default, f"{where}.{key}")
+        elif field.default is None and key not in optional:
+            raise ParameterError(f"{where}.{key} is required")
+    return out

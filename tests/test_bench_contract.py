@@ -4,17 +4,22 @@
 looked up with ``getattr`` on ``authsim.<layer>``, and the ``__post_init__``
 of every ``VALIDATED_TYPES`` class of ``quantum_core``. A name missing from
 the library crashes every traced benchmark run (``--trace 1``), so these
-tests pin the names. The tracer imports only the standard library and is
-loaded by file path.
+tests pin the names, and one traced smoke run of the built-in scenarios
+checks that every wrapped call still goes through. The tracer imports only
+the standard library and is loaded by file path.
 """
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 from authsim import quantum_core
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER_PATH = ROOT / "bench" / "tracer.py"
 
 
 def load_tracer():
@@ -45,3 +50,20 @@ def test_every_validated_type_is_a_quantum_core_class():
         or "__post_init__" not in vars(getattr(quantum_core, name))
     ]
     assert types and missing == []
+
+
+def test_traced_builtin_smoke_run():
+    """One traced pass of every built-in scenario in JSON and CSV (about 2 s).
+
+    The per-layer counts pinned in bench/test_smoke.py are not checked here;
+    this catches a library change that breaks a traced call, such as a new
+    signature of a wrapped function.
+    """
+    argv = ["--workload", "builtin-scenarios", "--seed", "7", "--seconds", "1", "--trace", "1", "--smoke"]
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", *argv], cwd=ROOT, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] and result["failed"] == 0, proc.stdout
+    assert result["metrics"]["cli.run.calls"]["value"] == 14

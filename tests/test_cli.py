@@ -423,6 +423,9 @@ MALFORMED_CONFIGS = {
     "cs-unitary-component-infinity": _cfg(
         "CurtySantos", {"unitary": _swap_unitary(matrix=_with_first_component(SWAP_UNITARY["matrix"], math.inf))}
     ),
+    "cs-unitary-component-overflows": _cfg(
+        "CurtySantos", {"unitary": _swap_unitary(matrix=_with_first_component(SWAP_UNITARY["matrix"], 1e308))}
+    ),
     "gq-scheme-unitary-component-nan": _inline_scheme(lambda doc: _set_first_tag_component(doc, math.nan)),
     "gq-scheme-unitary-component-infinity": _inline_scheme(
         lambda doc: _set_first_tag_component(doc, math.inf)
@@ -433,10 +436,19 @@ MALFORMED_CONFIGS = {
     "gq-initial-state-component-infinity": _inline_scheme(
         lambda doc: doc["initial_state"].update(amplitudes=[[math.inf, 0.0], [0.0, 0.0]])
     ),
+    "gq-initial-state-component-overflows": _inline_scheme(
+        lambda doc: doc["initial_state"].update(amplitudes=[[1e200, 0.0], [0.0, 0.0]])
+    ),
     "gq-scheme-unknown-key": _inline_scheme(lambda doc: doc.update(comment="x")),
     "gq-initial-state-unknown-key": _inline_scheme(lambda doc: doc["initial_state"].update(norm=1)),
     "gq-initial-state-component-true": _inline_scheme(
         lambda doc: doc["initial_state"].update(amplitudes=[[True, 0.0], [0.0, 0.0]])
+    ),
+    "gq-scheme-messages-string": _inline_scheme(lambda doc: doc.update(messages="ab")),
+    "gq-scheme-keys-string": _inline_scheme(lambda doc: doc.update(keys="ab")),
+    "gq-scheme-name-object": _inline_scheme(lambda doc: doc.update(name={"x": [1]})),
+    "cs-unitary-matrix-ragged": _cfg(
+        "CurtySantos", {"unitary": _swap_unitary(matrix=SWAP_UNITARY["matrix"][:1] + [[[1.0, 0.0]]] * 3)}
     ),
     "st-unknown-key": _cfg("SymmetryTestSweep", {"t_maximum": 5}),
     "st-t-values-str": _cfg("SymmetryTestSweep", {"t_values": "ab"}),
@@ -594,28 +606,35 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6,
 )
+DOCUMENT_SPECS = (
+    quantum_core.STATE_SPEC, quantum_core.OPERATOR_SPEC, qmac_framework.SCHEME_SPEC, curty_santos.INSTANCE_SPEC
+)
 CONFIG_KEYS = sorted(
     {key for spec, _ in cli.RUNNERS.values() for key in spec.fields}
     | set(cli.CONFIG_SPEC.fields)
     | {"count", "dim", "num_keys", "num_messages", "kind", "copies", "format", "path"}
+    | {key for spec in DOCUMENT_SPECS for key in spec.fields}
 )
 
 
 def _mutate(draw, node):
-    """Drop a key, replace a value with random JSON, add a key, or recurse."""
-    op = draw(st.sampled_from(("drop", "replace", "add", "descend") if node else ("add",)))
+    """Drop a key or item, replace a value with random JSON, add a key or
+    item, or recurse into a nested object or list."""
+    slots = sorted(node) if isinstance(node, dict) else list(range(len(node)))
+    op = draw(st.sampled_from(("drop", "replace", "add", "descend") if slots else ("add",)))
     if op == "add":
-        node[draw(st.sampled_from(CONFIG_KEYS) | st.text(max_size=4))] = draw(JSON_VALUES)
+        if isinstance(node, dict):
+            node[draw(st.sampled_from(CONFIG_KEYS) | st.text(max_size=4))] = draw(JSON_VALUES)
+        else:
+            node.append(draw(JSON_VALUES))
         return
-    key = draw(st.sampled_from(sorted(node)))
+    slot = draw(st.sampled_from(slots))
     if op == "drop":
-        del node[key]
-    elif op == "descend" and isinstance(node[key], dict):
-        _mutate(draw, node[key])
-    elif op == "descend" and isinstance(node[key], list) and node[key]:
-        node[key][draw(st.integers(0, len(node[key]) - 1))] = draw(JSON_VALUES)
+        del node[slot]
+    elif op == "descend" and isinstance(node[slot], (dict, list)):
+        _mutate(draw, node[slot])
     else:
-        node[key] = draw(JSON_VALUES)
+        node[slot] = draw(JSON_VALUES)
 
 
 @st.composite
@@ -627,13 +646,53 @@ def mutated_builtin_configs(draw):
     return doc
 
 
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(doc=mutated_builtin_configs())
-def test_fuzzed_builtin_configs_exit_cleanly(doc, tmp_path):
+def assert_exits_cleanly(doc, tmp_path):
     config = tmp_path / "fuzz.json"
     config.write_text(json.dumps(doc))
     code, out = run_cli(str(config), str(tmp_path / "fuzz-report.out"))
     assert code in (0, 1, 2), out
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=mutated_builtin_configs())
+def test_fuzzed_builtin_configs_exit_cleanly(doc, tmp_path):
+    assert_exits_cleanly(doc, tmp_path)
+
+
+def _containers(node):
+    """Every object and list of a JSON document, the document first."""
+    if isinstance(node, (dict, list)):
+        yield node
+        for child in node.values() if isinstance(node, dict) else node:
+            yield from _containers(child)
+
+
+INSTANCE_WITH_BASIS = {
+    "unitary": SWAP_UNITARY,
+    "basis": [quantum_core.state_to_json_dict(state) for state in curty_santos.computational_basis()],
+    "accept_set": [1, 2],
+}
+INLINE_DOCUMENT_CONFIGS = (
+    _cfg("GenericQmac", {"scheme": scheme_to_json_dict(random_scheme(np.random.default_rng(11), dim=4))}),
+    _cfg("CurtySantos", {"unitary": SWAP_UNITARY}),
+    _cfg("CurtySantos", {"instance": INSTANCE_WITH_BASIS}),
+)
+
+
+@st.composite
+def mutated_inline_documents(draw):
+    """A dim-4 inline scheme, unitary or instance config with one to three
+    mutations, each at an object or list drawn from the whole document."""
+    doc = copy.deepcopy(draw(st.sampled_from(INLINE_DOCUMENT_CONFIGS)))
+    for _ in range(draw(st.integers(1, 3))):
+        _mutate(draw, draw(st.sampled_from(list(_containers(doc)))))
+    return doc
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=mutated_inline_documents())
+def test_fuzzed_inline_documents_exit_cleanly(doc, tmp_path):
+    assert_exits_cleanly(doc, tmp_path)
 
 
 def reference_crossovers(t_values, delta_fracs, lambda_fracs, d, message_space_size):

@@ -253,19 +253,14 @@ def _run_generic_qmac(params: dict, config: ScenarioConfig) -> dict:
                 f"a random scheme would hold num_keys * num_messages * dim**2 = {entries} "
                 f"entries; the cap is {MAX_SCHEME_ENTRIES}"
             )
-        schemes = qmac_framework.random_schemes(
+        reports = qmac_framework.random_scheme_reports(
             np.random.default_rng(config.seed),
             shape["count"],
             shape["dim"],
             shape["num_keys"],
             shape["num_messages"],
         )
-        # No name holds a scheme or its report (enumerate would keep the last
-        # one), so each is freed before the next stack of unitaries is drawn.
-        rows = [
-            _random_scheme_row(index, qmac_framework.verify_theorem2(next(schemes)))
-            for index in range(shape["count"])
-        ]
+        rows = [_random_scheme_row(index, report) for index, report in enumerate(reports)]
         return {
             "random_schemes": shape,
             "all_margins_positive": all(row["margin"] > 0.0 for row in rows),
@@ -461,7 +456,8 @@ def _write_artifact(config: ScenarioConfig, report: dict, path: Path) -> None:
     if config.scenario_kind == "SymmetryTestSweep":
         columns = symmetry_test.SWEEP_COLUMNS
         header = list(columns) + ["seed", "config_sha256"]
-        csv_rows = [[row[c] for c in columns] + [config.seed, config.sha256] for row in report["rows"]]
+        stamp = [config.seed, config.sha256]
+        csv_rows = [[row[c] for c in columns] + stamp for row in report["rows"]]
         path.write_text(render_csv(header, csv_rows), encoding="utf-8")
         return
     flat: list = []

@@ -19,13 +19,18 @@ orthogonal for every message (classical-equivalent schemes) sit on the
 
 Each scheme compiles itself on construction: label_fn is walked once over
 messages x keys into a label-index table, from which the partition and
-injectivity checks are read; each realized label gets one tag-state row; and
-the overlaps of every label pair of every message are computed once, in
-bounded batches of stacked 1 x d by d x 1 products that give each pair the
-bits of its own vdot, and kept as one flat list that the decision rules
-score in one call. Random schemes come from one stream of Haar unitaries
-drawn in stacks that span schemes (``random_schemes``), bit for bit the
-unitaries of one draw per tag.
+injectivity checks are read; each realized label gets one tag-state row,
+from stacked products that give each row the bits of its own gemv; and the
+overlaps of every label pair of every message are computed once, in bounded
+batches of stacked 1 x d by d x 1 products that give each pair the bits of
+its own vdot (``pair_overlaps``), and kept as one flat list that the
+decision rules score in one call. Random schemes come from one stream of
+Haar unitaries drawn in stacks that span schemes, bit for bit the unitaries
+of one draw per tag. An ensemble of them is decided from stacked tag-state
+rows (``random_scheme_reports``): the label structure is compiled once and
+each stack gives the rows of all its unitaries in one product, so no scheme
+is built per draw; ``random_schemes``, one scheme per draw, is its
+reference.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from .quantum_core import (
     PureState,
     UnitaryOperator,
     _trusted,
+    iter_haar_stacks,
     iter_random_unitaries,
     state_from_json_dict,
     state_to_json_dict,
@@ -166,19 +172,21 @@ class QmacScheme:
 
     @cached_property
     def states(self) -> np.ndarray:
-        """Tag state E_tau |psi_in> of each label, one read-only row per label."""
+        """Tag state E_tau |psi_in> of each label, one read-only row per label.
+
+        The tagging matrices are stacked in batches of at most STACK_ENTRIES
+        entries and multiplied by |psi_in> in one product per batch, which
+        runs the same gemv per matrix as ``gate.matrix @ psi``.
+        """
+        gates = [self.tag_unitaries.get(label) for label in self.labels]
+        if None in gates:
+            raise ParameterError(f"label {self.labels[gates.index(None)]!r} has no tagging unitary")
         psi = self.initial_state.amplitudes
-        rows = np.empty((len(self.labels), psi.size), dtype=complex)
-        for p, label in enumerate(self.labels):
-            gate = self.tag_unitaries.get(label)
-            if gate is None:
-                raise ParameterError(f"label {label!r} has no tagging unitary")
-            rows[p] = gate.matrix @ psi
-        norms = np.linalg.norm(rows, axis=1)
-        off = ~(np.abs(norms - 1.0) <= NORM_ATOL)
-        if off.any():
-            norm = norms[np.argmax(off)]
-            raise ParameterError(f"state norm {norm!r} is not 1 within {NORM_ATOL}")
+        step = max(1, STACK_ENTRIES // psi.size**2)
+        rows = np.concatenate(
+            [np.stack([gate.matrix for gate in gates[i : i + step]]) @ psi for i in range(0, len(gates), step)]
+        )
+        _check_norms(rows)
         rows.setflags(write=False)
         return rows
 
@@ -188,28 +196,48 @@ class QmacScheme:
         return list(itertools.accumulate((len(b) * (len(b) - 1) // 2 for b in self.blocks), initial=0))
 
     @cached_property
+    def pair_index(self) -> np.ndarray:
+        """Row positions (i, j) of the label pairs i < j of every message, in ``overlaps`` order."""
+        pairs = [pair for blocks in self.blocks for pair in itertools.combinations(blocks, 2)]
+        return np.array(pairs, dtype=np.intp).reshape(-1, 2)
+
+    @cached_property
     def overlaps(self) -> list[float]:
         """|<Psi_i|Psi_j>| for the label pairs i < j of every message, flat.
 
         Messages follow in order, message mi's pairs from ``pair_starts[mi]``,
-        each message's in itertools.combinations order over its labels. Each
-        pair is the 1 x d by d x 1 matmul of its conjugated and plain rows,
-        which reaches the zdot kernel np.vdot calls, and its modulus is
-        np.hypot, which abs of a complex scalar calls, so every value is bit
-        for bit abs(np.vdot(row_i, row_j)); a Gram product, einsum or np.abs
-        would move reported overlaps in the last bit. Pairs go in batches of
-        at most STACK_ENTRIES gathered entries per side.
+        each message's in itertools.combinations order over its labels; the
+        values are those of ``pair_overlaps``.
         """
-        rows = self.states
-        pairs = [pair for blocks in self.blocks for pair in itertools.combinations(blocks, 2)]
-        index = np.array(pairs, dtype=np.intp).reshape(-1, 2)
-        step = max(1, STACK_ENTRIES // rows.shape[1])
-        values: list[float] = []
-        for start in range(0, len(index), step):
-            batch = index[start : start + step]
-            dots = rows[batch[:, 0]].conj()[:, None, :] @ rows[batch[:, 1]][:, :, None]
-            values += np.hypot(dots.real, dots.imag).ravel().tolist()
-        return values
+        return pair_overlaps(self.states, self.pair_index)
+
+
+def _check_norms(rows: np.ndarray) -> None:
+    """Every tag-state row has unit norm within NORM_ATOL (NaN fails)."""
+    norms = np.linalg.norm(rows, axis=1)
+    off = ~(np.abs(norms - 1.0) <= NORM_ATOL)
+    if off.any():
+        norm = norms[np.argmax(off)]
+        raise ParameterError(f"state norm {norm!r} is not 1 within {NORM_ATOL}")
+
+
+def pair_overlaps(rows: np.ndarray, index: np.ndarray) -> list[float]:
+    """|<rows[i]|rows[j]>| for each pair (i, j) of ``index``, as Python floats.
+
+    Each pair is the 1 x d by d x 1 matmul of its conjugated and plain rows,
+    which reaches the zdot kernel np.vdot calls, and its modulus is np.hypot,
+    which abs of a complex scalar calls, so every value is bit for bit
+    abs(np.vdot(rows[i], rows[j])); a Gram product, einsum or np.abs would
+    move reported overlaps in the last bit. Pairs go in batches of at most
+    STACK_ENTRIES gathered entries per side.
+    """
+    step = max(1, STACK_ENTRIES // rows.shape[1])
+    values: list[float] = []
+    for start in range(0, len(index), step):
+        batch = index[start : start + step]
+        dots = rows[batch[:, 0]].conj()[:, None, :] @ rows[batch[:, 1]][:, :, None]
+        values += np.hypot(dots.real, dots.imag).ravel().tolist()
+    return values
 
 
 def validate_scheme(scheme: QmacScheme) -> None:
@@ -351,14 +379,20 @@ def impersonation_deception(
         )
     return AttackReport(
         attack="impersonation",
-        deception_probability=floor + (1.0 - floor) * best_q,
+        deception_probability=_deception_probability(floor, best_q),
         classical_floor=floor,
         witness_message=witness_message,
         witness_labels=witness_labels,
         witness_state=witness_state,
         witness_strategy=strategy,
-        deception_probability_average=floor + (1.0 - floor) * mean_q,
+        deception_probability_average=_deception_probability(floor, mean_q),
     )
+
+
+def _deception_probability(floor: float, q: float) -> float:
+    """Success of a forger who hits the right tag with probability ``floor``
+    and otherwise is accepted with probability ``q``."""
+    return floor + (1.0 - floor) * q
 
 
 @dataclass(frozen=True, eq=False)
@@ -381,7 +415,11 @@ def verify_theorem2(scheme: QmacScheme) -> Theorem2Report:
     positive otherwise.
     """
     attack = impersonation_deception(scheme, DecisionRule.projective())
-    lam_max = max_offdiagonal_overlap(scheme)
+    return _theorem2_report(attack, max_offdiagonal_overlap(scheme))
+
+
+def _theorem2_report(attack: AttackReport, lam_max: float) -> Theorem2Report:
+    """The Theorem 2 verdict on a projective-rule attack and the largest overlap."""
     classical = lam_max <= OVERLAP_TOL
     p0 = attack.classical_floor if classical else attack.deception_probability
     return Theorem2Report(
@@ -392,6 +430,16 @@ def verify_theorem2(scheme: QmacScheme) -> Theorem2Report:
         classical_equivalent=classical,
         attack=attack,
     )
+
+
+def _random_shape(num_keys: int, num_messages: int) -> tuple[tuple, tuple, list]:
+    """Keys, messages and the labels (k, m) of a random scheme in draw order, key-major."""
+    keys, messages = tuple(range(num_keys)), tuple(range(num_messages))
+    return keys, messages, [(k, m) for k in keys for m in messages]
+
+
+def _random_label(key, message) -> Label:
+    return (key, message)
 
 
 def random_schemes(
@@ -407,17 +455,16 @@ def random_schemes(
     scheme are those of one draw per (scheme, k, m). A stack is drawn only
     when the previous one is used up and stays within STACK_ENTRIES entries,
     so a caller that drops each scheme before taking the next keeps peak
-    memory to about one scheme.
+    memory to about one scheme. This is the reference for
+    ``random_scheme_reports``.
     """
-    keys = tuple(range(num_keys))
-    messages = tuple(range(num_messages))
-    labels = [(k, m) for k in keys for m in messages]
+    keys, messages, labels = _random_shape(num_keys, num_messages)
     gates = iter_random_unitaries(count * len(labels), dim, rng)
     for _ in range(count):
         yield QmacScheme(
             message_set=messages,
             key_set=keys,
-            label_fn=lambda k, m: (k, m),
+            label_fn=_random_label,
             tag_unitaries=dict(zip(labels, itertools.islice(gates, len(labels)))),
             initial_state=basis_state(0, (dim,)),
             multiplicity=1,
@@ -430,6 +477,55 @@ def random_scheme(
 ) -> QmacScheme:
     """One random symmetric scheme: the count-1 case of ``random_schemes``."""
     return next(random_schemes(rng, 1, dim, num_keys, num_messages))
+
+
+def random_scheme_reports(
+    rng: np.random.Generator, count: int, dim: int = 2, num_keys: int = 2, num_messages: int = 2
+) -> Iterator[Theorem2Report]:
+    """``verify_theorem2`` of each of ``random_schemes(rng, count, ...)``,
+    decided without building a scheme per draw.
+
+    The label structure is compiled and validated once, in one unitary-free
+    scheme. Each Haar stack of ``iter_haar_stacks`` (the stream behind
+    ``random_schemes``) gives its tag states in one ``stack @ psi``, the
+    same gemv per matrix as ``QmacScheme.states``; the rows are copied into
+    one ``(|labels|, d)`` table in label order, which is norm-checked and
+    scored by ``pair_overlaps`` and the projective rule once it holds a
+    whole scheme. So the reports' values are bit for bit those of the
+    reference, while at most one stack and one table are alive. Each
+    report's attack carries the deception probability and the floor, range
+    checked, but no witness and no mean.
+    """
+    keys, messages, labels = _random_shape(num_keys, num_messages)
+    compiled = QmacScheme(
+        message_set=messages,
+        key_set=keys,
+        label_fn=_random_label,
+        tag_unitaries={},
+        initial_state=basis_state(0, (dim,)),
+    )
+    compiled.validate()
+    position = {label: p for p, label in enumerate(compiled.labels)}
+    order = np.array([position[label] for label in labels], dtype=np.intp)
+    floor = 1.0 / compiled.tags_per_message
+    rule = DecisionRule.projective()
+    table = np.empty((len(labels), dim), dtype=complex)
+    filled = 0
+    stacks = iter_haar_stacks(count * len(labels), dim, rng)
+    # map binds no name to a stack, so each is released before the next is drawn
+    for rows in map(np.matmul, stacks, itertools.repeat(compiled.initial_state.amplitudes)):
+        start = 0
+        while start < len(rows):
+            take = min(len(labels) - filled, len(rows) - start)
+            table[order[filled : filled + take]] = rows[start : start + take]
+            filled, start = filled + take, start + take
+            if filled == len(labels):
+                filled = 0
+                _check_norms(table)
+                overlaps = pair_overlaps(table, compiled.pair_index)
+                best_q = max(rule.wrong_tag_acceptances(overlaps), default=0.0)
+                attack = AttackReport("impersonation", _deception_probability(floor, best_q), floor)
+                yield _theorem2_report(attack, float(max(overlaps, default=0.0)))
 
 
 def _label_to_str(label) -> str:

@@ -339,9 +339,10 @@ def random_state(dims, rng: np.random.Generator) -> PureState:
     return PureState(vec / np.linalg.norm(vec), dims)
 
 
-def iter_random_unitaries(count: int, dims, rng: np.random.Generator) -> Iterator[UnitaryOperator]:
+def iter_haar_stacks(count: int, dims, rng: np.random.Generator) -> Iterator[np.ndarray]:
     """``count`` Haar-random unitaries via QR with the phase convention
-    diag(R) > 0, drawn one stack at a time as they are taken.
+    diag(R) > 0, as checked read-only ``(size, d, d)`` stacks drawn one at a
+    time as they are taken.
 
     Stacked draws of normals and batched QR (Mezzadri, "How to generate
     random matrices from the classical compact groups",
@@ -351,24 +352,22 @@ def iter_random_unitaries(count: int, dims, rng: np.random.Generator) -> Iterato
     of ``count`` calls to ``random_unitary``. A stack holds at most
     STACK_ENTRIES matrix entries, so its temporaries stay near 64 KiB however
     large the matrices, and it is drawn only when the previous one is used
-    up. The count, dims and dimension cap are checked before anything is
-    drawn; the unitarity check runs once per stack, and each unitary is a
-    read-only view into its checked stack.
+    up; the generator keeps no reference to a stack it has yielded. The
+    count, dims and dimension cap are checked before anything is drawn; the
+    unitarity check runs once per stack.
     """
     if not isinstance(count, int) or isinstance(count, bool) or count < 1:
         raise ParameterError(f"unitary count must be a positive integer, got {count!r}")
-    dims = _resolve_dims(dims)
-    total = math.prod(dims)
+    total = math.prod(_resolve_dims(dims))
     if total > MAX_TOTAL_DIMENSION:
         raise ParameterError(f"total dimension {total} exceeds cap {MAX_TOTAL_DIMENSION}")
     per_stack = max(1, STACK_ENTRIES // total**2)
     for start in range(0, count, per_stack):
-        # bound to no name, so a used-up stack is released before the next is drawn
-        yield from _haar_stack(min(per_stack, count - start), dims, total, rng)
+        yield _haar_stack(min(per_stack, count - start), total, rng)
 
 
-def _haar_stack(size: int, dims: tuple[int, ...], total: int, rng: np.random.Generator) -> list:
-    """One checked stack of ``size`` Haar unitaries, each a read-only view into it."""
+def _haar_stack(size: int, total: int, rng: np.random.Generator) -> np.ndarray:
+    """One checked, read-only stack of ``size`` Haar unitaries of dimension ``total``."""
     normals = rng.standard_normal((size, 2, total, total))
     q, r = np.linalg.qr((normals[:, 0] + 1j * normals[:, 1]) / math.sqrt(2))
     diag = np.diagonal(r, axis1=1, axis2=2)
@@ -378,7 +377,15 @@ def _haar_stack(size: int, dims: tuple[int, ...], total: int, rng: np.random.Gen
     if off.any():
         raise ParameterError(f"matrix is not unitary: max |U†U - I| = {defects[np.argmax(off)]:.3e}")
     q.setflags(write=False)
-    return [_wrap(UnitaryOperator, matrix, dims) for matrix in q]
+    return q
+
+
+def iter_random_unitaries(count: int, dims, rng: np.random.Generator) -> Iterator[UnitaryOperator]:
+    """The unitaries of ``iter_haar_stacks``, each a read-only view into its stack."""
+    dims = _resolve_dims(dims)
+    for stack in iter_haar_stacks(count, dims, rng):
+        yield from [_wrap(UnitaryOperator, matrix, dims) for matrix in stack]
+        del stack  # a used-up stack is released before the next is drawn
 
 
 def random_unitaries(count: int, dims, rng: np.random.Generator) -> list[UnitaryOperator]:

@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -31,9 +32,24 @@ def fraction_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+_PLAIN = frozenset({str, int, float, bool, type(None)})
+
+
 def jsonable(obj):
     """Normalize report values: Fractions to num/den strings, complex to
-    [re, im] pairs, numpy scalars/arrays and tuples to plain Python."""
+    [re, im] pairs, numpy scalars/arrays and tuples to plain Python.
+
+    Plain values and containers are told apart by their exact type, one
+    lookup per node; only other values, subclasses included, go through the
+    ``isinstance`` chain.
+    """
+    kind = type(obj)
+    if kind in _PLAIN:
+        return obj
+    if kind is dict:
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if kind is list or kind is tuple:
+        return [jsonable(x) for x in obj]
     if isinstance(obj, Fraction):
         return fraction_str(obj)
     if isinstance(obj, complex):
@@ -54,34 +70,38 @@ def jsonable(obj):
 
 
 def _render(obj, indent: int, out: list) -> None:
-    pad = "  " * indent
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
+    """Append the JSON text of ``obj`` to ``out``, normalizing as ``jsonable``
+    does in the same walk: a value that is not plain is rendered as its
+    ``jsonable`` form."""
+    kind = type(obj)
+    if kind is str:
+        out.append(encode_basestring_ascii(obj))
+    elif kind is float:
         out.append(format_float(obj))
-    elif isinstance(obj, dict):
+    elif kind is int:
+        out.append(str(obj))
+    elif kind is bool:
+        out.append("true" if obj else "false")
+    elif obj is None:
+        out.append("null")
+    elif kind is dict:
         if not obj:
             out.append("{}")
             return
+        if any(type(key) is not str for key in obj):
+            obj = {str(k): v for k, v in obj.items()}
+        pad = "  " * indent
         out.append("{\n")
-        items = sorted(obj.items(), key=lambda kv: kv[0])
-        for i, (key, value) in enumerate(items):
-            out.append(f"{pad}  {json.dumps(str(key))}: ")
-            _render(value, indent + 1, out)
-            out.append(",\n" if i < len(items) - 1 else "\n")
+        for i, key in enumerate(sorted(obj)):
+            out.append(f"{pad}  {encode_basestring_ascii(key)}: ")
+            _render(obj[key], indent + 1, out)
+            out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
+    elif kind is list or kind is tuple:
         if not obj:
             out.append("[]")
             return
+        pad = "  " * indent
         out.append("[\n")
         for i, value in enumerate(obj):
             out.append(pad + "  ")
@@ -89,25 +109,41 @@ def _render(obj, indent: int, out: list) -> None:
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "]")
     else:
-        raise ParameterError(f"cannot render value of type {type(obj).__name__}")
+        value = jsonable(obj)
+        if type(value) in _PLAIN or type(value) in (dict, list):  # normalized: render it as such
+            _render(value, indent, out)
+        elif isinstance(value, str):
+            out.append(encode_basestring_ascii(value))
+        elif isinstance(value, int):
+            out.append(str(value))
+        elif isinstance(value, float):
+            out.append(format_float(value))
+        else:
+            raise ParameterError(f"cannot render value of type {type(value).__name__}")
 
 
 def render_json(obj) -> str:
     out: list = []
-    _render(jsonable(obj), 0, out)
+    _render(obj, 0, out)
     out.append("\n")
     return "".join(out)
 
 
 def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
+    kind = type(value)
+    if kind is float:
         return format_float(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, Fraction):
-        return fraction_str(value)
+    if kind is int:
+        return str(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is not str:  # bool cannot be subclassed: the rest are numpy, Fraction or subclass values
+        if isinstance(value, float):
+            return format_float(value)
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        if isinstance(value, Fraction):
+            return fraction_str(value)
     text = str(value)
     if any(ch in text for ch in ",\"\n"):
         text = '"' + text.replace('"', '""') + '"'

@@ -538,26 +538,21 @@ class TestConfigBoundary:
 
     @pytest.mark.parametrize(
         "shape",
-        # a stack of 16 x 16 draws spans one key, one of 2 x 2 draws spans 128 schemes
+        # a stack of 16 x 16 draws spans one key, one of 2 x 2 draws spans 256 schemes
         [{"count": 4, "dim": 16, "num_keys": 2, "num_messages": 16}, {"count": 300}],
     )
     def test_random_schemes_freed_before_next_stack(self, shape, monkeypatch, tmp_path):
-        """Peak memory stays near one scheme: with the cycle collector off,
-        every scheme the loop has taken is gone when the next stack is drawn."""
-        taken, alive_at_draw = [], []
-        real_schemes, real_stack = qmac_framework.random_schemes, quantum_core._haar_stack
-
-        def watched_schemes(*args):
-            for scheme in real_schemes(*args):
-                taken.append(weakref.ref(scheme))
-                yield scheme
-                del scheme
+        """Peak memory stays near one stack: with the cycle collector off,
+        every Haar stack drawn before is gone when the next one is drawn."""
+        drawn, alive_at_draw = [], []
+        real_stack = quantum_core._haar_stack
 
         def watched_stack(*args):
-            alive_at_draw.append(sum(ref() is not None for ref in taken))
-            return real_stack(*args)
+            alive_at_draw.append(sum(ref() is not None for ref in drawn))
+            stack = real_stack(*args)
+            drawn.append(weakref.ref(stack))
+            return stack
 
-        monkeypatch.setattr(qmac_framework, "random_schemes", watched_schemes)
         monkeypatch.setattr(quantum_core, "_haar_stack", watched_stack)
         config = write_config(tmp_path, "c.json", _cfg("GenericQmac", {"random_schemes": shape}))
         gc.disable()
@@ -565,9 +560,35 @@ class TestConfigBoundary:
             assert run_cli(str(config), str(tmp_path / "r.json"))[0] == 0
         finally:
             gc.enable()
-        assert len(taken) == shape["count"]
         assert len(alive_at_draw) > 1
         assert alive_at_draw == [0] * len(alive_at_draw)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [{"count": 4, "dim": 16, "num_keys": 2, "num_messages": 16}, {"count": 300}, {"count": 7, "dim": 5}],
+    )
+    def test_random_schemes_are_batched(self, shape, monkeypatch, tmp_path):
+        """One compiled scheme for the whole ensemble, and one Haar stack per
+        STACK_ENTRIES entries of the draws, not one per scheme."""
+        calls = {"schemes": 0, "stacks": 0}
+        real_stack, real_compile = quantum_core._haar_stack, qmac_framework.QmacScheme.__post_init__
+
+        def counted_stack(*args):
+            calls["stacks"] += 1
+            return real_stack(*args)
+
+        def counted_compile(scheme):
+            calls["schemes"] += 1
+            real_compile(scheme)
+
+        monkeypatch.setattr(quantum_core, "_haar_stack", counted_stack)
+        monkeypatch.setattr(qmac_framework.QmacScheme, "__post_init__", counted_compile)
+        config = write_config(tmp_path, "c.json", _cfg("GenericQmac", {"random_schemes": shape}))
+        assert run_cli(str(config), str(tmp_path / "r.json"))[0] == 0
+        dim = shape.get("dim", 2)
+        labels = shape.get("num_keys", 2) * shape.get("num_messages", 2)
+        per_stack = quantum_core.STACK_ENTRIES // dim**2
+        assert calls == {"schemes": 1, "stacks": math.ceil(shape["count"] * labels / per_stack)}
 
     def test_nogo_sweep_is_batched(self, monkeypatch, tmp_path):
         """One stacked draw, one kernel call, no instance per unitary."""

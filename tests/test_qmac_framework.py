@@ -5,7 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from authsim.errors import InvariantViolation, ParameterError
@@ -19,17 +19,21 @@ from authsim.qmac_framework import (
     max_offdiagonal_overlap,
     overlap_matrix,
     random_scheme,
+    random_scheme_reports,
     random_schemes,
     scheme_from_json_dict,
     scheme_to_json_dict,
     validate_scheme,
     verify_theorem2,
 )
+from authsim import quantum_core
 from authsim.quantum_core import (
+    STACK_ENTRIES,
     PureState,
     UnitaryOperator,
     basis_state,
     overlap,
+    random_state,
     random_unitaries,
 )
 from authsim.symmetry_test import acceptance_error_formula
@@ -341,8 +345,27 @@ class TestTagState:
             tag_unitaries={(0, 0): rotation(0.0)},
             initial_state=basis_state(0, (2,)),
         )
-        with pytest.raises(ParameterError, match="has no tagging unitary"):
+        # labels in first-appearance order: (0, 0), (1, 0), (0, 1), (1, 1)
+        with pytest.raises(ParameterError, match=r"^label \(1, 0\) has no tagging unitary$"):
             scheme.states
+
+    @pytest.mark.parametrize("dim", range(1, 65))
+    def test_stacked_rows_are_per_gate_gemv(self, dim):
+        # 20 labels: batches of STACK_ENTRIES // dim**2 matrices split them from dim 15 on
+        rng = np.random.default_rng(dim)
+        labels = [(k, m) for k in range(5) for m in range(4)]
+        gates = dict(zip(labels, random_unitaries(len(labels), dim, rng)))
+        for psi in (basis_state(0, (dim,)), random_state((dim,), rng)):
+            scheme = QmacScheme(
+                message_set=tuple(range(4)),
+                key_set=tuple(range(5)),
+                label_fn=lambda k, m: (k, m),
+                tag_unitaries=gates,
+                initial_state=psi,
+            )
+            expected = np.array([gates[label].matrix @ psi.amplitudes for label in scheme.labels])
+            assert np.array_equal(scheme.states, expected)
+            assert not scheme.states.flags.writeable
 
 
 class TestOverlapMatrix:
@@ -812,6 +835,66 @@ class TestRandomSchemesStream:
                 assert gate.dims == b.tag_unitaries[label].dims == (dim,)
                 assert not gate.matrix.flags.writeable
         assert stream_rng.bit_generator.state == sequential_rng.bit_generator.state
+
+
+def theorem2_row(report: Theorem2Report) -> tuple:
+    attack = report.attack
+    return (
+        report.p0, report.classical_floor, report.margin, report.max_overlap, report.classical_equivalent,
+        attack.attack, attack.deception_probability, attack.classical_floor,
+    )
+
+
+def gemv_vdot_overlaps(scheme: QmacScheme) -> list[float]:
+    """Pair overlaps from one gemv per tag state and one vdot per pair."""
+    psi = scheme.initial_state.amplitudes
+    rows = [scheme.tag_unitaries[label].matrix @ psi for label in scheme.labels]
+    return [abs(np.vdot(rows[i], rows[j])) for blocks in scheme.blocks for i, j in itertools.combinations(blocks, 2)]
+
+
+class TestRandomSchemeReports:
+    """The stacked ensemble against ``verify_theorem2`` of each reference
+    scheme, compared with ==, and the overlaps against gemv and vdot."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(1, 16),
+        num_keys=st.integers(1, 6),
+        num_messages=st.integers(2, 6),
+        count=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # unitaries per stack: 16 (each scheme spans 3 stacks), 1024 (one stack spans all 40
+    # schemes), 33 (scheme and stack boundaries interleave), 4096 (dim 1, every overlap 1)
+    @example(dim=16, num_keys=6, num_messages=6, count=3, seed=1)
+    @example(dim=2, num_keys=3, num_messages=5, count=40, seed=2)
+    @example(dim=11, num_keys=4, num_messages=5, count=17, seed=3)
+    @example(dim=1, num_keys=2, num_messages=3, count=5, seed=4)
+    def test_reports_equal_reference(self, dim, num_keys, num_messages, count, seed):
+        ensemble_rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        reports = list(random_scheme_reports(ensemble_rng, count, dim, num_keys, num_messages))
+        schemes = list(random_schemes(reference_rng, count, dim, num_keys, num_messages))
+        assert [theorem2_row(r) for r in reports] == [theorem2_row(verify_theorem2(s)) for s in schemes]
+        assert ensemble_rng.bit_generator.state == reference_rng.bit_generator.state
+        for report, scheme in zip(reports, schemes):
+            oracle = gemv_vdot_overlaps(scheme)
+            assert scheme.overlaps == oracle
+            assert report.max_overlap == max(oracle, default=0.0)
+
+    def test_tag_rows_norm_checked_per_scheme(self, monkeypatch):
+        # a stack that skipped its unitarity check must still not yield a tag state
+        real_stack = quantum_core._haar_stack
+
+        def scaled_stack(size, total, rng):
+            stack = real_stack(size, total, rng).copy()
+            stack[-1] *= 2.0
+            return stack
+
+        monkeypatch.setattr(quantum_core, "_haar_stack", scaled_stack)
+        reports = random_scheme_reports(np.random.default_rng(0), 2, dim=16, num_keys=2, num_messages=4)
+        assert next(reports).p0 > 0.5  # a stack of 16 holds both schemes; the first is whole
+        with pytest.raises(ParameterError, match="state norm"):
+            next(reports)
 
 
 class TestOverlapKernel:

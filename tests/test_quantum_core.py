@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from authsim.errors import ParameterError
 from authsim.quantum_core import (
+    STACK_ENTRIES,
     HermitianOperator,
     PureState,
     UnitaryOperator,
     _trusted,
     basis_state,
+    iter_haar_stacks,
     max_eigenpair,
     measure_projective,
     operator_to_json_dict,
@@ -260,7 +262,20 @@ class TestRandomUnitaries:
         before = rng.bit_generator.state
         with pytest.raises(ParameterError):
             random_unitaries(count, dims, rng)
+        with pytest.raises(ParameterError):
+            next(iter_haar_stacks(count, dims, rng))
         assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("dims,count", [(1, 5000), (2, 1500), (5, 400), (16, 40), ((2, 3), 7)])
+    def test_stacks_hold_the_unitary_stream(self, dims, count):
+        stack_rng, unitary_rng = np.random.default_rng(count), np.random.default_rng(count)
+        stacks = list(iter_haar_stacks(count, dims, stack_rng))
+        unitaries = random_unitaries(count, dims, unitary_rng)
+        total = unitaries[0].d
+        assert [len(stack) for stack in stacks[:-1]] == [STACK_ENTRIES // total**2] * (len(stacks) - 1)
+        assert all(not stack.flags.writeable for stack in stacks)
+        assert np.array_equal(np.concatenate(stacks), np.array([u.matrix for u in unitaries]))
+        assert stack_rng.bit_generator.state == unitary_rng.bit_generator.state
 
 
 class TestPartialTrace:

@@ -19,11 +19,10 @@ orthogonal for every message (classical-equivalent schemes) sit on the
 
 Each scheme compiles itself on construction: label_fn is walked once over
 messages x keys into a label-index table, from which the partition and
-injectivity checks are read; each realized label gets one tag-state row,
-from stacked products that give each row the bits of its own gemv; and the
-overlaps of every label pair of every message are computed once, in bounded
-batches of stacked 1 x d by d x 1 products that give each pair the bits of
-its own vdot (``pair_overlaps``), and kept as one flat list that the
+injectivity checks are read; each realized label gets one tag-state row; and
+the overlaps of every label pair of every message are computed once, in
+bounded batches of stacked 1 x d by d x 1 products that give each pair the
+bits of its own vdot (``pair_overlaps``), and kept as one flat list that the
 decision rules score in one call. Random schemes come from one stream of
 Haar unitaries drawn in stacks that span schemes, bit for bit the unitaries
 of one draw per tag. An ensemble of them is decided from stacked tag-state
@@ -172,20 +171,14 @@ class QmacScheme:
 
     @cached_property
     def states(self) -> np.ndarray:
-        """Tag state E_tau |psi_in> of each label, one read-only row per label.
-
-        The tagging matrices are stacked in batches of at most STACK_ENTRIES
-        entries and multiplied by |psi_in> in one product per batch, which
-        runs the same gemv per matrix as ``gate.matrix @ psi``.
-        """
-        gates = [self.tag_unitaries.get(label) for label in self.labels]
-        if None in gates:
-            raise ParameterError(f"label {self.labels[gates.index(None)]!r} has no tagging unitary")
+        """Tag state E_tau |psi_in> of each label, one read-only row per label."""
         psi = self.initial_state.amplitudes
-        step = max(1, STACK_ENTRIES // psi.size**2)
-        rows = np.concatenate(
-            [np.stack([gate.matrix for gate in gates[i : i + step]]) @ psi for i in range(0, len(gates), step)]
-        )
+        rows = np.empty((len(self.labels), psi.size), dtype=complex)
+        for p, label in enumerate(self.labels):
+            gate = self.tag_unitaries.get(label)
+            if gate is None:
+                raise ParameterError(f"label {label!r} has no tagging unitary")
+            rows[p] = gate.matrix @ psi
         _check_norms(rows)
         rows.setflags(write=False)
         return rows

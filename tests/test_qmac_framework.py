@@ -28,12 +28,10 @@ from authsim.qmac_framework import (
 )
 from authsim import quantum_core
 from authsim.quantum_core import (
-    STACK_ENTRIES,
     PureState,
     UnitaryOperator,
     basis_state,
     overlap,
-    random_state,
     random_unitaries,
 )
 from authsim.symmetry_test import acceptance_error_formula
@@ -348,24 +346,6 @@ class TestTagState:
         # labels in first-appearance order: (0, 0), (1, 0), (0, 1), (1, 1)
         with pytest.raises(ParameterError, match=r"^label \(1, 0\) has no tagging unitary$"):
             scheme.states
-
-    @pytest.mark.parametrize("dim", range(1, 65))
-    def test_stacked_rows_are_per_gate_gemv(self, dim):
-        # 20 labels: batches of STACK_ENTRIES // dim**2 matrices split them from dim 15 on
-        rng = np.random.default_rng(dim)
-        labels = [(k, m) for k in range(5) for m in range(4)]
-        gates = dict(zip(labels, random_unitaries(len(labels), dim, rng)))
-        for psi in (basis_state(0, (dim,)), random_state((dim,), rng)):
-            scheme = QmacScheme(
-                message_set=tuple(range(4)),
-                key_set=tuple(range(5)),
-                label_fn=lambda k, m: (k, m),
-                tag_unitaries=gates,
-                initial_state=psi,
-            )
-            expected = np.array([gates[label].matrix @ psi.amplitudes for label in scheme.labels])
-            assert np.array_equal(scheme.states, expected)
-            assert not scheme.states.flags.writeable
 
 
 class TestOverlapMatrix:
@@ -835,6 +815,38 @@ class TestRandomSchemesStream:
                 assert gate.dims == b.tag_unitaries[label].dims == (dim,)
                 assert not gate.matrix.flags.writeable
         assert stream_rng.bit_generator.state == sequential_rng.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "dim,num_keys,num_messages,count",
+        # a stack of 16 x 16 draws holds half a scheme, one of 2 x 2 draws spans 256 schemes
+        [(16, 2, 16, 4), (2, 2, 2, 300)],
+    )
+    def test_used_up_stack_freed_before_next_draw(self, dim, num_keys, num_messages, count, monkeypatch):
+        """Peak memory stays near one scheme: with the cycle collector off and
+        each scheme dropped before the next is taken, an earlier stack is alive
+        at a draw only while the scheme being built holds its unitaries."""
+        drawn, alive_at_draw = [], []
+        real_stack = quantum_core._haar_stack
+
+        def watched_stack(*args):
+            alive_at_draw.append([j for j, ref in enumerate(drawn) if ref() is not None])
+            stack = real_stack(*args)
+            drawn.append(weakref.ref(stack))
+            return stack
+
+        monkeypatch.setattr(quantum_core, "_haar_stack", watched_stack)
+        gc.disable()
+        try:
+            for scheme in random_schemes(np.random.default_rng(count), count, dim, num_keys, num_messages):
+                verify_theorem2(scheme)
+                del scheme
+        finally:
+            gc.enable()
+        labels, per_stack = num_keys * num_messages, quantum_core.STACK_ENTRIES // dim**2
+        # stack j is drawn for unitary j * per_stack; its scheme holds the stacks from its own first one
+        first_stack = [j * per_stack // labels * labels // per_stack for j in range(len(drawn))]
+        assert len(drawn) > 1
+        assert alive_at_draw == [list(range(first, j)) for j, first in enumerate(first_stack)]
 
 
 def theorem2_row(report: Theorem2Report) -> tuple:

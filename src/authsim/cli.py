@@ -35,7 +35,7 @@ import numpy as np
 from . import classical_mac, curty_santos, qmac_framework, symmetry_test
 from .errors import InvariantViolation, ParameterError
 from .quantum_core import MAX_TOTAL_DIMENSION, UnitaryOperator, random_unitaries
-from .reporting import config_sha256, format_float, jsonable, render_csv, render_json
+from .reporting import config_sha256, format_float, fraction_str, jsonable, render_csv, render_json
 from .spec import Field, Spec, _read_value, read_spec
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -190,7 +190,8 @@ def list_scenarios() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# scenario runners: (checked parameters, config) -> JSON-ready report
+# scenario runners: (checked parameters, config) -> plain-JSON report: str,
+# int, float, bool, None, lists, tuples and str-keyed dicts only
 
 
 def _run_classical_mac(params: dict, config: ScenarioConfig) -> dict:
@@ -205,7 +206,7 @@ def _run_classical_mac(params: dict, config: ScenarioConfig) -> dict:
         "family": {
             "name": family.name,
             "kind": family.family_kind.value,
-            "epsilon": family.epsilon,
+            "epsilon": None if family.epsilon is None else fraction_str(family.epsilon),
             "key_space_size": family.key_space_size,
             "message_space_size": len(family.message_space),
             "tag_space_size": tag_count,
@@ -309,14 +310,14 @@ def _cs_instance_report(instance: curty_santos.CurtySantosInstance) -> dict:
         honest.append(
             {
                 "message": m,
-                "outcome_distribution": trace.bob_outcome_distribution,
+                "outcome_distribution": trace.bob_outcome_distribution.tolist(),
                 "accepted_probability": trace.accepted_probability,
                 "factorization_residual": trace.factorization_residual,
             }
         )
     return {
         "optimal_impersonation": attack.deception_probability,
-        "impersonation_witness": attack.witness_state.amplitudes.tolist(),
+        "impersonation_witness": [[z.real, z.imag] for z in attack.witness_state.amplitudes.tolist()],
         "attack_operator_eigenvalues": [float(v) for v in eigenvalues],
         "substitution_conclusive": list(nogo.substitution_conclusive),
         "condition13": cond13.holds,
@@ -369,26 +370,6 @@ def _run_curty_santos(params: dict, config: ScenarioConfig) -> dict:
     return report
 
 
-def _crossovers(rows, t_values, delta_fracs, lambda_fracs) -> list[dict]:
-    """First |T| at which the quantum key budget exceeds the classical one, per
-    (delta_frac, lambda_frac) pair, read off the rows of one sweep. Rows carry
-    delta and lambda, not the fractions, so each pair's points are recomputed
-    exactly as ``symmetry_test.sweep`` computes them; skipped points never count."""
-    exceeds = {
-        (r.t_size, r.delta, r.lambda_max) for r in rows if r.key_bits_quantum > r.key_bits_classical_ref
-    }
-
-    def first(dfrac, lfrac):
-        points = ((t, dfrac / t, lfrac * symmetry_test.feasibility_threshold(t, dfrac / t)) for t in t_values)
-        return next((point[0] for point in points if point in exceeds), None)
-
-    return [
-        {"delta_frac": dfrac, "lambda_frac": lfrac, "first_quantum_exceeds_classical": first(dfrac, lfrac)}
-        for dfrac in delta_fracs
-        for lfrac in lambda_fracs
-    ]
-
-
 def _run_symmetry_sweep(params: dict, config: ScenarioConfig) -> dict:
     t_values = params["t_values"] if "t_values" in params else range(params["t_min"], params["t_max"] + 1)
     delta_fracs, lambda_fracs = params["delta_fracs"], params["lambda_fracs"]
@@ -398,7 +379,7 @@ def _run_symmetry_sweep(params: dict, config: ScenarioConfig) -> dict:
             f"the sweep grid holds {points} points; it must hold 1 to {MAX_SWEEP_POINTS} (is t_min > t_max?)"
         )
     bits = params["message_space_bits"]
-    rows = symmetry_test.sweep(t_values, delta_fracs, lambda_fracs, d=params["d"], message_space_size=2**bits)
+    result = symmetry_test.sweep(t_values, delta_fracs, lambda_fracs, d=params["d"], message_space_size=2**bits)
     return {
         "grid": {
             "t_values": list(t_values),
@@ -407,8 +388,8 @@ def _run_symmetry_sweep(params: dict, config: ScenarioConfig) -> dict:
             "d": params["d"],
             "message_space_bits": bits,
         },
-        "rows": [dict(zip(symmetry_test.SWEEP_COLUMNS, r)) for r in rows],
-        "crossover": _crossovers(rows, t_values, delta_fracs, lambda_fracs),
+        "rows": [dict(zip(symmetry_test.SWEEP_COLUMNS, r)) for r in result.rows],
+        "crossover": [c._asdict() for c in result.crossovers],
     }
 
 
@@ -441,7 +422,7 @@ def _flatten(prefix: str, obj, out: list) -> None:
     if isinstance(obj, dict):
         for key in sorted(obj):
             _flatten(f"{prefix}.{key}" if prefix else str(key), obj[key], out)
-    elif isinstance(obj, list):
+    elif isinstance(obj, (list, tuple)):
         out.append((prefix, json.dumps(obj, separators=(",", ":"))))
     elif isinstance(obj, float):
         out.append((prefix, format_float(obj)))
@@ -461,7 +442,7 @@ def _write_artifact(config: ScenarioConfig, report: dict, path: Path) -> None:
         path.write_text(render_csv(header, csv_rows), encoding="utf-8")
         return
     flat: list = []
-    _flatten("", jsonable(report), flat)
+    _flatten("", report, flat)
     path.write_text(render_csv(("key", "value"), flat), encoding="utf-8")
 
 

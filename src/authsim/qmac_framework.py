@@ -360,8 +360,7 @@ def impersonation_deception(
     if best_q > 0.0:
         position = q.index(best_q)
         mi = bisect.bisect_right(scheme.pair_starts, position) - 1
-        pairs = itertools.combinations(scheme.blocks[mi], 2)
-        expected_p, forged_p = next(itertools.islice(pairs, position - scheme.pair_starts[mi], None))
+        expected_p, forged_p = scheme.pair_index[position].tolist()
         witness_message = scheme.message_set[mi]
         forged, expected = scheme.labels[forged_p], scheme.labels[expected_p]
         witness_labels = (expected, forged)
@@ -557,7 +556,7 @@ SCHEME_SPEC = Spec({
     "messages": Field(list, item=Field(Hashable)),
     "keys": Field(list, item=Field(Hashable)),
     "multiplicity": Field(int, 1, lo=1),
-    "label_table": Field(list, item=Field(list)),
+    "label_table": Field(list, item=Field(list, item=Field(Hashable))),
     "tag_unitaries": Field(dict),
     "initial_state": Field(dict),
 })

@@ -2,8 +2,14 @@
 
 Reports must be byte-identical across runs with the same config and seed, so
 JSON is emitted by a small renderer with sorted keys, LF line endings, and
-floats fixed at 12 significant digits; exact rationals render as "num/den"
-strings. CSV uses a comma separator, a header row, and LF endings.
+floats fixed at 12 significant digits. CSV uses a comma separator, a header
+row, and LF endings.
+
+The renderers take plain JSON only: str, int, float, bool, None, lists,
+tuples and dicts of these, matched by exact type. Any other value, a numpy
+scalar or array, a ``Fraction`` or a complex number included, raises
+``ParameterError``; the code that produces such a value converts it, e.g. an
+exact rational to its "num/den" string with ``fraction_str`` or ``jsonable``.
 """
 
 from __future__ import annotations
@@ -13,8 +19,6 @@ import json
 import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-
-import numpy as np
 
 from .errors import ParameterError
 
@@ -32,47 +36,21 @@ def fraction_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-_PLAIN = frozenset({str, int, float, bool, type(None)})
-
-
 def jsonable(obj):
-    """Normalize report values: Fractions to num/den strings, complex to
-    [re, im] pairs, numpy scalars/arrays and tuples to plain Python.
-
-    Plain values and containers are told apart by their exact type, one
-    lookup per node; only other values, subclasses included, go through the
-    ``isinstance`` chain.
-    """
+    """Plain-JSON copy of a value built from plain values and Fractions:
+    Fractions become "num/den" strings, tuples lists and dict keys strings."""
     kind = type(obj)
-    if kind in _PLAIN:
-        return obj
     if kind is dict:
         return {str(k): jsonable(v) for k, v in obj.items()}
     if kind is list or kind is tuple:
         return [jsonable(x) for x in obj]
-    if isinstance(obj, Fraction):
+    if kind is Fraction:
         return fraction_str(obj)
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return [jsonable(x) for x in obj.tolist()]
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(x) for x in obj]
     return obj
 
 
 def _render(obj, indent: int, out: list) -> None:
-    """Append the JSON text of ``obj`` to ``out``, normalizing as ``jsonable``
-    does in the same walk: a value that is not plain is rendered as its
-    ``jsonable`` form."""
+    """Append the JSON text of the plain value ``obj`` to ``out``."""
     kind = type(obj)
     if kind is str:
         out.append(encode_basestring_ascii(obj))
@@ -109,17 +87,7 @@ def _render(obj, indent: int, out: list) -> None:
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "]")
     else:
-        value = jsonable(obj)
-        if type(value) in _PLAIN or type(value) in (dict, list):  # normalized: render it as such
-            _render(value, indent, out)
-        elif isinstance(value, str):
-            out.append(encode_basestring_ascii(value))
-        elif isinstance(value, int):
-            out.append(str(value))
-        elif isinstance(value, float):
-            out.append(format_float(value))
-        else:
-            raise ParameterError(f"cannot render value of type {type(value).__name__}")
+        raise ParameterError(f"cannot render value of type {kind.__name__}")
 
 
 def render_json(obj) -> str:
@@ -137,17 +105,13 @@ def _csv_cell(value) -> str:
         return str(value)
     if kind is bool:
         return "true" if value else "false"
-    if kind is not str:  # bool cannot be subclassed: the rest are numpy, Fraction or subclass values
-        if isinstance(value, float):
-            return format_float(value)
-        if isinstance(value, (int, np.integer)):
-            return str(int(value))
-        if isinstance(value, Fraction):
-            return fraction_str(value)
-    text = str(value)
-    if any(ch in text for ch in ",\"\n"):
-        text = '"' + text.replace('"', '""') + '"'
-    return text
+    if value is None:
+        return "None"
+    if kind is not str:
+        raise ParameterError(f"cannot render value of type {kind.__name__}")
+    if any(ch in value for ch in ",\"\n"):
+        return '"' + value.replace('"', '""') + '"'
+    return value
 
 
 def render_csv(header, rows) -> str:

@@ -161,32 +161,47 @@ SWEEP_COLUMNS = (
 )
 
 
+class Crossover(NamedTuple):
+    delta_frac: float
+    lambda_frac: float
+    first_quantum_exceeds_classical: int | None
+
+
+class Sweep(NamedTuple):
+    rows: list[SweepRow]
+    crossovers: list[Crossover]
+
+
 def sweep(
     t_values,
     delta_fracs=(0.5, 1.0),
     lambda_fracs=(0.0, 0.5),
     d: int = 2,
     message_space_size: int = DEFAULT_MESSAGE_SPACE_SIZE,
-) -> list[SweepRow]:
+) -> Sweep:
     """Copy-count and key-budget table over a feasible (|T|, delta, lambda) grid.
 
     delta = frac/|T| for each delta_frac; lambda = frac * feasibility threshold
     for each lambda_frac (fractions below 1 keep every point feasible).
     P0 and the key budget are evaluated at the integer copy count; the handful
     of fully degenerate points (fewer than 2 systems, or P0 = 1) are skipped.
+    The crossovers give, per (delta_frac, lambda_frac) pair in grid order,
+    the first |T| of ``t_values`` whose row has a quantum key budget above
+    the classical one (None if no row has), read off the rows as they are made.
     """
     if any(not 0.0 < f <= 1.0 for f in delta_fracs):
         raise ParameterError("delta fractions must lie in (0, 1]")
     if any(not 0.0 <= f < 1.0 for f in lambda_fracs):
         raise ParameterError("lambda fractions must lie in [0, 1)")
     rows = []
+    first: dict = {}  # (delta_frac position, lambda_frac position) -> first crossing |T|
     for t_size in t_values:
         if not isinstance(t_size, int) or t_size < 2:
             raise ParameterError(f"tag count must be an integer >= 2, got {t_size!r}")
-        for dfrac in delta_fracs:
+        for i, dfrac in enumerate(delta_fracs):
             delta = dfrac / t_size
             threshold = feasibility_threshold(t_size, delta)
-            for lfrac in lambda_fracs:
+            for j, lfrac in enumerate(lambda_fracs):
                 lam = lfrac * threshold
                 copies = copies_required(t_size, delta, lam)
                 if copies.n_ceil < 2:
@@ -195,6 +210,8 @@ def sweep(
                 if p0 >= 1.0 - 1e-12:
                     continue
                 bound = key_length_requirement(p0, copies.n_ceil, d, message_space_size)
+                if bound.required_key_bits > bound.classical_reference_bits:
+                    first.setdefault((i, j), t_size)
                 rows.append(
                     SweepRow(
                         t_size=t_size,
@@ -207,4 +224,9 @@ def sweep(
                         key_bits_classical_ref=bound.classical_reference_bits,
                     )
                 )
-    return rows
+    crossovers = [
+        Crossover(dfrac, lfrac, first.get((i, j)))
+        for i, dfrac in enumerate(delta_fracs)
+        for j, lfrac in enumerate(lambda_fracs)
+    ]
+    return Sweep(rows, crossovers)

@@ -67,3 +67,5 @@ def test_traced_builtin_smoke_run():
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] and result["failed"] == 0, proc.stdout
     assert result["metrics"]["cli.run.calls"]["value"] == 14
+    # one outermost jsonable per classical report: affine-p5 and poly-p5-l2, JSON and CSV
+    assert result["metrics"]["reporting.jsonable.calls"]["value"] == 4

@@ -352,6 +352,12 @@ def _set_first_tag_component(doc, value):
     doc["tag_unitaries"][label]["matrix"] = _with_first_component(doc["tag_unitaries"][label]["matrix"], value)
 
 
+def _list_labels(doc):
+    """Labels [0] and [1] in the label table, with unitaries keyed by their str forms."""
+    unitaries = list(doc["tag_unitaries"].values())
+    doc.update(label_table=[[[0], [1]], [[1], [0]]], tag_unitaries={"[0]": unitaries[0], "[1]": unitaries[1]})
+
+
 # Malformed configs that escaped as tracebacks or exited 0 before the config
 # had one checked boundary: a config document, or the raw bytes of the file.
 MALFORMED_CONFIGS = {
@@ -447,6 +453,7 @@ MALFORMED_CONFIGS = {
     "gq-scheme-messages-string": _inline_scheme(lambda doc: doc.update(messages="ab")),
     "gq-scheme-keys-string": _inline_scheme(lambda doc: doc.update(keys="ab")),
     "gq-scheme-name-object": _inline_scheme(lambda doc: doc.update(name={"x": [1]})),
+    "gq-scheme-label-list": _inline_scheme(_list_labels),
     "cs-unitary-matrix-ragged": _cfg(
         "CurtySantos", {"unitary": _swap_unitary(matrix=SWAP_UNITARY["matrix"][:1] + [[[1.0, 0.0]]] * 3)}
     ),
@@ -516,6 +523,12 @@ class TestConfigBoundary:
         code, out = run_cli(str(config), str(tmp_path / "report.json"))
         assert code == 1
         assert check in out, out
+
+    def test_list_label_named(self, tmp_path):
+        config = write_config(tmp_path, "s.json", MALFORMED_CONFIGS["gq-scheme-label-list"])
+        code, out = run_cli(str(config), str(tmp_path / "report.json"))
+        assert code == 1
+        assert out.startswith("error: parameters.scheme.label_table[0][0] must be a scalar"), out
 
     @pytest.mark.parametrize("output", sorted(MALFORMED_OUTPUTS.values()))
     def test_output_path_checked_before_computation(self, output, monkeypatch, tmp_path):
@@ -725,7 +738,7 @@ def reference_crossovers(t_values, delta_fracs, lambda_fracs, d, message_space_s
         for lfrac in lambda_fracs:
             series = symmetry_test.sweep(
                 t_values, (dfrac,), (lfrac,), d=d, message_space_size=message_space_size
-            )
+            ).rows
             first = next(
                 (r.t_size for r in series if r.key_bits_quantum > r.key_bits_classical_ref), None
             )
@@ -749,6 +762,6 @@ LAMBDA_FRACS = st.sampled_from([0.0, 0.5, 0.9]) | st.floats(0.0, 0.999)
 )
 @example(t_values=[2, 2, 3, 16], delta_fracs=[1.0, 1.0, 0.5], lambda_fracs=[0.0, 0.5, 0.0], d=2, bits=4)
 def test_crossovers_match_rerun_reference(t_values, delta_fracs, lambda_fracs, d, bits):
-    rows = symmetry_test.sweep(t_values, delta_fracs, lambda_fracs, d=d, message_space_size=2**bits)
-    derived = cli._crossovers(rows, t_values, delta_fracs, lambda_fracs)
+    result = symmetry_test.sweep(t_values, delta_fracs, lambda_fracs, d=d, message_space_size=2**bits)
+    derived = [crossover._asdict() for crossover in result.crossovers]
     assert derived == reference_crossovers(t_values, delta_fracs, lambda_fracs, d, 2**bits)

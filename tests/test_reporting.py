@@ -1,6 +1,6 @@
-"""Report rendering of values that are not plain JSON, pinned to the bytes
-of the two-pass renderer (``jsonable`` first, then one render walk) that the
-one-walk renderer replaced. The built-in digests cover plain reports."""
+"""Report rendering of plain JSON values, the only values the renderers take.
+The bytes are pinned to the renderer that also normalized numpy and
+``Fraction`` values; the built-in digests cover whole reports."""
 
 from fractions import Fraction
 
@@ -11,18 +11,15 @@ from authsim.errors import ParameterError
 from authsim.reporting import jsonable, render_csv, render_json
 
 VALUE = {
-    "fraction": Fraction(2, 6),
-    "complex": 1 - 2j,
-    "numpy": [np.float64(0.1), np.int64(-3), np.bool_(False), np.array([[1.5, 2]]), np.complex128(0.5j)],
     "tuple": (None, True, 'café "q"\n'),
     2: {"b": -0.0, "a": [], 10: 1e-300},
     "empty": {},
+    "list": [[], 1, -3, 0.1, False],
 }
 VALUE_JSON = (
-    '{\n  "2": {\n    "10": 1e-300,\n    "a": [],\n    "b": 0\n  },\n  "complex": [\n    1,\n    -2\n  ],\n'
-    '  "empty": {},\n  "fraction": "1/3",\n  "numpy": [\n    0.1,\n    -3,\n    false,\n    [\n      [\n'
-    '        1.5,\n        2\n      ]\n    ],\n    [\n      0,\n      0.5\n    ]\n  ],\n  "tuple": [\n'
-    '    null,\n    true,\n    "caf\\u00e9 \\"q\\"\\n"\n  ]\n}\n'
+    '{\n  "2": {\n    "10": 1e-300,\n    "a": [],\n    "b": 0\n  },\n  "empty": {},\n  "list": [\n'
+    '    [],\n    1,\n    -3,\n    0.1,\n    false\n  ],\n  "tuple": [\n    null,\n    true,\n'
+    '    "caf\\u00e9 \\"q\\"\\n"\n  ]\n}\n'
 )
 
 
@@ -32,14 +29,21 @@ def test_one_walk_renders_normalized_values():
 
 
 def test_csv_cells():
-    row = [Fraction(1, 3), np.int64(4), True, 0.5, "a,b", np.float64(-0.0), np.bool_(True), 'x"y']
-    assert render_csv(["k", "v"], [row]) == 'k,v\n1/3,4,true,0.5,"a,b",0,True,"x""y"\n'
+    row = [None, 4, True, 0.5, "a,b", -0.0, 'x"y', "l1\nl2", ""]
+    assert render_csv(["k", "v"], [row]) == 'k,v\nNone,4,true,0.5,"a,b",0,"x""y","l1\nl2",\n'
+
+
+NOT_PLAIN = [np.float64(0.1), np.int64(-3), np.bool_(False), Fraction(1, 3), 1 - 2j, np.array([1.5, 2.0])]
 
 
 @pytest.mark.parametrize(
-    "value,message",
-    [({"x": {1, 2}}, "cannot render value of type set"), ([float("nan")], "non-finite"), ((np.inf,), "non-finite")],
+    "value,message",  # value: a CSV row of one cell, rendered as a JSON list too
+    [([{1, 2}], "cannot render value of type set"), ([float("nan")], "non-finite"), ((np.inf,), "non-finite")]
+    + [([value], f"cannot render value of type {type(value).__name__}$") for value in NOT_PLAIN],
 )
 def test_unrenderable_values_rejected(value, message):
+    """A value that is not plain JSON is rejected inside a JSON report and as a CSV cell."""
     with pytest.raises(ParameterError, match=message):
-        render_json(value)
+        render_json({"x": value})
+    with pytest.raises(ParameterError, match=message):
+        render_csv(["k"], [value])

@@ -186,7 +186,7 @@ class TestKeyLengthRequirement:
 
 class TestSweep:
     def test_rows_satisfy_copy_bound(self):
-        rows = sweep(range(2, 17))
+        rows = sweep(range(2, 17)).rows
         assert rows
         for row in rows:
             assert row.n_real > row.t_size - 2
@@ -201,15 +201,16 @@ class TestSweep:
         assert len(SWEEP_COLUMNS) == len(SweepRow._fields)
 
     def test_key_budget_consistent(self):
-        for row in sweep([4, 8], delta_fracs=(1.0,), lambda_fracs=(0.0,)):
+        for row in sweep([4, 8], delta_fracs=(1.0,), lambda_fracs=(0.0,)).rows:
             bound = key_length_requirement(row.p0, row.n_ceil, 2)
             assert row.key_bits_quantum == pytest.approx(bound.required_key_bits)
             assert row.key_bits_classical_ref == pytest.approx(bound.classical_reference_bits)
 
     def test_degenerate_rows_skipped(self):
         # T=2 with delta = 1/T solves to a single system; the row is dropped
-        rows = sweep([2], delta_fracs=(1.0,), lambda_fracs=(0.0,))
-        assert rows == []
+        result = sweep([2], delta_fracs=(1.0,), lambda_fracs=(0.0,))
+        assert result.rows == []
+        assert result.crossovers == [(1.0, 0.0, None)]
 
     def test_validation(self):
         with pytest.raises(ParameterError):

@@ -33,6 +33,7 @@ ENUMERATION_CAP = 1 << 22  # |K| * |M| ceiling for brute-force analysis
 PRIME_CAP = 1 << 20
 MESSAGE_SPACE_CAP = 1 << 20  # p**blocks ceiling for the polynomial family
 WORK_CAP = 1 << 27  # |M| * (|M| - 1) * |T|**2 ceiling for the substitution scan
+SCAN_ENTRIES = 1 << 14  # entries per joint-count block of observed messages, at least one message
 
 
 class FamilyKind(Enum):
@@ -48,7 +49,7 @@ class HashFamily:
     ``evaluate`` must be total on [0, key_space_size) x message_space and
     return elements of tag_space. ``epsilon`` carries the substitution bound
     of an almost-strongly-universal family and is required exactly for
-    ``FamilyKind.EPSILON_ASU``.
+    ``FamilyKind.EPSILON_ASU``. ``tabulate``, if set, returns the whole tag table.
     """
 
     key_space_size: int
@@ -58,6 +59,7 @@ class HashFamily:
     family_kind: FamilyKind
     epsilon: Fraction | None = None
     name: str = "custom"
+    tabulate: Callable[[], np.ndarray] | None = None
 
     def __post_init__(self):
         if not (isinstance(self.key_space_size, int) and self.key_space_size >= 1):
@@ -126,6 +128,13 @@ def _check_prime(p) -> int:
     return p
 
 
+def _poly_table(p: int, blocks: int) -> np.ndarray:
+    """The poly family's tag table (affine at blocks = 1); int64 is exact, as a**i < p**blocks <= 2**20."""
+    a, b = np.divmod(np.arange(p * p, dtype=np.int64), p)
+    messages = np.indices((p,) * blocks, dtype=np.int64).reshape(blocks, -1).T
+    return ((b + messages @ a ** np.arange(1, blocks + 1)[:, None]) % p).astype(np.min_scalar_type(p - 1))
+
+
 def make_affine_family(p: int) -> HashFamily:
     """Strongly universal family h_(a,b)(m) = a*m + b mod p, key (a, b) in Z_p^2.
 
@@ -144,6 +153,7 @@ def make_affine_family(p: int) -> HashFamily:
         evaluate=evaluate,
         family_kind=FamilyKind.STRONGLY_UNIVERSAL,
         name=f"affine-p{p}",
+        tabulate=lambda: _poly_table(p, 1),
     )
 
 
@@ -176,53 +186,64 @@ def make_poly_family(p: int, blocks: int) -> HashFamily:
         family_kind=FamilyKind.EPSILON_ASU,
         epsilon=Fraction(blocks, p),
         name=f"poly-p{p}-l{blocks}",
+        tabulate=lambda: _poly_table(p, blocks),
     )
 
 
-def _tag_table(family: HashFamily, messages) -> np.ndarray:
-    """len(messages) x |K| array whose cell (i, k) is the position of
-    h(k, messages[i]) in the tag space."""
-    n_keys = family.key_space_size
+def _tag_table(family: HashFamily) -> np.ndarray:
+    """|M| x |K| array whose cell (i, k) is the position of
+    h(k, message_space[i]) in the tag space."""
+    messages, n_keys = family.message_space, family.key_space_size
     if n_keys * len(messages) > ENUMERATION_CAP:
         raise ParameterError(f"|K|*|M| = {n_keys * len(messages)} exceeds enumeration cap {ENUMERATION_CAP}")
+    if family.tabulate is not None:
+        return family.tabulate()
     position = {t: i for i, t in enumerate(family.tag_space)}
     evaluate = family.evaluate
     table = np.empty((len(messages), n_keys), dtype=np.min_scalar_type(len(family.tag_space) - 1))
     for row, m in zip(table, messages):
+        values = [evaluate(k, m) for k in range(n_keys)]
         try:
-            row[:] = [position[evaluate(k, m)] for k in range(n_keys)]
+            row[:] = [position[value] for value in values]
         except KeyError:
-            for k in range(n_keys):
-                value = evaluate(k, m)
-                if value not in position:
-                    raise ParameterError(
-                        f"key {k} tags message {m!r} with {value!r}, which is not in the tag space"
-                    ) from None
-            raise
+            k = next(k for k, value in enumerate(values) if value not in position)
+            value = values[k]
+            raise ParameterError(f"key {k} tags message {m!r} with {value!r}, which is not in the tag space") from None
     return table
 
 
-def _pair_counts(row: np.ndarray, row2: np.ndarray, n_tags: int) -> np.ndarray:
-    """Flat |T|^2 key counts of (row, row2) tag-index pairs, t-major."""
-    return np.bincount(row.astype(np.intp) * n_tags + row2, minlength=n_tags * n_tags)
+def _joint_blocks(forged: np.ndarray, n_tags: int, first: int = 0, step: int = 0):
+    """(start, block) over ``step`` observed messages at a time from ``first`` (step 0: as many
+    as fit SCAN_ENTRIES entries, at least one), forged[j] being j*|T| + tag table row j and
+    block[i - start, t, j, t2] = |{k : h(k, m_i) = t and h(k, m_j) = t2}|, 0 if j == i."""
+    n_msgs = len(forged)
+    step = step or max(1, SCAN_ENTRIES // max(forged.size, n_msgs * n_tags**2))
+    for start in range(first, n_msgs, step):
+        size = min(step, n_msgs - start)
+        observed = (forged[start : start + size] - start * n_tags) * (n_msgs * n_tags)
+        block = np.bincount((observed[:, None, :] + forged).ravel(), minlength=size * n_tags * n_msgs * n_tags)
+        block = block.reshape(size, n_tags, n_msgs, n_tags)
+        block[np.arange(size), :, np.arange(start, start + size), :] = 0
+        yield start, block
 
 
 def deception_probabilities(family: HashFamily) -> DeceptionReport:
     """Exact impersonation and substitution probabilities by key enumeration.
 
-    The family is evaluated once into a |M| x |K| table of tag indices.
-    p0 comes from the |M| x |T| count table of one bincount per message.
-    For each observed message m, one bincount gives the joint key counts
-    over (forged message, observed tag, forged tag); conditional fractions
-    are compared by integer cross-multiplication, and a Fraction is formed
-    only for the maximum. Counts never exceed |K| <= ENUMERATION_CAP, so
-    every product fits in int64.
+    The family is evaluated once into a |M| x |K| table of tag indices, in
+    numpy for built-in families; p0 comes from its |M| x |T| counts, one
+    offset bincount. One bincount per block of observed messages counts the
+    joint keys over (observed message, observed tag, forged message, forged
+    tag), so each observed (m, t) takes one contiguous max. Fractions are
+    compared by integer cross-multiplication and made only for the maximum;
+    counts never exceed |K| <= ENUMERATION_CAP, so products fit in int64.
 
     Before any evaluation, |K|*|M| must not exceed ENUMERATION_CAP
     (2**22) and the substitution scan's |M|*(|M|-1)*|T|**2 cells must not
     exceed WORK_CAP (2**27, enough for the affine family up to p = 107).
-    The joint count table of one observed message holds |M|*|T|**2 int64
-    counts, at most 8*WORK_CAP/(|M|-1) bytes.
+    A block holds as many messages as fit SCAN_ENTRIES (2**14) entries, at
+    least one: at most max(SCAN_ENTRIES, |M|*max(|K|, |T|**2)) int64 key
+    indices and as many counts, 8*max(2**22, WORK_CAP/(|M|-1)) bytes each.
 
     Ties are broken toward the first maximizer: impersonation scans
     (message, tag) in space order; substitution scans
@@ -235,31 +256,23 @@ def deception_probabilities(family: HashFamily) -> DeceptionReport:
     cells = n_msgs * (n_msgs - 1) * n_tags**2
     if cells > WORK_CAP:
         raise ParameterError(f"|M|*(|M|-1)*|T|^2 = {cells} exceeds work cap {WORK_CAP}")
-    table = _tag_table(family, messages)
+    forged = np.arange(n_msgs)[:, None] * n_tags + _tag_table(family)
 
-    counts = np.array([np.bincount(row, minlength=n_tags) for row in table])
+    counts = np.bincount(forged.ravel(), minlength=n_msgs * n_tags).reshape(n_msgs, n_tags)
     best_m, best_t = divmod(int(counts.argmax()), n_tags)
     p0 = Fraction(int(counts[best_m, best_t]), n_keys)
 
-    # joint[i][j, t, t2] = |{k : h(k, m_i) = t and h(k, m_j) = t2}|
-    forged = np.arange(n_msgs, dtype=np.intp)[:, None] * (n_tags * n_tags) + table
-
-    def joint(i: int) -> np.ndarray:
-        observed = table[i].astype(np.intp) * n_tags
-        cells_i = np.bincount((forged + observed).ravel(), minlength=n_msgs * n_tags * n_tags)
-        cells_i = cells_i.reshape(n_msgs, n_tags, n_tags)
-        cells_i[i] = 0  # m' == m is no forgery; every other maximum is positive
-        return cells_i
-
+    support = counts.tolist()
     best_num, best_den, best_i = -1, 1, None
-    for i in range(n_msgs):
-        top = joint(i).max(axis=(0, 2)).tolist()
-        for c, s in zip(top, counts[i].tolist()):
-            if s and c * best_den > best_num * s:
-                best_num, best_den, best_i = c, s, i
+    for start, block in _joint_blocks(forged, n_tags):
+        for i, top in enumerate(block.reshape(len(block), n_tags, -1).max(axis=2).tolist(), start):
+            for c, s in zip(top, support[i]):
+                if s and c * best_den > best_num * s:
+                    best_num, best_den, best_i = c, s, i
 
-    support = counts[best_i][None, :, None]
-    hits = (joint(best_i) * best_den == best_num * support) & (support > 0)
+    joint = next(_joint_blocks(forged, n_tags, best_i, 1))[1][0].transpose(1, 0, 2)  # (j, t, t2)
+    observed = counts[best_i][None, :, None]
+    hits = (joint * best_den == best_num * observed) & (observed > 0)
     j, t, t2 = np.unravel_index(int(hits.argmax()), hits.shape)
     return DeceptionReport(
         p0=p0,
@@ -270,16 +283,15 @@ def deception_probabilities(family: HashFamily) -> DeceptionReport:
 
 
 def is_strongly_universal(family: HashFamily) -> bool:
-    """Exhaustive check that every (t, t2) cell holds exactly |K|/|T|^2 keys."""
+    """Exhaustive check that every (t, t2) cell holds exactly |K|/|T|^2 keys;
+    |T|**2 divides |K| in a scanned family, so a block stays within |M|*|K|."""
     n_keys, n_tags = family.key_space_size, len(family.tag_space)
     cell, rem = divmod(n_keys, n_tags**2)
     if rem != 0:
         return False
-    table = _tag_table(family, family.message_space)
-    return all(
-        (_pair_counts(table[i], table[j], n_tags) == cell).all()
-        for i, j in itertools.combinations(range(len(table)), 2)
-    )
+    forged = np.arange(len(family.message_space))[:, None] * n_tags + _tag_table(family)
+    blocks = _joint_blocks(forged, n_tags)
+    return all((block[k, :, start + k + 1 :] == cell).all() for start, block in blocks for k in range(len(block)))
 
 
 def key_length_lower_bound(observed_pairs: int, epsilon) -> float:

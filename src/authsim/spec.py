@@ -6,6 +6,7 @@ its exact spot, e.g. ``parameters.scheme.tag_unitaries.0,0.matrix[1][0]``.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Hashable
 from dataclasses import dataclass
 
@@ -50,6 +51,24 @@ _TYPE_NAMES = {
 }
 
 
+def _read_numbers(item: Field, value: list):
+    """``value``'s items read in one pass if ``item`` is a plain int or float field, or a list
+    of them; else None, and None if any item fails, for the per-item reader to name it."""
+    nested = item.type is list
+    leaf, rows = (item.item, value) if nested else (item, [value])
+    if leaf is None or leaf.type not in (int, float) or leaf != Field(leaf.type) or item.spec or item.choices:
+        return None
+    lo, hi = (item.lo or 0, item.hi) if nested else (0, None)
+    if not ({list}.issuperset(map(type, rows)) and all(lo <= n and (hi is None or n <= hi) for n in set(map(len, rows)))
+            and {int, leaf.type}.issuperset(map(type, itertools.chain.from_iterable(rows)))):
+        return None
+    try:
+        rows = [list(map(leaf.type, row)) for row in rows]
+    except OverflowError:
+        return None
+    return rows if nested else rows[0]
+
+
 def _read_value(field: Field, value, where: str):
     accepted = (int, float) if field.type is float else field.type
     if isinstance(value, bool) and field.type is not Hashable or not isinstance(value, accepted):
@@ -57,7 +76,8 @@ def _read_value(field: Field, value, where: str):
     if field.spec is not None:
         return read_spec(field.spec, value, where)
     if field.item is not None:
-        value = [_read_value(field.item, item, f"{where}[{i}]") for i, item in enumerate(value)]
+        fast = _read_numbers(field.item, value)
+        value = fast if fast is not None else [_read_value(field.item, x, f"{where}[{i}]") for i, x in enumerate(value)]
     size, of = (len(value), "the length of ") if field.type is list else (value, "")
     if field.lo is not None and not field.lo <= size:
         raise ParameterError(f"{of}{where} must be >= {field.lo}, got {size!r}")

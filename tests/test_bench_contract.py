@@ -4,9 +4,9 @@
 looked up with ``getattr`` on ``authsim.<layer>``, and the ``__post_init__``
 of every ``VALIDATED_TYPES`` class of ``quantum_core``. A name missing from
 the library crashes every traced benchmark run (``--trace 1``), so these
-tests pin the names, and one traced smoke run of the built-in scenarios
-checks that every wrapped call still goes through. The tracer imports only
-the standard library and is loaded by file path.
+tests pin the names, and traced smoke runs of the built-in scenarios and of
+the classical ladder check that every wrapped call still goes through. The
+tracer imports only the standard library and is loaded by file path.
 """
 
 import importlib
@@ -52,6 +52,18 @@ def test_every_validated_type_is_a_quantum_core_class():
     assert types and missing == []
 
 
+def traced_smoke_metrics(workload: str) -> dict:
+    """The per-layer metrics of one traced ``--smoke`` pass, which must be correct."""
+    argv = ["--workload", workload, "--seed", "7", "--seconds", "1", "--trace", "1", "--smoke"]
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", *argv], cwd=ROOT, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] and result["failed"] == 0, proc.stdout
+    return result["metrics"]
+
+
 def test_traced_builtin_smoke_run():
     """One traced pass of every built-in scenario in JSON and CSV (about 2 s).
 
@@ -59,13 +71,15 @@ def test_traced_builtin_smoke_run():
     this catches a library change that breaks a traced call, such as a new
     signature of a wrapped function.
     """
-    argv = ["--workload", "builtin-scenarios", "--seed", "7", "--seconds", "1", "--trace", "1", "--smoke"]
-    proc = subprocess.run(
-        [sys.executable, "bench/run.py", *argv], cwd=ROOT, capture_output=True, text=True, timeout=300
-    )
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result["correct"] and result["failed"] == 0, proc.stdout
-    assert result["metrics"]["cli.run.calls"]["value"] == 14
+    metrics = traced_smoke_metrics("builtin-scenarios")
+    assert metrics["cli.run.calls"]["value"] == 14
     # one outermost jsonable per classical report: affine-p5 and poly-p5-l2, JSON and CSV
-    assert result["metrics"]["reporting.jsonable.calls"]["value"] == 4
+    assert metrics["reporting.jsonable.calls"]["value"] == 4
+
+
+def test_traced_classical_ladder_smoke_run():
+    """One traced pass of affine p = 11 and poly (7, 2), whose p0 = 1/p and
+    p1 invariants the benchmark checks, with bench/test_smoke.py's pins."""
+    metrics = traced_smoke_metrics("classical-ladder")
+    assert metrics["classical_mac.deception_probabilities.calls"]["value"] == 2
+    assert metrics["classical_mac.cells_scanned"]["value"] == 11 * 10 * 11**2 + 49 * 48 * 7**2

@@ -2,11 +2,14 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from authsim import classical_mac
 from authsim.classical_mac import (
     ENUMERATION_CAP,
     WORK_CAP,
@@ -108,6 +111,48 @@ def constant_family(p=3, value=0):
         family_kind=FamilyKind.CUSTOM,
         name="constant",
     )
+
+
+def per_call_table(family: HashFamily) -> np.ndarray:
+    """|M| x |K| tag positions from one ``evaluate`` call per cell."""
+    position = {t: i for i, t in enumerate(family.tag_space)}
+    rows = [[position[family.evaluate(k, m)] for k in range(family.key_space_size)] for m in family.message_space]
+    return np.array(rows, dtype=np.min_scalar_type(len(family.tag_space) - 1))
+
+
+def scan_entry_settings(family):
+    """SCAN_ENTRIES values giving one observed message per block, a block
+    size that does not divide |M| (where |M| > 2 allows one), and one block."""
+    n_msgs, n_tags = len(family.message_space), len(family.tag_space)
+    per_message = n_msgs * max(family.key_space_size, n_tags**2)
+    ragged = next(size for size in itertools.count(2) if n_msgs % size)
+    return {"one": 1, "ragged": ragged * per_message, "all": 1 << 30}
+
+
+def draw_custom_family(data) -> HashFamily:
+    """A small CUSTOM family over hashable labels; its few tags give many ties."""
+    n_keys = data.draw(st.integers(1, 12), label="n_keys")
+    label = st.one_of(st.text(max_size=2), st.tuples(st.integers(0, 2), st.booleans()))
+    messages = data.draw(st.lists(label, min_size=2, max_size=5, unique=True), label="messages")
+    tags = data.draw(
+        st.lists(st.one_of(st.text(max_size=2), st.frozensets(st.integers(0, 2))), min_size=1, max_size=4, unique=True),
+        label="tags",
+    )
+    row = st.lists(st.sampled_from(tags), min_size=n_keys, max_size=n_keys)
+    rows = data.draw(st.lists(row, min_size=len(messages), max_size=len(messages)), label="rows")
+    return table_family(rows, messages, tags)
+
+
+PRIMES_TO_61 = [p for p in range(2, 62) if all(p % f for f in range(2, p))]
+# poly (p, blocks) with p**blocks <= 2**12 whose per-call table (|M|*|K| cells) stays under 2**18
+POLY_TABLE_CASES = [
+    (p, blocks) for p in PRIMES_TO_61 for blocks in range(1, 13) if p**blocks <= 1 << 12 and p ** (blocks + 2) <= 1 << 18
+]
+BUILTIN_FAMILIES = (
+    [make_affine_family(p) for p in (2, 3, 5, 7, 11, 13)]
+    + [make_poly_family(p, blocks) for p, blocks in ((3, 2), (5, 2), (3, 3))]
+    + [constant_family()]
+)
 
 
 class TestFamilyConstruction:
@@ -327,13 +372,7 @@ class TestDeceptionProbabilities:
 
 
 class TestReferenceOracle:
-    @pytest.mark.parametrize(
-        "family",
-        [make_affine_family(p) for p in (2, 3, 5, 7, 11, 13)]
-        + [make_poly_family(p, blocks) for p, blocks in ((3, 2), (5, 2), (3, 3))]
-        + [constant_family()],
-        ids=lambda family: family.name,
-    )
+    @pytest.mark.parametrize("family", BUILTIN_FAMILIES, ids=lambda family: family.name)
     def test_builtin_families(self, family):
         assert_matches_reference(family)
         assert is_strongly_universal(family) == reference_strongly_universal(family)
@@ -341,18 +380,48 @@ class TestReferenceOracle:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_random_custom_families(self, data):
-        n_keys = data.draw(st.integers(1, 12), label="n_keys")
-        label = st.one_of(st.text(max_size=2), st.tuples(st.integers(0, 2), st.booleans()))
-        messages = data.draw(st.lists(label, min_size=2, max_size=5, unique=True), label="messages")
-        tags = data.draw(
-            st.lists(st.one_of(st.text(max_size=2), st.frozensets(st.integers(0, 2))), min_size=1, max_size=4, unique=True),
-            label="tags",
-        )
-        row = st.lists(st.sampled_from(tags), min_size=n_keys, max_size=n_keys)
-        rows = data.draw(st.lists(row, min_size=len(messages), max_size=len(messages)), label="rows")
-        family = table_family(rows, messages, tags)
+        family = draw_custom_family(data)
         assert_matches_reference(family)
         assert is_strongly_universal(family) == reference_strongly_universal(family)
+
+
+class TestNumpyKernels:
+    """The built-in families' numpy tag tables against their per-call
+    ``evaluate``, and the blocked joint-count scan against the slow
+    reference at every block size."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=st.sampled_from(PRIMES_TO_61))
+    def test_affine_table_matches_evaluate(self, p):
+        family = make_affine_family(p)
+        table, expected = family.tabulate(), per_call_table(family)
+        assert table.dtype == expected.dtype and np.array_equal(table, expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=st.sampled_from(POLY_TABLE_CASES))
+    def test_poly_table_matches_evaluate(self, case):
+        family = make_poly_family(*case)
+        table, expected = family.tabulate(), per_call_table(family)
+        assert table.dtype == expected.dtype and np.array_equal(table, expected)
+
+    @pytest.mark.parametrize("family", BUILTIN_FAMILIES, ids=lambda family: family.name)
+    def test_builtin_families_under_every_block_size(self, family):
+        expected = reference_deception_probabilities(family)
+        for name, entries in scan_entry_settings(family).items():
+            with mock.patch.object(classical_mac, "SCAN_ENTRIES", entries):
+                assert deception_probabilities(family) == expected, name
+                assert is_strongly_universal(family) == reference_strongly_universal(family), name
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_custom_families_under_every_block_size(self, data):
+        family = draw_custom_family(data)
+        expected = reference_deception_probabilities(family)
+        strongly_universal = reference_strongly_universal(family)
+        for name, entries in scan_entry_settings(family).items():
+            with mock.patch.object(classical_mac, "SCAN_ENTRIES", entries):
+                assert deception_probabilities(family) == expected, name
+                assert is_strongly_universal(family) == strongly_universal, name
 
 
 class TestKeyLengthBound:

@@ -212,9 +212,15 @@ def _tag_table(family: HashFamily) -> np.ndarray:
     return table
 
 
+def _offset_table(family: HashFamily) -> np.ndarray:
+    """The tag table with row j offset by j*|T|: cell (j, k) is the (message, tag) bin of key k."""
+    table = _tag_table(family)
+    return np.arange(len(table))[:, None] * len(family.tag_space) + table
+
+
 def _joint_blocks(forged: np.ndarray, n_tags: int, first: int = 0, step: int = 0):
     """(start, block) over ``step`` observed messages at a time from ``first`` (step 0: as many
-    as fit SCAN_ENTRIES entries, at least one), forged[j] being j*|T| + tag table row j and
+    as fit SCAN_ENTRIES entries, at least one), forged being _offset_table and
     block[i - start, t, j, t2] = |{k : h(k, m_i) = t and h(k, m_j) = t2}|, 0 if j == i."""
     n_msgs = len(forged)
     step = step or max(1, SCAN_ENTRIES // max(forged.size, n_msgs * n_tags**2))
@@ -256,7 +262,7 @@ def deception_probabilities(family: HashFamily) -> DeceptionReport:
     cells = n_msgs * (n_msgs - 1) * n_tags**2
     if cells > WORK_CAP:
         raise ParameterError(f"|M|*(|M|-1)*|T|^2 = {cells} exceeds work cap {WORK_CAP}")
-    forged = np.arange(n_msgs)[:, None] * n_tags + _tag_table(family)
+    forged = _offset_table(family)
 
     counts = np.bincount(forged.ravel(), minlength=n_msgs * n_tags).reshape(n_msgs, n_tags)
     best_m, best_t = divmod(int(counts.argmax()), n_tags)
@@ -289,8 +295,7 @@ def is_strongly_universal(family: HashFamily) -> bool:
     cell, rem = divmod(n_keys, n_tags**2)
     if rem != 0:
         return False
-    forged = np.arange(len(family.message_space))[:, None] * n_tags + _tag_table(family)
-    blocks = _joint_blocks(forged, n_tags)
+    blocks = _joint_blocks(_offset_table(family), n_tags)
     return all((block[k, :, start + k + 1 :] == cell).all() for start, block in blocks for k in range(len(block)))
 
 

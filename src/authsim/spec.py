@@ -6,7 +6,6 @@ its exact spot, e.g. ``parameters.scheme.tag_unitaries.0,0.matrix[1][0]``.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Hashable
 from dataclasses import dataclass
 
@@ -51,44 +50,30 @@ _TYPE_NAMES = {
 }
 
 
-def _read_numbers(item: Field, value: list):
-    """``value``'s items read in one pass if ``item`` is a plain int or float field, or a list
-    of them; else None, and None if any item fails, for the per-item reader to name it."""
-    nested = item.type is list
-    leaf, rows = (item.item, value) if nested else (item, [value])
-    if leaf is None or leaf.type not in (int, float) or leaf != Field(leaf.type) or item.spec or item.choices:
-        return None
-    lo, hi = (item.lo or 0, item.hi) if nested else (0, None)
-    if not ({list}.issuperset(map(type, rows)) and all(lo <= n and (hi is None or n <= hi) for n in set(map(len, rows)))
-            and {int, leaf.type}.issuperset(map(type, itertools.chain.from_iterable(rows)))):
-        return None
-    try:
-        rows = [list(map(leaf.type, row)) for row in rows]
-    except OverflowError:
-        return None
-    return rows if nested else rows[0]
+def _path(where) -> str:
+    """``where`` as text: a str, or (parent, index) for a list item, formatted only for a message."""
+    return where if isinstance(where, str) else f"{_path(where[0])}[{where[1]}]"
 
 
-def _read_value(field: Field, value, where: str):
+def _read_value(field: Field, value, where):
     accepted = (int, float) if field.type is float else field.type
     if isinstance(value, bool) and field.type is not Hashable or not isinstance(value, accepted):
-        raise ParameterError(f"{where} must be {_TYPE_NAMES[field.type]}, got {value!r}")
+        raise ParameterError(f"{_path(where)} must be {_TYPE_NAMES[field.type]}, got {value!r}")
     if field.spec is not None:
-        return read_spec(field.spec, value, where)
+        return read_spec(field.spec, value, _path(where))
     if field.item is not None:
-        fast = _read_numbers(field.item, value)
-        value = fast if fast is not None else [_read_value(field.item, x, f"{where}[{i}]") for i, x in enumerate(value)]
+        value = [_read_value(field.item, item, (where, i)) for i, item in enumerate(value)]
     size, of = (len(value), "the length of ") if field.type is list else (value, "")
     if field.lo is not None and not field.lo <= size:
-        raise ParameterError(f"{of}{where} must be >= {field.lo}, got {size!r}")
+        raise ParameterError(f"{of}{_path(where)} must be >= {field.lo}, got {size!r}")
     if field.hi is not None and not size <= field.hi:
-        raise ParameterError(f"{of}{where} must be <= {field.hi}, got {size!r}")
+        raise ParameterError(f"{of}{_path(where)} must be <= {field.hi}, got {size!r}")
     if field.choices and value not in field.choices:
-        raise ParameterError(f"{where} must be one of {list(field.choices)}, got {value!r}")
+        raise ParameterError(f"{_path(where)} must be one of {list(field.choices)}, got {value!r}")
     try:
         return float(value) if field.type is float else value
     except OverflowError:
-        raise ParameterError(f"{where} is too large for a float, got {value!r}") from None
+        raise ParameterError(f"{_path(where)} is too large for a float, got {value!r}") from None
 
 
 def read_spec(spec: Spec, doc, where: str) -> dict:

@@ -1,61 +1,35 @@
-"""The one-pass reader of number lists against the per-item reader.
+"""Error paths of the JSON reader.
 
-``spec._read_numbers`` reads a list of plain numbers, or of lists of them, in
-one pass and hands anything it cannot read to the per-item reader. Patched to
-always hand over, it leaves the per-item reader as the reference: every value
-and every error message must come out the same either way.
+A list item's path is kept as (parent, index) and formatted only when an
+error is raised; these tests pin the formatted paths of nested items.
 """
 
-from unittest import mock
+import pytest
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from authsim import spec
 from authsim.errors import ParameterError
-from authsim.spec import Field
+from authsim.spec import Field, Spec, read_spec
 
 COMPONENT = Field(list, item=Field(float), lo=2, hi=2)
-FIELDS = {
-    "floats": Field(list, item=Field(float)),
-    "ints": Field(list, item=Field(int)),
-    "components": Field(list, item=COMPONENT),
-    "bounded-floats": Field(list, item=Field(float, lo=0, hi=1)),
-    "open-rows": Field(list, item=Field(list, item=Field(int))),
-}
+SPEC = Spec({"matrix": Field(list, item=Field(list, item=COMPONENT)), "names": Field(list, item=Field(str))})
 
-LEAVES = st.one_of(
-    st.integers(-5, 5),
-    st.floats(allow_nan=False),
-    st.booleans(),
-    st.sampled_from([10**400, -(10**400), "1", None]),
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"matrix": [[[1, 0], [0, True]]], "names": []}, "doc.matrix[0][1][1] must be a number, got True"),
+        ({"matrix": [[[1, 0]], [[0, 1, 2]]], "names": []}, "the length of doc.matrix[1][0] must be <= 2, got 3"),
+        ({"matrix": [[[1, 0]], [[10**400, 0]]], "names": []}, "doc.matrix[1][0][0] is too large for a float"),
+        ({"matrix": [[[1, 0]], 5], "names": []}, "doc.matrix[1] must be a list, got 5"),
+        ({"matrix": [], "names": ["a", 1]}, "doc.names[1] must be a string, got 1"),
+    ],
 )
-ITEMS = st.one_of(LEAVES, st.lists(LEAVES, max_size=3))
+def test_item_errors_name_their_path(doc, message):
+    with pytest.raises(ParameterError) as info:
+        read_spec(SPEC, doc, "doc")
+    assert str(info.value).startswith(message)
 
 
-def read(field, value):
-    """repr of the read value (repr tells 1 from 1.0), or the error message."""
-    try:
-        return repr(spec._read_value(field, value, "doc.x"))
-    except ParameterError as exc:
-        return f"error: {exc}"
-
-
-@settings(max_examples=300, deadline=None)
-@given(name=st.sampled_from(sorted(FIELDS)), value=st.lists(ITEMS, max_size=4))
-def test_one_pass_matches_per_item_reader(name, value):
-    field = FIELDS[name]
-    fast = read(field, value)
-    with mock.patch.object(spec, "_read_numbers", return_value=None):
-        assert fast == read(field, value)
-
-
-def test_one_pass_takes_plain_number_lists_only():
-    assert spec._read_numbers(Field(float), [1, 2.5]) == [1.0, 2.5]
-    assert spec._read_numbers(COMPONENT, [[1, 0], [0.5, -1]]) == [[1.0, 0.0], [0.5, -1.0]]
-    assert spec._read_numbers(Field(int), [1, 2]) == [1, 2]
-    assert spec._read_numbers(Field(int), [1, True]) is None
-    assert spec._read_numbers(COMPONENT, [[1.0, 0.0, 0.0]]) is None  # a component of length 3
-    assert spec._read_numbers(Field(float), [10**400]) is None  # too large for a float
-    assert spec._read_numbers(Field(float, lo=0), [0.5]) is None  # bounded leaves are read per item
-    assert spec._read_numbers(Field(str), ["a"]) is None
+def test_items_are_read_as_their_type():
+    doc = read_spec(SPEC, {"matrix": [[[1, 0], [0.5, -1]]], "names": ["a"]}, "doc")
+    assert doc == {"matrix": [[[1.0, 0.0], [0.5, -1.0]]], "names": ["a"]}
+    assert all(type(x) is float for row in doc["matrix"] for pair in row for x in pair)

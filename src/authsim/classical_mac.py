@@ -190,12 +190,22 @@ def make_poly_family(p: int, blocks: int) -> HashFamily:
     )
 
 
+def check_caps(n_keys: int, n_msgs: int, n_tags: int) -> None:
+    """Raise unless a family of these sizes fits the brute-force caps: the
+    |M|*(|M|-1)*|T|**2 cells of the joint-count scan within WORK_CAP, then
+    |K|*|M| within ENUMERATION_CAP. Needs only the sizes, so a caller can
+    check them before a family's message space is built."""
+    cells = n_msgs * (n_msgs - 1) * n_tags**2
+    if cells > WORK_CAP:
+        raise ParameterError(f"|M|*(|M|-1)*|T|^2 = {cells} exceeds work cap {WORK_CAP}")
+    if n_keys * n_msgs > ENUMERATION_CAP:
+        raise ParameterError(f"|K|*|M| = {n_keys * n_msgs} exceeds enumeration cap {ENUMERATION_CAP}")
+
+
 def _tag_table(family: HashFamily) -> np.ndarray:
     """|M| x |K| array whose cell (i, k) is the position of
-    h(k, message_space[i]) in the tag space."""
+    h(k, message_space[i]) in the tag space; the caller checks the caps."""
     messages, n_keys = family.message_space, family.key_space_size
-    if n_keys * len(messages) > ENUMERATION_CAP:
-        raise ParameterError(f"|K|*|M| = {n_keys * len(messages)} exceeds enumeration cap {ENUMERATION_CAP}")
     if family.tabulate is not None:
         return family.tabulate()
     position = {t: i for i, t in enumerate(family.tag_space)}
@@ -244,9 +254,9 @@ def deception_probabilities(family: HashFamily) -> DeceptionReport:
     compared by integer cross-multiplication and made only for the maximum;
     counts never exceed |K| <= ENUMERATION_CAP, so products fit in int64.
 
-    Before any evaluation, |K|*|M| must not exceed ENUMERATION_CAP
-    (2**22) and the substitution scan's |M|*(|M|-1)*|T|**2 cells must not
-    exceed WORK_CAP (2**27, enough for the affine family up to p = 107).
+    Before any evaluation, ``check_caps`` requires that |K|*|M| not exceed
+    ENUMERATION_CAP (2**22) and the substitution scan's |M|*(|M|-1)*|T|**2
+    cells not exceed WORK_CAP (2**27, enough for the affine family up to p = 107).
     A block holds as many messages as fit SCAN_ENTRIES (2**14) entries, at
     least one: at most max(SCAN_ENTRIES, |M|*max(|K|, |T|**2)) int64 key
     indices and as many counts, 8*max(2**22, WORK_CAP/(|M|-1)) bytes each.
@@ -259,9 +269,7 @@ def deception_probabilities(family: HashFamily) -> DeceptionReport:
     """
     messages, tags = family.message_space, family.tag_space
     n_keys, n_msgs, n_tags = family.key_space_size, len(messages), len(tags)
-    cells = n_msgs * (n_msgs - 1) * n_tags**2
-    if cells > WORK_CAP:
-        raise ParameterError(f"|M|*(|M|-1)*|T|^2 = {cells} exceeds work cap {WORK_CAP}")
+    check_caps(n_keys, n_msgs, n_tags)
     forged = _offset_table(family)
 
     counts = np.bincount(forged.ravel(), minlength=n_msgs * n_tags).reshape(n_msgs, n_tags)
@@ -289,12 +297,14 @@ def deception_probabilities(family: HashFamily) -> DeceptionReport:
 
 
 def is_strongly_universal(family: HashFamily) -> bool:
-    """Exhaustive check that every (t, t2) cell holds exactly |K|/|T|^2 keys;
+    """Exhaustive check that every (t, t2) cell holds exactly |K|/|T|^2 keys,
+    under the caps of ``deception_probabilities``, whose scan it repeats;
     |T|**2 divides |K| in a scanned family, so a block stays within |M|*|K|."""
     n_keys, n_tags = family.key_space_size, len(family.tag_space)
     cell, rem = divmod(n_keys, n_tags**2)
     if rem != 0:
         return False
+    check_caps(n_keys, len(family.message_space), n_tags)
     blocks = _joint_blocks(_offset_table(family), n_tags)
     return all((block[k, :, start + k + 1 :] == cell).all() for start, block in blocks for k in range(len(block)))
 

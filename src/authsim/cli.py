@@ -195,10 +195,12 @@ def list_scenarios() -> dict:
 
 
 def _run_classical_mac(params: dict, config: ScenarioConfig) -> dict:
+    p, blocks = params["p"], params.get("blocks", 1)
+    classical_mac.check_caps(p * p, p**blocks, p)  # before the p**blocks messages are built
     if params["family"] == "poly":
-        family = classical_mac.make_poly_family(params["p"], params["blocks"])
+        family = classical_mac.make_poly_family(p, blocks)
     else:
-        family = classical_mac.make_affine_family(params["p"])
+        family = classical_mac.make_affine_family(p)
     report = classical_mac.deception_probabilities(family)
     tag_count = len(family.tag_space)
     bound_bits = classical_mac.key_length_lower_bound(1, classical_mac.Fraction(1, tag_count))
@@ -299,26 +301,21 @@ def _run_generic_qmac(params: dict, config: ScenarioConfig) -> dict:
 
 
 def _cs_instance_report(instance: curty_santos.CurtySantosInstance) -> dict:
-    # the report of the verdicts holds no eigenvector: the witness comes from optimal_impersonation
-    attack = curty_santos.optimal_impersonation(instance)
-    nogo = curty_santos.incompatibility_report(instance)
+    witness, nogo, eigenvalues = curty_santos.analyze_instance(instance)
     cond13 = nogo.condition_13
-    eigenvalues = np.linalg.eigvalsh(curty_santos.attack_operator(instance).matrix)
-    honest = []
-    for m in (0, 1):
-        trace = curty_santos.honest_run(instance, m)
-        honest.append(
-            {
-                "message": m,
-                "outcome_distribution": trace.bob_outcome_distribution.tolist(),
-                "accepted_probability": trace.accepted_probability,
-                "factorization_residual": trace.factorization_residual,
-            }
-        )
+    honest = [
+        {
+            "message": trace.message,
+            "outcome_distribution": trace.bob_outcome_distribution.tolist(),
+            "accepted_probability": trace.accepted_probability,
+            "factorization_residual": trace.factorization_residual,
+        }
+        for trace in (curty_santos.honest_run(instance, m) for m in (0, 1))
+    ]
     return {
-        "optimal_impersonation": attack.deception_probability,
-        "impersonation_witness": [[z.real, z.imag] for z in attack.witness_state.amplitudes.tolist()],
-        "attack_operator_eigenvalues": [float(v) for v in eigenvalues],
+        "optimal_impersonation": nogo.impersonation_probability,
+        "impersonation_witness": [[z.real, z.imag] for z in witness.amplitudes.tolist()],
+        "attack_operator_eigenvalues": eigenvalues.tolist(),
         "substitution_conclusive": list(nogo.substitution_conclusive),
         "condition13": cond13.holds,
         "condition13_per_message": list(cond13.per_message),

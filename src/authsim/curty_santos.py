@@ -26,9 +26,11 @@ discrimination): the two security goals are incompatible.
 tagging unitaries that share one basis and accept set: the frame is checked
 once, the attack operators are built as one (n, 4, 4) stack and diagonalised
 by one batched ``eigh``, and each value is bit for bit the one a single
-instance gives. ``incompatibility_report`` is its stack-of-one case. The
-tests hold the kernel to a per-instance reference built on
-``optimal_impersonation``.
+instance gives. ``incompatibility_report`` is its stack-of-one case.
+``analyze_instance`` runs the same kernel on one instance and keeps its
+eigenvectors for the impersonation witness, so one report builds and
+diagonalises its attack operator once. The tests hold both to the
+per-instance reference built on ``optimal_impersonation``.
 """
 
 from __future__ import annotations
@@ -39,18 +41,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation, ParameterError
-from .qmac_framework import AttackReport, QmacScheme
+from .qmac_framework import AttackReport
 from .quantum_core import (
-    NORM_ATOL,
     HermitianOperator,
     PureState,
     UnitaryOperator,
     basis_state,
+    check_hermitian,
     max_eigenpair,
     measure_projective,
     partial_trace,
     state_from_json_dict,
     tensor,
+    top_eigenvector,
     unitary_from_json_dict,
 )
 from .spec import Field, Spec, read_spec
@@ -269,34 +272,42 @@ def incompatibility_report(instance: CurtySantosInstance) -> IncompatibilityRepo
 
 def incompatibility_reports(unitaries, basis=None, accept_set=(0, 1)) -> list[IncompatibilityReport]:
     """One ``IncompatibilityReport`` per tagging unitary, all sharing one
-    carrier basis and accept set.
-
-    The basis and accept set are checked once, as ``CurtySantosInstance``
-    checks them. The attack operators are built as one stack by the
-    builder ``attack_operator`` also uses, checked Hermitian at once, and
-    their top eigenvalues come from one batched ``eigh`` of (M + M†)/2, the
-    matrix ``max_eigenpair`` diagonalises. Each value is bit for bit what
-    the single-instance computation gives.
-    """
+    carrier basis and accept set, which are checked once, as
+    ``CurtySantosInstance`` checks them. Each value is bit for bit what the
+    single-instance computation gives."""
     unitaries = list(unitaries)
     if not unitaries:
         raise ParameterError("the stack of tagging unitaries is empty")
     for gate in unitaries:
         _check_tag_unitary(gate)
     basis, accept = _checked_basis(basis), _checked_accept_set(accept_set)
-    matrices = np.array([gate.matrix for gate in unitaries])
+    return _decide(np.array([gate.matrix for gate in unitaries]), basis, accept)[3]
+
+
+def analyze_instance(instance: CurtySantosInstance) -> tuple[PureState, IncompatibilityReport, np.ndarray]:
+    """The witness of ``optimal_impersonation``, the ``incompatibility_report``
+    (its ``impersonation_probability`` is the optimum) and the spectrum of
+    ``attack_operator``, bit for bit, from one operator build, hermiticity
+    check and ``eigh``, without checking the instance's frame again. The
+    spectrum is ``eigvalsh`` of that matrix, which can differ from ``eigh`` in the last bit."""
+    m, values, vectors, (report,) = _decide(instance.tag_unitary.matrix[None], instance.basis, instance.accept_set)
+    witness = PureState(top_eigenvector(values[0], vectors[0]), (2, 2))
+    return witness, report, np.linalg.eigvalsh(m[0])
+
+
+def _decide(matrices: np.ndarray, basis, accept) -> tuple:
+    """The attack operators of tagging matrices on a checked frame, checked
+    Hermitian at once; the values and vectors of one batched ``eigh`` of their
+    (M + M†)/2, the matrix ``max_eigenpair`` diagonalises; and their reports."""
     m = _attack_operators(matrices, basis, accept)
-    m_dagger = m.conj().transpose(0, 2, 1)
-    defect = np.abs(m - m_dagger).max()
-    if not defect <= NORM_ATOL:
-        raise ParameterError(f"matrix is not Hermitian: max |A - A†| = {defect:.3e}")
-    tops = np.linalg.eigh((m + m_dagger) / 2.0)[0][:, -1].tolist()
+    check_hermitian(m)
+    values, vectors = np.linalg.eigh((m + m.conj().transpose(0, 2, 1)) / 2.0)
     # <phi_j|U phi_j> by a 1x4 @ 4x1 matmul (the dot np.vdot takes), and its
     # modulus by hypot (the one abs(complex) takes), so the bits match.
     phis = [basis[j].amplitudes for j in accept]
     diagonal = np.stack([(phi.conj() @ (matrices @ phi)[:, :, None])[:, 0] for phi in phis], axis=1)
     reports = []
-    for impersonation, overlaps in zip(tops, np.hypot(diagonal.real, diagonal.imag).tolist()):
+    for impersonation, overlaps in zip(values[:, -1].tolist(), np.hypot(diagonal.real, diagonal.imag).tolist()):
         overlaps = tuple(overlaps)
         per_message = tuple(o <= CONDITION_TOL for o in overlaps)
         conclusive = tuple(1.0 - min(1.0, o) for o in overlaps)
@@ -318,44 +329,7 @@ def incompatibility_reports(unitaries, basis=None, accept_set=(0, 1)) -> list[In
                 witness_overlap=overlaps[witness],
             )
         )
-    return reports
-
-
-def _basis_swap_unitary(instance: CurtySantosInstance, m: int) -> UnitaryOperator:
-    """Unitary mapping phi_0 to the carrier of message m (swap in the basis)."""
-    j0 = instance.accept_set[0]
-    jm = instance.accept_set[m]
-    mat = np.eye(4, dtype=complex)
-    if jm != j0:
-        b = np.array([s.amplitudes for s in instance.basis])
-        mat = mat - np.outer(b[j0], b[j0].conj()) - np.outer(b[jm], b[jm].conj())
-        mat = mat + np.outer(b[jm], b[j0].conj()) + np.outer(b[j0], b[jm].conj())
-    return UnitaryOperator(mat, (2, 2))
-
-
-def as_qmac_scheme(instance: CurtySantosInstance) -> QmacScheme:
-    """Embed the protocol in the generic framework.
-
-    Keys and messages are bits, the label is (k, m), and the tagging unitary
-    for (k, m) first prepares the carrier of m from phi_0 and then applies U
-    when k = 1. The overlap matrices and the impersonation evaluation of the
-    embedding match the protocol's own quantities.
-    """
-    u_by_key = {0: EYE4, 1: instance.tag_unitary.matrix}
-    unitaries = {}
-    for k in (0, 1):
-        for m in (0, 1):
-            prepare = _basis_swap_unitary(instance, m).matrix
-            unitaries[(k, m)] = UnitaryOperator(u_by_key[k] @ prepare, (2, 2))
-    return QmacScheme(
-        message_set=(0, 1),
-        key_set=(0, 1),
-        label_fn=lambda k, m: (k, m),
-        tag_unitaries=unitaries,
-        initial_state=instance.basis[instance.accept_set[0]],
-        multiplicity=1,
-        name="curty-santos",
-    )
+    return m, values, vectors, reports
 
 
 INSTANCE_SPEC = Spec({

@@ -54,8 +54,6 @@ from .quantum_core import (
     iter_haar_stacks,
     iter_random_unitaries,
     state_from_json_dict,
-    state_to_json_dict,
-    operator_to_json_dict,
     unitary_from_json_dict,
     basis_state,
 )
@@ -518,37 +516,6 @@ def random_scheme_reports(
                 best_q = max(rule.wrong_tag_acceptances(overlaps), default=0.0)
                 attack = AttackReport("impersonation", _deception_probability(floor, best_q), floor)
                 yield _theorem2_report(attack, float(max(overlaps, default=0.0)))
-
-
-def _label_to_str(label) -> str:
-    if isinstance(label, tuple):
-        return ",".join(str(part) for part in label)
-    return str(label)
-
-
-def scheme_to_json_dict(scheme: QmacScheme) -> dict:
-    """Explicit tables: label per (key, message) plus unitary per label.
-
-    Labels are canonicalized to strings; loading the document back yields an
-    equivalent scheme whose labels are those strings.
-    """
-    names = [_label_to_str(label) for label in scheme.labels]
-    label_table = [[names[row[ki]] for row in scheme.index] for ki in range(len(scheme.key_set))]
-    used = set(names)
-    unitaries = {}
-    for label, gate in scheme.tag_unitaries.items():
-        key = _label_to_str(label)
-        if key in used:
-            unitaries[key] = operator_to_json_dict(gate)
-    return {
-        "name": scheme.name,
-        "messages": list(scheme.message_set),
-        "keys": list(scheme.key_set),
-        "multiplicity": scheme.multiplicity,
-        "label_table": label_table,
-        "tag_unitaries": unitaries,
-        "initial_state": state_to_json_dict(scheme.initial_state),
-    }
 
 
 SCHEME_SPEC = Spec({

@@ -26,10 +26,11 @@ import numpy as np
 from .errors import InvariantViolation, ParameterError
 from .spec import Field, Spec, read_spec
 
-# Tolerance tiers: construction-time checks, algebraic identities, eigen residuals.
+# Tolerance tiers: NORM_ATOL for the checks made where values enter (norm,
+# unitarity, hermiticity); ALGEBRA_ATOL for the identities measure_projective
+# checks on derived values (trace, positivity, Gram defect, probability sum).
 NORM_ATOL = 1e-10
 ALGEBRA_ATOL = 1e-9
-EIGEN_ATOL = 1e-8
 
 MAX_TOTAL_DIMENSION = 4096
 MAX_COPIES = 8
@@ -133,9 +134,7 @@ class HermitianOperator:
             raise ParameterError(f"operator must be square, got shape {mat.shape}")
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "dims", _resolve_dims(self.dims, mat.shape[0]))
-        defect = np.abs(mat - mat.conj().T).max()
-        if not defect <= NORM_ATOL:
-            raise ParameterError(f"matrix is not Hermitian: max |A - A†| = {defect:.3e}")
+        check_hermitian(mat)
 
     @property
     def d(self) -> int:
@@ -144,6 +143,13 @@ class HermitianOperator:
     @property
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
+
+
+def check_hermitian(matrices: np.ndarray) -> None:
+    """Raise unless the matrix, or every matrix of a (..., d, d) stack, is Hermitian within NORM_ATOL."""
+    defect = np.abs(matrices - matrices.conj().swapaxes(-1, -2)).max()
+    if not defect <= NORM_ATOL:
+        raise ParameterError(f"matrix is not Hermitian: max |A - A†| = {defect:.3e}")
 
 
 def basis_state(index: int, dims) -> PureState:
@@ -263,30 +269,29 @@ def measure_projective(rho: HermitianOperator, basis: Sequence[PureState]) -> np
 
 
 def max_eigenpair(a: HermitianOperator) -> tuple[float, PureState]:
-    """Largest eigenvalue and a deterministic unit eigenvector.
+    """Largest eigenvalue and a deterministic unit eigenvector (``top_eigenvector``)
+    of the matrix symmetrized, (A + A†)/2."""
+    eigenvalues, vectors = np.linalg.eigh((a.matrix + a.matrix.conj().T) / 2.0)
+    return float(eigenvalues[-1]), PureState(top_eigenvector(eigenvalues, vectors), a.dims)
 
-    The matrix is symmetrized before diagonalization. In a degenerate top
-    eigenspace the returned vector is the normalized projection of the
-    lowest-index computational basis vector with nonzero projection, with
-    its first nonzero component made real positive.
+
+def top_eigenvector(eigenvalues: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """A deterministic unit vector of the top eigenspace of one ``eigh`` result.
+
+    In a degenerate top eigenspace it is the normalized projection of the
+    lowest-index computational basis vector with nonzero projection. Its
+    first nonzero component is made real positive.
     """
-    h = (a.matrix + a.matrix.conj().T) / 2.0
-    eigenvalues, vectors = np.linalg.eigh(h)
     top = eigenvalues[-1]
-    degenerate_tol = 1e-10 * max(1.0, abs(top))
-    block = vectors[:, eigenvalues >= top - degenerate_tol]
-    vec = None
-    for j in range(a.d):
+    block = vectors[:, eigenvalues >= top - 1e-10 * max(1.0, abs(top))]
+    for j in range(len(vectors)):
         candidate = block @ block[j, :].conj()
         norm = np.linalg.norm(candidate)
         if norm > 1e-8:
             vec = candidate / norm
-            break
-    if vec is None:  # cannot happen: block has at least one unit column
-        raise InvariantViolation("empty dominant eigenspace")
-    k = int(np.argmax(np.abs(vec) > 1e-12))
-    vec = vec * np.exp(-1j * np.angle(vec[k]))
-    return float(top), PureState(vec, a.dims)
+            k = int(np.argmax(np.abs(vec) > 1e-12))
+            return vec * np.exp(-1j * np.angle(vec[k]))
+    raise InvariantViolation("empty dominant eigenspace")  # cannot happen: the block has a unit column
 
 
 def symmetrize(t: np.ndarray, n: int) -> np.ndarray:
@@ -398,13 +403,6 @@ def random_unitary(dims, rng: np.random.Generator) -> UnitaryOperator:
     return random_unitaries(1, dims, rng)[0]
 
 
-def state_to_json_dict(state: PureState) -> dict:
-    return {
-        "dims": list(state.dims),
-        "amplitudes": [[float(z.real), float(z.imag)] for z in state.amplitudes],
-    }
-
-
 _COMPONENT = Field(list, item=Field(float), lo=2, hi=2)  # [re, im]
 _DIMS = Field(list, lo=1, item=Field(int, lo=1))
 STATE_SPEC = Spec({"amplitudes": Field(list, item=_COMPONENT), "dims": _DIMS})
@@ -416,13 +414,6 @@ OPERATOR_SPEC = Spec(
 def state_from_json_dict(doc: dict, where: str = "state") -> PureState:
     doc = read_spec(STATE_SPEC, doc, where)
     return PureState([complex(*pair) for pair in doc["amplitudes"]], doc["dims"])
-
-
-def operator_to_json_dict(op) -> dict:
-    return {
-        "dims": list(op.dims),
-        "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in op.matrix],
-    }
 
 
 def unitary_from_json_dict(doc: dict, where: str = "operator") -> UnitaryOperator:

@@ -334,6 +334,18 @@ class TestDeceptionProbabilities:
         with pytest.raises(ParameterError, match="work cap"):
             deception_probabilities(fam)
 
+    def test_strong_universality_scan_under_the_same_caps(self):
+        def evaluate(k, m):
+            raise AssertionError("evaluated past a cap")
+
+        # |T|**2 divides |K| in both, so the check reaches its scan
+        over_work = HashFamily(256, tuple(range(1 << 12)), tuple(range(16)), evaluate, FamilyKind.CUSTOM)
+        over_enumeration = HashFamily(1 << 21, (0, 1, 2, 3), (0, 1), evaluate, FamilyKind.CUSTOM)
+        with pytest.raises(ParameterError, match="work cap"):
+            is_strongly_universal(over_work)
+        with pytest.raises(ParameterError, match="enumeration cap"):
+            is_strongly_universal(over_enumeration)
+
     def test_work_cap_admits_affine_p101(self):
         report = deception_probabilities(make_affine_family(101))
         assert report.p0 == report.p1 == Fraction(1, 101)

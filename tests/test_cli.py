@@ -10,8 +10,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from authsim import cli, curty_santos, qmac_framework, quantum_core, symmetry_test
-from authsim.qmac_framework import random_scheme, scheme_to_json_dict
+from authsim import classical_mac, cli, curty_santos, qmac_framework, quantum_core, symmetry_test
+from authsim.qmac_framework import random_scheme
+from testkit import scheme_to_json_dict, state_to_json_dict
 
 
 def run_cli(*argv):
@@ -77,6 +78,20 @@ class TestClassicalMacScenario:
         code, _ = run_cli(str(config), str(out_path))
         assert code == 0
         assert json.loads(out_path.read_text())["deception"]["p0"] == "1/7"
+
+    def test_poly_over_work_cap_exits_before_its_messages_exist(self, tmp_path, monkeypatch):
+        # 2**20 messages of 20 blocks: the message space fits MESSAGE_SPACE_CAP, the scan does not
+        def build(p, blocks):
+            raise AssertionError("the message space was built")
+
+        monkeypatch.setattr(classical_mac, "make_poly_family", build)
+        config = write_config(
+            tmp_path, "poly20.json", {"scenario": "ClassicalMac", "parameters": {"family": "poly", "p": 2, "blocks": 20}}
+        )
+        code, out = run_cli(str(config), str(tmp_path / "r.json"))
+        assert code == 1
+        assert out == "error: |M|*(|M|-1)*|T|^2 = 4398042316800 exceeds work cap 134217728\n"
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestCurtySantosScenario:
@@ -703,7 +718,7 @@ def _containers(node):
 
 INSTANCE_WITH_BASIS = {
     "unitary": SWAP_UNITARY,
-    "basis": [quantum_core.state_to_json_dict(state) for state in curty_santos.computational_basis()],
+    "basis": [state_to_json_dict(state) for state in curty_santos.computational_basis()],
     "accept_set": [1, 2],
 }
 INLINE_DOCUMENT_CONFIGS = (

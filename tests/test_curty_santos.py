@@ -1,3 +1,4 @@
+import io
 import itertools
 import math
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from authsim import cli, curty_santos, quantum_core
 from authsim.cli import NAMED_UNITARIES
 from authsim.curty_santos import (
     CONDITION_TOL,
@@ -14,7 +16,7 @@ from authsim.curty_santos import (
     CurtySantosInstance,
     IncompatibilityReport,
     _check_message,
-    as_qmac_scheme,
+    analyze_instance,
     attack_operator,
     honest_run,
     impersonation_acceptance,
@@ -30,7 +32,6 @@ from authsim.qmac_framework import (
     impersonation_deception,
     overlap_matrix,
     scheme_from_json_dict,
-    scheme_to_json_dict,
     validate_scheme,
 )
 from authsim.quantum_core import (
@@ -38,13 +39,12 @@ from authsim.quantum_core import (
     UnitaryOperator,
     _trusted,
     basis_state,
-    operator_to_json_dict,
     partial_trace,
     random_state,
     random_unitaries,
     random_unitary,
-    state_to_json_dict,
 )
+from testkit import as_qmac_scheme, operator_to_json_dict, scheme_to_json_dict, state_to_json_dict
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -354,6 +354,117 @@ class TestBatchedReports:
         assert error_message(lambda: incompatibility_reports([identity], basis, accept)) == error_message(
             lambda: CurtySantosInstance(tag_unitary=identity, basis=basis, accept_set=accept)
         )
+
+
+# The unitaries of the cs-unitary and cs-instance report inputs: the swap of
+# the two qubits, and H on the first qubit over a permuted basis accepting (2, 0).
+SWAP_INSTANCE = make_instance(np.eye(4)[[0, 2, 1, 3]])
+PERMUTED_BASIS_INSTANCE = CurtySantosInstance(
+    tag_unitary=UnitaryOperator(np.kron(H, np.eye(2)), (2, 2)),
+    basis=[PureState(row, (4,)) for row in np.eye(4)[[3, 1, 2, 0]]],
+    accept_set=(2, 0),
+)
+
+
+def seeded_instances(count: int, seed: int) -> list[CurtySantosInstance]:
+    """Haar tagging unitaries, every other one over a Haar basis, with accept sets in turn."""
+    rng = np.random.default_rng(seed)
+    instances = []
+    for i in range(count):
+        gate = random_unitary((2, 2), rng)
+        basis = [PureState(row) for row in random_unitary(4, rng).matrix] if i % 2 else None
+        instances.append(CurtySantosInstance(tag_unitary=gate, basis=basis, accept_set=ACCEPT_SETS[i % len(ACCEPT_SETS)]))
+    return instances
+
+
+class CallCounter:
+    """Counts the calls of module attributes replaced through monkeypatch."""
+
+    def __init__(self, monkeypatch):
+        self.monkeypatch, self.calls = monkeypatch, {}
+
+    def count(self, module, name):
+        """Count calls through ``module.name``; one name counted in two modules shares a tally."""
+        original = getattr(module, name)
+        self.calls.setdefault(name, 0)
+
+        def wrapper(*args, **kwargs):
+            self.calls[name] += 1
+            return original(*args, **kwargs)
+
+        self.monkeypatch.setattr(module, name, wrapper)
+
+
+def count_instance_work(monkeypatch) -> CallCounter:
+    counter = CallCounter(monkeypatch)
+    for name in ("_attack_operators", "check_hermitian", "_checked_basis", "_checked_accept_set",
+                 "measure_projective", "attack_operator", "optimal_impersonation", "incompatibility_reports"):
+        counter.count(curty_santos, name)
+    counter.count(np.linalg, "eigh")
+    counter.count(np.linalg, "eigvalsh")
+    return counter
+
+
+INSTANCE_WORK = {
+    "_attack_operators": 1,
+    "check_hermitian": 1,
+    "eigh": 1,
+    "eigvalsh": 1,
+    "_checked_basis": 0,
+    "_checked_accept_set": 0,
+    "measure_projective": 0,
+    "attack_operator": 0,
+    "optimal_impersonation": 0,
+    "incompatibility_reports": 0,
+}
+
+
+class TestInstanceAnalysis:
+    """``analyze_instance`` against the per-instance reference path, compared with ==."""
+
+    @staticmethod
+    def assert_matches_reference(instance):
+        witness, report, spectrum = analyze_instance(instance)
+        reference = optimal_impersonation(instance)
+        assert report.impersonation_probability == reference.deception_probability
+        assert witness.amplitudes.tolist() == reference.witness_state.amplitudes.tolist()
+        assert witness.dims == reference.witness_state.dims
+        assert spectrum.tolist() == np.linalg.eigvalsh(attack_operator(instance).matrix).tolist()
+        assert report == incompatibility_report(instance)
+
+    @pytest.mark.parametrize("name", ["identity", "xi", "hh"])
+    def test_named_unitaries(self, name):
+        self.assert_matches_reference(make_instance(NAMED_UNITARIES[name]()))
+
+    @pytest.mark.parametrize("instance", [SWAP_INSTANCE, PERMUTED_BASIS_INSTANCE], ids=["cs-unitary", "cs-instance"])
+    def test_report_inputs(self, instance):
+        self.assert_matches_reference(instance)
+
+    def test_seeded_instances(self):
+        for instance in seeded_instances(240, 41):
+            self.assert_matches_reference(instance)
+
+    @pytest.mark.parametrize("instance", [SWAP_INSTANCE, PERMUTED_BASIS_INSTANCE], ids=["cs-unitary", "cs-instance"])
+    def test_one_build_one_check_one_eigensolve(self, instance, monkeypatch):
+        counter = count_instance_work(monkeypatch)
+        counter.count(quantum_core, "check_hermitian")  # HermitianOperator's check too
+        analyze_instance(instance)
+        assert counter.calls == INSTANCE_WORK
+
+    @pytest.mark.parametrize("name", ["xi", "hh"])
+    def test_cli_report_builds_and_diagonalises_once(self, name, monkeypatch):
+        instance = make_instance(NAMED_UNITARIES[name]())
+        counter = count_instance_work(monkeypatch)
+        cli._cs_instance_report(instance)
+        # the honest runs add two measurements, each with its own eigvalsh positivity check
+        expected = dict(INSTANCE_WORK, measure_projective=2, eigvalsh=3)
+        assert counter.calls == expected
+
+    def test_random_sweep_decides_with_one_eigh(self, tmp_path, monkeypatch):
+        counter = CallCounter(monkeypatch)
+        counter.count(np.linalg, "eigh")
+        assert cli.run("cs-nogo-sweep", output=str(tmp_path / "sweep.json"), stdout=io.StringIO()) == 0
+        assert counter.calls == {"eigh": 1}
 
 
 class TestEmbedding:

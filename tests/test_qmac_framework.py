@@ -22,7 +22,6 @@ from authsim.qmac_framework import (
     random_scheme_reports,
     random_schemes,
     scheme_from_json_dict,
-    scheme_to_json_dict,
     validate_scheme,
     verify_theorem2,
 )
@@ -35,6 +34,7 @@ from authsim.quantum_core import (
     random_unitaries,
 )
 from authsim.symmetry_test import acceptance_error_formula
+from testkit import scheme_to_json_dict
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)

@@ -17,19 +17,18 @@ from authsim.quantum_core import (
     iter_haar_stacks,
     max_eigenpair,
     measure_projective,
-    operator_to_json_dict,
     overlap,
     partial_trace,
     random_state,
     random_unitaries,
     random_unitary,
     state_from_json_dict,
-    state_to_json_dict,
     symmetric_projector,
     tensor,
     unitary_from_json_dict,
 )
 from authsim.symmetry_test import acceptance_error_formula, acceptance_error_oracle
+from testkit import operator_to_json_dict, state_to_json_dict
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)

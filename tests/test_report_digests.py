@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from authsim import cli
-from authsim.qmac_framework import random_scheme, scheme_to_json_dict
+from authsim.qmac_framework import random_scheme
+from testkit import scheme_to_json_dict
 
 BUILTIN_DIGESTS = {
     ("affine-p5", "json"): "e24205cdc6f999c6730aa8072c9e656d6ca180e13611f02330aef5e6d3adb49b",

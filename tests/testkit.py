@@ -1,0 +1,95 @@
+"""Helpers that only the tests use: JSON writers for states, operators and
+schemes (the inverses of the library's readers), and the embedding of a
+Curty-Santos instance in the generic scheme framework.
+
+The test modules import this file by name; pytest puts ``tests/`` on the
+import path because the directory is not a package.
+"""
+
+import numpy as np
+
+from authsim.curty_santos import EYE4, CurtySantosInstance
+from authsim.qmac_framework import QmacScheme
+from authsim.quantum_core import PureState, UnitaryOperator
+
+
+def state_to_json_dict(state: PureState) -> dict:
+    return {
+        "dims": list(state.dims),
+        "amplitudes": [[float(z.real), float(z.imag)] for z in state.amplitudes],
+    }
+
+
+def operator_to_json_dict(op) -> dict:
+    return {
+        "dims": list(op.dims),
+        "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in op.matrix],
+    }
+
+
+def _label_to_str(label) -> str:
+    if isinstance(label, tuple):
+        return ",".join(str(part) for part in label)
+    return str(label)
+
+
+def scheme_to_json_dict(scheme: QmacScheme) -> dict:
+    """Explicit tables: label per (key, message) plus unitary per label.
+
+    Labels are canonicalized to strings; loading the document back yields an
+    equivalent scheme whose labels are those strings.
+    """
+    names = [_label_to_str(label) for label in scheme.labels]
+    label_table = [[names[row[ki]] for row in scheme.index] for ki in range(len(scheme.key_set))]
+    used = set(names)
+    unitaries = {}
+    for label, gate in scheme.tag_unitaries.items():
+        key = _label_to_str(label)
+        if key in used:
+            unitaries[key] = operator_to_json_dict(gate)
+    return {
+        "name": scheme.name,
+        "messages": list(scheme.message_set),
+        "keys": list(scheme.key_set),
+        "multiplicity": scheme.multiplicity,
+        "label_table": label_table,
+        "tag_unitaries": unitaries,
+        "initial_state": state_to_json_dict(scheme.initial_state),
+    }
+
+
+def _basis_swap_unitary(instance: CurtySantosInstance, m: int) -> UnitaryOperator:
+    """Unitary mapping phi_0 to the carrier of message m (swap in the basis)."""
+    j0 = instance.accept_set[0]
+    jm = instance.accept_set[m]
+    mat = np.eye(4, dtype=complex)
+    if jm != j0:
+        b = np.array([s.amplitudes for s in instance.basis])
+        mat = mat - np.outer(b[j0], b[j0].conj()) - np.outer(b[jm], b[jm].conj())
+        mat = mat + np.outer(b[jm], b[j0].conj()) + np.outer(b[j0], b[jm].conj())
+    return UnitaryOperator(mat, (2, 2))
+
+
+def as_qmac_scheme(instance: CurtySantosInstance) -> QmacScheme:
+    """Embed the protocol in the generic framework.
+
+    Keys and messages are bits, the label is (k, m), and the tagging unitary
+    for (k, m) first prepares the carrier of m from phi_0 and then applies U
+    when k = 1. The overlap matrices and the impersonation evaluation of the
+    embedding match the protocol's own quantities.
+    """
+    u_by_key = {0: EYE4, 1: instance.tag_unitary.matrix}
+    unitaries = {}
+    for k in (0, 1):
+        for m in (0, 1):
+            prepare = _basis_swap_unitary(instance, m).matrix
+            unitaries[(k, m)] = UnitaryOperator(u_by_key[k] @ prepare, (2, 2))
+    return QmacScheme(
+        message_set=(0, 1),
+        key_set=(0, 1),
+        label_fn=lambda k, m: (k, m),
+        tag_unitaries=unitaries,
+        initial_state=instance.basis[instance.accept_set[0]],
+        multiplicity=1,
+        name="curty-santos",
+    )

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import classical_mac, curty_santos, qmac_framework, symmetry_test
 from .errors import InvariantViolation, ParameterError
-from .quantum_core import MAX_TOTAL_DIMENSION, UnitaryOperator, random_unitaries
+from .quantum_core import MAX_TOTAL_DIMENSION, UnitaryOperator, iter_haar_stacks
 from .reporting import config_sha256, format_float, fraction_str, jsonable, render_csv, render_json
 from .spec import Field, Spec, _read_value, read_spec
 
@@ -335,22 +335,23 @@ def _cs_instance_report(instance: curty_santos.CurtySantosInstance) -> dict:
 def _run_curty_santos(params: dict, config: ScenarioConfig) -> dict:
     if "random_sweep" in params:
         count = params["random_sweep"]["count"]
-        unitaries = random_unitaries(count, (2, 2), np.random.default_rng(config.seed))
+        stacks = iter_haar_stacks(count, (2, 2), np.random.default_rng(config.seed))
+        verdicts = curty_santos.verdict_columns(stacks)
+        impersonation, secure = verdicts["impersonation_probability"], verdicts["simultaneously_secure"]
         rows = [
-            {
-                "index": index,
-                "impersonation": nogo.impersonation_probability,
-                "conclusive": list(nogo.substitution_conclusive),
-                "at_floor": nogo.impersonation_at_floor,
-                "blocked": nogo.substitution_blocked,
-                "secure": nogo.simultaneously_secure,
-            }
-            for index, nogo in enumerate(curty_santos.incompatibility_reports(unitaries))
+            {"index": index, "impersonation": p, "conclusive": c, "at_floor": f, "blocked": b, "secure": s}
+            for index, (p, c, f, b, s) in enumerate(zip(
+                impersonation,
+                verdicts["substitution_conclusive"],
+                verdicts["impersonation_at_floor"],
+                verdicts["substitution_blocked"],
+                secure,
+            ))
         ]
         return {
             "instances": count,
-            "simultaneously_secure_count": sum(row["secure"] for row in rows),
-            "min_impersonation": min(row["impersonation"] for row in rows),
+            "simultaneously_secure_count": sum(secure),
+            "min_impersonation": min(impersonation),
             "rows": rows,
         }
 

@@ -22,21 +22,26 @@ No unitary makes the diagonal overlaps zero (blocking nothing for the
 impersonator's floor) while keeping them nonzero (blocking conclusive
 discrimination): the two security goals are incompatible.
 
-``incompatibility_reports`` decides both verdicts for a whole stack of
-tagging unitaries that share one basis and accept set: the frame is checked
-once, the attack operators are built as one (n, 4, 4) stack and diagonalised
-by one batched ``eigh``, and each value is bit for bit the one a single
-instance gives. ``incompatibility_report`` is its stack-of-one case.
+``verdict_columns`` decides both verdicts for stacks of tagging unitaries
+that share one basis and accept set, such as the Haar stacks of
+``quantum_core.iter_haar_stacks``: the frame is checked once, the attack
+operators of a stack are built as one (n, 4, 4) array and diagonalised by
+one batched ``eigh``, and every verdict field is one numpy column per stack,
+taken out with ``tolist``; each value is bit for bit the one a single
+instance gives. ``incompatibility_reports`` builds its reports from those
+columns, and ``incompatibility_report`` is its stack-of-one case.
 ``analyze_instance`` runs the same kernel on one instance and keeps its
 eigenvectors for the impersonation witness, so one report builds and
 diagonalises its attack operator once. The tests hold both to the
-per-instance reference built on ``optimal_impersonation``.
+per-instance reference built on ``optimal_impersonation``. An instance
+builds its honest-run encode and decode operators once, on first use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,6 +51,7 @@ from .quantum_core import (
     HermitianOperator,
     PureState,
     UnitaryOperator,
+    _born_probabilities,
     basis_state,
     check_hermitian,
     max_eigenpair,
@@ -63,6 +69,9 @@ VERDICT_TOL = 1e-6
 # Control-qubit projectors |0><0| and |1><1|, and identities, for the controlled gates.
 P0, P1 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
 EYE2, EYE4 = np.eye(2, dtype=complex), np.eye(4, dtype=complex)
+# The terms of the controlled gates on A x B x C that do not involve U.
+ENCODE_IDLE = np.kron(P0, np.kron(EYE2, EYE4))
+DECODE_IDLE = np.kron(P1, EYE4)
 
 
 def singlet() -> PureState:
@@ -114,21 +123,20 @@ class CurtySantosInstance:
         object.__setattr__(self, "basis", _checked_basis(self.basis))
         object.__setattr__(self, "accept_set", _checked_accept_set(self.accept_set))
 
+    @cached_property
+    def coding_operators(self) -> tuple[np.ndarray, np.ndarray]:
+        """Alice's controlled tagging on (A, C) and Bob's controlled undo on
+        (B, C), as matrices on A x B x C."""
+        u = self.tag_unitary.matrix
+        encode = ENCODE_IDLE + np.kron(P1, np.kron(EYE2, u))
+        decode = np.kron(EYE2, np.kron(P0, u.conj().T) + DECODE_IDLE)
+        return encode, decode
+
 
 def _check_message(m) -> int:
     if m not in (0, 1):
         raise ParameterError(f"message must be the bit 0 or 1, got {m!r}")
     return m
-
-
-def _encode_operator(instance: CurtySantosInstance) -> np.ndarray:
-    """Alice's controlled tagging on (A, C), as a matrix on A x B x C."""
-    return np.kron(P0, np.kron(EYE2, EYE4)) + np.kron(P1, np.kron(EYE2, instance.tag_unitary.matrix))
-
-
-def _decode_operator(instance: CurtySantosInstance) -> np.ndarray:
-    """Bob's controlled undo on (B, C), as a matrix on A x B x C."""
-    return np.kron(EYE2, np.kron(P0, instance.tag_unitary.matrix.conj().T) + np.kron(P1, EYE4))
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,19 +156,23 @@ def honest_run(instance: CurtySantosInstance, m: int) -> HonestRunTrace:
 
     After Bob's decoding the joint state factors back into singlet x |phi_m>
     (the residual of that factorization is part of the trace), and his
-    measurement lands on outcome m with probability 1.
+    measurement lands on outcome m with probability 1. The measurement is
+    ``measure_projective``'s arithmetic without its checks of the density
+    and the basis: the density is that of a validated state, and the
+    instance checked its basis.
     """
     m = _check_message(m)
     carrier = instance.basis[instance.accept_set[m]]
+    encode, decode = instance.coding_operators
     start = tensor([singlet(), carrier])
-    encoded = PureState(_encode_operator(instance) @ start.amplitudes, (2, 2, 4))
+    encoded = PureState(encode @ start.amplitudes, (2, 2, 4))
     transmitted = partial_trace(encoded, keep=(2,))
-    decoded = PureState(_decode_operator(instance) @ encoded.amplitudes, (2, 2, 4))
+    decoded = PureState(decode @ encoded.amplitudes, (2, 2, 4))
     residual = float(np.linalg.norm(decoded.amplitudes - start.amplitudes))
     if residual > 1e-12:
         raise InvariantViolation(f"decoding failed to undo encoding: residual {residual:.3e}")
     rho_c = partial_trace(decoded, keep=(2,))
-    distribution = measure_projective(rho_c, instance.basis)
+    distribution = _born_probabilities(rho_c, np.array([s.amplitudes for s in instance.basis]))
     accepted = float(distribution[list(instance.accept_set)].sum())
     if abs(accepted - 1.0) > 1e-12:
         raise InvariantViolation(f"honest acceptance {accepted!r} is not 1")
@@ -197,7 +209,7 @@ def simulate_impersonation_acceptance(instance: CurtySantosInstance, psi: PureSt
     if psi.d != 4:
         raise ParameterError(f"forged state must have dimension 4, got {psi.d}")
     joint = tensor([singlet(), PureState(psi.amplitudes, (4,))])
-    decoded = PureState(_decode_operator(instance) @ joint.amplitudes, (2, 2, 4))
+    decoded = PureState(instance.coding_operators[1] @ joint.amplitudes, (2, 2, 4))
     rho_c = partial_trace(decoded, keep=(2,))
     distribution = measure_projective(rho_c, instance.basis)
     return float(distribution[list(instance.accept_set)].sum())
@@ -280,8 +292,32 @@ def incompatibility_reports(unitaries, basis=None, accept_set=(0, 1)) -> list[In
         raise ParameterError("the stack of tagging unitaries is empty")
     for gate in unitaries:
         _check_tag_unitary(gate)
+    return _reports(verdict_columns([np.array([gate.matrix for gate in unitaries])], basis, accept_set))
+
+
+def verdict_columns(stacks, basis=None, accept_set=(0, 1)) -> dict[str, list]:
+    """The fields of ``incompatibility_reports`` as columns, one list per
+    field over every matrix of ``stacks`` in order: (n, 4, 4) arrays of
+    checked unitaries, such as the stacks of ``quantum_core.iter_haar_stacks``.
+    The basis and accept set are checked once, as ``CurtySantosInstance``
+    checks them; each stack is decided by ``_decide``."""
     basis, accept = _checked_basis(basis), _checked_accept_set(accept_set)
-    return _decide(np.array([gate.matrix for gate in unitaries]), basis, accept)[3]
+    columns: dict[str, list] = {}
+    for stack in stacks:
+        if stack.shape[1:] != (4, 4):
+            raise ParameterError(f"tagging unitaries must be 4x4, got {stack.shape[1:]}")
+        for name, column in _decide(stack, basis, accept)[3].items():
+            columns.setdefault(name, []).extend(column)
+    return columns
+
+
+def _reports(columns: dict[str, list]) -> list[IncompatibilityReport]:
+    """The ``IncompatibilityReport`` of each row of ``_decide``'s columns,
+    which follow the report's fields in order."""
+    return [
+        IncompatibilityReport(Condition13Report(tuple(o), tuple(per), holds), tuple(c14), p, tuple(c), *verdicts)
+        for o, per, holds, c14, p, c, *verdicts in zip(*columns.values())
+    ]
 
 
 def analyze_instance(instance: CurtySantosInstance) -> tuple[PureState, IncompatibilityReport, np.ndarray]:
@@ -290,15 +326,22 @@ def analyze_instance(instance: CurtySantosInstance) -> tuple[PureState, Incompat
     ``attack_operator``, bit for bit, from one operator build, hermiticity
     check and ``eigh``, without checking the instance's frame again. The
     spectrum is ``eigvalsh`` of that matrix, which can differ from ``eigh`` in the last bit."""
-    m, values, vectors, (report,) = _decide(instance.tag_unitary.matrix[None], instance.basis, instance.accept_set)
+    m, values, vectors, columns = _decide(instance.tag_unitary.matrix[None], instance.basis, instance.accept_set)
     witness = PureState(top_eigenvector(values[0], vectors[0]), (2, 2))
-    return witness, report, np.linalg.eigvalsh(m[0])
+    return witness, _reports(columns)[0], np.linalg.eigvalsh(m[0])
 
 
 def _decide(matrices: np.ndarray, basis, accept) -> tuple:
     """The attack operators of tagging matrices on a checked frame, checked
     Hermitian at once; the values and vectors of one batched ``eigh`` of their
-    (M + M†)/2, the matrix ``max_eigenpair`` diagonalises; and their reports."""
+    (M + M†)/2, the matrix ``max_eigenpair`` diagonalises; and the report
+    fields as columns, in ``IncompatibilityReport`` order with condition 13's
+    three fields first.
+
+    Each column is one numpy expression over the stack: the elementwise
+    comparisons, ``minimum`` and first ``argmax`` give the bits of the
+    per-instance Python tests, ``min`` and ``index`` of ``max``.
+    """
     m = _attack_operators(matrices, basis, accept)
     check_hermitian(m)
     values, vectors = np.linalg.eigh((m + m.conj().transpose(0, 2, 1)) / 2.0)
@@ -306,30 +349,27 @@ def _decide(matrices: np.ndarray, basis, accept) -> tuple:
     # modulus by hypot (the one abs(complex) takes), so the bits match.
     phis = [basis[j].amplitudes for j in accept]
     diagonal = np.stack([(phi.conj() @ (matrices @ phi)[:, :, None])[:, 0] for phi in phis], axis=1)
-    reports = []
-    for impersonation, overlaps in zip(values[:, -1].tolist(), np.hypot(diagonal.real, diagonal.imag).tolist()):
-        overlaps = tuple(overlaps)
-        per_message = tuple(o <= CONDITION_TOL for o in overlaps)
-        conclusive = tuple(1.0 - min(1.0, o) for o in overlaps)
-        at_floor = impersonation <= 0.5 + VERDICT_TOL
-        blocked = all(c < 1.0 - VERDICT_TOL for c in conclusive)
-        witness = overlaps.index(max(overlaps)) if max(overlaps) > CONDITION_TOL else 0
-        reports.append(
-            IncompatibilityReport(
-                condition_13=Condition13Report(
-                    diagonal_overlaps=overlaps, per_message=per_message, holds=all(per_message)
-                ),
-                condition_14_per_message=tuple(o > CONDITION_TOL for o in overlaps),
-                impersonation_probability=impersonation,
-                substitution_conclusive=conclusive,
-                impersonation_at_floor=at_floor,
-                substitution_blocked=blocked,
-                simultaneously_secure=at_floor and blocked,
-                witness_message=witness,
-                witness_overlap=overlaps[witness],
-            )
-        )
-    return m, values, vectors, reports
+    overlaps = np.hypot(diagonal.real, diagonal.imag)
+    impersonation = values[:, -1]
+    per_message = overlaps <= CONDITION_TOL
+    conclusive = 1.0 - np.minimum(1.0, overlaps)
+    at_floor = impersonation <= 0.5 + VERDICT_TOL
+    blocked = (conclusive < 1.0 - VERDICT_TOL).all(axis=1)
+    witness = np.where(overlaps.max(axis=1) > CONDITION_TOL, overlaps.argmax(axis=1), 0)
+    columns = {
+        "diagonal_overlaps": overlaps.tolist(),
+        "per_message": per_message.tolist(),
+        "holds": per_message.all(axis=1).tolist(),
+        "condition_14_per_message": (overlaps > CONDITION_TOL).tolist(),
+        "impersonation_probability": impersonation.tolist(),
+        "substitution_conclusive": conclusive.tolist(),
+        "impersonation_at_floor": at_floor.tolist(),
+        "substitution_blocked": blocked.tolist(),
+        "simultaneously_secure": (at_floor & blocked).tolist(),
+        "witness_message": witness.tolist(),
+        "witness_overlap": np.take_along_axis(overlaps, witness[:, None], axis=1)[:, 0].tolist(),
+    }
+    return m, values, vectors, columns
 
 
 INSTANCE_SPEC = Spec({

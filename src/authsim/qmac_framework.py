@@ -26,10 +26,10 @@ bits of its own vdot (``pair_overlaps``), and kept as one flat list that the
 decision rules score in one call. Random schemes come from one stream of
 Haar unitaries drawn in stacks that span schemes, bit for bit the unitaries
 of one draw per tag. An ensemble of them is decided from stacked tag-state
-rows (``random_scheme_reports``): the label structure is compiled once and
-each stack gives the rows of all its unitaries in one product, so no scheme
-is built per draw; ``random_schemes``, one scheme per draw, is its
-reference.
+rows (``random_scheme_reports``): the label structure is compiled once,
+each stack gives the rows of all its unitaries in one product, and the
+schemes a stack holds whole are scored together, so no scheme is built per
+draw; ``random_schemes``, one scheme per draw, is its reference.
 """
 
 from __future__ import annotations
@@ -478,11 +478,12 @@ def random_scheme_reports(
     The label structure is compiled and validated once, in one unitary-free
     scheme. Each Haar stack of ``iter_haar_stacks`` (the stream behind
     ``random_schemes``) gives its tag states in one ``stack @ psi``, the
-    same gemv per matrix as ``QmacScheme.states``; the rows are copied into
-    one ``(|labels|, d)`` table in label order, which is norm-checked and
-    scored by ``pair_overlaps`` and the projective rule once it holds a
-    whole scheme. So the reports' values are bit for bit those of the
-    reference, while at most one stack and one table are alive. Each
+    same gemv per matrix as ``QmacScheme.states``. The schemes a stack holds
+    whole are laid out as one ``(schemes x |labels|, d)`` table in label
+    order and scored together (``_theorem2_reports``); a scheme that spans
+    stacks is copied into a one-scheme table as its rows arrive and scored
+    once it is whole. So the reports' values are bit for bit those of the
+    reference, while at most one stack and its tables are alive. Each
     report's attack carries the deception probability and the floor, range
     checked, but no witness and no mean.
     """
@@ -498,24 +499,58 @@ def random_scheme_reports(
     position = {label: p for p, label in enumerate(compiled.labels)}
     order = np.array([position[label] for label in labels], dtype=np.intp)
     floor = 1.0 / compiled.tags_per_message
-    rule = DecisionRule.projective()
-    table = np.empty((len(labels), dim), dtype=complex)
+    size = len(labels)
+    table = np.empty((size, dim), dtype=complex)
     filled = 0
-    stacks = iter_haar_stacks(count * len(labels), dim, rng)
+    stacks = iter_haar_stacks(count * size, dim, rng)
     # map binds no name to a stack, so each is released before the next is drawn
     for rows in map(np.matmul, stacks, itertools.repeat(compiled.initial_state.amplitudes)):
         start = 0
         while start < len(rows):
-            take = min(len(labels) - filled, len(rows) - start)
+            whole = (len(rows) - start) // size if filled == 0 else 0
+            if whole:
+                block = np.empty((whole, size, dim), dtype=complex)
+                block[:, order] = rows[start : start + whole * size].reshape(whole, size, dim)
+                yield from _theorem2_reports(block.reshape(-1, dim), whole, compiled.pair_index, floor)
+                start += whole * size
+                continue
+            take = min(size - filled, len(rows) - start)
             table[order[filled : filled + take]] = rows[start : start + take]
             filled, start = filled + take, start + take
-            if filled == len(labels):
+            if filled == size:
                 filled = 0
-                _check_norms(table)
-                overlaps = pair_overlaps(table, compiled.pair_index)
-                best_q = max(rule.wrong_tag_acceptances(overlaps), default=0.0)
-                attack = AttackReport("impersonation", _deception_probability(floor, best_q), floor)
-                yield _theorem2_report(attack, float(max(overlaps, default=0.0)))
+                yield from _theorem2_reports(table, 1, compiled.pair_index, floor)
+
+
+def _theorem2_reports(
+    table: np.ndarray, schemes: int, pair_index: np.ndarray, floor: float
+) -> Iterator[Theorem2Report]:
+    """The Theorem 2 reports of ``schemes`` schemes of one label structure
+    whose tag-state rows fill ``table`` scheme after scheme, each in label
+    order, with ``pair_index`` the pairs of one scheme.
+
+    The table is norm-checked once, its overlaps are one ``pair_overlaps``
+    call on the pair index offset per scheme, and the projective rule scores
+    them in one list; each scheme's best Q and largest overlap are the
+    maxima of its own slice. If a norm fails, the schemes before the
+    failing one are reported first, as one scheme at a time reports them.
+    """
+    size, pairs = len(table) // schemes, len(pair_index)
+    try:
+        _check_norms(table)
+    except ParameterError:
+        if schemes == 1:
+            raise
+        for s in range(schemes):  # the failing scheme raises again
+            yield from _theorem2_reports(table[s * size : (s + 1) * size], 1, pair_index, floor)
+        return
+    offsets = (np.arange(schemes, dtype=np.intp) * size)[:, None, None]
+    overlaps = pair_overlaps(table, (pair_index + offsets).reshape(-1, 2))
+    q = DecisionRule.projective().wrong_tag_acceptances(overlaps)
+    for lo in (s * pairs for s in range(schemes)):
+        best_q = max(q[lo : lo + pairs], default=0.0)
+        attack = AttackReport("impersonation", _deception_probability(floor, best_q), floor)
+        yield _theorem2_report(attack, float(max(overlaps[lo : lo + pairs], default=0.0)))
 
 
 SCHEME_SPEC = Spec({

@@ -259,13 +259,20 @@ def measure_projective(rho: HermitianOperator, basis: Sequence[PureState]) -> np
     gram_defect = np.abs(stack.conj() @ stack.T - np.eye(d)).max()
     if not gram_defect <= ALGEBRA_ATOL:
         raise ParameterError(f"basis is not orthonormal: max Gram defect {gram_defect:.3e}")
-    probs = np.einsum("ji,jk,ki->i", stack.conj().T, rho.matrix, stack.T).real
-    if not probs.min() >= -1e-12:
-        raise InvariantViolation(f"negative outcome probability {probs.min():.3e}")
-    probs = np.clip(probs, 0.0, None)
+    probs = _born_probabilities(rho, stack)
     if not abs(probs.sum() - 1.0) <= ALGEBRA_ATOL:
         raise InvariantViolation(f"outcome probabilities sum to {probs.sum()!r}")
     return probs
+
+
+def _born_probabilities(rho: HermitianOperator, stack: np.ndarray) -> np.ndarray:
+    """<phi_j|rho|phi_j> for the rows phi_j of ``stack``, clipped at 0 after
+    a check that none is below -1e-12; the density and the basis are not
+    checked, so the caller must have checked both."""
+    probs = np.einsum("ji,jk,ki->i", stack.conj().T, rho.matrix, stack.T).real
+    if not probs.min() >= -1e-12:
+        raise InvariantViolation(f"negative outcome probability {probs.min():.3e}")
+    return np.clip(probs, 0.0, None)
 
 
 def max_eigenpair(a: HermitianOperator) -> tuple[float, PureState]:

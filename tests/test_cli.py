@@ -620,7 +620,7 @@ class TestConfigBoundary:
 
     def test_nogo_sweep_is_batched(self, monkeypatch, tmp_path):
         """One stacked draw, one kernel call, no instance per unitary."""
-        calls = {"random_unitaries": 0, "incompatibility_reports": 0, "instances": 0}
+        calls = {"iter_haar_stacks": 0, "verdict_columns": 0, "instances": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -629,18 +629,17 @@ class TestConfigBoundary:
 
             return wrapper
 
-        monkeypatch.setattr(cli, "random_unitaries", counted("random_unitaries", cli.random_unitaries))
+        monkeypatch.setattr(cli, "iter_haar_stacks", counted("iter_haar_stacks", cli.iter_haar_stacks))
         monkeypatch.setattr(
-            curty_santos, "incompatibility_reports",
-            counted("incompatibility_reports", curty_santos.incompatibility_reports),
+            curty_santos, "verdict_columns", counted("verdict_columns", curty_santos.verdict_columns)
         )
         instance_check = curty_santos.CurtySantosInstance.__post_init__
         monkeypatch.setattr(
             curty_santos.CurtySantosInstance, "__post_init__", counted("instances", instance_check)
         )
         assert run_cli("cs-nogo-sweep", str(tmp_path / "nogo.json"))[0] == 0
-        assert calls["random_unitaries"] == 1
-        assert calls["incompatibility_reports"] == 1
+        assert calls["iter_haar_stacks"] == 1
+        assert calls["verdict_columns"] == 1
         assert calls["instances"] <= 1
 
 

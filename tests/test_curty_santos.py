@@ -44,7 +44,7 @@ from authsim.quantum_core import (
     random_unitaries,
     random_unitary,
 )
-from testkit import as_qmac_scheme, operator_to_json_dict, scheme_to_json_dict, state_to_json_dict
+from testkit import CallCounter, as_qmac_scheme, operator_to_json_dict, scheme_to_json_dict, state_to_json_dict
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -106,6 +106,23 @@ class TestHonestRun:
     def test_bad_message(self, identity_instance):
         with pytest.raises(ParameterError):
             honest_run(identity_instance, 2)
+
+    def test_matches_checked_measurement(self):
+        """The operators built once and the unchecked measurement give the bits
+        of the per-run kron construction measured by ``measure_projective``."""
+        P0, P1, EYE2, EYE4 = curty_santos.P0, curty_santos.P1, curty_santos.EYE2, curty_santos.EYE4
+        instances = seeded_instances(12, 17) + [make_instance(NAMED_UNITARIES[name]()) for name in NAMED_UNITARIES]
+        for instance in instances:
+            u = instance.tag_unitary.matrix
+            encode = np.kron(P0, np.kron(EYE2, EYE4)) + np.kron(P1, np.kron(EYE2, u))
+            decode = np.kron(EYE2, np.kron(P0, u.conj().T) + np.kron(P1, EYE4))
+            assert [op.tolist() for op in instance.coding_operators] == [encode.tolist(), decode.tolist()]
+            for m in (0, 1):
+                trace = honest_run(instance, m)
+                start = quantum_core.tensor([singlet(), instance.basis[instance.accept_set[m]]])
+                decoded = PureState(decode @ (encode @ start.amplitudes), (2, 2, 4))
+                checked = quantum_core.measure_projective(partial_trace(decoded, keep=(2,)), instance.basis)
+                assert trace.bob_outcome_distribution.tolist() == checked.tolist()
 
 
 class TestImpersonationAcceptance:
@@ -356,6 +373,41 @@ class TestBatchedReports:
         )
 
 
+class TestSweepColumns:
+    """``verdict_columns`` on Haar stacks and the ``cs-nogo-sweep`` rows against
+    ``incompatibility_reports`` of ``random_unitaries``, and those against the
+    per-instance reference, compared with ==."""
+
+    # 256 unitaries of 4 x 4 fill one stack, so 257 and 600 cross stack boundaries
+    @pytest.mark.parametrize("count", [1, 256, 257, 600])
+    def test_matches_reports_of_drawn_unitaries(self, count):
+        stack_rng, reference_rng = np.random.default_rng(count), np.random.default_rng(count)
+        columns = curty_santos.verdict_columns(quantum_core.iter_haar_stacks(count, (2, 2), stack_rng))
+        unitaries = random_unitaries(count, (2, 2), reference_rng)
+        expected = incompatibility_reports(unitaries)
+        assert curty_santos._reports(columns) == expected
+        assert stack_rng.bit_generator.state == reference_rng.bit_generator.state
+        assert expected == [reference_incompatibility_report(CurtySantosInstance(tag_unitary=u)) for u in unitaries]
+        config = cli.ScenarioConfig("CurtySantos", {}, seed=count)  # the runner draws from seed count too
+        report = cli._run_curty_santos({"random_sweep": {"count": count}}, config)
+        assert report["rows"] == [
+            {
+                "index": index,
+                "impersonation": nogo.impersonation_probability,
+                "conclusive": list(nogo.substitution_conclusive),
+                "at_floor": nogo.impersonation_at_floor,
+                "blocked": nogo.substitution_blocked,
+                "secure": nogo.simultaneously_secure,
+            }
+            for index, nogo in enumerate(expected)
+        ]
+        assert report["simultaneously_secure_count"] == sum(nogo.simultaneously_secure for nogo in expected)
+        assert report["min_impersonation"] == min(nogo.impersonation_probability for nogo in expected)
+
+    def test_wrong_matrix_shape_rejected(self):
+        assert "4x4" in error_message(lambda: curty_santos.verdict_columns([np.zeros((2, 2, 2), dtype=complex)]))
+
+
 # The unitaries of the cs-unitary and cs-instance report inputs: the swap of
 # the two qubits, and H on the first qubit over a permuted basis accepting (2, 0).
 SWAP_INSTANCE = make_instance(np.eye(4)[[0, 2, 1, 3]])
@@ -375,24 +427,6 @@ def seeded_instances(count: int, seed: int) -> list[CurtySantosInstance]:
         basis = [PureState(row) for row in random_unitary(4, rng).matrix] if i % 2 else None
         instances.append(CurtySantosInstance(tag_unitary=gate, basis=basis, accept_set=ACCEPT_SETS[i % len(ACCEPT_SETS)]))
     return instances
-
-
-class CallCounter:
-    """Counts the calls of module attributes replaced through monkeypatch."""
-
-    def __init__(self, monkeypatch):
-        self.monkeypatch, self.calls = monkeypatch, {}
-
-    def count(self, module, name):
-        """Count calls through ``module.name``; one name counted in two modules shares a tally."""
-        original = getattr(module, name)
-        self.calls.setdefault(name, 0)
-
-        def wrapper(*args, **kwargs):
-            self.calls[name] += 1
-            return original(*args, **kwargs)
-
-        self.monkeypatch.setattr(module, name, wrapper)
 
 
 def count_instance_work(monkeypatch) -> CallCounter:
@@ -455,16 +489,24 @@ class TestInstanceAnalysis:
     def test_cli_report_builds_and_diagonalises_once(self, name, monkeypatch):
         instance = make_instance(NAMED_UNITARIES[name]())
         counter = count_instance_work(monkeypatch)
+        counter.count(curty_santos, "_born_probabilities")
+        counter.count(np, "kron")
         cli._cs_instance_report(instance)
-        # the honest runs add two measurements, each with its own eigvalsh positivity check
-        expected = dict(INSTANCE_WORK, measure_projective=2, eigvalsh=3)
+        # the two honest runs measure without measure_projective's checks (no eigvalsh),
+        # build the coding operators once (4 krons) and one start state each (1 kron)
+        expected = dict(INSTANCE_WORK, _born_probabilities=2, kron=6)
         assert counter.calls == expected
 
     def test_random_sweep_decides_with_one_eigh(self, tmp_path, monkeypatch):
         counter = CallCounter(monkeypatch)
         counter.count(np.linalg, "eigh")
+        counter.count(UnitaryOperator, "__post_init__")
+        wrapped = []
+        real_wrap = quantum_core._wrap
+        monkeypatch.setattr(quantum_core, "_wrap", lambda kind, *args: wrapped.append(kind) or real_wrap(kind, *args))
         assert cli.run("cs-nogo-sweep", output=str(tmp_path / "sweep.json"), stdout=io.StringIO()) == 0
-        assert counter.calls == {"eigh": 1}
+        assert counter.calls == {"eigh": 1, "__post_init__": 0}
+        assert UnitaryOperator not in wrapped
 
 
 class TestEmbedding:

@@ -1,4 +1,5 @@
 import gc
+import io
 import itertools
 import math
 import weakref
@@ -25,7 +26,7 @@ from authsim.qmac_framework import (
     validate_scheme,
     verify_theorem2,
 )
-from authsim import quantum_core
+from authsim import cli, qmac_framework, quantum_core
 from authsim.quantum_core import (
     PureState,
     UnitaryOperator,
@@ -34,7 +35,7 @@ from authsim.quantum_core import (
     random_unitaries,
 )
 from authsim.symmetry_test import acceptance_error_formula
-from testkit import scheme_to_json_dict
+from testkit import CallCounter, scheme_to_json_dict
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -877,11 +878,15 @@ class TestRandomSchemeReports:
         seed=st.integers(0, 2**32 - 1),
     )
     # unitaries per stack: 16 (each scheme spans 3 stacks), 1024 (one stack spans all 40
-    # schemes), 33 (scheme and stack boundaries interleave), 4096 (dim 1, every overlap 1)
+    # schemes), 33 (scheme and stack boundaries interleave), 4096 (dim 1, every overlap 1),
+    # 1024 of 1500 (68 whole schemes and the start of the next in the first stack, which
+    # the second finishes), 256 (4 whole 64-label schemes per stack)
     @example(dim=16, num_keys=6, num_messages=6, count=3, seed=1)
     @example(dim=2, num_keys=3, num_messages=5, count=40, seed=2)
     @example(dim=11, num_keys=4, num_messages=5, count=17, seed=3)
     @example(dim=1, num_keys=2, num_messages=3, count=5, seed=4)
+    @example(dim=2, num_keys=3, num_messages=5, count=100, seed=5)
+    @example(dim=4, num_keys=8, num_messages=8, count=40, seed=6)
     def test_reports_equal_reference(self, dim, num_keys, num_messages, count, seed):
         ensemble_rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         reports = list(random_scheme_reports(ensemble_rng, count, dim, num_keys, num_messages))
@@ -892,6 +897,14 @@ class TestRandomSchemeReports:
             oracle = gemv_vdot_overlaps(scheme)
             assert scheme.overlaps == oracle
             assert report.max_overlap == max(oracle, default=0.0)
+
+    def test_builtin_ensemble_scored_in_one_pass(self, monkeypatch, tmp_path):
+        # the 400 unitaries of theorem2-random fill one stack of 1024 2 x 2 draws
+        counter = CallCounter(monkeypatch)
+        counter.count(qmac_framework, "pair_overlaps")
+        counter.count(qmac_framework, "_check_norms")
+        assert cli.run("theorem2-random", output=str(tmp_path / "t2.json"), stdout=io.StringIO()) == 0
+        assert counter.calls == {"pair_overlaps": 1, "_check_norms": 1}
 
     def test_tag_rows_norm_checked_per_scheme(self, monkeypatch):
         # a stack that skipped its unitarity check must still not yield a tag state

@@ -1,6 +1,7 @@
 """Helpers that only the tests use: JSON writers for states, operators and
-schemes (the inverses of the library's readers), and the embedding of a
-Curty-Santos instance in the generic scheme framework.
+schemes (the inverses of the library's readers), the embedding of a
+Curty-Santos instance in the generic scheme framework, and a call counter
+for work-count tests.
 
 The test modules import this file by name; pytest puts ``tests/`` on the
 import path because the directory is not a package.
@@ -93,3 +94,21 @@ def as_qmac_scheme(instance: CurtySantosInstance) -> QmacScheme:
         multiplicity=1,
         name="curty-santos",
     )
+
+
+class CallCounter:
+    """Counts the calls of module attributes replaced through monkeypatch."""
+
+    def __init__(self, monkeypatch):
+        self.monkeypatch, self.calls = monkeypatch, {}
+
+    def count(self, module, name):
+        """Count calls through ``module.name``; one name counted in two modules shares a tally."""
+        original = getattr(module, name)
+        self.calls.setdefault(name, 0)
+
+        def wrapper(*args, **kwargs):
+            self.calls[name] += 1
+            return original(*args, **kwargs)
+
+        self.monkeypatch.setattr(module, name, wrapper)

@@ -49,7 +49,7 @@ NAMED_UNITARIES = {
 
 # Work caps, checked before any computation starts.
 MAX_COUNT = 10_000  # draws of random_schemes and random_sweep
-MAX_SCHEME_ENTRIES = 2**22  # num_keys * num_messages * dim**2 of one random scheme (64 MiB)
+MAX_SCHEME_ENTRIES = 2**22  # num_keys * num_messages * dim**2: entries of the normals one random scheme draws
 MAX_SWEEP_POINTS = 2**16  # |T values| * |delta_fracs| * |lambda_fracs|
 MAX_MESSAGE_SPACE_BITS = 2**20  # message_space_bits, used as 2**bits
 _EXACT_FLOAT_INT = 2**53  # integers the symmetry-test formulas turn into floats
@@ -253,7 +253,7 @@ def _run_generic_qmac(params: dict, config: ScenarioConfig) -> dict:
         entries = shape["num_keys"] * shape["num_messages"] * shape["dim"] ** 2
         if entries > MAX_SCHEME_ENTRIES:
             raise ParameterError(
-                f"a random scheme would hold num_keys * num_messages * dim**2 = {entries} "
+                f"a random scheme would draw num_keys * num_messages * dim**2 = {entries} "
                 f"entries; the cap is {MAX_SCHEME_ENTRIES}"
             )
         reports = qmac_framework.random_scheme_reports(

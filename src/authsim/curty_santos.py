@@ -145,7 +145,6 @@ class HonestRunTrace:
 
     message: int
     joint_state_after_encode: PureState
-    transmitted_density: HermitianOperator
     bob_outcome_distribution: np.ndarray
     accepted_probability: float
     factorization_residual: float
@@ -166,7 +165,6 @@ def honest_run(instance: CurtySantosInstance, m: int) -> HonestRunTrace:
     encode, decode = instance.coding_operators
     start = tensor([singlet(), carrier])
     encoded = PureState(encode @ start.amplitudes, (2, 2, 4))
-    transmitted = partial_trace(encoded, keep=(2,))
     decoded = PureState(decode @ encoded.amplitudes, (2, 2, 4))
     residual = float(np.linalg.norm(decoded.amplitudes - start.amplitudes))
     if residual > 1e-12:
@@ -179,7 +177,6 @@ def honest_run(instance: CurtySantosInstance, m: int) -> HonestRunTrace:
     return HonestRunTrace(
         message=m,
         joint_state_after_encode=encoded,
-        transmitted_density=transmitted,
         bob_outcome_distribution=distribution,
         accepted_probability=accepted,
         factorization_residual=residual,

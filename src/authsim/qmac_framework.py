@@ -24,12 +24,10 @@ the overlaps of every label pair of every message are computed once, in
 bounded batches of stacked 1 x d by d x 1 products that give each pair the
 bits of its own vdot (``pair_overlaps``), and kept as one flat list that the
 decision rules score in one call. Random schemes come from one stream of
-Haar unitaries drawn in stacks that span schemes, bit for bit the unitaries
-of one draw per tag. An ensemble of them is decided from stacked tag-state
-rows (``random_scheme_reports``): the label structure is compiled once,
-each stack gives the rows of all its unitaries in one product, and the
-schemes a stack holds whole are scored together, so no scheme is built per
-draw; ``random_schemes``, one scheme per draw, is its reference.
+Haar unitaries drawn in stacks that span schemes. An ensemble is decided
+from its tag states alone (``random_scheme_reports``): only column 0 of
+each draw is factored, as the initial state is |0>, and the schemes a stack
+holds whole are scored together, bit for bit as ``random_schemes`` would be.
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ from .quantum_core import (
     PureState,
     UnitaryOperator,
     _trusted,
-    iter_haar_stacks,
+    iter_haar_columns,
     iter_random_unitaries,
     state_from_json_dict,
     unitary_from_json_dict,
@@ -476,14 +474,13 @@ def random_scheme_reports(
     decided without building a scheme per draw.
 
     The label structure is compiled and validated once, in one unitary-free
-    scheme. Each Haar stack of ``iter_haar_stacks`` (the stream behind
-    ``random_schemes``) gives its tag states in one ``stack @ psi``, the
-    same gemv per matrix as ``QmacScheme.states``. The schemes a stack holds
-    whole are laid out as one ``(schemes x |labels|, d)`` table in label
-    order and scored together (``_theorem2_reports``); a scheme that spans
-    stacks is copied into a one-scheme table as its rows arrive and scored
-    once it is whole. So the reports' values are bit for bit those of the
-    reference, while at most one stack and its tables are alive. Each
+    scheme. Its initial state is ``basis_state(0)``, so each tag state E|0>
+    is column 0 of its unitary: the rows come from ``iter_haar_columns``,
+    bit for bit the gemv of ``QmacScheme.states`` on the reference's draws.
+    The schemes a stack holds whole form one ``(schemes x |labels|, d)``
+    table in label order, scored together (``_theorem2_reports``); a scheme
+    that spans stacks is copied into a one-scheme table as its rows arrive
+    and scored once whole. At most one stack and its tables are alive. Each
     report's attack carries the deception probability and the floor, range
     checked, but no witness and no mean.
     """
@@ -502,9 +499,7 @@ def random_scheme_reports(
     size = len(labels)
     table = np.empty((size, dim), dtype=complex)
     filled = 0
-    stacks = iter_haar_stacks(count * size, dim, rng)
-    # map binds no name to a stack, so each is released before the next is drawn
-    for rows in map(np.matmul, stacks, itertools.repeat(compiled.initial_state.amplitudes)):
+    for rows in iter_haar_columns(count * size, dim, rng):
         start = 0
         while start < len(rows):
             whole = (len(rows) - start) // size if filled == 0 else 0
@@ -520,6 +515,7 @@ def random_scheme_reports(
             if filled == size:
                 filled = 0
                 yield from _theorem2_reports(table, 1, compiled.pair_index, floor)
+        del rows  # a used-up stack is released before the next is drawn
 
 
 def _theorem2_reports(

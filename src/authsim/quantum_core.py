@@ -368,6 +368,15 @@ def iter_haar_stacks(count: int, dims, rng: np.random.Generator) -> Iterator[np.
     count, dims and dimension cap are checked before anything is drawn; the
     unitarity check runs once per stack.
     """
+    return _iter_draws(_haar_stack, count, dims, rng)
+
+
+def iter_haar_columns(count: int, dims, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """Column 0, U|0>, of each unitary of ``iter_haar_stacks``, as unchecked ``(size, d)`` rows."""
+    return _iter_draws(_haar_columns, count, dims, rng)
+
+
+def _iter_draws(kernel, count: int, dims, rng: np.random.Generator) -> Iterator[np.ndarray]:
     if not isinstance(count, int) or isinstance(count, bool) or count < 1:
         raise ParameterError(f"unitary count must be a positive integer, got {count!r}")
     total = math.prod(_resolve_dims(dims))
@@ -375,7 +384,15 @@ def iter_haar_stacks(count: int, dims, rng: np.random.Generator) -> Iterator[np.
         raise ParameterError(f"total dimension {total} exceeds cap {MAX_TOTAL_DIMENSION}")
     per_stack = max(1, STACK_ENTRIES // total**2)
     for start in range(0, count, per_stack):
-        yield _haar_stack(min(per_stack, count - start), total, rng)
+        yield kernel(min(per_stack, count - start), total, rng)
+
+
+def _haar_columns(size: int, total: int, rng: np.random.Generator) -> np.ndarray:
+    """Column 0 of each unitary ``_haar_stack`` would draw, bit for bit: all normals are drawn, but a
+    Householder QR builds Q e1 from column 0 alone (Golub & Van Loan, Matrix Computations, 5.2)."""
+    normals = rng.standard_normal((size, 2, total, total))[..., :1]
+    q, r = np.linalg.qr((normals[:, 0] + 1j * normals[:, 1]) / math.sqrt(2))
+    return (q * (r / np.abs(r)))[..., 0]
 
 
 def _haar_stack(size: int, total: int, rng: np.random.Generator) -> np.ndarray:

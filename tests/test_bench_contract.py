@@ -4,9 +4,10 @@
 looked up with ``getattr`` on ``authsim.<layer>``, and the ``__post_init__``
 of every ``VALIDATED_TYPES`` class of ``quantum_core``. A name missing from
 the library crashes every traced benchmark run (``--trace 1``), so these
-tests pin the names, and traced smoke runs of the built-in scenarios and of
-the classical ladder check that every wrapped call still goes through. The
-tracer imports only the standard library and is loaded by file path.
+tests pin the names, and traced smoke runs of the built-in scenarios, of
+the classical ladder and of the qmac ladder check that every wrapped call
+still goes through. The tracer imports only the standard library and is
+loaded by file path.
 """
 
 import importlib
@@ -83,3 +84,11 @@ def test_traced_classical_ladder_smoke_run():
     metrics = traced_smoke_metrics("classical-ladder")
     assert metrics["classical_mac.deception_probabilities.calls"]["value"] == 2
     assert metrics["classical_mac.cells_scanned"]["value"] == 11 * 10 * 11**2 + 49 * 48 * 7**2
+
+
+def test_traced_qmac_ladder_smoke_run():
+    """One traced pass of the first qmac-ladder point, 100 random 2 x 2 x 2
+    schemes through cli.run, whose reports the benchmark checks: a tracer
+    break on the random-scheme path fails here."""
+    metrics = traced_smoke_metrics("qmac-ladder")
+    assert metrics["cli.run.calls"]["value"] == 1

@@ -573,15 +573,15 @@ class TestConfigBoundary:
         """Peak memory stays near one stack: with the cycle collector off,
         every Haar stack drawn before is gone when the next one is drawn."""
         drawn, alive_at_draw = [], []
-        real_stack = quantum_core._haar_stack
+        real_columns = quantum_core._haar_columns
 
-        def watched_stack(*args):
+        def watched_columns(*args):
             alive_at_draw.append(sum(ref() is not None for ref in drawn))
-            stack = real_stack(*args)
-            drawn.append(weakref.ref(stack))
-            return stack
+            rows = real_columns(*args)
+            drawn.append(weakref.ref(rows))
+            return rows
 
-        monkeypatch.setattr(quantum_core, "_haar_stack", watched_stack)
+        monkeypatch.setattr(quantum_core, "_haar_columns", watched_columns)
         config = write_config(tmp_path, "c.json", _cfg("GenericQmac", {"random_schemes": shape}))
         gc.disable()
         try:
@@ -599,17 +599,17 @@ class TestConfigBoundary:
         """One compiled scheme for the whole ensemble, and one Haar stack per
         STACK_ENTRIES entries of the draws, not one per scheme."""
         calls = {"schemes": 0, "stacks": 0}
-        real_stack, real_compile = quantum_core._haar_stack, qmac_framework.QmacScheme.__post_init__
+        real_columns, real_compile = quantum_core._haar_columns, qmac_framework.QmacScheme.__post_init__
 
-        def counted_stack(*args):
+        def counted_columns(*args):
             calls["stacks"] += 1
-            return real_stack(*args)
+            return real_columns(*args)
 
         def counted_compile(scheme):
             calls["schemes"] += 1
             real_compile(scheme)
 
-        monkeypatch.setattr(quantum_core, "_haar_stack", counted_stack)
+        monkeypatch.setattr(quantum_core, "_haar_columns", counted_columns)
         monkeypatch.setattr(qmac_framework.QmacScheme, "__post_init__", counted_compile)
         config = write_config(tmp_path, "c.json", _cfg("GenericQmac", {"random_schemes": shape}))
         assert run_cli(str(config), str(tmp_path / "r.json"))[0] == 0

@@ -81,11 +81,10 @@ class TestHonestRun:
         assert trace.bob_outcome_distribution[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_transmitted_density_even_mixture(self, xi_instance):
-        # half |00><00| + half |10><10|: direct construction vs partial trace
+        # half |00><00| + half |10><10|: direct construction vs partial trace of the encoded state
         trace = honest_run(xi_instance, 0)
         expected = np.zeros((4, 4), dtype=complex)
         expected[0, 0] = expected[2, 2] = 0.5
-        assert np.allclose(trace.transmitted_density.matrix, expected, atol=1e-12)
         reduced = partial_trace(trace.joint_state_after_encode, keep=(2,))
         assert np.allclose(reduced.matrix, expected, atol=1e-12)
 

@@ -887,6 +887,7 @@ class TestRandomSchemeReports:
     @example(dim=1, num_keys=2, num_messages=3, count=5, seed=4)
     @example(dim=2, num_keys=3, num_messages=5, count=100, seed=5)
     @example(dim=4, num_keys=8, num_messages=8, count=40, seed=6)
+    @example(dim=129, num_keys=2, num_messages=2, count=3, seed=7)
     def test_reports_equal_reference(self, dim, num_keys, num_messages, count, seed):
         ensemble_rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         reports = list(random_scheme_reports(ensemble_rng, count, dim, num_keys, num_messages))
@@ -906,16 +907,26 @@ class TestRandomSchemeReports:
         assert cli.run("theorem2-random", output=str(tmp_path / "t2.json"), stdout=io.StringIO()) == 0
         assert counter.calls == {"pair_overlaps": 1, "_check_norms": 1}
 
+    def test_tag_rows_factor_column_zero_only(self, monkeypatch, tmp_path):
+        # the ensemble never forms a whole unitary; the Curty-Santos sweep still needs them
+        counter = CallCounter(monkeypatch)
+        counter.count(quantum_core, "_haar_stack")
+        counter.count(quantum_core, "_haar_columns")
+        list(random_scheme_reports(np.random.default_rng(0), 40, dim=3, num_keys=3, num_messages=4))
+        assert counter.calls == {"_haar_stack": 0, "_haar_columns": 2}  # 480 draws, 455 per stack
+        assert cli.run("cs-nogo-sweep", output=str(tmp_path / "nogo.json"), stdout=io.StringIO()) == 0
+        assert counter.calls == {"_haar_stack": 1, "_haar_columns": 2}
+
     def test_tag_rows_norm_checked_per_scheme(self, monkeypatch):
-        # a stack that skipped its unitarity check must still not yield a tag state
-        real_stack = quantum_core._haar_stack
+        # the column kernel checks no unitarity, so a bad column must still not yield a tag state
+        real_columns = quantum_core._haar_columns
 
-        def scaled_stack(size, total, rng):
-            stack = real_stack(size, total, rng).copy()
-            stack[-1] *= 2.0
-            return stack
+        def scaled_columns(size, total, rng):
+            rows = real_columns(size, total, rng).copy()
+            rows[-1] *= 2.0
+            return rows
 
-        monkeypatch.setattr(quantum_core, "_haar_stack", scaled_stack)
+        monkeypatch.setattr(quantum_core, "_haar_columns", scaled_columns)
         reports = random_scheme_reports(np.random.default_rng(0), 2, dim=16, num_keys=2, num_messages=4)
         assert next(reports).p0 > 0.5  # a stack of 16 holds both schemes; the first is whole
         with pytest.raises(ParameterError, match="state norm"):

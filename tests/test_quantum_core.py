@@ -14,6 +14,7 @@ from authsim.quantum_core import (
     UnitaryOperator,
     _trusted,
     basis_state,
+    iter_haar_columns,
     iter_haar_stacks,
     max_eigenpair,
     measure_projective,
@@ -263,6 +264,8 @@ class TestRandomUnitaries:
             random_unitaries(count, dims, rng)
         with pytest.raises(ParameterError):
             next(iter_haar_stacks(count, dims, rng))
+        with pytest.raises(ParameterError):
+            next(iter_haar_columns(count, dims, rng))
         assert rng.bit_generator.state == before
 
     @pytest.mark.parametrize("dims,count", [(1, 5000), (2, 1500), (5, 400), (16, 40), ((2, 3), 7)])
@@ -275,6 +278,22 @@ class TestRandomUnitaries:
         assert all(not stack.flags.writeable for stack in stacks)
         assert np.array_equal(np.concatenate(stacks), np.array([u.matrix for u in unitaries]))
         assert stack_rng.bit_generator.state == unitary_rng.bit_generator.state
+
+    # 129 and 200 lie past LAPACK's blocked-QR crossover of 128 columns
+    @pytest.mark.parametrize("dim", [*range(1, 41), 129, 200])
+    def test_columns_are_column_zero_bit_for_bit(self, dim):
+        """Factoring only column 0 of each draw gives the bits of U|0> from the
+        full QR: a Householder QR builds Q e1 from column 0 alone."""
+        per_stack = max(1, STACK_ENTRIES // dim**2)
+        count = 2 * per_stack + 1  # two full stacks and a partial one
+        column_rng, stack_rng = np.random.default_rng(dim), np.random.default_rng(dim)
+        columns = list(iter_haar_columns(count, dim, column_rng))
+        stacks = list(iter_haar_stacks(count, dim, stack_rng))
+        e0 = basis_state(0, dim).amplitudes
+        assert [rows.shape for rows in columns] == [(len(stack), dim) for stack in stacks]
+        rows, reference = np.concatenate(columns), np.concatenate([stack @ e0 for stack in stacks])
+        assert np.array_equal(rows.view(np.uint64), reference.view(np.uint64))
+        assert column_rng.bit_generator.state == stack_rng.bit_generator.state
 
 
 class TestPartialTrace:

@@ -177,18 +177,6 @@ BUILTIN_SCENARIOS = {
 }
 
 
-def list_scenarios() -> dict:
-    """Catalog of built-in scenarios: name -> {kind, description, parameters}."""
-    return {
-        name: {
-            "kind": spec["scenario"],
-            "description": spec["description"],
-            "parameters": spec["parameters"],
-        }
-        for name, spec in BUILTIN_SCENARIOS.items()
-    }
-
-
 # ---------------------------------------------------------------------------
 # scenario runners: (checked parameters, config) -> plain-JSON report: str,
 # int, float, bool, None, lists, tuples and str-keyed dicts only
@@ -279,12 +267,10 @@ def _run_generic_qmac(params: dict, config: ScenarioConfig) -> dict:
             path = config.base_dir / path
         doc, where = _read_json(path, "scheme file"), str(path)
     scheme = qmac_framework.scheme_from_json_dict(doc, where)
-    if params["rule"]["kind"] == "symmetry-test":
-        rule = qmac_framework.DecisionRule.symmetry_test(params["rule"]["copies"])
-    else:
-        rule = qmac_framework.DecisionRule.projective()
+    rule = qmac_framework.DecisionRule(**params["rule"])
     result = qmac_framework.verify_theorem2(scheme)
-    attack = qmac_framework.impersonation_deception(scheme, rule)
+    # verify_theorem2 already scored the attack under the projective rule
+    attack = result.attack if rule.kind == "projective" else qmac_framework.impersonation_deception(scheme, rule)
     return {
         "scheme_name": scheme.name,
         "tags_per_message": scheme.tags_per_message,
@@ -539,10 +525,9 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "list":
-        catalog = list_scenarios()
-        width = max(len(name) for name in catalog)
-        for name, entry in catalog.items():
-            print(f"{name:<{width}}  [{entry['kind']}] {entry['description']}")
+        width = max(map(len, BUILTIN_SCENARIOS))
+        for name, spec in BUILTIN_SCENARIOS.items():
+            print(f"{name:<{width}}  [{spec['scenario']}] {spec['description']}")
         return 0
     return run(args.config, output=args.output, output_format=args.format, seed=args.seed)
 

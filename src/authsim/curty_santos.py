@@ -22,19 +22,18 @@ No unitary makes the diagonal overlaps zero (blocking nothing for the
 impersonator's floor) while keeping them nonzero (blocking conclusive
 discrimination): the two security goals are incompatible.
 
-``verdict_columns`` decides both verdicts for stacks of tagging unitaries
-that share one basis and accept set, such as the Haar stacks of
-``quantum_core.iter_haar_stacks``: the frame is checked once, the attack
-operators of a stack are built as one (n, 4, 4) array and diagonalised by
-one batched ``eigh``, and every verdict field is one numpy column per stack,
-taken out with ``tolist``; each value is bit for bit the one a single
-instance gives. ``incompatibility_reports`` builds its reports from those
-columns, and ``incompatibility_report`` is its stack-of-one case.
-``analyze_instance`` runs the same kernel on one instance and keeps its
-eigenvectors for the impersonation witness, so one report builds and
-diagonalises its attack operator once. The tests hold both to the
-per-instance reference built on ``optimal_impersonation``. An instance
-builds its honest-run encode and decode operators once, on first use.
+One kernel, ``_decide``, decides both verdicts for a stack of tagging
+unitaries on one checked frame: the attack operators are built as one
+(n, 4, 4) array and diagonalised by one batched ``eigh``, and every verdict
+field is one numpy column, taken out with ``tolist``; each value is bit for
+bit the one a single instance gives. ``verdict_columns`` runs it on Haar
+stacks, such as those of ``quantum_core.iter_haar_stacks``, on the default
+frame; ``incompatibility_report`` runs it on one instance as a stack of one,
+and ``analyze_instance`` does too, keeping its eigenvectors for the
+impersonation witness, so one report builds and diagonalises its attack
+operator once. The tests hold them to the per-instance reference built on
+``optimal_impersonation``. An instance builds its honest-run encode and
+decode operators once, on first use.
 """
 
 from __future__ import annotations
@@ -86,11 +85,6 @@ def computational_basis() -> tuple[PureState, PureState, PureState, PureState]:
     return tuple(basis_state(j, (2, 2)) for j in range(4))
 
 
-def _check_tag_unitary(gate: UnitaryOperator) -> None:
-    if gate.d != 4:
-        raise ParameterError(f"tagging unitary must be 4x4, got {gate.d}")
-
-
 def _checked_basis(basis) -> tuple:
     """The carrier basis as a tuple (computational when None), checked orthonormal."""
     basis = tuple(basis if basis is not None else computational_basis())
@@ -119,7 +113,8 @@ class CurtySantosInstance:
     accept_set: tuple[int, int] = (0, 1)
 
     def __post_init__(self):
-        _check_tag_unitary(self.tag_unitary)
+        if self.tag_unitary.d != 4:
+            raise ParameterError(f"tagging unitary must be 4x4, got {self.tag_unitary.d}")
         object.__setattr__(self, "basis", _checked_basis(self.basis))
         object.__setattr__(self, "accept_set", _checked_accept_set(self.accept_set))
 
@@ -275,30 +270,17 @@ class IncompatibilityReport:
 
 
 def incompatibility_report(instance: CurtySantosInstance) -> IncompatibilityReport:
-    """The report of one instance: the stack-of-one case of ``incompatibility_reports``."""
-    return incompatibility_reports([instance.tag_unitary], instance.basis, instance.accept_set)[0]
+    """The report of one instance: its checked frame and tagging unitary decided as a stack of one."""
+    return _reports(_decide(instance.tag_unitary.matrix[None], instance.basis, instance.accept_set)[3])[0]
 
 
-def incompatibility_reports(unitaries, basis=None, accept_set=(0, 1)) -> list[IncompatibilityReport]:
-    """One ``IncompatibilityReport`` per tagging unitary, all sharing one
-    carrier basis and accept set, which are checked once, as
-    ``CurtySantosInstance`` checks them. Each value is bit for bit what the
-    single-instance computation gives."""
-    unitaries = list(unitaries)
-    if not unitaries:
-        raise ParameterError("the stack of tagging unitaries is empty")
-    for gate in unitaries:
-        _check_tag_unitary(gate)
-    return _reports(verdict_columns([np.array([gate.matrix for gate in unitaries])], basis, accept_set))
-
-
-def verdict_columns(stacks, basis=None, accept_set=(0, 1)) -> dict[str, list]:
-    """The fields of ``incompatibility_reports`` as columns, one list per
-    field over every matrix of ``stacks`` in order: (n, 4, 4) arrays of
-    checked unitaries, such as the stacks of ``quantum_core.iter_haar_stacks``.
-    The basis and accept set are checked once, as ``CurtySantosInstance``
-    checks them; each stack is decided by ``_decide``."""
-    basis, accept = _checked_basis(basis), _checked_accept_set(accept_set)
+def verdict_columns(stacks) -> dict[str, list]:
+    """The ``IncompatibilityReport`` fields as columns, one list per field
+    over every matrix of ``stacks`` in order: (n, 4, 4) arrays of checked
+    unitaries, such as the stacks of ``quantum_core.iter_haar_stacks``, on
+    the computational basis with outcomes 0 and 1 accepted, the default
+    frame of ``CurtySantosInstance``. Each stack is decided by ``_decide``."""
+    basis, accept = computational_basis(), (0, 1)
     columns: dict[str, list] = {}
     for stack in stacks:
         if stack.shape[1:] != (4, 4):

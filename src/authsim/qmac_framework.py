@@ -23,11 +23,12 @@ injectivity checks are read; each realized label gets one tag-state row; and
 the overlaps of every label pair of every message are computed once, in
 bounded batches of stacked 1 x d by d x 1 products that give each pair the
 bits of its own vdot (``pair_overlaps``), and kept as one flat list that the
-decision rules score in one call. Random schemes come from one stream of
-Haar unitaries drawn in stacks that span schemes. An ensemble is decided
-from its tag states alone (``random_scheme_reports``): only column 0 of
-each draw is factored, as the initial state is |0>, and the schemes a stack
-holds whole are scored together, bit for bit as ``random_schemes`` would be.
+decision rules score in one call. A random scheme draws one Haar unitary
+per (key, message) label. An ensemble of them is decided from its tag states
+alone (``random_scheme_reports``): its draws come in stacks that span
+schemes, only column 0 of each draw is factored, as the initial state is
+|0>, and the schemes a stack holds whole are scored together, bit for bit as
+consecutive ``random_scheme`` calls would be.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .quantum_core import (
     UnitaryOperator,
     _trusted,
     iter_haar_columns,
-    iter_random_unitaries,
+    random_unitaries,
     state_from_json_dict,
     unitary_from_json_dict,
     basis_state,
@@ -430,48 +431,31 @@ def _random_label(key, message) -> Label:
     return (key, message)
 
 
-def random_schemes(
-    rng: np.random.Generator, count: int, dim: int = 2, num_keys: int = 2, num_messages: int = 2
-) -> Iterator[QmacScheme]:
-    """``count`` random symmetric schemes, built as they are taken: label
-    (k, m), one Haar-random unitary each.
-
-    The unitaries of all schemes come off one ``iter_random_unitaries``
-    stream, scheme after scheme and key-major within a scheme, so a stack
-    of draws may span schemes (all 100 of the 2 x 2 x 2 built-in share one
-    QR call) while the unitaries and the generator state after the last
-    scheme are those of one draw per (scheme, k, m). A stack is drawn only
-    when the previous one is used up and stays within STACK_ENTRIES entries,
-    so a caller that drops each scheme before taking the next keeps peak
-    memory to about one scheme. This is the reference for
-    ``random_scheme_reports``.
-    """
-    keys, messages, labels = _random_shape(num_keys, num_messages)
-    gates = iter_random_unitaries(count * len(labels), dim, rng)
-    for _ in range(count):
-        yield QmacScheme(
-            message_set=messages,
-            key_set=keys,
-            label_fn=_random_label,
-            tag_unitaries=dict(zip(labels, itertools.islice(gates, len(labels)))),
-            initial_state=basis_state(0, (dim,)),
-            multiplicity=1,
-            name=f"random-{dim}d-{num_keys}k",
-        )
-
-
 def random_scheme(
     rng: np.random.Generator, dim: int = 2, num_keys: int = 2, num_messages: int = 2
 ) -> QmacScheme:
-    """One random symmetric scheme: the count-1 case of ``random_schemes``."""
-    return next(random_schemes(rng, 1, dim, num_keys, num_messages))
+    """One random symmetric scheme: label (k, m), one Haar-random unitary
+    each, drawn key-major by ``random_unitaries``. Consecutive calls draw
+    what one stack-spanning stream of their unitaries would, bit for bit,
+    generator state included, so they are the reference for
+    ``random_scheme_reports``."""
+    keys, messages, labels = _random_shape(num_keys, num_messages)
+    return QmacScheme(
+        message_set=messages,
+        key_set=keys,
+        label_fn=_random_label,
+        tag_unitaries=dict(zip(labels, random_unitaries(len(labels), dim, rng))),
+        initial_state=basis_state(0, (dim,)),
+        multiplicity=1,
+        name=f"random-{dim}d-{num_keys}k",
+    )
 
 
 def random_scheme_reports(
     rng: np.random.Generator, count: int, dim: int = 2, num_keys: int = 2, num_messages: int = 2
 ) -> Iterator[Theorem2Report]:
-    """``verify_theorem2`` of each of ``random_schemes(rng, count, ...)``,
-    decided without building a scheme per draw.
+    """``verify_theorem2`` of each of ``count`` consecutive ``random_scheme``
+    calls on ``rng``, decided without building a scheme per draw.
 
     The label structure is compiled and validated once, in one unitary-free
     scheme. Its initial state is ``basis_state(0)``, so each tag state E|0>

@@ -163,24 +163,19 @@ def basis_state(index: int, dims) -> PureState:
     return PureState(amps, dims)
 
 
-def _trusted(kind, values: np.ndarray, dims: tuple[int, ...]):
+def _trusted(kind, values: np.ndarray, dims):
     """Instance of ``kind`` from values whose check has already been made.
 
-    For a product of validated factors or a tag state from a norm-checked
-    table. The dims are checked against the array; the norm, unitarity or
-    hermiticity check is not run again. ``values`` is frozen in place, not
-    copied.
+    For a product of validated factors, a tag state from a norm-checked
+    table or a unitary of a checked Haar stack. The dims are checked
+    against the array; the norm, unitarity or hermiticity check is not run
+    again. ``values`` is frozen in place, not copied.
     """
     values = np.asarray(values, dtype=complex)
     values.setflags(write=False)
-    return _wrap(kind, values, _resolve_dims(dims, values.shape[0]))
-
-
-def _wrap(kind, values: np.ndarray, dims: tuple[int, ...]):
-    """Instance of ``kind`` on frozen, checked values and resolved dims."""
     obj = object.__new__(kind)
     object.__setattr__(obj, "amplitudes" if kind is PureState else "matrix", values)
-    object.__setattr__(obj, "dims", dims)
+    object.__setattr__(obj, "dims", _resolve_dims(dims, values.shape[0]))
     return obj
 
 
@@ -409,17 +404,10 @@ def _haar_stack(size: int, total: int, rng: np.random.Generator) -> np.ndarray:
     return q
 
 
-def iter_random_unitaries(count: int, dims, rng: np.random.Generator) -> Iterator[UnitaryOperator]:
-    """The unitaries of ``iter_haar_stacks``, each a read-only view into its stack."""
-    dims = _resolve_dims(dims)
-    for stack in iter_haar_stacks(count, dims, rng):
-        yield from [_wrap(UnitaryOperator, matrix, dims) for matrix in stack]
-        del stack  # a used-up stack is released before the next is drawn
-
-
 def random_unitaries(count: int, dims, rng: np.random.Generator) -> list[UnitaryOperator]:
-    """``count`` Haar-random unitaries as a list: ``iter_random_unitaries`` run to its end."""
-    return list(iter_random_unitaries(count, dims, rng))
+    """The ``count`` unitaries of ``iter_haar_stacks``, each a read-only view into its stack."""
+    stacks = iter_haar_stacks(count, dims, rng)
+    return [_trusted(UnitaryOperator, matrix, dims) for stack in stacks for matrix in stack]
 
 
 def random_unitary(dims, rng: np.random.Generator) -> UnitaryOperator:

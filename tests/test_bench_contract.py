@@ -4,9 +4,9 @@
 looked up with ``getattr`` on ``authsim.<layer>``, and the ``__post_init__``
 of every ``VALIDATED_TYPES`` class of ``quantum_core``. A name missing from
 the library crashes every traced benchmark run (``--trace 1``), so these
-tests pin the names, and traced smoke runs of the built-in scenarios, of
-the classical ladder and of the qmac ladder check that every wrapped call
-still goes through. The tracer imports only the standard library and is
+tests pin the names, and traced smoke runs of the four workloads (the
+built-in scenarios, the classical and qmac ladders and the symmetry-test
+oracle) check that every wrapped call still goes through. The tracer imports only the standard library and is
 loaded by file path.
 """
 
@@ -92,3 +92,12 @@ def test_traced_qmac_ladder_smoke_run():
     break on the random-scheme path fails here."""
     metrics = traced_smoke_metrics("qmac-ladder")
     assert metrics["cli.run.calls"]["value"] == 1
+
+
+def test_traced_symtest_oracle_smoke_run():
+    """One traced pass of the symtest-oracle smoke points, each oracle value
+    checked against the closed form: a tracer break on the oracle path, or a
+    second tensor product per point, fails here."""
+    metrics = traced_smoke_metrics("symtest-oracle")
+    assert metrics["symmetry_test.acceptance_error_oracle.calls"]["value"] == 20
+    assert metrics["quantum_core.tensor.calls"]["value"] == 20

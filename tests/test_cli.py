@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from authsim import classical_mac, cli, curty_santos, qmac_framework, quantum_core, symmetry_test
 from authsim.qmac_framework import random_scheme
-from testkit import scheme_to_json_dict, state_to_json_dict
+from testkit import CallCounter, scheme_to_json_dict, state_to_json_dict
 
 
 def run_cli(*argv):
@@ -29,19 +29,24 @@ def write_config(tmp_path, name, doc):
 
 class TestCatalog:
     def test_catalog_contents(self):
-        catalog = cli.list_scenarios()
+        catalog = cli.BUILTIN_SCENARIOS
         assert len(catalog) >= 6
         for required in ("affine-p5", "poly-p5-l2", "cs-swapless", "cs-hadamard",
                          "theorem2-random", "symtest-grid"):
             assert required in catalog
         for entry in catalog.values():
-            assert entry["kind"] in cli.SCENARIO_KINDS
+            assert entry["scenario"] in cli.SCENARIO_KINDS
             assert entry["description"]
 
     def test_list_command(self, capsys):
         assert cli.main(["list"]) == 0
-        out = capsys.readouterr().out
-        assert "affine-p5" in out and "symtest-grid" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "affine-p5        [ClassicalMac] " + cli.BUILTIN_SCENARIOS["affine-p5"]["description"]
+        width = max(map(len, cli.BUILTIN_SCENARIOS))
+        assert lines == [
+            f"{name.ljust(width)}  [{entry['scenario']}] {entry['description']}"
+            for name, entry in cli.BUILTIN_SCENARIOS.items()
+        ]
 
     @pytest.mark.parametrize("name", sorted(cli.BUILTIN_SCENARIOS))
     def test_every_builtin_runs_clean(self, name, tmp_path):
@@ -162,6 +167,20 @@ class TestGenericQmacScenario:
         assert code == 0
         report = json.loads(out_path.read_text())
         assert report["theorem2"]["margin"] > 0
+
+    @pytest.mark.parametrize(
+        "rule,calls", [({"kind": "projective"}, 1), ({"kind": "symmetry-test", "copies": 3}, 2)],
+        ids=["projective", "symmetry-test"],
+    )
+    def test_inline_scheme_attack_scored_once(self, rule, calls, monkeypatch, tmp_path):
+        # verify_theorem2 scores the projective attack, which the runner reuses; another rule is scored again
+        doc = scheme_to_json_dict(random_scheme(np.random.default_rng(8), dim=3))
+        config = write_config(tmp_path, "s.json", _cfg("GenericQmac", {"scheme": doc, "rule": rule}))
+        counter = CallCounter(monkeypatch)
+        counter.count(qmac_framework, "impersonation_deception")
+        counter.count(qmac_framework.QmacScheme, "validate")
+        assert run_cli(str(config), str(tmp_path / "r.json"))[0] == 0
+        assert counter.calls == {"impersonation_deception": calls, "validate": calls}
 
     def test_broken_scheme_exits_two(self, tmp_path):
         scheme = random_scheme(np.random.default_rng(6))

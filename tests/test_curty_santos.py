@@ -21,7 +21,6 @@ from authsim.curty_santos import (
     honest_run,
     impersonation_acceptance,
     incompatibility_report,
-    incompatibility_reports,
     instance_from_json_dict,
     optimal_impersonation,
     simulate_impersonation_acceptance,
@@ -302,8 +301,14 @@ def error_message(call) -> str:
     return str(info.value)
 
 
+def decided_reports(unitaries, frame: CurtySantosInstance) -> list[IncompatibilityReport]:
+    """The reports ``_decide`` gives for a stack of tagging unitaries on the checked frame of ``frame``."""
+    stack = np.array([gate.matrix for gate in unitaries])
+    return curty_santos._reports(curty_santos._decide(stack, frame.basis, frame.accept_set)[3])
+
+
 class TestBatchedReports:
-    """``incompatibility_reports`` against the per-instance reference, compared with ==."""
+    """The stacked kernel ``_decide`` and its doors against the per-instance reference, compared with ==."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -318,48 +323,50 @@ class TestBatchedReports:
         basis = None if computational else [PureState(row) for row in random_unitary(4, rng).matrix]
         instances = [CurtySantosInstance(tag_unitary=u, basis=basis, accept_set=accept) for u in unitaries]
         expected = [reference_incompatibility_report(instance) for instance in instances]
-        assert incompatibility_reports(unitaries, basis, accept) == expected
+        assert decided_reports(unitaries, instances[0]) == expected
         assert incompatibility_report(instances[0]) == expected[0]
 
     @pytest.mark.parametrize("accept", ACCEPT_SETS)
     def test_named_unitaries_on_the_thresholds(self, accept):
         unitaries = [UnitaryOperator(NAMED_UNITARIES[name](), (2, 2)) for name in ("identity", "xi", "hh")]
-        expected = [
-            reference_incompatibility_report(CurtySantosInstance(tag_unitary=u, accept_set=accept))
-            for u in unitaries
-        ]
-        assert incompatibility_reports(unitaries, accept_set=accept) == expected
+        instances = [CurtySantosInstance(tag_unitary=u, accept_set=accept) for u in unitaries]
+        expected = [reference_incompatibility_report(instance) for instance in instances]
+        assert decided_reports(unitaries, instances[0]) == expected
         assert not any(report.simultaneously_secure for report in expected)
 
-    def test_empty_stack_rejected(self):
-        assert "empty" in error_message(lambda: incompatibility_reports([]))
+    def test_verdict_columns_on_the_default_frame(self):
+        # named unitaries on the thresholds, then Haar ones, in one stack
+        unitaries = [UnitaryOperator(NAMED_UNITARIES[name](), (2, 2)) for name in ("identity", "xi", "hh")]
+        unitaries += random_unitaries(13, (2, 2), np.random.default_rng(5))
+        columns = curty_santos.verdict_columns([np.array([gate.matrix for gate in unitaries])])
+        expected = [reference_incompatibility_report(CurtySantosInstance(tag_unitary=u)) for u in unitaries]
+        assert curty_santos._reports(columns) == expected
 
     def test_wrong_dimension_in_stack(self):
         small = UnitaryOperator(np.eye(2, dtype=complex))
-        stack = [UnitaryOperator(np.eye(4, dtype=complex), (2, 2)), small]
-        assert error_message(lambda: incompatibility_reports(stack)) == error_message(
-            lambda: CurtySantosInstance(tag_unitary=small)
-        )
+        assert error_message(lambda: CurtySantosInstance(tag_unitary=small)) == "tagging unitary must be 4x4, got 2"
 
     def test_nan_attack_operator_fails_hermiticity_check(self):
         # a gate that skipped its unitarity check must stop at the stacked
         # hermiticity check, not in the eigensolver
         broken = _trusted(UnitaryOperator, np.full((4, 4), math.nan, dtype=complex), (2, 2))
-        assert "not Hermitian" in error_message(lambda: incompatibility_reports([broken]))
+        instance = CurtySantosInstance(tag_unitary=broken)
+        assert "not Hermitian" in error_message(lambda: incompatibility_report(instance))
 
     @pytest.mark.parametrize(
-        "basis,accept",
+        "basis,accept,message",
         [
-            ("skew", (0, 1)),
-            ("short", (0, 1)),
-            (None, (0, 0)),
-            (None, (0, 4)),
-            (None, (1,)),
-            (None, (0, 1, 2)),
+            ("skew", (0, 1), "basis is not orthonormal"),
+            ("short", (0, 1), "basis must contain four states"),
+            (None, (0, 0), "accept set must be two distinct basis indices"),
+            (None, (0, 4), "accept set must be two distinct basis indices"),
+            (None, (1,), "accept set must be two distinct basis indices"),
+            (None, (0, 1, 2), "accept set must be two distinct basis indices"),
         ],
         ids=["skew-basis", "short-basis", "accept-repeated", "accept-out-of-range", "accept-one", "accept-three"],
     )
-    def test_bad_frame_rejected_as_the_instance_rejects_it(self, basis, accept):
+    def test_bad_frame_rejected_as_the_instance_rejects_it(self, basis, accept, message):
+        # the instance is the one door to a frame: verdict_columns fixes the default one
         states = [basis_state(j, (2, 2)) for j in range(4)]
         if basis == "skew":
             states[1] = PureState((states[0].amplitudes + states[1].amplitudes) / math.sqrt(2))
@@ -367,14 +374,13 @@ class TestBatchedReports:
         elif basis == "short":
             basis = states[:3]
         identity = UnitaryOperator(np.eye(4, dtype=complex), (2, 2))
-        assert error_message(lambda: incompatibility_reports([identity], basis, accept)) == error_message(
-            lambda: CurtySantosInstance(tag_unitary=identity, basis=basis, accept_set=accept)
-        )
+        rejection = error_message(lambda: CurtySantosInstance(tag_unitary=identity, basis=basis, accept_set=accept))
+        assert rejection.startswith(message)
 
 
 class TestSweepColumns:
     """``verdict_columns`` on Haar stacks and the ``cs-nogo-sweep`` rows against
-    ``incompatibility_reports`` of ``random_unitaries``, and those against the
+    ``incompatibility_report`` of ``random_unitaries``, and those against the
     per-instance reference, compared with ==."""
 
     # 256 unitaries of 4 x 4 fill one stack, so 257 and 600 cross stack boundaries
@@ -382,11 +388,11 @@ class TestSweepColumns:
     def test_matches_reports_of_drawn_unitaries(self, count):
         stack_rng, reference_rng = np.random.default_rng(count), np.random.default_rng(count)
         columns = curty_santos.verdict_columns(quantum_core.iter_haar_stacks(count, (2, 2), stack_rng))
-        unitaries = random_unitaries(count, (2, 2), reference_rng)
-        expected = incompatibility_reports(unitaries)
+        instances = [CurtySantosInstance(tag_unitary=u) for u in random_unitaries(count, (2, 2), reference_rng)]
+        expected = [incompatibility_report(instance) for instance in instances]
         assert curty_santos._reports(columns) == expected
         assert stack_rng.bit_generator.state == reference_rng.bit_generator.state
-        assert expected == [reference_incompatibility_report(CurtySantosInstance(tag_unitary=u)) for u in unitaries]
+        assert expected == [reference_incompatibility_report(instance) for instance in instances]
         config = cli.ScenarioConfig("CurtySantos", {}, seed=count)  # the runner draws from seed count too
         report = cli._run_curty_santos({"random_sweep": {"count": count}}, config)
         assert report["rows"] == [
@@ -431,7 +437,7 @@ def seeded_instances(count: int, seed: int) -> list[CurtySantosInstance]:
 def count_instance_work(monkeypatch) -> CallCounter:
     counter = CallCounter(monkeypatch)
     for name in ("_attack_operators", "check_hermitian", "_checked_basis", "_checked_accept_set",
-                 "measure_projective", "attack_operator", "optimal_impersonation", "incompatibility_reports"):
+                 "measure_projective", "attack_operator", "optimal_impersonation"):
         counter.count(curty_santos, name)
     counter.count(np.linalg, "eigh")
     counter.count(np.linalg, "eigvalsh")
@@ -448,7 +454,6 @@ INSTANCE_WORK = {
     "measure_projective": 0,
     "attack_operator": 0,
     "optimal_impersonation": 0,
-    "incompatibility_reports": 0,
 }
 
 
@@ -500,12 +505,14 @@ class TestInstanceAnalysis:
         counter = CallCounter(monkeypatch)
         counter.count(np.linalg, "eigh")
         counter.count(UnitaryOperator, "__post_init__")
-        wrapped = []
-        real_wrap = quantum_core._wrap
-        monkeypatch.setattr(quantum_core, "_wrap", lambda kind, *args: wrapped.append(kind) or real_wrap(kind, *args))
+        trusted = []
+        real_trusted = quantum_core._trusted
+        monkeypatch.setattr(
+            quantum_core, "_trusted", lambda kind, *args: trusted.append(kind) or real_trusted(kind, *args)
+        )
         assert cli.run("cs-nogo-sweep", output=str(tmp_path / "sweep.json"), stdout=io.StringIO()) == 0
         assert counter.calls == {"eigh": 1, "__post_init__": 0}
-        assert UnitaryOperator not in wrapped
+        assert UnitaryOperator not in trusted
 
 
 class TestEmbedding:

@@ -21,7 +21,6 @@ from authsim.qmac_framework import (
     overlap_matrix,
     random_scheme,
     random_scheme_reports,
-    random_schemes,
     scheme_from_json_dict,
     validate_scheme,
     verify_theorem2,
@@ -792,8 +791,8 @@ class TestMalformedSchemesMatchReference:
 
 
 class TestRandomSchemesStream:
-    """Schemes drawn from one stream, in stacks that span schemes, against
-    one ``random_scheme`` call per scheme."""
+    """Consecutive ``random_scheme`` calls against one stream of their
+    unitaries, drawn in stacks that span schemes."""
 
     @pytest.mark.parametrize(
         "dim,num_keys,num_messages,count",
@@ -803,51 +802,17 @@ class TestRandomSchemesStream:
     def test_stream_equals_sequential_schemes(self, dim, num_keys, num_messages, count):
         seed = 100 * dim + count
         stream_rng, sequential_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        stream = list(random_schemes(stream_rng, count, dim, num_keys, num_messages))
+        key_major = [(k, m) for k in range(num_keys) for m in range(num_messages)]
+        labels = len(key_major)
+        stream = random_unitaries(count * labels, dim, stream_rng)
         sequential = [random_scheme(sequential_rng, dim, num_keys, num_messages) for _ in range(count)]
-        assert len(stream) == count
-        for a, b in zip(stream, sequential):
-            assert (a.name, a.message_set, a.key_set, a.labels) == (b.name, b.message_set, b.key_set, b.labels)
-            assert a.index == b.index
-            assert np.array_equal(a.initial_state.amplitudes, b.initial_state.amplitudes)
-            assert list(a.tag_unitaries) == list(b.tag_unitaries)
-            for label, gate in a.tag_unitaries.items():
-                assert np.array_equal(gate.matrix, b.tag_unitaries[label].matrix)
-                assert gate.dims == b.tag_unitaries[label].dims == (dim,)
+        for s, scheme in enumerate(sequential):
+            assert list(scheme.tag_unitaries) == key_major
+            for gate, drawn in zip(scheme.tag_unitaries.values(), stream[s * labels : (s + 1) * labels]):
+                assert np.array_equal(gate.matrix, drawn.matrix)
+                assert gate.dims == drawn.dims == (dim,)
                 assert not gate.matrix.flags.writeable
         assert stream_rng.bit_generator.state == sequential_rng.bit_generator.state
-
-    @pytest.mark.parametrize(
-        "dim,num_keys,num_messages,count",
-        # a stack of 16 x 16 draws holds half a scheme, one of 2 x 2 draws spans 256 schemes
-        [(16, 2, 16, 4), (2, 2, 2, 300)],
-    )
-    def test_used_up_stack_freed_before_next_draw(self, dim, num_keys, num_messages, count, monkeypatch):
-        """Peak memory stays near one scheme: with the cycle collector off and
-        each scheme dropped before the next is taken, an earlier stack is alive
-        at a draw only while the scheme being built holds its unitaries."""
-        drawn, alive_at_draw = [], []
-        real_stack = quantum_core._haar_stack
-
-        def watched_stack(*args):
-            alive_at_draw.append([j for j, ref in enumerate(drawn) if ref() is not None])
-            stack = real_stack(*args)
-            drawn.append(weakref.ref(stack))
-            return stack
-
-        monkeypatch.setattr(quantum_core, "_haar_stack", watched_stack)
-        gc.disable()
-        try:
-            for scheme in random_schemes(np.random.default_rng(count), count, dim, num_keys, num_messages):
-                verify_theorem2(scheme)
-                del scheme
-        finally:
-            gc.enable()
-        labels, per_stack = num_keys * num_messages, quantum_core.STACK_ENTRIES // dim**2
-        # stack j is drawn for unitary j * per_stack; its scheme holds the stacks from its own first one
-        first_stack = [j * per_stack // labels * labels // per_stack for j in range(len(drawn))]
-        assert len(drawn) > 1
-        assert alive_at_draw == [list(range(first, j)) for j, first in enumerate(first_stack)]
 
 
 def theorem2_row(report: Theorem2Report) -> tuple:
@@ -891,7 +856,7 @@ class TestRandomSchemeReports:
     def test_reports_equal_reference(self, dim, num_keys, num_messages, count, seed):
         ensemble_rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         reports = list(random_scheme_reports(ensemble_rng, count, dim, num_keys, num_messages))
-        schemes = list(random_schemes(reference_rng, count, dim, num_keys, num_messages))
+        schemes = [random_scheme(reference_rng, dim, num_keys, num_messages) for _ in range(count)]
         assert [theorem2_row(r) for r in reports] == [theorem2_row(verify_theorem2(s)) for s in schemes]
         assert ensemble_rng.bit_generator.state == reference_rng.bit_generator.state
         for report, scheme in zip(reports, schemes):

@@ -49,7 +49,9 @@ class HashFamily:
     ``evaluate`` must be total on [0, key_space_size) x message_space and
     return elements of tag_space. ``epsilon`` carries the substitution bound
     of an almost-strongly-universal family and is required exactly for
-    ``FamilyKind.EPSILON_ASU``. ``tabulate``, if set, returns the whole tag table.
+    ``FamilyKind.EPSILON_ASU``. ``g``, set by the built-in families, is the |M| x p
+    table whose key a*p + b tags message i with (g[i, a] + b) mod p, g linear over
+    message_space = Z_p^blocks (from the zero message) and tag_space = range(p).
     """
 
     key_space_size: int
@@ -59,7 +61,7 @@ class HashFamily:
     family_kind: FamilyKind
     epsilon: Fraction | None = None
     name: str = "custom"
-    tabulate: Callable[[], np.ndarray] | None = None
+    g: np.ndarray | None = None
 
     def __post_init__(self):
         if not (isinstance(self.key_space_size, int) and self.key_space_size >= 1):
@@ -128,11 +130,13 @@ def _check_prime(p) -> int:
     return p
 
 
-def _poly_table(p: int, blocks: int) -> np.ndarray:
-    """The poly family's tag table (affine at blocks = 1); int64 is exact, as a**i < p**blocks <= 2**20."""
-    a, b = np.divmod(np.arange(p * p, dtype=np.int64), p)
-    messages = np.indices((p,) * blocks, dtype=np.int64).reshape(blocks, -1).T
-    return ((b + messages @ a ** np.arange(1, blocks + 1)[:, None]) % p).astype(np.min_scalar_type(p - 1))
+def _poly_g(p: int, blocks: int) -> np.ndarray:
+    """The poly family's g[i, a] = sum_j m_ij * a**j mod p (affine at blocks = 1), one message
+    digit at a time, most significant first; int64 is exact, as a**j < p**blocks <= 2**20."""
+    a, g = np.arange(p, dtype=np.int64), np.zeros((1, p), dtype=np.int64)
+    for j in range(1, blocks + 1):
+        g = ((g[:, None, :] + np.outer(a, a**j)) % p).reshape(-1, p)
+    return g
 
 
 def make_affine_family(p: int) -> HashFamily:
@@ -153,7 +157,7 @@ def make_affine_family(p: int) -> HashFamily:
         evaluate=evaluate,
         family_kind=FamilyKind.STRONGLY_UNIVERSAL,
         name=f"affine-p{p}",
-        tabulate=lambda: _poly_table(p, 1),
+        g=_poly_g(p, 1),
     )
 
 
@@ -186,7 +190,7 @@ def make_poly_family(p: int, blocks: int) -> HashFamily:
         family_kind=FamilyKind.EPSILON_ASU,
         epsilon=Fraction(blocks, p),
         name=f"poly-p{p}-l{blocks}",
-        tabulate=lambda: _poly_table(p, blocks),
+        g=_poly_g(p, blocks),
     )
 
 
@@ -205,12 +209,13 @@ def check_caps(n_keys: int, n_msgs: int, n_tags: int) -> None:
 def _tag_table(family: HashFamily) -> np.ndarray:
     """|M| x |K| array whose cell (i, k) is the position of
     h(k, message_space[i]) in the tag space; the caller checks the caps."""
-    messages, n_keys = family.message_space, family.key_space_size
-    if family.tabulate is not None:
-        return family.tabulate()
+    messages, n_keys, n_tags = family.message_space, family.key_space_size, len(family.tag_space)
+    dtype = np.min_scalar_type(n_tags - 1)
+    if family.g is not None:
+        return ((family.g[:, :, None] + np.arange(n_tags)) % n_tags).reshape(len(messages), n_keys).astype(dtype)
     position = {t: i for i, t in enumerate(family.tag_space)}
     evaluate = family.evaluate
-    table = np.empty((len(messages), n_keys), dtype=np.min_scalar_type(len(family.tag_space) - 1))
+    table = np.empty((len(messages), n_keys), dtype=dtype)
     for row, m in zip(table, messages):
         values = [evaluate(k, m) for k in range(n_keys)]
         try:
@@ -244,17 +249,23 @@ def _joint_blocks(forged: np.ndarray, n_tags: int, first: int = 0, step: int = 0
 
 
 def deception_probabilities(family: HashFamily) -> DeceptionReport:
-    """Exact impersonation and substitution probabilities by key enumeration.
+    """Exact impersonation and substitution probabilities.
 
-    The family is evaluated once into a |M| x |K| table of tag indices, in
-    numpy for built-in families; p0 comes from its |M| x |T| counts, one
-    offset bincount. One bincount per block of observed messages counts the
-    joint keys over (observed message, observed tag, forged message, forged
-    tag), so each observed (m, t) takes one contiguous max. Fractions are
-    compared by integer cross-multiplication and made only for the maximum;
-    counts never exceed |K| <= ENUMERATION_CAP, so products fit in int64.
+    A family with ``g`` is decided from its algebra: each (m, t) has p keys,
+    and (m_i, t), (m_j, t2) share N = |{a : g(m_j - m_i, a) = t2 - t}| keys,
+    so p0 = 1/p and p1 is the largest N/p, one |M| x p bincount of the rows
+    m_j - m_0 = m_j; the witnesses, (m_0, tag 0) and then the first (m_j, d)
+    in message order, are the generic scan's first maximizers.
 
-    Before any evaluation, ``check_caps`` requires that |K|*|M| not exceed
+    Any other family (the oracle) is evaluated once into a |M| x |K| table of
+    tag indices; p0 comes from its |M| x |T| counts, one offset bincount. One
+    bincount per block of observed messages counts the joint keys over
+    (observed message, observed tag, forged message, forged tag), so each
+    observed (m, t) takes one contiguous max. Fractions are compared by
+    integer cross-multiplication and made only for the maximum; counts never
+    exceed |K| <= ENUMERATION_CAP, so products fit in int64.
+
+    Before either path, ``check_caps`` requires that |K|*|M| not exceed
     ENUMERATION_CAP (2**22) and the substitution scan's |M|*(|M|-1)*|T|**2
     cells not exceed WORK_CAP (2**27, enough for the affine family up to p = 107).
     A block holds as many messages as fit SCAN_ENTRIES (2**14) entries, at
@@ -270,6 +281,15 @@ def deception_probabilities(family: HashFamily) -> DeceptionReport:
     messages, tags = family.message_space, family.tag_space
     n_keys, n_msgs, n_tags = family.key_space_size, len(messages), len(tags)
     check_caps(n_keys, n_msgs, n_tags)
+    if family.g is not None:
+        counts = np.bincount((np.arange(n_msgs - 1)[:, None] * n_tags + family.g[1:]).ravel())
+        j, d = divmod(int(counts.argmax()), n_tags)
+        return DeceptionReport(
+            p0=Fraction(1, n_tags),
+            p1=Fraction(int(counts.max()), n_tags),
+            argmax_impersonation=(messages[0], tags[0]),
+            argmax_substitution=((messages[0], tags[0]), (messages[j + 1], tags[d])),
+        )
     forged = _offset_table(family)
 
     counts = np.bincount(forged.ravel(), minlength=n_msgs * n_tags).reshape(n_msgs, n_tags)

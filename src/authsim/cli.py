@@ -23,7 +23,6 @@ identical configs produce byte-identical artifacts. Exit codes: 0 success,
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
@@ -509,6 +508,8 @@ def run(
 
 
 def main(argv=None) -> int:
+    import argparse  # here, not at the top: ``run`` needs no parser, and importing one costs every caller
+
     parser = argparse.ArgumentParser(
         prog="authsim",
         description="Deception-probability analysis of classical and quantum authentication schemes",

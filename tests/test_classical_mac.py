@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from collections import Counter
@@ -6,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from authsim import classical_mac
@@ -153,6 +154,15 @@ BUILTIN_FAMILIES = (
     + [make_poly_family(p, blocks) for p, blocks in ((3, 2), (5, 2), (3, 3))]
     + [constant_family()]
 )
+# affine (blocks None) and poly (p, blocks) whose generic scan stays cheap: |M|**2 * p**2 <= 2**20
+STRUCTURED_CASES = [(p, None) for p in PRIMES_TO_61 if p**4 <= 1 << 20] + [
+    (p, blocks) for p in PRIMES_TO_61 for blocks in range(1, 21) if p ** (2 * blocks + 2) <= 1 << 20
+]
+
+
+def without_g(family: HashFamily) -> HashFamily:
+    """The same family without its ``g`` table, so it takes the generic scan."""
+    return dataclasses.replace(family, g=None)
 
 
 class TestFamilyConstruction:
@@ -386,8 +396,10 @@ class TestDeceptionProbabilities:
 class TestReferenceOracle:
     @pytest.mark.parametrize("family", BUILTIN_FAMILIES, ids=lambda family: family.name)
     def test_builtin_families(self, family):
-        assert_matches_reference(family)
-        assert is_strongly_universal(family) == reference_strongly_universal(family)
+        strongly_universal = reference_strongly_universal(family)
+        for variant in (family, without_g(family)):
+            assert_matches_reference(variant)
+            assert is_strongly_universal(variant) == strongly_universal
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -398,31 +410,50 @@ class TestReferenceOracle:
 
 
 class TestNumpyKernels:
-    """The built-in families' numpy tag tables against their per-call
-    ``evaluate``, and the blocked joint-count scan against the slow
-    reference at every block size."""
+    """The tag tables the built-in families derive from ``g`` against their
+    per-call ``evaluate``, the structured report against the generic scan,
+    and the blocked joint-count scan against the slow reference at every
+    block size."""
 
     @settings(max_examples=40, deadline=None)
     @given(p=st.sampled_from(PRIMES_TO_61))
     def test_affine_table_matches_evaluate(self, p):
         family = make_affine_family(p)
-        table, expected = family.tabulate(), per_call_table(family)
+        table, expected = classical_mac._tag_table(family), per_call_table(family)
         assert table.dtype == expected.dtype and np.array_equal(table, expected)
 
     @settings(max_examples=40, deadline=None)
     @given(case=st.sampled_from(POLY_TABLE_CASES))
     def test_poly_table_matches_evaluate(self, case):
         family = make_poly_family(*case)
-        table, expected = family.tabulate(), per_call_table(family)
+        table, expected = classical_mac._tag_table(family), per_call_table(family)
         assert table.dtype == expected.dtype and np.array_equal(table, expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.sampled_from(STRUCTURED_CASES))
+    @example(case=(11, None))  # the classical-ladder points
+    @example(case=(17, None))
+    @example(case=(23, None))
+    @example(case=(7, 2))
+    @example(case=(3, 5))
+    @example(case=(5, None))  # the affine-p5 and poly-p5-l2 built-in scenarios
+    @example(case=(5, 2))
+    def test_structured_report_equals_generic_scan(self, case):
+        p, blocks = case
+        family = make_affine_family(p) if blocks is None else make_poly_family(p, blocks)
+        report = deception_probabilities(family)
+        assert isinstance(report.p0, Fraction) and isinstance(report.p1, Fraction)
+        assert report == deception_probabilities(without_g(family))
 
     @pytest.mark.parametrize("family", BUILTIN_FAMILIES, ids=lambda family: family.name)
     def test_builtin_families_under_every_block_size(self, family):
         expected = reference_deception_probabilities(family)
+        strongly_universal = reference_strongly_universal(family)
         for name, entries in scan_entry_settings(family).items():
             with mock.patch.object(classical_mac, "SCAN_ENTRIES", entries):
-                assert deception_probabilities(family) == expected, name
-                assert is_strongly_universal(family) == reference_strongly_universal(family), name
+                for variant in (family, without_g(family)):
+                    assert deception_probabilities(variant) == expected, name
+                    assert is_strongly_universal(variant) == strongly_universal, name
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())

@@ -332,7 +332,7 @@ def is_strongly_universal(family: HashFamily) -> bool:
 def key_length_lower_bound(observed_pairs: int, epsilon) -> float:
     """Minimum key length in bits for forgery probability epsilon after
     observing the given number of valid pairs: (l + 1) * |log2(epsilon)|."""
-    if not isinstance(observed_pairs, int) or observed_pairs < 0:
+    if not isinstance(observed_pairs, int) or isinstance(observed_pairs, bool) or observed_pairs < 0:
         raise ParameterError(f"observed pair count must be a nonnegative integer, got {observed_pairs!r}")
     try:
         eps = Fraction(epsilon)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -111,15 +111,6 @@ class ScenarioConfig:
         return config_sha256(self.scenario_kind, self.parameters, self.seed)
 
 
-def _config_from_dict(doc: dict, base_dir: Path | None, name: str) -> ScenarioConfig:
-    top = read_spec(CONFIG_SPEC, doc, "config")
-    output = top["output"]
-    # parameters stay as written, without defaults: config_sha256 hashes them
-    return ScenarioConfig(
-        top["scenario"], top["parameters"], top["seed"], output["format"], output["path"], base_dir, name
-    )
-
-
 def _read_json(path: Path, what: str):
     try:
         return json.loads(path.read_text(encoding="utf-8"))
@@ -200,37 +191,12 @@ def _run_classical_mac(params: dict, config: ScenarioConfig) -> dict:
             "message_space_size": len(family.message_space),
             "tag_space_size": tag_count,
         },
-        "deception": jsonable(asdict(report)),
+        "deception": jsonable(vars(report)),
         "theorem1": {
             "epsilon": f"1/{tag_count}",
             "bound_bits": bound_bits,
             "actual_key_bits": math.log2(family.key_space_size),
         },
-    }
-
-
-def _theorem2_entry(report: qmac_framework.Theorem2Report) -> dict:
-    attack = report.attack
-    return {
-        "p0": report.p0,
-        "classical_floor": report.classical_floor,
-        "margin": report.margin,
-        "max_overlap": report.max_overlap,
-        "classical_equivalent": report.classical_equivalent,
-        "p0_average": attack.deception_probability_average,
-        "witness_message": attack.witness_message,
-        "witness_labels": list(attack.witness_labels) if attack.witness_labels else None,
-        "witness_strategy": attack.witness_strategy,
-    }
-
-
-def _random_scheme_row(index: int, result: qmac_framework.Theorem2Report) -> dict:
-    return {
-        "index": index,
-        "lambda_max": result.max_overlap,
-        "p0": result.p0,
-        "classical_floor": result.classical_floor,
-        "margin": result.margin,
     }
 
 
@@ -243,14 +209,12 @@ def _run_generic_qmac(params: dict, config: ScenarioConfig) -> dict:
                 f"a random scheme would draw num_keys * num_messages * dim**2 = {entries} "
                 f"entries; the cap is {MAX_SCHEME_ENTRIES}"
             )
-        reports = qmac_framework.random_scheme_reports(
-            np.random.default_rng(config.seed),
-            shape["count"],
-            shape["dim"],
-            shape["num_keys"],
-            shape["num_messages"],
-        )
-        rows = [_random_scheme_row(index, report) for index, report in enumerate(reports)]
+        # the spec fills every key, and its keys are random_scheme_reports' parameter names
+        reports = qmac_framework.random_scheme_reports(np.random.default_rng(config.seed), **shape)
+        rows = [
+            {"index": i, "lambda_max": r.max_overlap, "p0": r.p0, "classical_floor": r.classical_floor, "margin": r.margin}
+            for i, r in enumerate(reports)
+        ]
         return {
             "random_schemes": shape,
             "all_margins_positive": all(row["margin"] > 0.0 for row in rows),
@@ -274,7 +238,17 @@ def _run_generic_qmac(params: dict, config: ScenarioConfig) -> dict:
         "scheme_name": scheme.name,
         "tags_per_message": scheme.tags_per_message,
         "rule": {"kind": rule.kind, "copies": rule.copies},
-        "theorem2": _theorem2_entry(result),
+        "theorem2": {
+            "p0": result.p0,
+            "classical_floor": result.classical_floor,
+            "margin": result.margin,
+            "max_overlap": result.max_overlap,
+            "classical_equivalent": result.classical_equivalent,
+            "p0_average": result.attack.deception_probability_average,
+            "witness_message": result.attack.witness_message,
+            "witness_labels": list(result.attack.witness_labels) if result.attack.witness_labels else None,
+            "witness_strategy": result.attack.witness_strategy,
+        },
         "impersonation": {
             "deception_probability": attack.deception_probability,
             "deception_probability_average": attack.deception_probability_average,
@@ -453,13 +427,18 @@ def load_config(source: str) -> ScenarioConfig:
     """Resolve a config file path or a built-in scenario name."""
     path = Path(source)
     if path.is_file():
-        return _config_from_dict(_read_json(path, "config"), path.resolve().parent, path.stem)
-    if source in BUILTIN_SCENARIOS:
-        spec = BUILTIN_SCENARIOS[source]
-        return _config_from_dict(
-            {"scenario": spec["scenario"], "parameters": spec["parameters"]}, None, source
-        )
-    raise ParameterError(f"{source!r} is neither a readable config file nor a built-in scenario")
+        doc, base_dir, name = _read_json(path, "config"), path.resolve().parent, path.stem
+    elif source in BUILTIN_SCENARIOS:
+        builtin = BUILTIN_SCENARIOS[source]
+        doc, base_dir, name = {"scenario": builtin["scenario"], "parameters": builtin["parameters"]}, None, source
+    else:
+        raise ParameterError(f"{source!r} is neither a readable config file nor a built-in scenario")
+    top = read_spec(CONFIG_SPEC, doc, "config")
+    output = top["output"]
+    # parameters stay as written, without defaults: config_sha256 hashes them
+    return ScenarioConfig(
+        top["scenario"], top["parameters"], top["seed"], output["format"], output["path"], base_dir, name
+    )
 
 
 def run(

@@ -231,7 +231,6 @@ def optimal_impersonation(instance: CurtySantosInstance) -> AttackReport:
     the random-guess floor."""
     value, state = max_eigenpair(attack_operator(instance))
     return AttackReport(
-        attack="impersonation",
         deception_probability=value,
         classical_floor=0.5,
         witness_state=state,

@@ -27,8 +27,8 @@ decision rules score in one call. A random scheme draws one Haar unitary
 per (key, message) label. An ensemble of them is decided from its tag states
 alone (``random_scheme_reports``): its draws come in stacks that span
 schemes, only column 0 of each draw is factored, as the initial state is
-|0>, and the schemes a stack holds whole are scored together, bit for bit as
-consecutive ``random_scheme`` calls would be.
+|0>, and one carry-over loop scores the schemes each stack completes
+together, bit for bit as consecutive ``random_scheme`` calls would be.
 """
 
 from __future__ import annotations
@@ -279,14 +279,6 @@ class DecisionRule:
         elif self.copies is not None:
             raise ParameterError("projective rule takes no copy count")
 
-    @classmethod
-    def projective(cls) -> "DecisionRule":
-        return cls(kind="projective")
-
-    @classmethod
-    def symmetry_test(cls, copies: int) -> "DecisionRule":
-        return cls(kind="symmetry-test", copies=copies)
-
     def wrong_tag_acceptances(self, overlaps: list[float]) -> list[float]:
         """Probability of accepting a wrong tag at each overlap.
 
@@ -310,7 +302,6 @@ class AttackReport:
     present, replaces the max over (message, label pair) with the mean.
     """
 
-    attack: str
     deception_probability: float
     classical_floor: float
     witness_message: Any = None
@@ -320,8 +311,6 @@ class AttackReport:
     deception_probability_average: float | None = None
 
     def __post_init__(self):
-        if self.attack not in ("impersonation", "substitution"):
-            raise ParameterError(f"unknown attack kind {self.attack!r}")
         p = self.deception_probability
         if p < self.classical_floor - 1e-9 or p > 1.0 + 1e-9:
             raise ParameterError(
@@ -341,7 +330,7 @@ def impersonation_deception(
     reported alongside, summed in scan order with each pair counted once
     per ordering.
     """
-    rule = rule or DecisionRule.projective()
+    rule = rule or DecisionRule("projective")
     scheme.validate()
     tag_count = scheme.tags_per_message
     floor = 1.0 / tag_count
@@ -367,7 +356,6 @@ def impersonation_deception(
             f"worst confusion against expected label {expected!r}"
         )
     return AttackReport(
-        attack="impersonation",
         deception_probability=_deception_probability(floor, best_q),
         classical_floor=floor,
         witness_message=witness_message,
@@ -403,7 +391,7 @@ def verify_theorem2(scheme: QmacScheme) -> Theorem2Report:
     margin is exactly zero for classical-equivalent schemes and strictly
     positive otherwise.
     """
-    attack = impersonation_deception(scheme, DecisionRule.projective())
+    attack = impersonation_deception(scheme, DecisionRule("projective"))
     return _theorem2_report(attack, max_offdiagonal_overlap(scheme))
 
 
@@ -452,7 +440,7 @@ def random_scheme(
 
 
 def random_scheme_reports(
-    rng: np.random.Generator, count: int, dim: int = 2, num_keys: int = 2, num_messages: int = 2
+    rng: np.random.Generator, count: int, dim: int, num_keys: int, num_messages: int
 ) -> Iterator[Theorem2Report]:
     """``verify_theorem2`` of each of ``count`` consecutive ``random_scheme``
     calls on ``rng``, decided without building a scheme per draw.
@@ -461,12 +449,13 @@ def random_scheme_reports(
     scheme. Its initial state is ``basis_state(0)``, so each tag state E|0>
     is column 0 of its unitary: the rows come from ``iter_haar_columns``,
     bit for bit the gemv of ``QmacScheme.states`` on the reference's draws.
-    The schemes a stack holds whole form one ``(schemes x |labels|, d)``
-    table in label order, scored together (``_theorem2_reports``); a scheme
-    that spans stacks is copied into a one-scheme table as its rows arrive
-    and scored once whole. At most one stack and its tables are alive. Each
-    report's attack carries the deception probability and the floor, range
-    checked, but no witness and no mean.
+    A copy of each stack's rows joins the rows a scheme that spans stacks
+    left pending; the schemes now whole form one ``(schemes x |labels|, d)``
+    table in label order, scored together (``_theorem2_reports``), and the
+    rest wait for the next stack. So a stack gets at most one scoring pass
+    and is released before the next is drawn. Each report's attack carries
+    the deception probability and the floor, range checked, but no witness
+    and no mean.
     """
     keys, messages, labels = _random_shape(num_keys, num_messages)
     compiled = QmacScheme(
@@ -477,29 +466,21 @@ def random_scheme_reports(
         initial_state=basis_state(0, (dim,)),
     )
     compiled.validate()
-    position = {label: p for p, label in enumerate(compiled.labels)}
-    order = np.array([position[label] for label in labels], dtype=np.intp)
+    draw_index = {label: i for i, label in enumerate(labels)}
+    drawn = np.array([draw_index[label] for label in compiled.labels], dtype=np.intp)  # in label order
     floor = 1.0 / compiled.tags_per_message
     size = len(labels)
-    table = np.empty((size, dim), dtype=complex)
-    filled = 0
+    pending, held = [], 0  # copies of the drawn rows not yet scored, and their count
     for rows in iter_haar_columns(count * size, dim, rng):
-        start = 0
-        while start < len(rows):
-            whole = (len(rows) - start) // size if filled == 0 else 0
-            if whole:
-                block = np.empty((whole, size, dim), dtype=complex)
-                block[:, order] = rows[start : start + whole * size].reshape(whole, size, dim)
-                yield from _theorem2_reports(block.reshape(-1, dim), whole, compiled.pair_index, floor)
-                start += whole * size
-                continue
-            take = min(size - filled, len(rows) - start)
-            table[order[filled : filled + take]] = rows[start : start + take]
-            filled, start = filled + take, start + take
-            if filled == size:
-                filled = 0
-                yield from _theorem2_reports(table, 1, compiled.pair_index, floor)
+        pending.append(rows.copy())
+        held += len(rows)
         del rows  # a used-up stack is released before the next is drawn
+        whole = held // size
+        if whole:
+            joined = np.concatenate(pending)  # only when a scheme completes: no row is re-copied per stack
+            table = joined[: whole * size].reshape(whole, size, dim).take(drawn, axis=1).reshape(-1, dim)
+            pending, held = [joined[whole * size :]], held - whole * size
+            yield from _theorem2_reports(table, whole, compiled.pair_index, floor)
 
 
 def _theorem2_reports(
@@ -526,10 +507,10 @@ def _theorem2_reports(
         return
     offsets = (np.arange(schemes, dtype=np.intp) * size)[:, None, None]
     overlaps = pair_overlaps(table, (pair_index + offsets).reshape(-1, 2))
-    q = DecisionRule.projective().wrong_tag_acceptances(overlaps)
+    q = DecisionRule("projective").wrong_tag_acceptances(overlaps)
     for lo in (s * pairs for s in range(schemes)):
         best_q = max(q[lo : lo + pairs], default=0.0)
-        attack = AttackReport("impersonation", _deception_probability(floor, best_q), floor)
+        attack = AttackReport(_deception_probability(floor, best_q), floor)
         yield _theorem2_report(attack, float(max(overlaps[lo : lo + pairs], default=0.0)))
 
 

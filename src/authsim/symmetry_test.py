@@ -28,7 +28,7 @@ def acceptance_error_formula(n, lambda_max) -> float:
     Closed form (1 + (n-1)*lambda^2)/n; n may be real-valued for use inside
     copy-count algebra.
     """
-    if not isinstance(n, Real) or n < 1:
+    if not isinstance(n, Real) or isinstance(n, bool) or n < 1:
         raise ParameterError(f"copy count must be a real number >= 1, got {n!r}")
     if not 0.0 <= lambda_max <= 1.0 + 1e-12:
         raise ParameterError(f"overlap {lambda_max!r} outside [0, 1]")

@@ -487,3 +487,8 @@ class TestKeyLengthBound:
             key_length_lower_bound(1, Fraction(3, 2))
         with pytest.raises(ParameterError):
             key_length_lower_bound(1, 0)
+
+    @pytest.mark.parametrize("observed_pairs", [True, False])
+    def test_bool_pair_count_rejected(self, observed_pairs):
+        with pytest.raises(ParameterError, match="observed pair count"):
+            key_length_lower_bound(observed_pairs, Fraction(1, 2))

@@ -597,7 +597,8 @@ class TestConfigBoundary:
         def watched_columns(*args):
             alive_at_draw.append(sum(ref() is not None for ref in drawn))
             rows = real_columns(*args)
-            drawn.append(weakref.ref(rows))
+            # the buffer, not the view: another view of it would keep the stack alive
+            drawn.append(weakref.ref(rows if rows.base is None else rows.base))
             return rows
 
         monkeypatch.setattr(quantum_core, "_haar_columns", watched_columns)

@@ -246,7 +246,7 @@ def reference_impersonation_deception(
     pairs (first maximizer in scan order wins ties). The mean-Q variant is
     reported alongside.
     """
-    rule = rule or DecisionRule.projective()
+    rule = rule or DecisionRule("projective")
     reference_validate_scheme(scheme)
     tag_count = scheme.tags_per_message
     floor = 1.0 / tag_count
@@ -279,7 +279,6 @@ def reference_impersonation_deception(
             f"worst confusion against expected label {expected!r}"
         )
     return AttackReport(
-        attack="impersonation",
         deception_probability=floor + (1.0 - floor) * best_q,
         classical_floor=floor,
         witness_message=witness_message,
@@ -297,7 +296,7 @@ def reference_verify_theorem2(scheme: QmacScheme) -> Theorem2Report:
     margin is exactly zero for classical-equivalent schemes and strictly
     positive otherwise.
     """
-    attack = reference_impersonation_deception(scheme, DecisionRule.projective())
+    attack = reference_impersonation_deception(scheme, DecisionRule("projective"))
     lam_max = reference_max_offdiagonal_overlap(scheme)
     classical = lam_max <= OVERLAP_TOL
     p0 = attack.classical_floor if classical else attack.deception_probability
@@ -445,7 +444,7 @@ class TestImpersonationDeception:
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(23)
-        rule = DecisionRule.projective()
+        rule = DecisionRule("projective")
         for _ in range(20):
             scheme = random_scheme(rng, dim=2, num_keys=3, num_messages=2)
             expected = brute_force_impersonation(scheme, rule)
@@ -454,7 +453,7 @@ class TestImpersonationDeception:
 
     def test_symmetry_test_rule_matches_brute_force(self):
         rng = np.random.default_rng(24)
-        rule = DecisionRule.symmetry_test(3)
+        rule = DecisionRule("symmetry-test", 3)
         for _ in range(5):
             scheme = random_scheme(rng)
             expected = brute_force_impersonation(scheme, rule)
@@ -465,7 +464,7 @@ class TestImpersonationDeception:
         theta = 0.8
         scheme = two_key_qubit_scheme(theta)
         lam = abs(math.cos(theta))
-        report = impersonation_deception(scheme, DecisionRule.symmetry_test(4))
+        report = impersonation_deception(scheme, DecisionRule("symmetry-test", 4))
         assert report.deception_probability == pytest.approx(
             0.5 + 0.5 * acceptance_error_formula(4, lam), abs=1e-12
         )
@@ -513,9 +512,7 @@ class TestImpersonationDeception:
 
     def test_attack_report_bounds(self):
         with pytest.raises(ParameterError):
-            AttackReport(attack="impersonation", deception_probability=0.2, classical_floor=0.5)
-        with pytest.raises(ParameterError):
-            AttackReport(attack="eavesdrop", deception_probability=0.6, classical_floor=0.5)
+            AttackReport(deception_probability=0.2, classical_floor=0.5)
 
 
 class TestTheorem2:
@@ -547,7 +544,7 @@ class TestTheorem2:
 
     def test_decision_rule_validation(self):
         with pytest.raises(ParameterError):
-            DecisionRule.symmetry_test(1)
+            DecisionRule("symmetry-test", 1)
         with pytest.raises(ParameterError):
             DecisionRule(kind="projective", copies=3)
         with pytest.raises(ParameterError):
@@ -638,8 +635,8 @@ def symmetric_schemes(draw):
 
 
 decision_rules = st.one_of(
-    st.just(DecisionRule.projective()),
-    st.integers(2, 5).map(DecisionRule.symmetry_test),
+    st.just(DecisionRule("projective")),
+    st.integers(2, 5).map(lambda copies: DecisionRule("symmetry-test", copies)),
 )
 
 
@@ -708,7 +705,7 @@ class TestCompiledTableMatchesReference:
         every_pair = sorted((k, m) for k in scheme.key_set for m in scheme.message_set)
         assert sorted(calls) == every_pair
         verify_theorem2(scheme)
-        impersonation_deception(scheme, DecisionRule.symmetry_test(3))
+        impersonation_deception(scheme, DecisionRule("symmetry-test", 3))
         validate_scheme(scheme)
         for m in scheme.message_set:
             overlap_matrix(scheme, m)
@@ -781,7 +778,7 @@ class TestMalformedSchemesMatchReference:
             message_set=(0, 1), initial_state=basis_state(0, (2,)), **MALFORMED_SCHEMES[name]
         )
         assert outcome(validate_scheme, scheme) == outcome(reference_validate_scheme, scheme)
-        for rule in (DecisionRule.projective(), DecisionRule.symmetry_test(3)):
+        for rule in (DecisionRule("projective"), DecisionRule("symmetry-test", 3)):
             expected = outcome(reference_impersonation_deception, scheme, rule)
             assert expected is not None
             assert outcome(impersonation_deception, scheme, rule) == expected
@@ -819,7 +816,7 @@ def theorem2_row(report: Theorem2Report) -> tuple:
     attack = report.attack
     return (
         report.p0, report.classical_floor, report.margin, report.max_overlap, report.classical_equivalent,
-        attack.attack, attack.deception_probability, attack.classical_floor,
+        attack.deception_probability, attack.classical_floor,
     )
 
 
@@ -882,6 +879,17 @@ class TestRandomSchemeReports:
         assert cli.run("cs-nogo-sweep", output=str(tmp_path / "nogo.json"), stdout=io.StringIO()) == 0
         assert counter.calls == {"_haar_stack": 1, "_haar_columns": 2}
 
+    def test_one_scoring_pass_per_stack(self, monkeypatch):
+        # 12 labels and 455 draws per stack: 37 schemes are whole in the first stack, and the
+        # second completes the scheme the first began together with the last two
+        counter = CallCounter(monkeypatch)
+        counter.count(qmac_framework, "_theorem2_reports")
+        counter.count(quantum_core, "_haar_columns")
+        reports = list(random_scheme_reports(np.random.default_rng(0), 40, dim=3, num_keys=3, num_messages=4))
+        assert len(reports) == 40
+        assert counter.calls["_haar_columns"] == 2
+        assert counter.calls["_theorem2_reports"] <= counter.calls["_haar_columns"]
+
     def test_tag_rows_norm_checked_per_scheme(self, monkeypatch):
         # the column kernel checks no unitarity, so a bad column must still not yield a tag state
         real_columns = quantum_core._haar_columns
@@ -923,29 +931,29 @@ class TestOverlapKernel:
 
     def test_scored_q_is_python_float_square(self):
         lams = np.random.default_rng(1).random(20000).tolist() + [0.0, 1.0, 1.0 + 1e-12]
-        assert DecisionRule.projective().wrong_tag_acceptances(lams) == [float(lam) ** 2 for lam in lams]
+        assert DecisionRule("projective").wrong_tag_acceptances(lams) == [float(lam) ** 2 for lam in lams]
         for copies in (2, 3, 7):
-            rule = DecisionRule.symmetry_test(copies)
+            rule = DecisionRule("symmetry-test", copies)
             assert rule.wrong_tag_acceptances(lams) == [acceptance_error_formula(copies, lam) for lam in lams]
 
     def test_symmetry_rule_keeps_range_check(self):
         with pytest.raises(ParameterError, match="outside"):
-            DecisionRule.symmetry_test(3).wrong_tag_acceptances([0.5, 1.0 + 1e-9])
-        assert DecisionRule.projective().wrong_tag_acceptances([]) == []
+            DecisionRule("symmetry-test", 3).wrong_tag_acceptances([0.5, 1.0 + 1e-9])
+        assert DecisionRule("projective").wrong_tag_acceptances([]) == []
 
     @pytest.mark.parametrize("lam", [1.0 + 1e-11, math.nan], ids=["above-slack", "nan"])
     def test_symmetry_rule_rejects_overlap_out_of_range(self, lam):
         with pytest.raises(ParameterError, match=r"outside \[0, 1\]"):
-            DecisionRule.symmetry_test(3).wrong_tag_acceptances([0.5, lam])
+            DecisionRule("symmetry-test", 3).wrong_tag_acceptances([0.5, lam])
 
     def test_symmetry_rule_accepts_overlap_within_slack(self):
         lam = 1.0 + 1e-13
-        assert DecisionRule.symmetry_test(3).wrong_tag_acceptances([lam]) == [(1.0 + 2.0 * lam**2) / 3.0]
+        assert DecisionRule("symmetry-test", 3).wrong_tag_acceptances([lam]) == [(1.0 + 2.0 * lam**2) / 3.0]
 
     def test_projective_rule_checks_no_range(self):
         lams = [1.0 + 1e-11, -0.5, 2.0]
-        assert DecisionRule.projective().wrong_tag_acceptances(lams) == [lam**2 for lam in lams]
-        assert math.isnan(DecisionRule.projective().wrong_tag_acceptances([math.nan])[0])
+        assert DecisionRule("projective").wrong_tag_acceptances(lams) == [lam**2 for lam in lams]
+        assert math.isnan(DecisionRule("projective").wrong_tag_acceptances([math.nan])[0])
 
 
 def test_tag_state_norm_checked_once_per_table():

@@ -51,6 +51,11 @@ class TestAcceptanceErrorFormula:
         with pytest.raises(ParameterError):
             acceptance_error_formula(2, 1.5)
 
+    @pytest.mark.parametrize("n", [True, False])
+    def test_bool_copy_count_rejected(self, n):
+        with pytest.raises(ParameterError, match="copy count"):
+            acceptance_error_formula(n, 0.5)
+
 
 class TestAcceptanceErrorOracle:
     def test_identical_states_always_pass(self):

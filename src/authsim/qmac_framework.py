@@ -22,13 +22,14 @@ messages x keys into a label-index table, from which the partition and
 injectivity checks are read; each realized label gets one tag-state row; and
 the overlaps of every label pair of every message are computed once, in
 bounded batches of stacked 1 x d by d x 1 products that give each pair the
-bits of its own vdot (``pair_overlaps``), and kept as one flat list that the
-decision rules score in one call. A random scheme draws one Haar unitary
-per (key, message) label. An ensemble of them is decided from its tag states
-alone (``random_scheme_reports``): its draws come in stacks that span
-schemes, only column 0 of each draw is factored, as the initial state is
-|0>, and one carry-over loop scores the schemes each stack completes
-together, bit for bit as consecutive ``random_scheme`` calls would be.
+bits of its own vdot (``pair_overlaps``), and kept as one flat list that a
+scheme's decision rule scores in one call. A random scheme draws one Haar
+unitary per (key, message) label. An ensemble of them is decided from its
+tag states alone (``random_scheme_reports``): its draws come in batches that
+span schemes, only column 0 of each draw is factored, as the initial state
+is |0>, and one carry-over loop scores the schemes each batch completes
+together, each from its largest overlap squared once, bit for bit as
+consecutive ``random_scheme`` calls would be.
 """
 
 from __future__ import annotations
@@ -409,8 +410,13 @@ def _theorem2_report(attack: AttackReport, lam_max: float) -> Theorem2Report:
     )
 
 
-def _random_shape(num_keys: int, num_messages: int) -> tuple[tuple, tuple, list]:
-    """Keys, messages and the labels (k, m) of a random scheme in draw order, key-major."""
+def _random_shape(num_keys: int, num_messages: int, **sizes: int) -> tuple[tuple, tuple, list]:
+    """Keys, messages and the labels (k, m) of a random scheme in draw order, key-major, once each
+    shape argument is checked: an int, not a bool, at least 2 for num_messages and 1 for the rest."""
+    for name, value in dict(sizes, num_keys=num_keys, num_messages=num_messages).items():
+        least = 2 if name == "num_messages" else 1
+        if not isinstance(value, int) or isinstance(value, bool) or value < least:
+            raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
     keys, messages = tuple(range(num_keys)), tuple(range(num_messages))
     return keys, messages, [(k, m) for k in keys for m in messages]
 
@@ -427,7 +433,7 @@ def random_scheme(
     what one stack-spanning stream of their unitaries would, bit for bit,
     generator state included, so they are the reference for
     ``random_scheme_reports``."""
-    keys, messages, labels = _random_shape(num_keys, num_messages)
+    keys, messages, labels = _random_shape(num_keys, num_messages, dim=dim)
     return QmacScheme(
         message_set=messages,
         key_set=keys,
@@ -449,15 +455,16 @@ def random_scheme_reports(
     scheme. Its initial state is ``basis_state(0)``, so each tag state E|0>
     is column 0 of its unitary: the rows come from ``iter_haar_columns``,
     bit for bit the gemv of ``QmacScheme.states`` on the reference's draws.
-    A copy of each stack's rows joins the rows a scheme that spans stacks
+    A copy of each batch's rows joins the rows a scheme that spans batches
     left pending; the schemes now whole form one ``(schemes x |labels|, d)``
     table in label order, scored together (``_theorem2_reports``), and the
-    rest wait for the next stack. So a stack gets at most one scoring pass
-    and is released before the next is drawn. Each report's attack carries
+    rest wait for the next batch. So a batch gets at most one scoring pass
+    and is released before the next is drawn. The shape arguments are
+    checked before anything is drawn. Each report's attack carries
     the deception probability and the floor, range checked, but no witness
     and no mean.
     """
-    keys, messages, labels = _random_shape(num_keys, num_messages)
+    keys, messages, labels = _random_shape(num_keys, num_messages, count=count, dim=dim)
     compiled = QmacScheme(
         message_set=messages,
         key_set=keys,
@@ -474,10 +481,10 @@ def random_scheme_reports(
     for rows in iter_haar_columns(count * size, dim, rng):
         pending.append(rows.copy())
         held += len(rows)
-        del rows  # a used-up stack is released before the next is drawn
+        del rows  # a used-up batch is released before the next is drawn
         whole = held // size
         if whole:
-            joined = np.concatenate(pending)  # only when a scheme completes: no row is re-copied per stack
+            joined = np.concatenate(pending)  # only when a scheme completes: no row is re-copied per batch
             table = joined[: whole * size].reshape(whole, size, dim).take(drawn, axis=1).reshape(-1, dim)
             pending, held = [joined[whole * size :]], held - whole * size
             yield from _theorem2_reports(table, whole, compiled.pair_index, floor)
@@ -490,11 +497,13 @@ def _theorem2_reports(
     whose tag-state rows fill ``table`` scheme after scheme, each in label
     order, with ``pair_index`` the pairs of one scheme.
 
-    The table is norm-checked once, its overlaps are one ``pair_overlaps``
-    call on the pair index offset per scheme, and the projective rule scores
-    them in one list; each scheme's best Q and largest overlap are the
-    maxima of its own slice. If a norm fails, the schemes before the
-    failing one are reported first, as one scheme at a time reports them.
+    The table is norm-checked once and its overlaps are one ``pair_overlaps``
+    call on the pair index offset per scheme. Each scheme's largest overlap
+    is the maximum of its own slice, and its best Q is that maximum squared
+    once: the projective rule's Python float ``** 2`` is monotone on
+    non-negative floats, so it equals the maximum of the squares. If a norm
+    fails, the schemes before the failing one are reported first, as one
+    scheme at a time reports them.
     """
     size, pairs = len(table) // schemes, len(pair_index)
     try:
@@ -507,11 +516,9 @@ def _theorem2_reports(
         return
     offsets = (np.arange(schemes, dtype=np.intp) * size)[:, None, None]
     overlaps = pair_overlaps(table, (pair_index + offsets).reshape(-1, 2))
-    q = DecisionRule("projective").wrong_tag_acceptances(overlaps)
     for lo in (s * pairs for s in range(schemes)):
-        best_q = max(q[lo : lo + pairs], default=0.0)
-        attack = AttackReport(_deception_probability(floor, best_q), floor)
-        yield _theorem2_report(attack, float(max(overlaps[lo : lo + pairs], default=0.0)))
+        lam_max = max(overlaps[lo : lo + pairs], default=0.0)
+        yield _theorem2_report(AttackReport(_deception_probability(floor, lam_max**2), floor), lam_max)
 
 
 SCHEME_SPEC = Spec({

@@ -37,6 +37,9 @@ MAX_COPIES = 8
 # Matrix entries in one stacked draw of Haar unitaries: 64 KiB of normals, so
 # 16 draws of 16 x 16 or 1024 of 2 x 2 share one QR call.
 STACK_ENTRIES = 2**12
+# Column entries that iter_haar_columns factors in one QR call: 64 columns of
+# 16, gathered from 4 stacks; at d <= 4 one stack already holds that many.
+COLUMN_ENTRIES = 2**10
 
 
 def _frozen_complex(values, ndim: int, what: str) -> np.ndarray:
@@ -363,29 +366,36 @@ def iter_haar_stacks(count: int, dims, rng: np.random.Generator) -> Iterator[np.
     count, dims and dimension cap are checked before anything is drawn; the
     unitarity check runs once per stack.
     """
-    return _iter_draws(_haar_stack, count, dims, rng)
+    return _iter_draws(_haar_stack, 0, count, dims, rng)
 
 
 def iter_haar_columns(count: int, dims, rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """Column 0, U|0>, of each unitary of ``iter_haar_stacks``, as unchecked ``(size, d)`` rows."""
-    return _iter_draws(_haar_columns, count, dims, rng)
+    """Column 0, U|0>, of each unitary of ``iter_haar_stacks``, as unchecked ``(size, d)`` rows: the
+    normals are drawn in the same stacks, but one QR call factors COLUMN_ENTRIES column entries."""
+    return _iter_draws(_haar_columns, COLUMN_ENTRIES, count, dims, rng)
 
 
-def _iter_draws(kernel, count: int, dims, rng: np.random.Generator) -> Iterator[np.ndarray]:
+def _iter_draws(kernel, entries: int, count: int, dims, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """``kernel(size, total, rng)`` over ``count`` draws, ``size`` being one stack of
+    STACK_ENTRIES matrix entries or ``entries`` column entries, whichever holds more draws."""
     if not isinstance(count, int) or isinstance(count, bool) or count < 1:
         raise ParameterError(f"unitary count must be a positive integer, got {count!r}")
     total = math.prod(_resolve_dims(dims))
     if total > MAX_TOTAL_DIMENSION:
         raise ParameterError(f"total dimension {total} exceeds cap {MAX_TOTAL_DIMENSION}")
-    per_stack = max(1, STACK_ENTRIES // total**2)
-    for start in range(0, count, per_stack):
-        yield kernel(min(per_stack, count - start), total, rng)
+    per_call = max(1, STACK_ENTRIES // total**2, entries // total)
+    for start in range(0, count, per_call):
+        yield kernel(min(per_call, count - start), total, rng)
 
 
 def _haar_columns(size: int, total: int, rng: np.random.Generator) -> np.ndarray:
-    """Column 0 of each unitary ``_haar_stack`` would draw, bit for bit: all normals are drawn, but a
-    Householder QR builds Q e1 from column 0 alone (Golub & Van Loan, Matrix Computations, 5.2)."""
-    normals = rng.standard_normal((size, 2, total, total))[..., :1]
+    """Column 0 of each unitary ``_haar_stack`` would draw, bit for bit: all normals are drawn, a
+    stack at a time, but a Householder QR builds Q e1 from column 0 alone (Golub & Van Loan, Matrix
+    Computations, 5.2), whatever other columns share the call."""
+    per_stack = max(1, STACK_ENTRIES // total**2)
+    normals = np.empty((size, 2, total, 1))
+    for lo in range(0, size, per_stack):
+        normals[lo : lo + per_stack] = rng.standard_normal((min(per_stack, size - lo), 2, total, total))[..., :1]
     q, r = np.linalg.qr((normals[:, 0] + 1j * normals[:, 1]) / math.sqrt(2))
     return (q * (r / np.abs(r)))[..., 0]
 

@@ -585,12 +585,12 @@ class TestConfigBoundary:
 
     @pytest.mark.parametrize(
         "shape",
-        # a stack of 16 x 16 draws spans one key, one of 2 x 2 draws spans 256 schemes
+        # a batch of 16 x 16 draws spans 4 keys, one of 2 x 2 draws spans 256 schemes
         [{"count": 4, "dim": 16, "num_keys": 2, "num_messages": 16}, {"count": 300}],
     )
     def test_random_schemes_freed_before_next_stack(self, shape, monkeypatch, tmp_path):
-        """Peak memory stays near one stack: with the cycle collector off,
-        every Haar stack drawn before is gone when the next one is drawn."""
+        """Peak memory stays near one batch: with the cycle collector off,
+        every batch of Haar columns drawn before is gone when the next one is drawn."""
         drawn, alive_at_draw = [], []
         real_columns = quantum_core._haar_columns
 
@@ -616,8 +616,9 @@ class TestConfigBoundary:
         [{"count": 4, "dim": 16, "num_keys": 2, "num_messages": 16}, {"count": 300}, {"count": 7, "dim": 5}],
     )
     def test_random_schemes_are_batched(self, shape, monkeypatch, tmp_path):
-        """One compiled scheme for the whole ensemble, and one Haar stack per
-        STACK_ENTRIES entries of the draws, not one per scheme."""
+        """One compiled scheme for the whole ensemble, and one batch of Haar
+        columns per COLUMN_ENTRIES column entries (or per STACK_ENTRIES
+        matrix entries, if that is more draws), not one per scheme."""
         calls = {"schemes": 0, "stacks": 0}
         real_columns, real_compile = quantum_core._haar_columns, qmac_framework.QmacScheme.__post_init__
 
@@ -635,8 +636,9 @@ class TestConfigBoundary:
         assert run_cli(str(config), str(tmp_path / "r.json"))[0] == 0
         dim = shape.get("dim", 2)
         labels = shape.get("num_keys", 2) * shape.get("num_messages", 2)
-        per_stack = quantum_core.STACK_ENTRIES // dim**2
-        assert calls == {"schemes": 1, "stacks": math.ceil(shape["count"] * labels / per_stack)}
+        per_batch = max(quantum_core.STACK_ENTRIES // dim**2, quantum_core.COLUMN_ENTRIES // dim)
+        assert per_batch == {16: 64, 2: 1024, 5: 204}[dim]
+        assert calls == {"schemes": 1, "stacks": math.ceil(shape["count"] * labels / per_batch)}
 
     def test_nogo_sweep_is_batched(self, monkeypatch, tmp_path):
         """One stacked draw, one kernel call, no instance per unitary."""

@@ -861,6 +861,24 @@ class TestRandomSchemeReports:
             assert scheme.overlaps == oracle
             assert report.max_overlap == max(oracle, default=0.0)
 
+    @pytest.mark.parametrize(
+        "name,value",
+        [(name, value) for name in ("count", "dim", "num_keys") for value in (True, 2.0, 0)]
+        + [("num_messages", value) for value in (True, 2.0, 1)],
+    )
+    def test_shape_rejected_before_drawing(self, name, value):
+        # a bool or float is not read as a count, and the error names the argument, not count * labels
+        shape = {"count": 2, "dim": 2, "num_keys": 2, "num_messages": 2, name: value}
+        rng = np.random.default_rng(4)
+        before = rng.bit_generator.state
+        with pytest.raises(ParameterError, match=f"^{name} must be an integer >= "):
+            next(random_scheme_reports(rng, **shape))
+        if name != "count":
+            del shape["count"]
+            with pytest.raises(ParameterError, match=f"^{name} must be an integer >= "):
+                random_scheme(rng, **shape)
+        assert rng.bit_generator.state == before
+
     def test_builtin_ensemble_scored_in_one_pass(self, monkeypatch, tmp_path):
         # the 400 unitaries of theorem2-random fill one stack of 1024 2 x 2 draws
         counter = CallCounter(monkeypatch)
@@ -875,12 +893,14 @@ class TestRandomSchemeReports:
         counter.count(quantum_core, "_haar_stack")
         counter.count(quantum_core, "_haar_columns")
         list(random_scheme_reports(np.random.default_rng(0), 40, dim=3, num_keys=3, num_messages=4))
-        assert counter.calls == {"_haar_stack": 0, "_haar_columns": 2}  # 480 draws, 455 per stack
+        assert counter.calls == {"_haar_stack": 0, "_haar_columns": 2}  # 480 draws, 455 per batch
+        list(random_scheme_reports(np.random.default_rng(0), 10, dim=16, num_keys=3, num_messages=4))
+        assert counter.calls == {"_haar_stack": 0, "_haar_columns": 4}  # 2 more: 120 draws, 64 per batch
         assert cli.run("cs-nogo-sweep", output=str(tmp_path / "nogo.json"), stdout=io.StringIO()) == 0
-        assert counter.calls == {"_haar_stack": 1, "_haar_columns": 2}
+        assert counter.calls == {"_haar_stack": 1, "_haar_columns": 4}
 
     def test_one_scoring_pass_per_stack(self, monkeypatch):
-        # 12 labels and 455 draws per stack: 37 schemes are whole in the first stack, and the
+        # 12 labels and 455 draws per batch: 37 schemes are whole in the first batch, and the
         # second completes the scheme the first began together with the last two
         counter = CallCounter(monkeypatch)
         counter.count(qmac_framework, "_theorem2_reports")
@@ -901,7 +921,7 @@ class TestRandomSchemeReports:
 
         monkeypatch.setattr(quantum_core, "_haar_columns", scaled_columns)
         reports = random_scheme_reports(np.random.default_rng(0), 2, dim=16, num_keys=2, num_messages=4)
-        assert next(reports).p0 > 0.5  # a stack of 16 holds both schemes; the first is whole
+        assert next(reports).p0 > 0.5  # a batch of 64 holds both schemes; the first is whole
         with pytest.raises(ParameterError, match="state norm"):
             next(reports)
 
@@ -935,6 +955,28 @@ class TestOverlapKernel:
         for copies in (2, 3, 7):
             rule = DecisionRule("symmetry-test", copies)
             assert rule.wrong_tag_acceptances(lams) == [acceptance_error_formula(copies, lam) for lam in lams]
+
+    def test_square_of_max_is_max_of_squares(self):
+        # the ensemble squares each scheme's largest overlap once instead of taking the
+        # largest square; Python float ** 2 (libm pow) must be monotone for that to be exact
+        def adjacent(centre, steps=200):
+            below, above = [centre], [centre]
+            for _ in range(steps):
+                below.append(float(np.nextafter(below[-1], -np.inf)))
+                above.append(float(np.nextafter(above[-1], np.inf)))
+            return [x for x in below[:0:-1] + above if x >= 0.0]
+
+        # near 0, 2**-0.5, 1 and the overlap whose square is the least normal float
+        ladders = [adjacent(c) for c in (0.0, 2**-0.5, 1.0, math.sqrt(2.0**-1022))]
+        for ladder in ladders:
+            squares = [x**2 for x in ladder]
+            assert squares == sorted(squares)
+        rng = np.random.default_rng(3)
+        for run in [rng.random(5000).tolist(), *ladders]:
+            for window in (rng.permutation(run[i : i + 7]).tolist() for i in range(0, len(run), 3)):
+                assert float(max(window)) ** 2 == max(float(x) ** 2 for x in window)
+        # a scheme without pairs (one key) reports 0.0 both ways
+        assert max([], default=0.0) ** 2 == max([], default=0.0) == 0.0
 
     def test_symmetry_rule_keeps_range_check(self):
         with pytest.raises(ParameterError, match="outside"):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from authsim.errors import ParameterError
 from authsim.quantum_core import (
+    COLUMN_ENTRIES,
     STACK_ENTRIES,
     HermitianOperator,
     PureState,
@@ -280,17 +281,21 @@ class TestRandomUnitaries:
         assert stack_rng.bit_generator.state == unitary_rng.bit_generator.state
 
     # 129 and 200 lie past LAPACK's blocked-QR crossover of 128 columns
-    @pytest.mark.parametrize("dim", [*range(1, 41), 129, 200])
+    @pytest.mark.parametrize("dim", [*range(1, 41), 64, 129, 200])
     def test_columns_are_column_zero_bit_for_bit(self, dim):
-        """Factoring only column 0 of each draw gives the bits of U|0> from the
-        full QR: a Householder QR builds Q e1 from column 0 alone."""
+        """Factoring only column 0 of each draw, a batch of columns per QR
+        call, gives the bits of U|0> from the full QR of each stack: a
+        Householder QR builds Q e1 from column 0 alone. Two full batches and a
+        partial one; at dims such as 5, 12 or 40 a batch ends mid-stack and a
+        stack ends mid-batch."""
         per_stack = max(1, STACK_ENTRIES // dim**2)
-        count = 2 * per_stack + 1  # two full stacks and a partial one
+        batch = max(per_stack, COLUMN_ENTRIES // dim)  # at dim <= 4 one stack per batch
+        count = 2 * batch + 1
         column_rng, stack_rng = np.random.default_rng(dim), np.random.default_rng(dim)
         columns = list(iter_haar_columns(count, dim, column_rng))
         stacks = list(iter_haar_stacks(count, dim, stack_rng))
         e0 = basis_state(0, dim).amplitudes
-        assert [rows.shape for rows in columns] == [(len(stack), dim) for stack in stacks]
+        assert [rows.shape for rows in columns] == [(batch, dim), (batch, dim), (1, dim)]
         rows, reference = np.concatenate(columns), np.concatenate([stack @ e0 for stack in stacks])
         assert np.array_equal(rows.view(np.uint64), reference.view(np.uint64))
         assert column_rng.bit_generator.state == stack_rng.bit_generator.state

@@ -48,12 +48,16 @@ RANDOM_SCHEMES_CSV_DIGEST = "c59a8cef6c061c2c407eca604b75a949deed249ef44d82068e7
 LADDER_SHAPES = {
     "4x8x8": {"count": 40, "dim": 4, "num_keys": 8, "num_messages": 8},
     "8x16x16": {"count": 20, "dim": 8, "num_keys": 16, "num_messages": 16},
+    "16x16x16": {"count": 20, "dim": 16, "num_keys": 16, "num_messages": 16},
 }
 LADDER_DIGESTS = {
     ("4x8x8", "json"): "12b0e6eab484102b357a4f1ce35f6996e81b0f8094d2fb8829fc05dfc9a3d282",
     ("4x8x8", "csv"): "eb987e1e9cb37150baf4572cd4ece90d7a2e6f9e9ade02536e906c4599a38c4a",
     ("8x16x16", "json"): "b2db743dfe9a6e09927d58d4cbd0e0cb96a927ccb0cee92cf754342cbd6207c7",
     ("8x16x16", "csv"): "b69184945f1649d43eaec8c56bfb3fb88279e9ea9b030bf30b79d5613755b1f8",
+    # Taken with one QR call per stack of 16 draws, before their columns were factored in batches.
+    ("16x16x16", "json"): "f8bb2450d69ed01eb5b267667879cff416448404f19b5394cae87e782c45640b",
+    ("16x16x16", "csv"): "1cecf341ca09419bd8b3aa070c632b4ae20eb22b0026f38fe679958ad7845be1",
 }
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import classical_mac, curty_santos, qmac_framework, symmetry_test
 from .errors import InvariantViolation, ParameterError
-from .quantum_core import MAX_TOTAL_DIMENSION, UnitaryOperator, iter_haar_stacks
+from .quantum_core import MAX_TOTAL_DIMENSION, UnitaryOperator, _kron, iter_haar_stacks
 from .reporting import config_sha256, format_float, fraction_str, jsonable, render_csv, render_json
 from .spec import Field, Spec, _read_value, read_spec
 
@@ -42,8 +42,8 @@ _X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 NAMED_UNITARIES = {
     "identity": lambda: np.eye(4, dtype=complex),
-    "xi": lambda: np.kron(_X, np.eye(2, dtype=complex)),
-    "hh": lambda: np.kron(_H, _H),
+    "xi": lambda: _kron(_X, np.eye(2, dtype=complex)),
+    "hh": lambda: _kron(_H, _H),
 }
 
 # Work caps, checked before any computation starts.

@@ -51,6 +51,7 @@ from .quantum_core import (
     PureState,
     UnitaryOperator,
     _born_probabilities,
+    _kron,
     basis_state,
     check_hermitian,
     max_eigenpair,
@@ -69,8 +70,8 @@ VERDICT_TOL = 1e-6
 P0, P1 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
 EYE2, EYE4 = np.eye(2, dtype=complex), np.eye(4, dtype=complex)
 # The terms of the controlled gates on A x B x C that do not involve U.
-ENCODE_IDLE = np.kron(P0, np.kron(EYE2, EYE4))
-DECODE_IDLE = np.kron(P1, EYE4)
+ENCODE_IDLE = _kron(P0, _kron(EYE2, EYE4))
+DECODE_IDLE = _kron(P1, EYE4)
 
 
 def singlet() -> PureState:
@@ -123,8 +124,8 @@ class CurtySantosInstance:
         """Alice's controlled tagging on (A, C) and Bob's controlled undo on
         (B, C), as matrices on A x B x C."""
         u = self.tag_unitary.matrix
-        encode = ENCODE_IDLE + np.kron(P1, np.kron(EYE2, u))
-        decode = np.kron(EYE2, np.kron(P0, u.conj().T) + DECODE_IDLE)
+        encode = ENCODE_IDLE + _kron(P1, _kron(EYE2, u))
+        decode = _kron(EYE2, _kron(P0, u.conj().T) + DECODE_IDLE)
         return encode, decode
 
 

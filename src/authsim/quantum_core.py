@@ -182,6 +182,13 @@ def _trusted(kind, values: np.ndarray, dims):
     return obj
 
 
+def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """np.kron of two vectors or two matrices: its one np.multiply, without its shape handling."""
+    if x.ndim == 1:
+        return (x[:, None] * y[None, :]).reshape(-1)
+    return (x[:, None, :, None] * y[None, :, None, :]).reshape(x.shape[0] * y.shape[0], x.shape[1] * y.shape[1])
+
+
 def tensor(factors: Sequence):
     """Kronecker product of states or of operators (one kind per call).
 
@@ -200,10 +207,7 @@ def tensor(factors: Sequence):
     if total > MAX_TOTAL_DIMENSION:
         raise ParameterError(f"total dimension {total} exceeds cap {MAX_TOTAL_DIMENSION}")
     dims = tuple(itertools.chain.from_iterable(f.dims for f in factors))
-    if kind is PureState:
-        values = reduce(np.kron, (f.amplitudes for f in factors))
-    else:
-        values = reduce(np.kron, (f.matrix for f in factors))
+    values = reduce(_kron, (f.amplitudes if kind is PureState else f.matrix for f in factors))
     return _trusted(kind, values, dims)
 
 

@@ -30,6 +30,8 @@ def acceptance_error_formula(n, lambda_max) -> float:
     """
     if not isinstance(n, Real) or isinstance(n, bool) or n < 1:
         raise ParameterError(f"copy count must be a real number >= 1, got {n!r}")
+    if not isinstance(lambda_max, Real) or isinstance(lambda_max, bool):
+        raise ParameterError(f"overlap must be a real number, got {lambda_max!r}")
     if not 0.0 <= lambda_max <= 1.0 + 1e-12:
         raise ParameterError(f"overlap {lambda_max!r} outside [0, 1]")
     n = float(n)
@@ -40,14 +42,16 @@ def acceptance_error_oracle(n: int, a: PureState, b: PureState) -> float:
     """Same quantity from first principles: <Phi|P_sym|Phi> with
     Phi = a (x) b^(x)(n-1). Independent of the closed form.
 
-    P_sym is the average of the n! permutations of the n systems (Harrow,
-    arXiv:1308.6595). It is applied to Phi, reshaped to its (d,)*n amplitude
-    tensor, by the coset recursion of ``quantum_core.symmetrize``: n(n-1)/2
-    axis swaps and memory of order d**n, with no d**n x d**n matrix. The
-    kernel treats Phi as a general tensor, not as a product state.
+    a and b must be PureStates of one dimension, checked before Phi is formed
+    by ``quantum_core.tensor`` (bit for bit np.kron). P_sym, the mean of the n!
+    permutations (Harrow, arXiv:1308.6595), acts on Phi's (d,)*n tensor by the
+    coset recursion of ``quantum_core.symmetrize``, with no d**n x d**n matrix.
     """
     if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_COPIES:
         raise ParameterError(f"copy count must be an integer in [1, {MAX_COPIES}], got {n!r}")
+    for name, state in (("a", a), ("b", b)):
+        if not isinstance(state, PureState):
+            raise ParameterError(f"{name} must be a PureState, got {type(state).__name__}")
     if a.d != b.d:
         raise ParameterError(f"dimension mismatch: {a.d} vs {b.d}")
     phi = tensor([a] + [b] * (n - 1)).amplitudes.reshape((a.d,) * n)

@@ -494,11 +494,14 @@ class TestInstanceAnalysis:
         instance = make_instance(NAMED_UNITARIES[name]())
         counter = count_instance_work(monkeypatch)
         counter.count(curty_santos, "_born_probabilities")
+        counter.count(quantum_core, "_kron")
+        counter.count(curty_santos, "_kron")
         counter.count(np, "kron")
         cli._cs_instance_report(instance)
         # the two honest runs measure without measure_projective's checks (no eigvalsh),
-        # build the coding operators once (4 krons) and one start state each (1 kron)
-        expected = dict(INSTANCE_WORK, _born_probabilities=2, kron=6)
+        # build the coding operators once (4 products) and one start state each (1 product),
+        # every product through quantum_core._kron and none through np.kron
+        expected = dict(INSTANCE_WORK, _born_probabilities=2, _kron=6, kron=0)
         assert counter.calls == expected
 
     def test_random_sweep_decides_with_one_eigh(self, tmp_path, monkeypatch):

@@ -13,6 +13,7 @@ from authsim.quantum_core import (
     HermitianOperator,
     PureState,
     UnitaryOperator,
+    _kron,
     _trusted,
     basis_state,
     iter_haar_columns,
@@ -26,11 +27,12 @@ from authsim.quantum_core import (
     random_unitary,
     state_from_json_dict,
     symmetric_projector,
+    symmetrize,
     tensor,
     unitary_from_json_dict,
 )
 from authsim.symmetry_test import acceptance_error_formula, acceptance_error_oracle
-from testkit import operator_to_json_dict, state_to_json_dict
+from testkit import kron_tensor, operator_to_json_dict, state_to_json_dict
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -181,7 +183,63 @@ class TestNonFiniteRejected:
             measure_projective(half, skewed)
 
 
+# Entries for the kernel's bit-identity test: ordinary values, signed zeros and subnormals.
+KRON_ENTRIES = st.one_of(
+    st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308])
+)
+
+
+@st.composite
+def kron_operands(draw):
+    """Two vectors or two matrices, each float or complex, each possibly a
+    non-contiguous view (transposed, conjugate-transposed or reversed)."""
+    ndim = draw(st.sampled_from([1, 2]))
+
+    def operand():
+        shape = tuple(draw(st.integers(1, 4)) for _ in range(ndim))
+        size = math.prod(shape)
+        arr = np.array(draw(st.lists(KRON_ENTRIES, min_size=size, max_size=size))).reshape(shape)
+        if draw(st.booleans()):
+            imag = np.array(draw(st.lists(KRON_ENTRIES, min_size=size, max_size=size))).reshape(shape)
+            arr = arr.astype(complex)
+            arr.imag = imag
+        view = draw(st.sampled_from(["plain", "reversed"] + (["T", "conj-T"] if ndim == 2 else [])))
+        return {"plain": arr, "reversed": arr[::-1], "T": arr.T, "conj-T": arr.conj().T}[view]
+
+    return operand(), operand()
+
+
 class TestTensorAndOverlap:
+    @settings(max_examples=300, deadline=None)
+    @given(pair=kron_operands())
+    def test_kron_kernel_is_np_kron_bit_for_bit(self, pair):
+        x, y = pair
+        ours, reference = _kron(x, y), np.kron(x, y)
+        assert (ours.shape, ours.dtype) == (reference.shape, reference.dtype)
+        assert ours.tobytes() == reference.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims=st.lists(st.integers(1, 4), min_size=1, max_size=5), seed=st.integers(0, 2**32 - 1))
+    def test_state_products_are_np_kron_bit_for_bit(self, dims, seed):
+        rng = np.random.default_rng(seed)
+        factors = [random_state(d, rng) for d in dims]
+        ours, reference = tensor(factors), kron_tensor(factors)
+        assert type(ours) is PureState and ours.dims == reference.dims == tuple(dims)
+        assert ours.amplitudes.dtype == reference.amplitudes.dtype == complex
+        assert not ours.amplitudes.flags.writeable and not reference.amplitudes.flags.writeable
+        assert ours.amplitudes.tobytes() == reference.amplitudes.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(dims=st.lists(st.integers(1, 4), min_size=1, max_size=4), seed=st.integers(0, 2**32 - 1))
+    def test_operator_products_are_np_kron_bit_for_bit(self, dims, seed):
+        rng = np.random.default_rng(seed)
+        factors = [random_unitary(d, rng) for d in dims]
+        ours, reference = tensor(factors), kron_tensor(factors)
+        assert type(ours) is UnitaryOperator and ours.dims == reference.dims == tuple(dims)
+        assert ours.matrix.dtype == reference.matrix.dtype == complex
+        assert not ours.matrix.flags.writeable and not reference.matrix.flags.writeable
+        assert ours.matrix.tobytes() == reference.matrix.tobytes()
+
     def test_kets(self):
         s = tensor([basis_state(0, (2,)), basis_state(1, (2,))])
         assert s.dims == (2, 2)
@@ -468,7 +526,11 @@ class TestSymmetricSubspaceOracle:
         for _ in range(5):
             a, b = random_state(d, rng), random_state(d, rng)
             lam = abs(np.vdot(a.amplitudes, b.amplitudes))
-            assert abs(acceptance_error_oracle(n, a, b) - acceptance_error_formula(n, lam)) <= 1e-9
+            value = acceptance_error_oracle(n, a, b)
+            assert abs(value - acceptance_error_formula(n, lam)) <= 1e-9
+            # bit for bit the oracle whose Phi comes from np.kron
+            phi = kron_tensor([a] + [b] * (n - 1)).amplitudes.reshape((d,) * n)
+            assert value == float(np.vdot(phi, symmetrize(phi, n)).real)
 
 
 class TestSerialization:

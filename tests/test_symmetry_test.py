@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from authsim import symmetry_test
 from authsim.errors import DomainError, ParameterError
-from authsim.quantum_core import PureState, basis_state, random_state
+from authsim.quantum_core import HermitianOperator, PureState, UnitaryOperator, basis_state, random_state
 from authsim.symmetry_test import (
     SWEEP_COLUMNS,
     SweepRow,
@@ -16,6 +17,7 @@ from authsim.symmetry_test import (
     key_length_requirement,
     sweep,
 )
+from testkit import CallCounter
 
 
 def plus_state():
@@ -56,6 +58,19 @@ class TestAcceptanceErrorFormula:
         with pytest.raises(ParameterError, match="copy count"):
             acceptance_error_formula(n, 0.5)
 
+    @pytest.mark.parametrize("lam", [True, False])
+    def test_bool_overlap_rejected(self, lam):
+        with pytest.raises(ParameterError, match="overlap must be a real number"):
+            acceptance_error_formula(2, lam)
+
+    @pytest.mark.parametrize("lam", ["0.5", None, 0.5j, [0.5]])
+    def test_non_real_overlap_rejected(self, lam):
+        with pytest.raises(ParameterError, match="overlap must be a real number"):
+            acceptance_error_formula(2, lam)
+
+    def test_numpy_and_python_float_overlaps_pass(self):
+        assert acceptance_error_formula(3, np.float64(0.5)) == acceptance_error_formula(3, 0.5) == 0.5
+
 
 class TestAcceptanceErrorOracle:
     def test_identical_states_always_pass(self):
@@ -88,6 +103,24 @@ class TestAcceptanceErrorOracle:
             acceptance_error_oracle(7, basis_state(0, (4,)), basis_state(1, (4,)))  # 4**7 too big
         with pytest.raises(ParameterError):
             acceptance_error_oracle(2, basis_state(0, (2,)), basis_state(0, (3,)))
+
+    @pytest.mark.parametrize("position", ["a", "b"])
+    @pytest.mark.parametrize(
+        "value,kind",
+        [
+            (UnitaryOperator(np.eye(2)), "UnitaryOperator"),
+            (HermitianOperator(np.diag([1.0, 0.0])), "HermitianOperator"),
+            (np.array([1.0, 0.0]), "ndarray"),
+        ],
+        ids=["unitary", "hermitian", "array"],
+    )
+    def test_non_state_rejected_by_name_before_any_product(self, position, value, kind, monkeypatch):
+        counter = CallCounter(monkeypatch)
+        counter.count(symmetry_test, "tensor")
+        args = {"a": basis_state(0, (2,)), "b": basis_state(1, (2,)), position: value}
+        with pytest.raises(ParameterError, match=f"^{position} must be a PureState, got {kind}$"):
+            acceptance_error_oracle(2, args["a"], args["b"])
+        assert counter.calls == {"tensor": 0}
 
     @pytest.mark.parametrize("n", [True, False, 0, 9, 10**6, 10**7, 2.0])
     def test_invalid_copy_count_rejected_before_work(self, n):

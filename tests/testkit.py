@@ -1,11 +1,15 @@
 """Helpers that only the tests use: JSON writers for states, operators and
 schemes (the inverses of the library's readers), the embedding of a
-Curty-Santos instance in the generic scheme framework, and a call counter
-for work-count tests.
+Curty-Santos instance in the generic scheme framework, the np.kron tensor
+product that ``quantum_core.tensor`` is held to bit for bit, and a call
+counter for work-count tests.
 
 The test modules import this file by name; pytest puts ``tests/`` on the
 import path because the directory is not a package.
 """
+
+import itertools
+from functools import reduce
 
 import numpy as np
 
@@ -26,6 +30,15 @@ def operator_to_json_dict(op) -> dict:
         "dims": list(op.dims),
         "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in op.matrix],
     }
+
+
+def kron_tensor(factors):
+    """Tensor product by a left fold of np.kron, built through the public
+    constructor of the factors' kind: the reference for quantum_core.tensor."""
+    kind = type(factors[0])
+    field = "amplitudes" if kind is PureState else "matrix"
+    values = reduce(np.kron, (getattr(f, field) for f in factors))
+    return kind(values, tuple(itertools.chain.from_iterable(f.dims for f in factors)))
 
 
 def _label_to_str(label) -> str:

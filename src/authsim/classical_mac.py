@@ -206,16 +206,14 @@ def check_caps(n_keys: int, n_msgs: int, n_tags: int) -> None:
         raise ParameterError(f"|K|*|M| = {n_keys * n_msgs} exceeds enumeration cap {ENUMERATION_CAP}")
 
 
-def _tag_table(family: HashFamily) -> np.ndarray:
-    """|M| x |K| array whose cell (i, k) is the position of
-    h(k, message_space[i]) in the tag space; the caller checks the caps."""
+def _offset_table(family: HashFamily) -> np.ndarray:
+    """|M| x |K| array whose cell (j, k) is the (message, tag) bin j*|T| + (position of
+    h(k, message_space[j]) in the tag space), from one ``evaluate`` call per cell;
+    the caller checks the caps."""
     messages, n_keys, n_tags = family.message_space, family.key_space_size, len(family.tag_space)
-    dtype = np.min_scalar_type(n_tags - 1)
-    if family.g is not None:
-        return ((family.g[:, :, None] + np.arange(n_tags)) % n_tags).reshape(len(messages), n_keys).astype(dtype)
     position = {t: i for i, t in enumerate(family.tag_space)}
     evaluate = family.evaluate
-    table = np.empty((len(messages), n_keys), dtype=dtype)
+    table = np.empty((len(messages), n_keys), dtype=np.min_scalar_type(n_tags - 1))
     for row, m in zip(table, messages):
         values = [evaluate(k, m) for k in range(n_keys)]
         try:
@@ -224,13 +222,7 @@ def _tag_table(family: HashFamily) -> np.ndarray:
             k = next(k for k, value in enumerate(values) if value not in position)
             value = values[k]
             raise ParameterError(f"key {k} tags message {m!r} with {value!r}, which is not in the tag space") from None
-    return table
-
-
-def _offset_table(family: HashFamily) -> np.ndarray:
-    """The tag table with row j offset by j*|T|: cell (j, k) is the (message, tag) bin of key k."""
-    table = _tag_table(family)
-    return np.arange(len(table))[:, None] * len(family.tag_space) + table
+    return np.arange(len(table))[:, None] * n_tags + table
 
 
 def _joint_blocks(forged: np.ndarray, n_tags: int, first: int = 0, step: int = 0):
@@ -317,16 +309,16 @@ def deception_probabilities(family: HashFamily) -> DeceptionReport:
 
 
 def is_strongly_universal(family: HashFamily) -> bool:
-    """Exhaustive check that every (t, t2) cell holds exactly |K|/|T|^2 keys,
-    under the caps of ``deception_probabilities``, whose scan it repeats;
-    |T|**2 divides |K| in a scanned family, so a block stays within |M|*|K|."""
-    n_keys, n_tags = family.key_space_size, len(family.tag_space)
-    cell, rem = divmod(n_keys, n_tags**2)
-    if rem != 0:
+    """Whether each (t, t2) cell of each message pair holds |K|/|T|**2 keys: read off
+    ``deception_probabilities``, under its caps, as p0 = p1 = 1/|T|, the same condition for
+    equiprobable keys (Stinson, Des. Codes Cryptogr. 4 (1994)): if p1 = 1/|T|, an observed (m, t)
+    of support s sends at most, so exactly, s/|T| of its keys to each tag of any m' != m.
+    False at once, with no evaluation and no cap check, when |T|**2 does not divide |K|."""
+    n_tags = len(family.tag_space)
+    if family.key_space_size % n_tags**2:
         return False
-    check_caps(n_keys, len(family.message_space), n_tags)
-    blocks = _joint_blocks(_offset_table(family), n_tags)
-    return all((block[k, :, start + k + 1 :] == cell).all() for start, block in blocks for k in range(len(block)))
+    report = deception_probabilities(family)
+    return report.p0 == report.p1 == Fraction(1, n_tags)
 
 
 def key_length_lower_bound(observed_pairs: int, epsilon) -> float:

@@ -51,6 +51,7 @@ from .quantum_core import (
     PureState,
     UnitaryOperator,
     _born_probabilities,
+    _index,
     _kron,
     basis_state,
     check_hermitian,
@@ -99,7 +100,7 @@ def _checked_basis(basis) -> tuple:
 
 
 def _checked_accept_set(accept_set) -> tuple[int, int]:
-    accept = tuple(accept_set)
+    accept = tuple(_index(j, "accept set index") for j in accept_set)
     if len(accept) != 2 or len(set(accept)) != 2 or any(j not in range(4) for j in accept):
         raise ParameterError(f"accept set must be two distinct basis indices, got {accept!r}")
     return accept
@@ -130,6 +131,7 @@ class CurtySantosInstance:
 
 
 def _check_message(m) -> int:
+    m = _index(m, "message")
     if m not in (0, 1):
         raise ParameterError(f"message must be the bit 0 or 1, got {m!r}")
     return m

@@ -50,12 +50,21 @@ def _frozen_complex(values, ndim: int, what: str) -> np.ndarray:
     return arr
 
 
+def _index(value, what: str) -> int:
+    """``value`` as an int by ``operator.index``: numpy integers pass; bools, floats and strings do not."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ParameterError(f"{what} must be an integer, got {value!r}")
+
+
 def _resolve_dims(dims, total: int | None = None) -> tuple[int, ...]:
     """Subsystem dimensions as a tuple of positive ints.
 
-    ``dims`` is an int or a sequence of them, each taken by
-    ``operator.index`` (numpy integers pass; bools, floats and strings do
-    not). When ``total`` is given, None means one system of that dimension
+    ``dims`` is an int or a sequence of them, each read by ``_index``.
+    When ``total`` is given, None means one system of that dimension
     and the dims must multiply to it.
     """
     if dims is None and total is not None:
@@ -65,11 +74,9 @@ def _resolve_dims(dims, total: int | None = None) -> tuple[int, ...]:
     except TypeError:
         items = (dims,)
     try:
-        dims = tuple(map(operator.index, items))
-    except TypeError:
-        dims = None
-    if dims is None or any(isinstance(x, bool) for x in items):
-        raise ParameterError(f"subsystem dimensions must be integers, got {items!r}")
+        dims = tuple(_index(x, "subsystem dimension") for x in items)
+    except ParameterError:
+        raise ParameterError(f"subsystem dimensions must be integers, got {items!r}") from None
     if not dims or any(x < 1 for x in dims):
         raise ParameterError(f"subsystem dimensions must be positive, got {dims}")
     if total is not None and math.prod(dims) != total:
@@ -159,6 +166,7 @@ def basis_state(index: int, dims) -> PureState:
     """Computational basis vector |index> on subsystems of the given dims."""
     dims = _resolve_dims(dims)
     total = math.prod(dims)
+    index = _index(index, "basis index")
     if not 0 <= index < total:
         raise ParameterError(f"basis index {index} out of range for dimension {total}")
     amps = np.zeros(total, dtype=complex)
@@ -218,16 +226,13 @@ def overlap(a: PureState, b: PureState) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
-def partial_trace(obj, keep) -> HermitianOperator:
-    """Reduced operator on the kept subsystems (original order preserved).
-
-    Accepts a PureState (traced as |psi><psi|) or a HermitianOperator.
-    """
-    if not isinstance(obj, (PureState, HermitianOperator)):
-        raise ParameterError("partial_trace expects a PureState or HermitianOperator")
-    dims = obj.dims
+def partial_trace(state: PureState, keep) -> HermitianOperator:
+    """Reduced operator of |psi><psi| on the kept subsystems (original order preserved)."""
+    if not isinstance(state, PureState):
+        raise ParameterError(f"partial_trace expects a PureState, got {type(state).__name__}")
+    dims = state.dims
     n = len(dims)
-    keep = tuple(sorted({int(i) for i in keep}))
+    keep = tuple(sorted({_index(i, "keep index") for i in keep}))
     if not keep:
         raise ParameterError("keep set must name at least one subsystem")
     if any(i < 0 or i >= n for i in keep):
@@ -235,16 +240,8 @@ def partial_trace(obj, keep) -> HermitianOperator:
     traced = [i for i in range(n) if i not in keep]
     kept_dims = tuple(dims[i] for i in keep)
     d_kept = math.prod(kept_dims)
-
-    if isinstance(obj, PureState):
-        psi = obj.amplitudes.reshape(dims)
-        rho = np.tensordot(psi, psi.conj(), axes=(traced, traced))
-    else:
-        mat = obj.matrix.reshape(dims + dims)
-        # ket axis i gets index i; bra axis i shares it when traced out
-        in_sub = list(range(n)) + [i if i in traced else n + i for i in range(n)]
-        out_sub = list(keep) + [n + i for i in keep]
-        rho = np.einsum(mat, in_sub, out_sub)
+    psi = state.amplitudes.reshape(dims)
+    rho = np.tensordot(psi, psi.conj(), axes=(traced, traced))
     return HermitianOperator(rho.reshape(d_kept, d_kept), kept_dims)
 
 

@@ -28,8 +28,8 @@ def acceptance_error_formula(n, lambda_max) -> float:
     Closed form (1 + (n-1)*lambda^2)/n; n may be real-valued for use inside
     copy-count algebra.
     """
-    if not isinstance(n, Real) or isinstance(n, bool) or n < 1:
-        raise ParameterError(f"copy count must be a real number >= 1, got {n!r}")
+    if not isinstance(n, Real) or isinstance(n, bool) or not 1 <= n < math.inf:
+        raise ParameterError(f"copy count must be a finite real number >= 1, got {n!r}")
     if not isinstance(lambda_max, Real) or isinstance(lambda_max, bool):
         raise ParameterError(f"overlap must be a real number, got {lambda_max!r}")
     if not 0.0 <= lambda_max <= 1.0 + 1e-12:
@@ -58,8 +58,17 @@ def acceptance_error_oracle(n: int, a: PureState, b: PureState) -> float:
     return float(np.vdot(phi, symmetrize(phi, n)).real)
 
 
+def _check_tag_count(tag_count) -> None:
+    if not isinstance(tag_count, int) or tag_count < 2:
+        raise ParameterError(f"tag count must be an integer >= 2, got {tag_count!r}")
+
+
 def feasibility_threshold(tag_count: int, delta: float) -> float:
-    """Largest overlap for which a finite copy count can reach floor + delta."""
+    """Largest overlap for which a finite copy count can reach floor + delta, delta in (0, 1/tag_count]."""
+    _check_tag_count(tag_count)
+    delta = float(delta)
+    if not 0.0 < delta <= 1.0 / tag_count:
+        raise ParameterError(f"delta {delta!r} outside (0, 1/{tag_count}]")
     return math.sqrt(delta * tag_count / (tag_count - 1))
 
 
@@ -75,15 +84,10 @@ def copies_required(tag_count: int, delta, lambda_max) -> CopiesRequired:
     Requires lambda_max < sqrt(delta*T/(T-1)); the real solution always
     exceeds T - 2. The ceiling is what a deployment would use.
     """
-    if not isinstance(tag_count, int) or tag_count < 2:
-        raise ParameterError(f"tag count must be an integer >= 2, got {tag_count!r}")
-    delta = float(delta)
-    if not 0.0 < delta <= 1.0 / tag_count:
-        raise ParameterError(f"delta {delta!r} outside (0, 1/{tag_count}]")
-    lam = float(lambda_max)
+    threshold = feasibility_threshold(tag_count, delta)
+    delta, lam = float(delta), float(lambda_max)
     if not 0.0 <= lam <= 1.0:
         raise ParameterError(f"overlap {lambda_max!r} outside [0, 1]")
-    threshold = feasibility_threshold(tag_count, delta)
     if lam >= threshold:
         raise DomainError(
             f"overlap {lam} is infeasible: must be below sqrt(delta*T/(T-1)) = {threshold}"
@@ -94,8 +98,7 @@ def copies_required(tag_count: int, delta, lambda_max) -> CopiesRequired:
 
 def impersonation_with_symmetry_test(tag_count: int, lambda_max, n) -> float:
     """Impersonation probability 1/|T| + (1 - 1/|T|) * acceptance error."""
-    if not isinstance(tag_count, int) or tag_count < 2:
-        raise ParameterError(f"tag count must be an integer >= 2, got {tag_count!r}")
+    _check_tag_count(tag_count)
     floor = 1.0 / tag_count
     return floor + (1.0 - floor) * acceptance_error_formula(n, lambda_max)
 
@@ -130,8 +133,8 @@ def key_length_requirement(
         raise ParameterError(f"copy count must be an integer >= 1, got {n!r}")
     if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise ParameterError(f"tag dimension must be an integer >= 1, got {d!r}")
-    if message_space_size <= 2:
-        raise ParameterError("message space size must exceed 2 for the log-log comparator")
+    if not isinstance(message_space_size, Real) or not 2 < message_space_size < math.inf:
+        raise ParameterError(f"message space size must be finite and exceed 2, got {message_space_size!r}")
     security_bits = abs(math.log2(epsilon))
     info_gain = (n - 1) * math.log2(d)
     classical = 4.0 * security_bits * math.log2(math.log2(message_space_size))
@@ -200,8 +203,7 @@ def sweep(
     rows = []
     first: dict = {}  # (delta_frac position, lambda_frac position) -> first crossing |T|
     for t_size in t_values:
-        if not isinstance(t_size, int) or t_size < 2:
-            raise ParameterError(f"tag count must be an integer >= 2, got {t_size!r}")
+        _check_tag_count(t_size)
         for i, dfrac in enumerate(delta_fracs):
             delta = dfrac / t_size
             threshold = feasibility_threshold(t_size, delta)

@@ -25,6 +25,7 @@ from authsim.classical_mac import (
 )
 from authsim.errors import ParameterError
 from authsim.reporting import jsonable
+from testkit import CallCounter
 
 
 def reference_tag_rows(family: HashFamily) -> dict:
@@ -119,6 +120,13 @@ def per_call_table(family: HashFamily) -> np.ndarray:
     position = {t: i for i, t in enumerate(family.tag_space)}
     rows = [[position[family.evaluate(k, m)] for k in range(family.key_space_size)] for m in family.message_space]
     return np.array(rows, dtype=np.min_scalar_type(len(family.tag_space) - 1))
+
+
+def g_table(family: HashFamily) -> np.ndarray:
+    """|M| x |K| tag positions derived from ``g``: key a*p + b tags message i with (g[i, a] + b) mod p."""
+    p = len(family.tag_space)
+    table = (family.g[:, :, None] + np.arange(p)) % p
+    return table.reshape(len(family.message_space), family.key_space_size).astype(np.min_scalar_type(p - 1))
 
 
 def scan_entry_settings(family):
@@ -356,6 +364,28 @@ class TestDeceptionProbabilities:
         with pytest.raises(ParameterError, match="enumeration cap"):
             is_strongly_universal(over_enumeration)
 
+    @pytest.mark.parametrize(
+        "family,expected",
+        [(make_affine_family(2), True), (make_affine_family(101), True), (make_poly_family(5, 2), False),
+         (make_poly_family(7, 2), False)],
+        ids=["affine-p2", "affine-p101", "poly-p5-l2", "poly-p7-l2"],
+    )
+    def test_strong_universality_of_g_families_read_off_the_report(self, family, expected, monkeypatch):
+        counter = CallCounter(monkeypatch)
+        for name in ("_offset_table", "_joint_blocks"):
+            counter.count(classical_mac, name)
+        assert is_strongly_universal(family) is expected
+        assert counter.calls == {"_offset_table": 0, "_joint_blocks": 0}
+
+    def test_key_count_off_the_tag_square_rejected_before_evaluation_and_caps(self):
+        def evaluate(k, m):
+            raise AssertionError("evaluated a family whose |T|**2 does not divide |K|")
+
+        fam = HashFamily((1 << 21) + 1, tuple(range(1 << 12)), tuple(range(16)), evaluate, FamilyKind.CUSTOM)
+        assert fam.key_space_size % 16**2 and (1 << 12) * ((1 << 12) - 1) * 16**2 > WORK_CAP
+        assert fam.key_space_size * (1 << 12) > ENUMERATION_CAP
+        assert is_strongly_universal(fam) is False
+
     def test_work_cap_admits_affine_p101(self):
         report = deception_probabilities(make_affine_family(101))
         assert report.p0 == report.p1 == Fraction(1, 101)
@@ -410,7 +440,7 @@ class TestReferenceOracle:
 
 
 class TestNumpyKernels:
-    """The tag tables the built-in families derive from ``g`` against their
+    """The tag tables ``g`` gives the built-in families against their
     per-call ``evaluate``, the structured report against the generic scan,
     and the blocked joint-count scan against the slow reference at every
     block size."""
@@ -419,14 +449,14 @@ class TestNumpyKernels:
     @given(p=st.sampled_from(PRIMES_TO_61))
     def test_affine_table_matches_evaluate(self, p):
         family = make_affine_family(p)
-        table, expected = classical_mac._tag_table(family), per_call_table(family)
+        table, expected = g_table(family), per_call_table(family)
         assert table.dtype == expected.dtype and np.array_equal(table, expected)
 
     @settings(max_examples=40, deadline=None)
     @given(case=st.sampled_from(POLY_TABLE_CASES))
     def test_poly_table_matches_evaluate(self, case):
         family = make_poly_family(*case)
-        table, expected = classical_mac._tag_table(family), per_call_table(family)
+        table, expected = g_table(family), per_call_table(family)
         assert table.dtype == expected.dtype and np.array_equal(table, expected)
 
     @settings(max_examples=60, deadline=None)

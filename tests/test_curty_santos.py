@@ -105,6 +105,15 @@ class TestHonestRun:
         with pytest.raises(ParameterError):
             honest_run(identity_instance, 2)
 
+    @pytest.mark.parametrize("m", [True, False, 1.0, "1"])
+    def test_message_must_be_an_integer(self, identity_instance, m):
+        with pytest.raises(ParameterError, match="^message must be an integer"):
+            honest_run(identity_instance, m)
+
+    def test_numpy_integer_message_accepted(self, identity_instance):
+        trace = honest_run(identity_instance, np.int64(1))
+        assert trace.message == 1 and type(trace.message) is int
+
     def test_matches_checked_measurement(self):
         """The operators built once and the unchecked measurement give the bits
         of the per-run kron construction measured by ``measure_projective``."""
@@ -580,6 +589,18 @@ class TestInstanceValidation:
             CurtySantosInstance(
                 tag_unitary=UnitaryOperator(np.eye(4, dtype=complex)), accept_set=(0, 0)
             )
+
+    @pytest.mark.parametrize(
+        "accept", [(0.0, 1.0), (False, 1), (0, True), ("0", "1")], ids=["floats", "false", "true", "str"]
+    )
+    def test_accept_set_indices_must_be_integers(self, accept):
+        with pytest.raises(ParameterError, match="^accept set index must be an integer"):
+            CurtySantosInstance(tag_unitary=UnitaryOperator(np.eye(4, dtype=complex)), accept_set=accept)
+
+    def test_numpy_integer_accept_set_accepted(self):
+        identity = UnitaryOperator(np.eye(4, dtype=complex))
+        instance = CurtySantosInstance(tag_unitary=identity, accept_set=np.array([2, 0]))
+        assert instance.accept_set == (2, 0) and all(type(j) is int for j in instance.accept_set)
 
     def test_json_round_trip(self, hh_instance):
         doc = {

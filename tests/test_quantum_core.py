@@ -127,6 +127,14 @@ class TestConstruction:
         with pytest.raises(ParameterError, match="must be integers"):
             build()
 
+    @pytest.mark.parametrize("index", [True, False, 1.0, "1"])
+    def test_basis_index_must_be_an_integer(self, index):
+        with pytest.raises(ParameterError, match="^basis index must be an integer"):
+            basis_state(index, 2)
+
+    def test_numpy_integer_basis_index_accepted(self):
+        assert np.array_equal(basis_state(np.int32(1), 2).amplitudes, [0, 1])
+
     def test_numpy_integer_dims_accepted(self):
         s = basis_state(1, (np.int64(2), np.int32(2)))
         assert s.dims == (2, 2) and all(type(x) is int for x in s.dims)
@@ -376,10 +384,12 @@ class TestPartialTrace:
 
     def test_operator_input_and_trace_preserved(self):
         rng = np.random.default_rng(6)
-        joint = density_operator(tensor([random_state(2, rng), random_state(2, rng)]))
+        joint = tensor([random_state(2, rng), random_state(2, rng)])
         reduced = partial_trace(joint, keep=(1,))
         assert reduced.trace == pytest.approx(1.0, abs=1e-10)
         assert np.linalg.eigvalsh(reduced.matrix).min() > -1e-9
+        with pytest.raises(ParameterError, match="^partial_trace expects a PureState, got HermitianOperator$"):
+            partial_trace(density_operator(joint), keep=(1,))
 
     def test_keep_order_preserved(self):
         rng = np.random.default_rng(7)
@@ -396,6 +406,16 @@ class TestPartialTrace:
             partial_trace(s, keep=())
         with pytest.raises(ParameterError):
             partial_trace(s, keep=(2,))
+
+    @pytest.mark.parametrize("keep", [(1.7,), "1", (True,), (1, 0.0)], ids=["float", "str", "bool", "mixed"])
+    def test_keep_indices_must_be_integers(self, keep):
+        with pytest.raises(ParameterError, match="^keep index must be an integer"):
+            partial_trace(basis_state(0, (2, 2)), keep=keep)
+
+    def test_numpy_integer_keep_accepted(self):
+        s = tensor([basis_state(0, (2,)), basis_state(1, (3,))])
+        reduced = partial_trace(s, keep=(np.int64(1),))
+        assert reduced.dims == (3,) and np.allclose(reduced.matrix, np.diag([0.0, 1.0, 0.0]))
 
 
 class TestMeasureProjective:

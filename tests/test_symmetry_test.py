@@ -68,6 +68,13 @@ class TestAcceptanceErrorFormula:
         with pytest.raises(ParameterError, match="overlap must be a real number"):
             acceptance_error_formula(2, lam)
 
+    @pytest.mark.parametrize("n", [math.nan, math.inf, 0.5])
+    def test_copy_count_outside_its_range_rejected(self, n):
+        with pytest.raises(ParameterError, match="copy count"):
+            acceptance_error_formula(n, 0.5)
+        with pytest.raises(ParameterError, match="copy count"):
+            impersonation_with_symmetry_test(4, 0.5, n)
+
     def test_numpy_and_python_float_overlaps_pass(self):
         assert acceptance_error_formula(3, np.float64(0.5)) == acceptance_error_formula(3, 0.5) == 0.5
 
@@ -175,6 +182,18 @@ class TestCopiesRequired:
             copies_required(4, 0.0, 0.0)
 
 
+class TestFeasibilityThreshold:
+    @pytest.mark.parametrize("tag_count", [1, 0, True, 4.0, "4"])
+    def test_tag_count_rejected(self, tag_count):
+        with pytest.raises(ParameterError, match="tag count"):
+            feasibility_threshold(tag_count, 0.25)
+
+    @pytest.mark.parametrize("delta", [-1, 0.0, 0.3, math.nan, math.inf])
+    def test_delta_outside_its_range_rejected(self, delta):
+        with pytest.raises(ParameterError, match="delta"):
+            feasibility_threshold(4, delta)
+
+
 class TestKeyLengthRequirement:
     def test_reference_values(self):
         bound = key_length_requirement(0.5, 2, 2)
@@ -215,6 +234,11 @@ class TestKeyLengthRequirement:
             key_length_requirement(0.5, 0, 2)
         with pytest.raises(ParameterError):
             key_length_requirement(0.5, 2, 2, message_space_size=2)
+
+    @pytest.mark.parametrize("size", ["x", None, math.nan, math.inf, 2, 1.5])
+    def test_message_space_size_outside_its_range_rejected(self, size):
+        with pytest.raises(ParameterError, match="message space size"):
+            key_length_requirement(0.5, 2, 2, size)
 
     @pytest.mark.parametrize("n,d", [(True, 2), (2, True)])
     def test_bool_counts_rejected(self, n, d):

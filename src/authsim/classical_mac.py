@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Any, Callable
@@ -42,7 +41,6 @@ class FamilyKind(Enum):
     CUSTOM = "custom"
 
 
-@dataclass(frozen=True, eq=False)
 class HashFamily:
     """Keyed function family over explicit finite key/message/tag spaces.
 
@@ -54,34 +52,31 @@ class HashFamily:
     message_space = Z_p^blocks (from the zero message) and tag_space = range(p).
     """
 
-    key_space_size: int
-    message_space: tuple
-    tag_space: tuple
-    evaluate: Callable[[int, Any], Any]
-    family_kind: FamilyKind
-    epsilon: Fraction | None = None
-    name: str = "custom"
-    g: np.ndarray | None = None
-
-    def __post_init__(self):
-        if not (isinstance(self.key_space_size, int) and self.key_space_size >= 1):
-            raise ParameterError(f"key_space_size must be a positive integer, got {self.key_space_size!r}")
-        if len(self.message_space) <= 1:
+    def __init__(
+        self, key_space_size: int, message_space: tuple, tag_space: tuple, evaluate: Callable[[int, Any], Any],
+        family_kind: FamilyKind, epsilon: Fraction | None = None, name: str = "custom", g: np.ndarray | None = None
+    ):
+        if not (isinstance(key_space_size, int) and key_space_size >= 1):
+            raise ParameterError(f"key_space_size must be a positive integer, got {key_space_size!r}")
+        if len(message_space) <= 1:
             raise ParameterError("message space must contain more than one message")
-        if not self.tag_space:
+        if not tag_space:
             raise ParameterError("tag space must be nonempty")
-        if len(set(self.message_space)) != len(self.message_space):
+        if len(set(message_space)) != len(message_space):
             raise ParameterError("message space contains duplicates")
-        if len(set(self.tag_space)) != len(self.tag_space):
+        if len(set(tag_space)) != len(tag_space):
             raise ParameterError("tag space contains duplicates")
-        if self.family_kind is FamilyKind.EPSILON_ASU:
-            if not isinstance(self.epsilon, Fraction) or self.epsilon <= 0:
+        if family_kind is FamilyKind.EPSILON_ASU:
+            if not isinstance(epsilon, Fraction) or epsilon <= 0:
                 raise ParameterError("epsilon-ASU families need a positive Fraction epsilon")
-        elif self.epsilon is not None:
+        elif epsilon is not None:
             raise ParameterError("epsilon is only meaningful for epsilon-ASU families")
+        self.key_space_size, self.message_space, self.tag_space, self.evaluate = (
+            key_space_size, message_space, tag_space, evaluate
+        )
+        self.family_kind, self.epsilon, self.name, self.g = family_kind, epsilon, name, g
 
 
-@dataclass(frozen=True)
 class DeceptionReport:
     """Exact worst-case forgery probabilities with their witnessing pairs.
 
@@ -93,16 +88,19 @@ class DeceptionReport:
     Argmax witnesses are the first maximizers in enumeration order.
     """
 
-    p0: Fraction
-    p1: Fraction
-    argmax_impersonation: tuple
-    argmax_substitution: tuple
+    def __init__(self, p0: Fraction, p1: Fraction, argmax_impersonation: tuple, argmax_substitution: tuple):
+        if not 0 < p0 <= 1:
+            raise ParameterError(f"p0 = {p0} outside (0, 1]")
+        if not 0 <= p1 <= 1:
+            raise ParameterError(f"p1 = {p1} outside [0, 1]")
+        self.p0, self.p1 = p0, p1
+        self.argmax_impersonation, self.argmax_substitution = argmax_impersonation, argmax_substitution
 
-    def __post_init__(self):
-        if not 0 < self.p0 <= 1:
-            raise ParameterError(f"p0 = {self.p0} outside (0, 1]")
-        if not 0 <= self.p1 <= 1:
-            raise ParameterError(f"p1 = {self.p1} outside [0, 1]")
+    def __eq__(self, other):
+        return type(other) is DeceptionReport and vars(other) == vars(self)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
 
 
 def _is_prime(n: int) -> bool:

@@ -26,8 +26,8 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,8 +87,8 @@ CURTY_SANTOS_SPEC = Spec({
 _TAG_COUNT = Field(int, lo=2, hi=_EXACT_FLOAT_INT)
 SYMMETRY_SWEEP_SPEC = Spec({
     "t_values": Field(list, item=_TAG_COUNT),
-    "t_min": replace(_TAG_COUNT, default=2),
-    "t_max": replace(_TAG_COUNT, default=16),
+    "t_min": _TAG_COUNT._replace(default=2),
+    "t_max": _TAG_COUNT._replace(default=16),
     "delta_fracs": Field(list, [0.5, 1.0], item=Field(float, lo=0, hi=1)),
     "lambda_fracs": Field(list, [0.0, 0.5], item=Field(float, lo=0, hi=1)),
     "d": Field(int, 2, lo=1),
@@ -96,8 +96,7 @@ SYMMETRY_SWEEP_SPEC = Spec({
 }, one_of=(("t_values", "t_min/t_max"),))
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     scenario_kind: str
     parameters: dict
     seed: int = 0
@@ -457,7 +456,7 @@ def run(
             for key, (flag, field) in _OVERRIDES.items()
             if given[key] is not None
         }
-        config = replace(load_config(source), **overrides)
+        config = load_config(source)._replace(**overrides)
         spec, runner = RUNNERS[config.scenario_kind]
         params = read_spec(spec, config.parameters, "parameters")
         path = Path(config.output_path or f"{config.name}.{config.output_format}")

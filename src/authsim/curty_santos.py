@@ -39,8 +39,8 @@ decode operators once, on first use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,19 +106,17 @@ def _checked_accept_set(accept_set) -> tuple[int, int]:
     return accept
 
 
-@dataclass(frozen=True, eq=False)
 class CurtySantosInstance:
     """Carrier basis, public tagging unitary, and Bob's accepted outcomes."""
 
-    tag_unitary: UnitaryOperator
-    basis: tuple = None
-    accept_set: tuple[int, int] = (0, 1)
+    def __init__(self, tag_unitary: UnitaryOperator, basis: tuple | None = None, accept_set: tuple = (0, 1)):
+        self.tag_unitary, self.basis, self.accept_set = tag_unitary, basis, accept_set
+        self.__post_init__()
 
     def __post_init__(self):
         if self.tag_unitary.d != 4:
             raise ParameterError(f"tagging unitary must be 4x4, got {self.tag_unitary.d}")
-        object.__setattr__(self, "basis", _checked_basis(self.basis))
-        object.__setattr__(self, "accept_set", _checked_accept_set(self.accept_set))
+        self.basis, self.accept_set = _checked_basis(self.basis), _checked_accept_set(self.accept_set)
 
     @cached_property
     def coding_operators(self) -> tuple[np.ndarray, np.ndarray]:
@@ -137,8 +135,7 @@ def _check_message(m) -> int:
     return m
 
 
-@dataclass(frozen=True, eq=False)
-class HonestRunTrace:
+class HonestRunTrace(NamedTuple):
     """Every intermediate of one honest protocol round."""
 
     message: int
@@ -241,8 +238,7 @@ def optimal_impersonation(instance: CurtySantosInstance) -> AttackReport:
     )
 
 
-@dataclass(frozen=True)
-class Condition13Report:
+class Condition13Report(NamedTuple):
     """Whether <phi_m|U|phi_m> vanishes for each message (the floor condition)."""
 
     diagonal_overlaps: tuple[float, float]
@@ -250,8 +246,7 @@ class Condition13Report:
     holds: bool
 
 
-@dataclass(frozen=True)
-class IncompatibilityReport:
+class IncompatibilityReport(NamedTuple):
     """Joint security status of the two attacks for one instance.
 
     ``simultaneously_secure`` records whether the impersonation probability

@@ -38,9 +38,8 @@ import bisect
 import itertools
 from collections import Counter
 from collections.abc import Hashable
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -65,7 +64,6 @@ OVERLAP_TOL = 1e-9
 Label = Hashable
 
 
-@dataclass(frozen=True, eq=False)
 class QmacScheme:
     """Message set, key set, label function, tagging unitaries, initial state.
 
@@ -84,16 +82,15 @@ class QmacScheme:
     missing tagging unitary. The scheme is taken to be fixed once built.
     """
 
-    message_set: tuple
-    key_set: tuple
-    label_fn: Callable[[Any, Any], Label]
-    tag_unitaries: Mapping[Label, UnitaryOperator]
-    initial_state: PureState
-    multiplicity: int = 1
-    name: str = ""
-    labels: tuple = field(init=False, repr=False)
-    index: list = field(init=False, repr=False)
-    blocks: list = field(init=False, repr=False)
+    def __init__(
+        self, message_set: tuple, key_set: tuple, label_fn: Callable[[Any, Any], Label],
+        tag_unitaries: Mapping[Label, UnitaryOperator], initial_state: PureState, multiplicity: int = 1, name: str = ""
+    ):
+        self.message_set, self.key_set, self.label_fn = message_set, key_set, label_fn
+        self.tag_unitaries, self.initial_state, self.multiplicity, self.name = (
+            tag_unitaries, initial_state, multiplicity, name
+        )
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.message_set) < 2:
@@ -121,9 +118,7 @@ class QmacScheme:
             [positions.setdefault(self.label_fn(key, message), len(positions)) for key in self.key_set]
             for message in self.message_set
         ]
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "blocks", [Counter(row) for row in index])
-        object.__setattr__(self, "labels", tuple(positions))
+        self.index, self.blocks, self.labels = index, [Counter(row) for row in index], tuple(positions)
 
     @property
     def tags_per_message(self) -> int:
@@ -258,7 +253,6 @@ def max_offdiagonal_overlap(scheme: QmacScheme) -> float:
     return float(max(scheme.overlaps, default=0.0))
 
 
-@dataclass(frozen=True)
 class DecisionRule:
     """Bob's verdict on a received tag.
 
@@ -268,17 +262,21 @@ class DecisionRule:
     (1 + (copies-1) lambda^2)/copies). Both accept honest tags surely.
     """
 
-    kind: str
-    copies: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("projective", "symmetry-test"):
-            raise ParameterError(f"unknown decision rule {self.kind!r}")
-        if self.kind == "symmetry-test":
-            if not isinstance(self.copies, int) or self.copies < 2:
+    def __init__(self, kind: str, copies: int | None = None):
+        if kind not in ("projective", "symmetry-test"):
+            raise ParameterError(f"unknown decision rule {kind!r}")
+        if kind == "symmetry-test":
+            if not isinstance(copies, int) or copies < 2:
                 raise ParameterError("symmetry-test rule needs an integer copy count >= 2")
-        elif self.copies is not None:
+        elif copies is not None:
             raise ParameterError("projective rule takes no copy count")
+        self.kind, self.copies = kind, copies
+
+    def __eq__(self, other):
+        return type(other) is DecisionRule and vars(other) == vars(self)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
 
     def wrong_tag_acceptances(self, overlaps: list[float]) -> list[float]:
         """Probability of accepting a wrong tag at each overlap.
@@ -293,7 +291,6 @@ class DecisionRule:
         return [acceptance_error_formula(self.copies, lam) for lam in overlaps]
 
 
-@dataclass(frozen=True, eq=False)
 class AttackReport:
     """Outcome of an attack optimization.
 
@@ -303,20 +300,17 @@ class AttackReport:
     present, replaces the max over (message, label pair) with the mean.
     """
 
-    deception_probability: float
-    classical_floor: float
-    witness_message: Any = None
-    witness_labels: tuple | None = None
-    witness_state: PureState | None = None
-    witness_strategy: str = ""
-    deception_probability_average: float | None = None
-
-    def __post_init__(self):
-        p = self.deception_probability
-        if p < self.classical_floor - 1e-9 or p > 1.0 + 1e-9:
-            raise ParameterError(
-                f"deception probability {p} outside [{self.classical_floor}, 1]"
-            )
+    def __init__(
+        self, deception_probability: float, classical_floor: float, witness_message: Any = None,
+        witness_labels: tuple | None = None, witness_state: PureState | None = None, witness_strategy: str = "",
+        deception_probability_average: float | None = None
+    ):
+        p = deception_probability
+        if p < classical_floor - 1e-9 or p > 1.0 + 1e-9:
+            raise ParameterError(f"deception probability {p} outside [{classical_floor}, 1]")
+        self.deception_probability, self.classical_floor, self.witness_message = p, classical_floor, witness_message
+        self.witness_labels, self.witness_state = witness_labels, witness_state
+        self.witness_strategy, self.deception_probability_average = witness_strategy, deception_probability_average
 
 
 def impersonation_deception(
@@ -373,8 +367,7 @@ def _deception_probability(floor: float, q: float) -> float:
     return floor + (1.0 - floor) * q
 
 
-@dataclass(frozen=True, eq=False)
-class Theorem2Report:
+class Theorem2Report(NamedTuple):
     """Gap between a scheme's impersonation probability and the 1/|T| floor."""
 
     p0: float

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from functools import reduce
 from typing import Iterator, Sequence
 
@@ -60,6 +59,14 @@ def _index(value, what: str) -> int:
     raise ParameterError(f"{what} must be an integer, got {value!r}")
 
 
+def _items(value) -> tuple:
+    """The items of ``value``, or ``value`` alone when it is not iterable."""
+    try:
+        return tuple(value)
+    except TypeError:
+        return (value,)
+
+
 def _resolve_dims(dims, total: int | None = None) -> tuple[int, ...]:
     """Subsystem dimensions as a tuple of positive ints.
 
@@ -69,10 +76,7 @@ def _resolve_dims(dims, total: int | None = None) -> tuple[int, ...]:
     """
     if dims is None and total is not None:
         return (total,)
-    try:
-        items = tuple(dims)
-    except TypeError:
-        items = (dims,)
+    items = _items(dims)
     try:
         dims = tuple(_index(x, "subsystem dimension") for x in items)
     except ParameterError:
@@ -84,19 +88,18 @@ def _resolve_dims(dims, total: int | None = None) -> tuple[int, ...]:
     return dims
 
 
-@dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized state vector over subsystems of the given dimensions."""
 
-    amplitudes: np.ndarray
-    dims: tuple[int, ...] | None = None
+    def __init__(self, amplitudes, dims=None):
+        self.amplitudes, self.dims = amplitudes, dims
+        self.__post_init__()
 
     def __post_init__(self):
         amps = _frozen_complex(self.amplitudes, 1, "amplitudes")
         if amps.size < 1:
             raise ParameterError("state must have dimension >= 1")
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "dims", _resolve_dims(self.dims, amps.size))
+        self.amplitudes, self.dims = amps, _resolve_dims(self.dims, amps.size)
         with np.errstate(over="ignore"):  # a huge component overflows to an infinite norm, failing the check
             norm = np.linalg.norm(amps)
         if not abs(norm - 1.0) <= NORM_ATOL:
@@ -107,19 +110,18 @@ class PureState:
         return self.amplitudes.size
 
 
-@dataclass(frozen=True, eq=False)
 class UnitaryOperator:
     """Square matrix with U†U = I within construction tolerance."""
 
-    matrix: np.ndarray
-    dims: tuple[int, ...] | None = None
+    def __init__(self, matrix, dims=None):
+        self.matrix, self.dims = matrix, dims
+        self.__post_init__()
 
     def __post_init__(self):
         mat = _frozen_complex(self.matrix, 2, "matrix")
         if mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
             raise ParameterError(f"operator must be square, got shape {mat.shape}")
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "dims", _resolve_dims(self.dims, mat.shape[0]))
+        self.matrix, self.dims = mat, _resolve_dims(self.dims, mat.shape[0])
         # an infinite entry, or one so large that U†U overflows, makes the defect inf or NaN: the check fails
         with np.errstate(over="ignore", invalid="ignore"):
             defect = np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max()
@@ -131,19 +133,18 @@ class UnitaryOperator:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
 class HermitianOperator:
     """Square matrix with A = A† within construction tolerance."""
 
-    matrix: np.ndarray
-    dims: tuple[int, ...] | None = None
+    def __init__(self, matrix, dims=None):
+        self.matrix, self.dims = matrix, dims
+        self.__post_init__()
 
     def __post_init__(self):
         mat = _frozen_complex(self.matrix, 2, "matrix")
         if mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
             raise ParameterError(f"operator must be square, got shape {mat.shape}")
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "dims", _resolve_dims(self.dims, mat.shape[0]))
+        self.matrix, self.dims = mat, _resolve_dims(self.dims, mat.shape[0])
         check_hermitian(mat)
 
     @property
@@ -185,8 +186,8 @@ def _trusted(kind, values: np.ndarray, dims):
     values = np.asarray(values, dtype=complex)
     values.setflags(write=False)
     obj = object.__new__(kind)
-    object.__setattr__(obj, "amplitudes" if kind is PureState else "matrix", values)
-    object.__setattr__(obj, "dims", _resolve_dims(dims, values.shape[0]))
+    setattr(obj, "amplitudes" if kind is PureState else "matrix", values)
+    obj.dims = _resolve_dims(dims, values.shape[0])
     return obj
 
 
@@ -227,12 +228,13 @@ def overlap(a: PureState, b: PureState) -> complex:
 
 
 def partial_trace(state: PureState, keep) -> HermitianOperator:
-    """Reduced operator of |psi><psi| on the kept subsystems (original order preserved)."""
+    """Reduced operator of |psi><psi| on the kept subsystems (original order preserved); ``keep`` is
+    an index or a collection of them, each read by ``_index``."""
     if not isinstance(state, PureState):
         raise ParameterError(f"partial_trace expects a PureState, got {type(state).__name__}")
     dims = state.dims
     n = len(dims)
-    keep = tuple(sorted({_index(i, "keep index") for i in keep}))
+    keep = tuple(sorted({_index(i, "keep index") for i in _items(keep)}))
     if not keep:
         raise ParameterError("keep set must name at least one subsystem")
     if any(i < 0 or i >= n for i in keep):

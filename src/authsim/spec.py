@@ -7,13 +7,12 @@ its exact spot, e.g. ``parameters.scheme.tag_unitaries.0,0.matrix[1][0]``.
 from __future__ import annotations
 
 from collections.abc import Hashable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParameterError
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(NamedTuple):
     """One key of a JSON object: ``type`` is int (never bool), float (any
     number, read as a float), str, dict, list (items read by ``item``) or
     Hashable (any JSON scalar); ``lo``/``hi`` are inclusive and bound a
@@ -32,8 +31,7 @@ class Field:
     only_with: tuple = ()
 
 
-@dataclass(frozen=True)
-class Spec:
+class Spec(NamedTuple):
     """The keys of one JSON object. A one-of group lists alternatives (a
     key, or keys joined by '/'): at most one may be given, and exactly one
     unless some alternative has defaults for all its keys. ``optional``

@@ -10,7 +10,6 @@ the copy-count formula and the key-length accounting below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from numbers import Real
 from typing import NamedTuple
 
@@ -58,6 +57,16 @@ def acceptance_error_oracle(n: int, a: PureState, b: PureState) -> float:
     return float(np.vdot(phi, symmetrize(phi, n)).real)
 
 
+def _real(value, name: str) -> float:
+    """``value`` as a float, if it is a real number, not a bool, within the float range."""
+    if not isinstance(value, Real) or isinstance(value, bool):
+        raise ParameterError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParameterError(f"{name} is too large for a float, got {value!r}") from None
+
+
 def _check_tag_count(tag_count) -> None:
     if not isinstance(tag_count, int) or tag_count < 2:
         raise ParameterError(f"tag count must be an integer >= 2, got {tag_count!r}")
@@ -66,7 +75,7 @@ def _check_tag_count(tag_count) -> None:
 def feasibility_threshold(tag_count: int, delta: float) -> float:
     """Largest overlap for which a finite copy count can reach floor + delta, delta in (0, 1/tag_count]."""
     _check_tag_count(tag_count)
-    delta = float(delta)
+    delta = _real(delta, "delta")
     if not 0.0 < delta <= 1.0 / tag_count:
         raise ParameterError(f"delta {delta!r} outside (0, 1/{tag_count}]")
     return math.sqrt(delta * tag_count / (tag_count - 1))
@@ -85,7 +94,7 @@ def copies_required(tag_count: int, delta, lambda_max) -> CopiesRequired:
     exceeds T - 2. The ceiling is what a deployment would use.
     """
     threshold = feasibility_threshold(tag_count, delta)
-    delta, lam = float(delta), float(lambda_max)
+    delta, lam = float(delta), _real(lambda_max, "lambda_max")
     if not 0.0 <= lam <= 1.0:
         raise ParameterError(f"overlap {lambda_max!r} outside [0, 1]")
     if lam >= threshold:
@@ -103,8 +112,7 @@ def impersonation_with_symmetry_test(tag_count: int, lambda_max, n) -> float:
     return floor + (1.0 - floor) * acceptance_error_formula(n, lambda_max)
 
 
-@dataclass(frozen=True)
-class KeyLengthBound:
+class KeyLengthBound(NamedTuple):
     """Key budget in bits for a chosen security level.
 
     info_gain_bound: Holevo ceiling (n-1)*log2(d) on what an adversary can
@@ -126,7 +134,7 @@ def key_length_requirement(
     """Key bits needed for forgery probability epsilon with n-system tags of
     dimension d. n = 1 and d = 1 degenerate to the no-copies / no-information
     cases (Holevo term zero)."""
-    epsilon = float(epsilon)
+    epsilon = _real(epsilon, "epsilon")
     if not 0.0 < epsilon < 1.0:
         raise ParameterError(f"epsilon {epsilon!r} outside (0, 1)")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 from collections import Counter
@@ -170,7 +169,7 @@ STRUCTURED_CASES = [(p, None) for p in PRIMES_TO_61 if p**4 <= 1 << 20] + [
 
 def without_g(family: HashFamily) -> HashFamily:
     """The same family without its ``g`` table, so it takes the generic scan."""
-    return dataclasses.replace(family, g=None)
+    return HashFamily(**{**vars(family), "g": None})
 
 
 class TestFamilyConstruction:

@@ -417,6 +417,21 @@ class TestPartialTrace:
         reduced = partial_trace(s, keep=(np.int64(1),))
         assert reduced.dims == (3,) and np.allclose(reduced.matrix, np.diag([0.0, 1.0, 0.0]))
 
+    @pytest.mark.parametrize("index", [0, 1, np.int64(1)], ids=repr)
+    def test_bare_keep_index_is_a_one_element_set(self, index):
+        s = tensor([random_state((2,), np.random.default_rng(5)), random_state((3,), np.random.default_rng(6))])
+        bare, single = partial_trace(s, keep=index), partial_trace(s, keep=(int(index),))
+        assert bare.dims == single.dims and bare.matrix.tobytes() == single.matrix.tobytes()
+
+    @pytest.mark.parametrize("keep", [True, 1.0, None], ids=repr)
+    def test_bare_keep_non_integer_rejected_by_name(self, keep):
+        with pytest.raises(ParameterError, match="^keep index must be an integer"):
+            partial_trace(basis_state(0, (2, 2)), keep=keep)
+
+    def test_bare_keep_index_out_of_range(self):
+        with pytest.raises(ParameterError, match="out of range"):
+            partial_trace(basis_state(0, (2, 2)), keep=2)
+
 
 class TestMeasureProjective:
     def test_pure_state_in_basis(self):

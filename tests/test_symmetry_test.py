@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -192,6 +193,37 @@ class TestFeasibilityThreshold:
     def test_delta_outside_its_range_rejected(self, delta):
         with pytest.raises(ParameterError, match="delta"):
             feasibility_threshold(4, delta)
+
+
+REAL_READERS = {
+    "copies_required.delta": (lambda v: copies_required(4, v, 0.0), "delta", 0.25),
+    "copies_required.lambda_max": (lambda v: copies_required(4, 0.25, v), "lambda_max", 0.5),
+    "feasibility_threshold.delta": (lambda v: feasibility_threshold(4, v), "delta", 0.25),
+    "key_length_requirement.epsilon": (lambda v: key_length_requirement(v, 2, 2), "epsilon", 0.125),
+}
+
+
+class TestRealArguments:
+    """delta, lambda_max and epsilon are read as real numbers; anything else is a ParameterError naming them."""
+
+    @pytest.mark.parametrize("value", ["x", "0.25", None, True, False, 1j, [0.25]], ids=repr)
+    @pytest.mark.parametrize("reader", REAL_READERS)
+    def test_non_real_rejected_by_name(self, reader, value):
+        call, name, _ = REAL_READERS[reader]
+        with pytest.raises(ParameterError, match=f"^{name} must be a real number, got "):
+            call(value)
+
+    @pytest.mark.parametrize("reader", REAL_READERS)
+    def test_huge_int_rejected_by_name(self, reader):
+        call, name, _ = REAL_READERS[reader]
+        with pytest.raises(ParameterError, match=f"^{name} is too large for a float, got "):
+            call(10**400)
+
+    @pytest.mark.parametrize("reader", REAL_READERS)
+    def test_real_types_read_as_the_float(self, reader):
+        call, _, value = REAL_READERS[reader]
+        for same in (np.float64(value), np.float32(value), Fraction(value)):
+            assert call(same) == call(value)
 
 
 class TestKeyLengthRequirement:

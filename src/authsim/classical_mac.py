@@ -56,7 +56,7 @@ class HashFamily:
         self, key_space_size: int, message_space: tuple, tag_space: tuple, evaluate: Callable[[int, Any], Any],
         family_kind: FamilyKind, epsilon: Fraction | None = None, name: str = "custom", g: np.ndarray | None = None
     ):
-        if not (isinstance(key_space_size, int) and key_space_size >= 1):
+        if not isinstance(key_space_size, int) or isinstance(key_space_size, bool) or key_space_size < 1:
             raise ParameterError(f"key_space_size must be a positive integer, got {key_space_size!r}")
         if len(message_space) <= 1:
             raise ParameterError("message space must contain more than one message")

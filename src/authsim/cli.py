@@ -49,6 +49,7 @@ NAMED_UNITARIES = {
 # Work caps, checked before any computation starts.
 MAX_COUNT = 10_000  # draws of random_schemes and random_sweep
 MAX_SCHEME_ENTRIES = 2**22  # num_keys * num_messages * dim**2: entries of the normals one random scheme draws
+MAX_SCHEME_PAIRS = 2**20  # num_messages * C(num_keys, 2): label pairs one random scheme scores
 MAX_SWEEP_POINTS = 2**16  # |T values| * |delta_fracs| * |lambda_fracs|
 MAX_MESSAGE_SPACE_BITS = 2**20  # message_space_bits, used as 2**bits
 _EXACT_FLOAT_INT = 2**53  # integers the symmetry-test formulas turn into floats
@@ -202,12 +203,13 @@ def _run_classical_mac(params: dict, config: ScenarioConfig) -> dict:
 def _run_generic_qmac(params: dict, config: ScenarioConfig) -> dict:
     if "random_schemes" in params:
         shape = params["random_schemes"]
-        entries = shape["num_keys"] * shape["num_messages"] * shape["dim"] ** 2
-        if entries > MAX_SCHEME_ENTRIES:
-            raise ParameterError(
-                f"a random scheme would draw num_keys * num_messages * dim**2 = {entries} "
-                f"entries; the cap is {MAX_SCHEME_ENTRIES}"
-            )
+        keys, messages, dim = shape["num_keys"], shape["num_messages"], shape["dim"]
+        for work, size, cap in (
+            ("draw num_keys * num_messages * dim**2 = {} entries", keys * messages * dim**2, MAX_SCHEME_ENTRIES),
+            ("score num_messages * C(num_keys, 2) = {} label pairs", messages * math.comb(keys, 2), MAX_SCHEME_PAIRS),
+        ):
+            if size > cap:
+                raise ParameterError(f"a random scheme would {work.format(size)}; the cap is {cap}")
         # the spec fills every key, and its keys are random_scheme_reports' parameter names
         reports = qmac_framework.random_scheme_reports(np.random.default_rng(config.seed), **shape)
         rows = [

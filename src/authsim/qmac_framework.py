@@ -25,11 +25,10 @@ bounded batches of stacked 1 x d by d x 1 products that give each pair the
 bits of its own vdot (``pair_overlaps``), and kept as one flat list that a
 scheme's decision rule scores in one call. A random scheme draws one Haar
 unitary per (key, message) label. An ensemble of them is decided from its
-tag states alone (``random_scheme_reports``): its draws come in batches that
-span schemes, only column 0 of each draw is factored, as the initial state
-is |0>, and one carry-over loop scores the schemes each batch completes
-together, each from its largest overlap squared once, bit for bit as
-consecutive ``random_scheme`` calls would be.
+tag states alone (``random_scheme_reports``): each batch of whole schemes
+factors only column 0 of each draw, as the initial state is |0>, and is
+scored together, each scheme from its largest overlap squared once, bit for
+bit as consecutive ``random_scheme`` calls would be.
 """
 
 from __future__ import annotations
@@ -45,12 +44,13 @@ import numpy as np
 
 from .errors import InvariantViolation, ParameterError
 from .quantum_core import (
+    MAX_TOTAL_DIMENSION,
     NORM_ATOL,
     STACK_ENTRIES,
     PureState,
     UnitaryOperator,
+    _haar_columns,
     _trusted,
-    iter_haar_columns,
     random_unitaries,
     state_from_json_dict,
     unitary_from_json_dict,
@@ -60,6 +60,7 @@ from .spec import Field, Spec, read_spec
 from .symmetry_test import acceptance_error_formula
 
 OVERLAP_TOL = 1e-9
+COLUMN_ENTRIES = 2**10  # column entries per batch of whole random schemes, at least one scheme
 
 Label = Hashable
 
@@ -446,18 +447,18 @@ def random_scheme_reports(
 
     The label structure is compiled and validated once, in one unitary-free
     scheme. Its initial state is ``basis_state(0)``, so each tag state E|0>
-    is column 0 of its unitary: the rows come from ``iter_haar_columns``,
-    bit for bit the gemv of ``QmacScheme.states`` on the reference's draws.
-    A copy of each batch's rows joins the rows a scheme that spans batches
-    left pending; the schemes now whole form one ``(schemes x |labels|, d)``
-    table in label order, scored together (``_theorem2_reports``), and the
-    rest wait for the next batch. So a batch gets at most one scoring pass
-    and is released before the next is drawn. The shape arguments are
-    checked before anything is drawn. Each report's attack carries
-    the deception probability and the floor, range checked, but no witness
-    and no mean.
+    is column 0 of its unitary, bit for bit the gemv of ``QmacScheme.states``
+    on the reference's draws. One ``_haar_columns`` call draws the rows of
+    ``max(1, COLUMN_ENTRIES // (|labels| * dim))`` whole schemes, key-major;
+    swapping the key and message axes puts them in label order, and the batch
+    is scored as one table (``_theorem2_reports``), then released before the
+    next is drawn. The shape arguments and the dimension cap are checked
+    before anything is drawn. Each report's attack carries the deception
+    probability and the floor, range checked, but no witness and no mean.
     """
     keys, messages, labels = _random_shape(num_keys, num_messages, count=count, dim=dim)
+    if dim > MAX_TOTAL_DIMENSION:
+        raise ParameterError(f"total dimension {dim} exceeds cap {MAX_TOTAL_DIMENSION}")
     compiled = QmacScheme(
         message_set=messages,
         key_set=keys,
@@ -466,21 +467,14 @@ def random_scheme_reports(
         initial_state=basis_state(0, (dim,)),
     )
     compiled.validate()
-    draw_index = {label: i for i, label in enumerate(labels)}
-    drawn = np.array([draw_index[label] for label in compiled.labels], dtype=np.intp)  # in label order
     floor = 1.0 / compiled.tags_per_message
-    size = len(labels)
-    pending, held = [], 0  # copies of the drawn rows not yet scored, and their count
-    for rows in iter_haar_columns(count * size, dim, rng):
-        pending.append(rows.copy())
-        held += len(rows)
-        del rows  # a used-up batch is released before the next is drawn
-        whole = held // size
-        if whole:
-            joined = np.concatenate(pending)  # only when a scheme completes: no row is re-copied per batch
-            table = joined[: whole * size].reshape(whole, size, dim).take(drawn, axis=1).reshape(-1, dim)
-            pending, held = [joined[whole * size :]], held - whole * size
-            yield from _theorem2_reports(table, whole, compiled.pair_index, floor)
+    per_batch = max(1, COLUMN_ENTRIES // (len(labels) * dim))
+    for start in range(0, count, per_batch):
+        schemes = min(per_batch, count - start)
+        table = _haar_columns(schemes * len(labels), dim, rng)
+        table = table.reshape(schemes, num_keys, num_messages, dim).swapaxes(1, 2).reshape(-1, dim)
+        yield from _theorem2_reports(table, schemes, compiled.pair_index, floor)
+        del table  # a scored batch is released before the next is drawn
 
 
 def _theorem2_reports(

@@ -36,9 +36,6 @@ MAX_COPIES = 8
 # Matrix entries in one stacked draw of Haar unitaries: 64 KiB of normals, so
 # 16 draws of 16 x 16 or 1024 of 2 x 2 share one QR call.
 STACK_ENTRIES = 2**12
-# Column entries that iter_haar_columns factors in one QR call: 64 columns of
-# 16, gathered from 4 stacks; at d <= 4 one stack already holds that many.
-COLUMN_ENTRIES = 2**10
 
 
 def _frozen_complex(values, ndim: int, what: str) -> np.ndarray:
@@ -369,26 +366,14 @@ def iter_haar_stacks(count: int, dims, rng: np.random.Generator) -> Iterator[np.
     count, dims and dimension cap are checked before anything is drawn; the
     unitarity check runs once per stack.
     """
-    return _iter_draws(_haar_stack, 0, count, dims, rng)
-
-
-def iter_haar_columns(count: int, dims, rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """Column 0, U|0>, of each unitary of ``iter_haar_stacks``, as unchecked ``(size, d)`` rows: the
-    normals are drawn in the same stacks, but one QR call factors COLUMN_ENTRIES column entries."""
-    return _iter_draws(_haar_columns, COLUMN_ENTRIES, count, dims, rng)
-
-
-def _iter_draws(kernel, entries: int, count: int, dims, rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """``kernel(size, total, rng)`` over ``count`` draws, ``size`` being one stack of
-    STACK_ENTRIES matrix entries or ``entries`` column entries, whichever holds more draws."""
     if not isinstance(count, int) or isinstance(count, bool) or count < 1:
         raise ParameterError(f"unitary count must be a positive integer, got {count!r}")
     total = math.prod(_resolve_dims(dims))
     if total > MAX_TOTAL_DIMENSION:
         raise ParameterError(f"total dimension {total} exceeds cap {MAX_TOTAL_DIMENSION}")
-    per_call = max(1, STACK_ENTRIES // total**2, entries // total)
-    for start in range(0, count, per_call):
-        yield kernel(min(per_call, count - start), total, rng)
+    per_stack = max(1, STACK_ENTRIES // total**2)
+    for start in range(0, count, per_stack):
+        yield _haar_stack(min(per_stack, count - start), total, rng)
 
 
 def _haar_columns(size: int, total: int, rng: np.random.Generator) -> np.ndarray:

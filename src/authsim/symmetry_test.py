@@ -102,6 +102,8 @@ def copies_required(tag_count: int, delta, lambda_max) -> CopiesRequired:
             f"overlap {lam} is infeasible: must be below sqrt(delta*T/(T-1)) = {threshold}"
         )
     n_real = (tag_count - 1) * (1.0 - lam**2) / (delta * tag_count - (tag_count - 1) * lam**2)
+    if not math.isfinite(n_real):
+        raise DomainError(f"copy count n_real = {n_real} is not finite at delta {delta!r}, overlap {lam!r}")
     return CopiesRequired(n_real=n_real, n_ceil=math.ceil(n_real - 1e-9))
 
 
@@ -204,6 +206,8 @@ def sweep(
     the first |T| of ``t_values`` whose row has a quantum key budget above
     the classical one (None if no row has), read off the rows as they are made.
     """
+    delta_fracs = [_real(f, f"delta_fracs[{i}]") for i, f in enumerate(delta_fracs)]
+    lambda_fracs = [_real(f, f"lambda_fracs[{i}]") for i, f in enumerate(lambda_fracs)]
     if any(not 0.0 < f <= 1.0 for f in delta_fracs):
         raise ParameterError("delta fractions must lie in (0, 1]")
     if any(not 0.0 <= f < 1.0 for f in lambda_fracs):

@@ -208,6 +208,12 @@ class TestFamilyConstruction:
         with pytest.raises(ParameterError):
             make_poly_family(5, blocks)
 
+    @pytest.mark.parametrize("size", [True, False, 2.0, "4"], ids=repr)
+    def test_key_space_size_must_be_int(self, size):
+        # a bool is not read as a key space of size 1 or 0
+        with pytest.raises(ParameterError, match="^key_space_size must be a positive integer"):
+            HashFamily(size, (0, 1), (0,), lambda k, m: 0, FamilyKind.CUSTOM)
+
     def test_family_validation(self):
         with pytest.raises(ParameterError):
             HashFamily(

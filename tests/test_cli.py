@@ -226,6 +226,28 @@ class TestGenericQmacScenario:
         assert out.startswith("error: ")
         assert not (tmp_path / "report.json").exists()
 
+    def test_pair_cap_admits_1024_keys_of_two_messages(self):
+        assert 2 * math.comb(1024, 2) <= cli.MAX_SCHEME_PAIRS < 2 * math.comb(1025, 2)
+
+    @pytest.mark.parametrize("keys,messages", [(1025, 2), (16384, 2), (5, 2**17 + 1)])
+    def test_random_scheme_pairs_over_cap_exit_one_before_drawing(self, keys, messages, monkeypatch, tmp_path):
+        # each shape passes MAX_SCHEME_ENTRIES at dim 1; its label pairs alone are over the cap
+        shape = {"count": 1, "dim": 1, "num_keys": keys, "num_messages": messages}
+        assert keys * messages <= cli.MAX_SCHEME_ENTRIES
+        counter = CallCounter(monkeypatch)
+        counter.count(qmac_framework, "_haar_columns")
+        counter.count(qmac_framework.QmacScheme, "__post_init__")
+        config = write_config(tmp_path, "r.json", _cfg("GenericQmac", {"random_schemes": shape}))
+        code, out = run_cli(str(config), str(tmp_path / "report.json"))
+        assert code == 1
+        pairs = messages * math.comb(keys, 2)
+        assert out.startswith(
+            f"error: a random scheme would score num_messages * C(num_keys, 2) = {pairs} label pairs; "
+            f"the cap is {cli.MAX_SCHEME_PAIRS}"
+        ), out
+        assert counter.calls == {"_haar_columns": 0, "__post_init__": 0}
+        assert not (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize(
         "field,value",
         [
@@ -503,6 +525,10 @@ MALFORMED_CONFIGS = {
     "st-grid-over-cap": _cfg("SymmetryTestSweep", {"t_max": 10**9}),
     "st-delta-fracs-str": _cfg("SymmetryTestSweep", {"delta_fracs": "x"}),
     "st-delta-fracs-empty": _cfg("SymmetryTestSweep", {"delta_fracs": []}),
+    # positive and in range, but its copy count overflows to inf
+    "st-delta-fracs-tiny": _cfg(
+        "SymmetryTestSweep", {"t_values": [2, 3], "delta_fracs": [1e-320], "lambda_fracs": [0.0]}
+    ),
     "st-d-bool": _cfg("SymmetryTestSweep", {"d": True}),
     "st-d-str": _cfg("SymmetryTestSweep", {"d": "x"}),
     "st-bits-float": _cfg("SymmetryTestSweep", {"message_space_bits": 3.5}),
@@ -585,14 +611,14 @@ class TestConfigBoundary:
 
     @pytest.mark.parametrize(
         "shape",
-        # a batch of 16 x 16 draws spans 4 keys, one of 2 x 2 draws spans 256 schemes
+        # batches of 2 schemes of 32 labels at d = 16, and of 128 schemes of 4 labels at d = 2
         [{"count": 4, "dim": 16, "num_keys": 2, "num_messages": 16}, {"count": 300}],
     )
     def test_random_schemes_freed_before_next_stack(self, shape, monkeypatch, tmp_path):
         """Peak memory stays near one batch: with the cycle collector off,
         every batch of Haar columns drawn before is gone when the next one is drawn."""
         drawn, alive_at_draw = [], []
-        real_columns = quantum_core._haar_columns
+        real_columns = qmac_framework._haar_columns
 
         def watched_columns(*args):
             alive_at_draw.append(sum(ref() is not None for ref in drawn))
@@ -601,7 +627,7 @@ class TestConfigBoundary:
             drawn.append(weakref.ref(rows if rows.base is None else rows.base))
             return rows
 
-        monkeypatch.setattr(quantum_core, "_haar_columns", watched_columns)
+        monkeypatch.setattr(qmac_framework, "_haar_columns", watched_columns)
         config = write_config(tmp_path, "c.json", _cfg("GenericQmac", {"random_schemes": shape}))
         gc.disable()
         try:
@@ -617,10 +643,10 @@ class TestConfigBoundary:
     )
     def test_random_schemes_are_batched(self, shape, monkeypatch, tmp_path):
         """One compiled scheme for the whole ensemble, and one batch of Haar
-        columns per COLUMN_ENTRIES column entries (or per STACK_ENTRIES
-        matrix entries, if that is more draws), not one per scheme."""
+        columns per COLUMN_ENTRIES column entries of whole schemes (at least
+        one scheme), not one per scheme."""
         calls = {"schemes": 0, "stacks": 0}
-        real_columns, real_compile = quantum_core._haar_columns, qmac_framework.QmacScheme.__post_init__
+        real_columns, real_compile = qmac_framework._haar_columns, qmac_framework.QmacScheme.__post_init__
 
         def counted_columns(*args):
             calls["stacks"] += 1
@@ -630,15 +656,15 @@ class TestConfigBoundary:
             calls["schemes"] += 1
             real_compile(scheme)
 
-        monkeypatch.setattr(quantum_core, "_haar_columns", counted_columns)
+        monkeypatch.setattr(qmac_framework, "_haar_columns", counted_columns)
         monkeypatch.setattr(qmac_framework.QmacScheme, "__post_init__", counted_compile)
         config = write_config(tmp_path, "c.json", _cfg("GenericQmac", {"random_schemes": shape}))
         assert run_cli(str(config), str(tmp_path / "r.json"))[0] == 0
         dim = shape.get("dim", 2)
         labels = shape.get("num_keys", 2) * shape.get("num_messages", 2)
-        per_batch = max(quantum_core.STACK_ENTRIES // dim**2, quantum_core.COLUMN_ENTRIES // dim)
-        assert per_batch == {16: 64, 2: 1024, 5: 204}[dim]
-        assert calls == {"schemes": 1, "stacks": math.ceil(shape["count"] * labels / per_batch)}
+        per_batch = max(1, qmac_framework.COLUMN_ENTRIES // (labels * dim))  # whole schemes
+        assert per_batch == {16: 2, 2: 128, 5: 51}[dim]
+        assert calls == {"schemes": 1, "stacks": math.ceil(shape["count"] / per_batch)}
 
     def test_nogo_sweep_is_batched(self, monkeypatch, tmp_path):
         """One stacked draw, one kernel call, no instance per unitary."""

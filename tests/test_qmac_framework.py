@@ -839,10 +839,11 @@ class TestRandomSchemeReports:
         count=st.integers(1, 40),
         seed=st.integers(0, 2**32 - 1),
     )
-    # unitaries per stack: 16 (each scheme spans 3 stacks), 1024 (one stack spans all 40
-    # schemes), 33 (scheme and stack boundaries interleave), 4096 (dim 1, every overlap 1),
-    # 1024 of 1500 (68 whole schemes and the start of the next in the first stack, which
-    # the second finishes), 256 (4 whole 64-label schemes per stack)
+    # whole schemes per batch of COLUMN_ENTRIES = 1024 column entries: 1 (576 entries per
+    # scheme), 34 of 40, 4 of 17, 170 (dim 1, every overlap 1), 34 of 100, 4 of 40, 1 (516);
+    # then one scheme per call where one scheme alone holds more than a batch (1280 entries),
+    # a count that is not a multiple of the batch (28 of 40), and num_keys = 1 (85 of 100;
+    # no label pairs, so every scheme sits on the floor)
     @example(dim=16, num_keys=6, num_messages=6, count=3, seed=1)
     @example(dim=2, num_keys=3, num_messages=5, count=40, seed=2)
     @example(dim=11, num_keys=4, num_messages=5, count=17, seed=3)
@@ -850,6 +851,9 @@ class TestRandomSchemeReports:
     @example(dim=2, num_keys=3, num_messages=5, count=100, seed=5)
     @example(dim=4, num_keys=8, num_messages=8, count=40, seed=6)
     @example(dim=129, num_keys=2, num_messages=2, count=3, seed=7)
+    @example(dim=64, num_keys=5, num_messages=4, count=3, seed=8)
+    @example(dim=3, num_keys=3, num_messages=4, count=40, seed=9)
+    @example(dim=4, num_keys=1, num_messages=3, count=100, seed=10)
     def test_reports_equal_reference(self, dim, num_keys, num_messages, count, seed):
         ensemble_rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         reports = list(random_scheme_reports(ensemble_rng, count, dim, num_keys, num_messages))
@@ -864,23 +868,26 @@ class TestRandomSchemeReports:
     @pytest.mark.parametrize(
         "name,value",
         [(name, value) for name in ("count", "dim", "num_keys") for value in (True, 2.0, 0)]
-        + [("num_messages", value) for value in (True, 2.0, 1)],
+        + [("num_messages", value) for value in (True, 2.0, 1)]
+        + [("dim", 4097)],
     )
     def test_shape_rejected_before_drawing(self, name, value):
-        # a bool or float is not read as a count, and the error names the argument, not count * labels
+        # a bool or float is not read as a count, and the error names the argument, not count * labels;
+        # the dimension cap is checked before drawing too
+        message = "total dimension 4097 exceeds cap 4096" if value == 4097 else f"{name} must be an integer >= "
         shape = {"count": 2, "dim": 2, "num_keys": 2, "num_messages": 2, name: value}
         rng = np.random.default_rng(4)
         before = rng.bit_generator.state
-        with pytest.raises(ParameterError, match=f"^{name} must be an integer >= "):
+        with pytest.raises(ParameterError, match=f"^{message}"):
             next(random_scheme_reports(rng, **shape))
         if name != "count":
             del shape["count"]
-            with pytest.raises(ParameterError, match=f"^{name} must be an integer >= "):
+            with pytest.raises(ParameterError, match=f"^{message}"):
                 random_scheme(rng, **shape)
         assert rng.bit_generator.state == before
 
     def test_builtin_ensemble_scored_in_one_pass(self, monkeypatch, tmp_path):
-        # the 400 unitaries of theorem2-random fill one stack of 1024 2 x 2 draws
+        # the 100 schemes of theorem2-random fit one batch of 128 four-label qubit schemes
         counter = CallCounter(monkeypatch)
         counter.count(qmac_framework, "pair_overlaps")
         counter.count(qmac_framework, "_check_norms")
@@ -891,37 +898,35 @@ class TestRandomSchemeReports:
         # the ensemble never forms a whole unitary; the Curty-Santos sweep still needs them
         counter = CallCounter(monkeypatch)
         counter.count(quantum_core, "_haar_stack")
-        counter.count(quantum_core, "_haar_columns")
+        counter.count(qmac_framework, "_haar_columns")
         list(random_scheme_reports(np.random.default_rng(0), 40, dim=3, num_keys=3, num_messages=4))
-        assert counter.calls == {"_haar_stack": 0, "_haar_columns": 2}  # 480 draws, 455 per batch
+        assert counter.calls == {"_haar_stack": 0, "_haar_columns": 2}  # 40 schemes, 28 per batch
         list(random_scheme_reports(np.random.default_rng(0), 10, dim=16, num_keys=3, num_messages=4))
-        assert counter.calls == {"_haar_stack": 0, "_haar_columns": 4}  # 2 more: 120 draws, 64 per batch
+        assert counter.calls == {"_haar_stack": 0, "_haar_columns": 4}  # 2 more: 10 schemes, 5 per batch
         assert cli.run("cs-nogo-sweep", output=str(tmp_path / "nogo.json"), stdout=io.StringIO()) == 0
         assert counter.calls == {"_haar_stack": 1, "_haar_columns": 4}
 
     def test_one_scoring_pass_per_stack(self, monkeypatch):
-        # 12 labels and 455 draws per batch: 37 schemes are whole in the first batch, and the
-        # second completes the scheme the first began together with the last two
+        # 12 labels of dim 3 per scheme: a batch of 28 whole schemes, then one of the last 12
         counter = CallCounter(monkeypatch)
         counter.count(qmac_framework, "_theorem2_reports")
-        counter.count(quantum_core, "_haar_columns")
+        counter.count(qmac_framework, "_haar_columns")
         reports = list(random_scheme_reports(np.random.default_rng(0), 40, dim=3, num_keys=3, num_messages=4))
         assert len(reports) == 40
-        assert counter.calls["_haar_columns"] == 2
-        assert counter.calls["_theorem2_reports"] <= counter.calls["_haar_columns"]
+        assert counter.calls == {"_theorem2_reports": 2, "_haar_columns": 2}
 
     def test_tag_rows_norm_checked_per_scheme(self, monkeypatch):
         # the column kernel checks no unitarity, so a bad column must still not yield a tag state
-        real_columns = quantum_core._haar_columns
+        real_columns = qmac_framework._haar_columns
 
         def scaled_columns(size, total, rng):
             rows = real_columns(size, total, rng).copy()
             rows[-1] *= 2.0
             return rows
 
-        monkeypatch.setattr(quantum_core, "_haar_columns", scaled_columns)
+        monkeypatch.setattr(qmac_framework, "_haar_columns", scaled_columns)
         reports = random_scheme_reports(np.random.default_rng(0), 2, dim=16, num_keys=2, num_messages=4)
-        assert next(reports).p0 > 0.5  # a batch of 64 holds both schemes; the first is whole
+        assert next(reports).p0 > 0.5  # a batch of 8 schemes holds both; the bad row is the second's
         with pytest.raises(ParameterError, match="state norm"):
             next(reports)
 

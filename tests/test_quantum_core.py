@@ -7,16 +7,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from authsim.errors import ParameterError
+from authsim.qmac_framework import COLUMN_ENTRIES
 from authsim.quantum_core import (
-    COLUMN_ENTRIES,
     STACK_ENTRIES,
     HermitianOperator,
     PureState,
     UnitaryOperator,
+    _haar_columns,
     _kron,
     _trusted,
     basis_state,
-    iter_haar_columns,
     iter_haar_stacks,
     max_eigenpair,
     measure_projective,
@@ -331,8 +331,6 @@ class TestRandomUnitaries:
             random_unitaries(count, dims, rng)
         with pytest.raises(ParameterError):
             next(iter_haar_stacks(count, dims, rng))
-        with pytest.raises(ParameterError):
-            next(iter_haar_columns(count, dims, rng))
         assert rng.bit_generator.state == before
 
     @pytest.mark.parametrize("dims,count", [(1, 5000), (2, 1500), (5, 400), (16, 40), ((2, 3), 7)])
@@ -352,13 +350,13 @@ class TestRandomUnitaries:
         """Factoring only column 0 of each draw, a batch of columns per QR
         call, gives the bits of U|0> from the full QR of each stack: a
         Householder QR builds Q e1 from column 0 alone. Two full batches and a
-        partial one; at dims such as 5, 12 or 40 a batch ends mid-stack and a
-        stack ends mid-batch."""
+        partial one, each one ``_haar_columns`` call; at dims such as 5, 12 or
+        40 a batch ends mid-stack and a stack ends mid-batch."""
         per_stack = max(1, STACK_ENTRIES // dim**2)
         batch = max(per_stack, COLUMN_ENTRIES // dim)  # at dim <= 4 one stack per batch
         count = 2 * batch + 1
         column_rng, stack_rng = np.random.default_rng(dim), np.random.default_rng(dim)
-        columns = list(iter_haar_columns(count, dim, column_rng))
+        columns = [_haar_columns(size, dim, column_rng) for size in (batch, batch, 1)]
         stacks = list(iter_haar_stacks(count, dim, stack_rng))
         e0 = basis_state(0, dim).amplitudes
         assert [rows.shape for rows in columns] == [(batch, dim), (batch, dim), (1, dim)]

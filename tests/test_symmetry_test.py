@@ -174,6 +174,13 @@ class TestCopiesRequired:
             p0 = impersonation_with_symmetry_test(t_size, lam, n_real)
             assert p0 == pytest.approx(1.0 / t_size + delta, abs=1e-9)
 
+    @pytest.mark.parametrize("t_size", [2, 3])
+    def test_infinite_copy_count_is_a_domain_error(self, t_size):
+        # delta = 1e-320 / T is positive, but delta * T - (T-1) * lambda**2 is so small that
+        # n_real overflows to inf, which math.ceil cannot take
+        with pytest.raises(DomainError, match="^copy count n_real = inf is not finite"):
+            copies_required(t_size, 1e-320 / t_size, 0.0)
+
     def test_validation(self):
         with pytest.raises(ParameterError):
             copies_required(1, 0.5, 0.0)
@@ -305,6 +312,18 @@ class TestSweep:
         result = sweep([2], delta_fracs=(1.0,), lambda_fracs=(0.0,))
         assert result.rows == []
         assert result.crossovers == [(1.0, 0.0, None)]
+
+    @pytest.mark.parametrize("value", ["x", None, True, False, 1j, [0.5]], ids=repr)
+    @pytest.mark.parametrize("name", ["delta_fracs", "lambda_fracs"])
+    def test_non_real_fraction_rejected_by_name(self, name, value):
+        # a bool is not read as 1 or 0, and a string is not compared with a float
+        fracs = {"delta_fracs": [0.5], "lambda_fracs": [0.0], name: [value]}
+        with pytest.raises(ParameterError, match=rf"^{name}\[0\] must be a real number, got "):
+            sweep([2], **fracs)
+
+    def test_tiny_delta_fraction_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="^copy count n_real = inf"):
+            sweep([2, 3], delta_fracs=[1e-320], lambda_fracs=[0.0])
 
     def test_validation(self):
         with pytest.raises(ParameterError):

@@ -27,12 +27,17 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import ParameterError
+from .spec import Field, read_value
 
 ENUMERATION_CAP = 1 << 22  # |K| * |M| ceiling for brute-force analysis
 PRIME_CAP = 1 << 20
 MESSAGE_SPACE_CAP = 1 << 20  # p**blocks ceiling for the polynomial family
 WORK_CAP = 1 << 27  # |M| * (|M| - 1) * |T|**2 ceiling for the substitution scan
 SCAN_ENTRIES = 1 << 14  # entries per joint-count block of observed messages, at least one message
+MODULUS = Field(int, lo=2, hi=PRIME_CAP)  # p, a config key too
+# p >= 2 and p**blocks <= MESSAGE_SPACE_CAP bound blocks before p**blocks is computed
+BLOCKS = Field(int, lo=1, hi=MESSAGE_SPACE_CAP.bit_length() - 1)
+_KEY_COUNT, _PAIR_COUNT = Field(int, lo=1), Field(int, lo=0)
 
 
 class FamilyKind(Enum):
@@ -56,8 +61,7 @@ class HashFamily:
         self, key_space_size: int, message_space: tuple, tag_space: tuple, evaluate: Callable[[int, Any], Any],
         family_kind: FamilyKind, epsilon: Fraction | None = None, name: str = "custom", g: np.ndarray | None = None
     ):
-        if not isinstance(key_space_size, int) or isinstance(key_space_size, bool) or key_space_size < 1:
-            raise ParameterError(f"key_space_size must be a positive integer, got {key_space_size!r}")
+        read_value(_KEY_COUNT, key_space_size, "key_space_size")
         if len(message_space) <= 1:
             raise ParameterError("message space must contain more than one message")
         if not tag_space:
@@ -119,11 +123,7 @@ def _is_prime(n: int) -> bool:
 
 
 def _check_prime(p) -> int:
-    if not isinstance(p, int) or isinstance(p, bool):
-        raise ParameterError(f"modulus must be an integer, got {p!r}")
-    if not 2 <= p <= PRIME_CAP:
-        raise ParameterError(f"modulus {p} outside [2, {PRIME_CAP}]")
-    if not _is_prime(p):
+    if not _is_prime(read_value(MODULUS, p, "modulus")):
         raise ParameterError(f"modulus {p} is not prime")
     return p
 
@@ -167,8 +167,7 @@ def make_poly_family(p: int, blocks: int) -> HashFamily:
     family's behavior.
     """
     p = _check_prime(p)
-    if not isinstance(blocks, int) or isinstance(blocks, bool) or blocks < 1:
-        raise ParameterError(f"block count must be a positive integer, got {blocks!r}")
+    read_value(BLOCKS, blocks, "block count")
     if p**blocks > MESSAGE_SPACE_CAP:
         raise ParameterError(f"message space p**blocks = {p**blocks} exceeds cap {MESSAGE_SPACE_CAP}")
 
@@ -322,8 +321,7 @@ def is_strongly_universal(family: HashFamily) -> bool:
 def key_length_lower_bound(observed_pairs: int, epsilon) -> float:
     """Minimum key length in bits for forgery probability epsilon after
     observing the given number of valid pairs: (l + 1) * |log2(epsilon)|."""
-    if not isinstance(observed_pairs, int) or isinstance(observed_pairs, bool) or observed_pairs < 0:
-        raise ParameterError(f"observed pair count must be a nonnegative integer, got {observed_pairs!r}")
+    read_value(_PAIR_COUNT, observed_pairs, "observed pair count")
     try:
         eps = Fraction(epsilon)
     except (TypeError, ValueError) as exc:

@@ -33,9 +33,9 @@ import numpy as np
 
 from . import classical_mac, curty_santos, qmac_framework, symmetry_test
 from .errors import InvariantViolation, ParameterError
-from .quantum_core import MAX_TOTAL_DIMENSION, UnitaryOperator, _kron, iter_haar_stacks
+from .quantum_core import UnitaryOperator, _kron, iter_haar_stacks
 from .reporting import config_sha256, format_float, fraction_str, jsonable, render_csv, render_json
-from .spec import Field, Spec, _read_value, read_spec
+from .spec import Field, Spec, read_spec, read_value
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -49,25 +49,17 @@ NAMED_UNITARIES = {
 # Work caps, checked before any computation starts.
 MAX_COUNT = 10_000  # draws of random_schemes and random_sweep
 MAX_SCHEME_ENTRIES = 2**22  # num_keys * num_messages * dim**2: entries of the normals one random scheme draws
-MAX_SCHEME_PAIRS = 2**20  # num_messages * C(num_keys, 2): label pairs one random scheme scores
+MAX_SCHEME_PAIRS = 2**20  # label pairs one scheme scores: num_messages * C(num_keys, 2) for a random one
 MAX_SWEEP_POINTS = 2**16  # |T values| * |delta_fracs| * |lambda_fracs|
 MAX_MESSAGE_SPACE_BITS = 2**20  # message_space_bits, used as 2**bits
 _EXACT_FLOAT_INT = 2**53  # integers the symmetry-test formulas turn into floats
 
 CLASSICAL_MAC_SPEC = Spec({
     "family": Field(str, "affine", choices=("affine", "poly")),
-    "p": Field(int, lo=2, hi=classical_mac.PRIME_CAP),
-    # p >= 2 and p**blocks <= MESSAGE_SPACE_CAP bound blocks before p**blocks is computed
-    "blocks": Field(
-        int, 1, lo=1, hi=classical_mac.MESSAGE_SPACE_CAP.bit_length() - 1, only_with=("family", "poly")
-    ),
+    "p": classical_mac.MODULUS,
+    "blocks": classical_mac.BLOCKS._replace(default=1, only_with=("family", "poly")),
 })
-_RANDOM_SCHEMES_SPEC = Spec({
-    "count": Field(int, 100, lo=1, hi=MAX_COUNT),
-    "dim": Field(int, 2, lo=1, hi=MAX_TOTAL_DIMENSION),
-    "num_keys": Field(int, 2, lo=1),
-    "num_messages": Field(int, 2, lo=2),
-})
+_RANDOM_SCHEMES_SPEC = Spec(dict(qmac_framework.RANDOM_SHAPE, count=Field(int, 100, lo=1, hi=MAX_COUNT)))
 _RULE_SPEC = Spec({
     "kind": Field(str, "projective", choices=("projective", "symmetry-test")),
     "copies": Field(int, 2, lo=2, hi=_EXACT_FLOAT_INT, only_with=("kind", "symmetry-test")),
@@ -231,6 +223,9 @@ def _run_generic_qmac(params: dict, config: ScenarioConfig) -> dict:
             path = config.base_dir / path
         doc, where = _read_json(path, "scheme file"), str(path)
     scheme = qmac_framework.scheme_from_json_dict(doc, where)
+    pairs = scheme.pair_starts[-1]  # from the compiled labels: no tag state is formed yet
+    if pairs > MAX_SCHEME_PAIRS:
+        raise ParameterError(f"the scheme would score {pairs} label pairs; the cap is {MAX_SCHEME_PAIRS}")
     rule = qmac_framework.DecisionRule(**params["rule"])
     result = qmac_framework.verify_theorem2(scheme)
     # verify_theorem2 already scored the attack under the projective rule
@@ -410,7 +405,7 @@ def _summarize(report: dict) -> list[str]:
         value = report[key]
         if isinstance(value, float):
             lines.append(f"  {key}: {format_float(value)}")
-        elif isinstance(value, (str, int, bool)) or value is None:
+        elif isinstance(value, (str, int)) or value is None:  # bool is an int
             lines.append(f"  {key}: {value}")
         elif isinstance(value, list):
             lines.append(f"  {key}: [{len(value)} entries]")
@@ -418,7 +413,7 @@ def _summarize(report: dict) -> list[str]:
             inner = ", ".join(
                 f"{k}={format_float(v) if isinstance(v, float) else v}"
                 for k, v in sorted(value.items())
-                if isinstance(v, (str, int, float, bool)) or v is None
+                if isinstance(v, (str, int, float)) or v is None
             )
             lines.append(f"  {key}: {{{inner}}}")
     return lines
@@ -454,7 +449,7 @@ def run(
     given = {"seed": seed, "output_format": output_format, "output_path": output}
     try:
         overrides = {
-            key: _read_value(field, given[key], flag)
+            key: read_value(field, given[key], flag)
             for key, (flag, field) in _OVERRIDES.items()
             if given[key] is not None
         }

@@ -56,11 +56,19 @@ from .quantum_core import (
     unitary_from_json_dict,
     basis_state,
 )
-from .spec import Field, Spec, read_spec
+from .spec import Field, Spec, read_spec, read_value
 from .symmetry_test import acceptance_error_formula
 
 OVERLAP_TOL = 1e-9
 COLUMN_ENTRIES = 2**10  # column entries per batch of whole random schemes, at least one scheme
+MULTIPLICITY = Field(int, 1, lo=1)  # a SCHEME_SPEC key too
+_COPIES = Field(int, lo=2)
+RANDOM_SHAPE = {  # the shape arguments of random schemes, the keys of a random_schemes config too
+    "count": Field(int, lo=1),
+    "dim": Field(int, 2, lo=1, hi=MAX_TOTAL_DIMENSION),
+    "num_keys": Field(int, 2, lo=1),
+    "num_messages": Field(int, 2, lo=2),
+}
 
 Label = Hashable
 
@@ -102,12 +110,7 @@ class QmacScheme:
             raise ParameterError("key set must be nonempty")
         if len(set(self.key_set)) != len(self.key_set):
             raise ParameterError("key set contains duplicates")
-        if (
-            not isinstance(self.multiplicity, int)
-            or isinstance(self.multiplicity, bool)
-            or self.multiplicity < 1
-        ):
-            raise ParameterError(f"multiplicity must be a positive integer, got {self.multiplicity!r}")
+        read_value(MULTIPLICITY, self.multiplicity, "multiplicity")
         d = self.initial_state.d
         for label, gate in self.tag_unitaries.items():
             if gate.d != d:
@@ -267,8 +270,7 @@ class DecisionRule:
         if kind not in ("projective", "symmetry-test"):
             raise ParameterError(f"unknown decision rule {kind!r}")
         if kind == "symmetry-test":
-            if not isinstance(copies, int) or copies < 2:
-                raise ParameterError("symmetry-test rule needs an integer copy count >= 2")
+            read_value(_COPIES, copies, "copy count")
         elif copies is not None:
             raise ParameterError("projective rule takes no copy count")
         self.kind, self.copies = kind, copies
@@ -406,11 +408,9 @@ def _theorem2_report(attack: AttackReport, lam_max: float) -> Theorem2Report:
 
 def _random_shape(num_keys: int, num_messages: int, **sizes: int) -> tuple[tuple, tuple, list]:
     """Keys, messages and the labels (k, m) of a random scheme in draw order, key-major, once each
-    shape argument is checked: an int, not a bool, at least 2 for num_messages and 1 for the rest."""
+    shape argument is read by its field in ``RANDOM_SHAPE``."""
     for name, value in dict(sizes, num_keys=num_keys, num_messages=num_messages).items():
-        least = 2 if name == "num_messages" else 1
-        if not isinstance(value, int) or isinstance(value, bool) or value < least:
-            raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+        read_value(RANDOM_SHAPE[name], value, name)
     keys, messages = tuple(range(num_keys)), tuple(range(num_messages))
     return keys, messages, [(k, m) for k in keys for m in messages]
 
@@ -457,8 +457,6 @@ def random_scheme_reports(
     probability and the floor, range checked, but no witness and no mean.
     """
     keys, messages, labels = _random_shape(num_keys, num_messages, count=count, dim=dim)
-    if dim > MAX_TOTAL_DIMENSION:
-        raise ParameterError(f"total dimension {dim} exceeds cap {MAX_TOTAL_DIMENSION}")
     compiled = QmacScheme(
         message_set=messages,
         key_set=keys,
@@ -512,7 +510,7 @@ SCHEME_SPEC = Spec({
     "name": Field(str, ""),
     "messages": Field(list, item=Field(Hashable)),
     "keys": Field(list, item=Field(Hashable)),
-    "multiplicity": Field(int, 1, lo=1),
+    "multiplicity": MULTIPLICITY,
     "label_table": Field(list, item=Field(list, item=Field(Hashable))),
     "tag_unitaries": Field(dict),
     "initial_state": Field(dict),

@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import InvariantViolation, ParameterError
-from .spec import Field, Spec, read_spec
+from .spec import Field, Spec, read_spec, read_value
 
 # Tolerance tiers: NORM_ATOL for the checks made where values enter (norm,
 # unitarity, hermiticity); ALGEBRA_ATOL for the identities measure_projective
@@ -33,6 +33,8 @@ ALGEBRA_ATOL = 1e-9
 
 MAX_TOTAL_DIMENSION = 4096
 MAX_COPIES = 8
+COPY_COUNT = Field(int, lo=1, hi=MAX_COPIES)  # systems of a symmetric-subspace test
+_POSITIVE = Field(int, lo=1)
 # Matrix entries in one stacked draw of Haar unitaries: 64 KiB of normals, so
 # 16 draws of 16 x 16 or 1024 of 2 x 2 share one QR call.
 STACK_ENTRIES = 2**12
@@ -329,10 +331,8 @@ def symmetric_projector(d: int, n: int) -> HermitianOperator:
     identity, reshaped to (d,)*n + (d**n,). Not cached: each call holds its
     own d**n x d**n matrix (256 MiB at the 4096 cap).
     """
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-        raise ParameterError(f"dimension must be a positive integer, got {d!r}")
-    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_COPIES:
-        raise ParameterError(f"copy count must be an integer in [1, {MAX_COPIES}], got {n!r}")
+    read_value(_POSITIVE, d, "dimension")
+    read_value(COPY_COUNT, n, "copy count")
     total = d**n
     if total > MAX_TOTAL_DIMENSION:
         raise ParameterError(f"d**n = {total} exceeds cap {MAX_TOTAL_DIMENSION}")
@@ -366,8 +366,7 @@ def iter_haar_stacks(count: int, dims, rng: np.random.Generator) -> Iterator[np.
     count, dims and dimension cap are checked before anything is drawn; the
     unitarity check runs once per stack.
     """
-    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-        raise ParameterError(f"unitary count must be a positive integer, got {count!r}")
+    read_value(_POSITIVE, count, "unitary count")
     total = math.prod(_resolve_dims(dims))
     if total > MAX_TOTAL_DIMENSION:
         raise ParameterError(f"total dimension {total} exceeds cap {MAX_TOTAL_DIMENSION}")

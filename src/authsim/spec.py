@@ -1,20 +1,24 @@
-"""Declarative reader for every JSON object authsim takes in: the scenario
-config, its parameter objects, and the state, operator, scheme and instance
-documents. Each has a ``Spec``, applied once by ``read_spec``; an error names
-its exact spot, e.g. ``parameters.scheme.tag_unitaries.0,0.matrix[1][0]``.
+"""Declarative reader for every value authsim takes in. Each JSON object (the
+scenario config, its parameter objects, the state, operator, scheme and
+instance documents) has a ``Spec``, applied once by ``read_spec``; each CLI
+flag and scalar library argument is read by its ``Field`` with ``read_value``.
+An error names the exact spot, e.g. ``parameters.scheme.tag_unitaries.0,0.matrix[1][0]``
+or ``copy count``, in one wording wherever the value came from.
 """
 
 from __future__ import annotations
 
 from collections.abc import Hashable
+from numbers import Real
 from typing import NamedTuple
 
 from .errors import ParameterError
 
 
 class Field(NamedTuple):
-    """One key of a JSON object: ``type`` is int (never bool), float (any
-    number, read as a float), str, dict, list (items read by ``item``) or
+    """One key of a JSON object, or one argument: ``type`` is int (never
+    bool), float (any real number but a bool, numpy scalars and Fraction
+    too, read as a float), str, dict, list (items read by ``item``) or
     Hashable (any JSON scalar); ``lo``/``hi`` are inclusive and bound a
     list's length. A key without a default is required unless a one-of
     group or the spec's ``optional`` names it. ``only_with`` = (key, value)
@@ -53,14 +57,15 @@ def _path(where) -> str:
     return where if isinstance(where, str) else f"{_path(where[0])}[{where[1]}]"
 
 
-def _read_value(field: Field, value, where):
-    accepted = (int, float) if field.type is float else field.type
+def read_value(field: Field, value, where):
+    """``value`` checked against ``field`` and read, with ``where`` (a str, or (parent, index)) named in errors."""
+    accepted = (int, float, Real) if field.type is float else field.type  # int, float first: Real is a slow ABC check
     if isinstance(value, bool) and field.type is not Hashable or not isinstance(value, accepted):
         raise ParameterError(f"{_path(where)} must be {_TYPE_NAMES[field.type]}, got {value!r}")
     if field.spec is not None:
         return read_spec(field.spec, value, _path(where))
     if field.item is not None:
-        value = [_read_value(field.item, item, (where, i)) for i, item in enumerate(value)]
+        value = [read_value(field.item, item, (where, i)) for i, item in enumerate(value)]
     size, of = (len(value), "the length of ") if field.type is list else (value, "")
     if field.lo is not None and not field.lo <= size:
         raise ParameterError(f"{of}{_path(where)} must be >= {field.lo}, got {size!r}")
@@ -99,7 +104,7 @@ def read_spec(spec: Spec, doc, where: str) -> dict:
             other, value = field.only_with
             raise ParameterError(f"{where}.{key} is allowed only when {other} is {value!r}")
         if key in doc or (field.default is not None and allowed):
-            out[key] = _read_value(field, doc[key] if key in doc else field.default, f"{where}.{key}")
+            out[key] = read_value(field, doc[key] if key in doc else field.default, f"{where}.{key}")
         elif field.default is None and key not in optional:
             raise ParameterError(f"{where}.{key} is required")
     return out

@@ -10,15 +10,19 @@ the copy-count formula and the key-length accounting below.
 from __future__ import annotations
 
 import math
+import sys
 from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .quantum_core import MAX_COPIES, PureState, symmetrize, tensor
+from .quantum_core import COPY_COUNT, PureState, symmetrize, tensor
+from .spec import Field, read_value
 
 DEFAULT_MESSAGE_SPACE_SIZE = 2**64
+_REAL, _TAG_COUNT, _COUNT = Field(float), Field(int, lo=2), Field(int, lo=1)
+_REAL_COPIES = Field(float, lo=1, hi=sys.float_info.max)  # a real copy count: hi keeps out inf
 
 
 def acceptance_error_formula(n, lambda_max) -> float:
@@ -27,14 +31,10 @@ def acceptance_error_formula(n, lambda_max) -> float:
     Closed form (1 + (n-1)*lambda^2)/n; n may be real-valued for use inside
     copy-count algebra.
     """
-    if not isinstance(n, Real) or isinstance(n, bool) or not 1 <= n < math.inf:
-        raise ParameterError(f"copy count must be a finite real number >= 1, got {n!r}")
-    if not isinstance(lambda_max, Real) or isinstance(lambda_max, bool):
-        raise ParameterError(f"overlap must be a real number, got {lambda_max!r}")
+    n, lam = read_value(_REAL_COPIES, n, "copy count"), read_value(_REAL, lambda_max, "overlap")
     if not 0.0 <= lambda_max <= 1.0 + 1e-12:
         raise ParameterError(f"overlap {lambda_max!r} outside [0, 1]")
-    n = float(n)
-    return (1.0 + (n - 1.0) * float(lambda_max) ** 2) / n
+    return (1.0 + (n - 1.0) * lam**2) / n
 
 
 def acceptance_error_oracle(n: int, a: PureState, b: PureState) -> float:
@@ -46,8 +46,7 @@ def acceptance_error_oracle(n: int, a: PureState, b: PureState) -> float:
     permutations (Harrow, arXiv:1308.6595), acts on Phi's (d,)*n tensor by the
     coset recursion of ``quantum_core.symmetrize``, with no d**n x d**n matrix.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_COPIES:
-        raise ParameterError(f"copy count must be an integer in [1, {MAX_COPIES}], got {n!r}")
+    read_value(COPY_COUNT, n, "copy count")
     for name, state in (("a", a), ("b", b)):
         if not isinstance(state, PureState):
             raise ParameterError(f"{name} must be a PureState, got {type(state).__name__}")
@@ -57,25 +56,10 @@ def acceptance_error_oracle(n: int, a: PureState, b: PureState) -> float:
     return float(np.vdot(phi, symmetrize(phi, n)).real)
 
 
-def _real(value, name: str) -> float:
-    """``value`` as a float, if it is a real number, not a bool, within the float range."""
-    if not isinstance(value, Real) or isinstance(value, bool):
-        raise ParameterError(f"{name} must be a real number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ParameterError(f"{name} is too large for a float, got {value!r}") from None
-
-
-def _check_tag_count(tag_count) -> None:
-    if not isinstance(tag_count, int) or tag_count < 2:
-        raise ParameterError(f"tag count must be an integer >= 2, got {tag_count!r}")
-
-
 def feasibility_threshold(tag_count: int, delta: float) -> float:
     """Largest overlap for which a finite copy count can reach floor + delta, delta in (0, 1/tag_count]."""
-    _check_tag_count(tag_count)
-    delta = _real(delta, "delta")
+    read_value(_TAG_COUNT, tag_count, "tag count")
+    delta = read_value(_REAL, delta, "delta")
     if not 0.0 < delta <= 1.0 / tag_count:
         raise ParameterError(f"delta {delta!r} outside (0, 1/{tag_count}]")
     return math.sqrt(delta * tag_count / (tag_count - 1))
@@ -94,7 +78,7 @@ def copies_required(tag_count: int, delta, lambda_max) -> CopiesRequired:
     exceeds T - 2. The ceiling is what a deployment would use.
     """
     threshold = feasibility_threshold(tag_count, delta)
-    delta, lam = float(delta), _real(lambda_max, "lambda_max")
+    delta, lam = float(delta), read_value(_REAL, lambda_max, "lambda_max")
     if not 0.0 <= lam <= 1.0:
         raise ParameterError(f"overlap {lambda_max!r} outside [0, 1]")
     if lam >= threshold:
@@ -109,7 +93,7 @@ def copies_required(tag_count: int, delta, lambda_max) -> CopiesRequired:
 
 def impersonation_with_symmetry_test(tag_count: int, lambda_max, n) -> float:
     """Impersonation probability 1/|T| + (1 - 1/|T|) * acceptance error."""
-    _check_tag_count(tag_count)
+    read_value(_TAG_COUNT, tag_count, "tag count")
     floor = 1.0 / tag_count
     return floor + (1.0 - floor) * acceptance_error_formula(n, lambda_max)
 
@@ -136,13 +120,11 @@ def key_length_requirement(
     """Key bits needed for forgery probability epsilon with n-system tags of
     dimension d. n = 1 and d = 1 degenerate to the no-copies / no-information
     cases (Holevo term zero)."""
-    epsilon = _real(epsilon, "epsilon")
+    epsilon = read_value(_REAL, epsilon, "epsilon")
     if not 0.0 < epsilon < 1.0:
         raise ParameterError(f"epsilon {epsilon!r} outside (0, 1)")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ParameterError(f"copy count must be an integer >= 1, got {n!r}")
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-        raise ParameterError(f"tag dimension must be an integer >= 1, got {d!r}")
+    read_value(_COUNT, n, "copy count")
+    read_value(_COUNT, d, "tag dimension")
     if not isinstance(message_space_size, Real) or not 2 < message_space_size < math.inf:
         raise ParameterError(f"message space size must be finite and exceed 2, got {message_space_size!r}")
     security_bits = abs(math.log2(epsilon))
@@ -206,8 +188,8 @@ def sweep(
     the first |T| of ``t_values`` whose row has a quantum key budget above
     the classical one (None if no row has), read off the rows as they are made.
     """
-    delta_fracs = [_real(f, f"delta_fracs[{i}]") for i, f in enumerate(delta_fracs)]
-    lambda_fracs = [_real(f, f"lambda_fracs[{i}]") for i, f in enumerate(lambda_fracs)]
+    delta_fracs = [read_value(_REAL, f, ("delta_fracs", i)) for i, f in enumerate(delta_fracs)]
+    lambda_fracs = [read_value(_REAL, f, ("lambda_fracs", i)) for i, f in enumerate(lambda_fracs)]
     if any(not 0.0 < f <= 1.0 for f in delta_fracs):
         raise ParameterError("delta fractions must lie in (0, 1]")
     if any(not 0.0 <= f < 1.0 for f in lambda_fracs):
@@ -215,9 +197,11 @@ def sweep(
     rows = []
     first: dict = {}  # (delta_frac position, lambda_frac position) -> first crossing |T|
     for t_size in t_values:
-        _check_tag_count(t_size)
+        read_value(_TAG_COUNT, t_size, "tag count")
         for i, dfrac in enumerate(delta_fracs):
             delta = dfrac / t_size
+            if delta == 0.0:
+                raise ParameterError(f"delta_fracs[{i}] / |T| = {dfrac!r} / {t_size} underflows to 0")
             threshold = feasibility_threshold(t_size, delta)
             for j, lfrac in enumerate(lambda_fracs):
                 lam = lfrac * threshold

@@ -1,0 +1,155 @@
+"""Which values each scalar library argument accepts, pinned case by case.
+
+Every count and real number a library call takes is read by ``spec.read_value``
+with a ``Field``, the reader that also reads config keys and CLI flags. This
+table calls each such argument with one value of each kind (ints at and past
+the bounds, bools, floats, numpy scalars, ``Fraction``, strings, ``None``,
+``10**400``, NaN, infinities and the smallest subnormal) and pins the outcome
+class: ``ok``, ``ParameterError`` (``DomainError`` included) or the name of any
+other exception. Every other argument of the call is a valid value, and a
+lazy entry point is asked for its first item only.
+
+A few huge ints still escape as ``OverflowError``: the integer counts that
+the closed forms turn into floats have no upper bound, since bounding them
+would reject values that work (copy counts above 2**53, say). A real copy
+count is a float field bounded by the largest float, so ``10**400`` is a
+``ParameterError`` there, and a block count is bounded before ``p**blocks``
+is formed.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from authsim import classical_mac, qmac_framework, quantum_core, symmetry_test
+from authsim.errors import ParameterError
+
+VALUES = {
+    "0": 0, "1": 1, "2": 2, "3": 3, "-1": -1, "9": 9, "4097": 4097, "2**64": 2**64, "10**400": 10**400,
+    "True": True, "False": False,
+    "0.5": 0.5, "2.0": 2.0, "2.5": 2.5, "-0.5": -0.5, "5e-324": 5e-324,
+    "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+    "np.int64(2)": np.int64(2), "np.float64(0.5)": np.float64(0.5), "np.float32(0.5)": np.float32(0.5),
+    "np.bool_(True)": np.bool_(True),
+    "Fraction(1, 2)": Fraction(1, 2), "Fraction(2)": Fraction(2),
+    "'2'": "2", "None": None,
+}
+
+
+def _rng():
+    return np.random.default_rng(0)
+
+
+def _scheme(multiplicity):
+    return qmac_framework.QmacScheme(
+        (0, 1), (0, 1), lambda k, m: (k, m), {}, quantum_core.basis_state(0, (2,)), multiplicity
+    )
+
+
+def _oracle(n):
+    a, b = quantum_core.basis_state(0, (2,)), quantum_core.basis_state(1, (2,))
+    return symmetry_test.acceptance_error_oracle(n, a, b)
+
+
+def _reports(**shape):
+    shape = dict(count=2, dim=2, num_keys=2, num_messages=2) | shape
+    return next(qmac_framework.random_scheme_reports(_rng(), **shape))
+
+
+_COUNTS = ("1", "2", "3", "9", "4097", "2**64", "10**400")
+_SMALL = ("1", "2", "3", "9")
+_REALS = ("0.5", "np.float64(0.5)", "np.float32(0.5)", "Fraction(1, 2)")
+_REAL_COPIES = ("1", "2", "3", "9", "4097", "2**64", "2.0", "2.5", "np.int64(2)", "Fraction(2)")
+_OVERLAPS = ("0", "1", "5e-324") + _REALS
+
+# entry point.argument -> (call with the value, the value ids it accepts)
+ENTRY_POINTS = {
+    "HashFamily.key_space_size": (
+        lambda v: classical_mac.HashFamily(v, (0, 1), (0,), lambda k, m: 0, classical_mac.FamilyKind.CUSTOM), _COUNTS
+    ),
+    "make_affine_family.p": (classical_mac.make_affine_family, ("2", "3")),
+    "make_poly_family.p": (lambda v: classical_mac.make_poly_family(v, 2), ("2", "3")),
+    "make_poly_family.blocks": (lambda v: classical_mac.make_poly_family(3, v), _SMALL),
+    "key_length_lower_bound.observed_pairs": (
+        lambda v: classical_mac.key_length_lower_bound(v, Fraction(1, 2)), ("0",) + _COUNTS[:-1]
+    ),
+    "QmacScheme.multiplicity": (_scheme, _COUNTS),
+    "DecisionRule.copies": (lambda v: qmac_framework.DecisionRule("symmetry-test", v), _COUNTS[1:]),
+    "random_scheme.dim": (lambda v: qmac_framework.random_scheme(_rng(), v, 2, 2), _SMALL),
+    "random_scheme.num_keys": (lambda v: qmac_framework.random_scheme(_rng(), 2, v, 2), _SMALL),
+    "random_scheme.num_messages": (lambda v: qmac_framework.random_scheme(_rng(), 2, 2, v), _SMALL[1:]),
+    "random_scheme_reports.count": (lambda v: _reports(count=v), _COUNTS),
+    "random_scheme_reports.dim": (lambda v: _reports(dim=v), _SMALL),
+    "random_scheme_reports.num_keys": (lambda v: _reports(num_keys=v), _SMALL),
+    "random_scheme_reports.num_messages": (lambda v: _reports(num_messages=v), _SMALL[1:]),
+    "symmetric_projector.d": (lambda v: quantum_core.symmetric_projector(v, 2), _SMALL),
+    "symmetric_projector.n": (lambda v: quantum_core.symmetric_projector(2, v), ("1", "2", "3")),
+    "iter_haar_stacks.count": (lambda v: next(quantum_core.iter_haar_stacks(v, 2, _rng())), _COUNTS),
+    "acceptance_error_formula.n": (lambda v: symmetry_test.acceptance_error_formula(v, 0.5), _REAL_COPIES),
+    "acceptance_error_formula.lambda_max": (lambda v: symmetry_test.acceptance_error_formula(2, v), _OVERLAPS),
+    "acceptance_error_oracle.n": (_oracle, ("1", "2", "3")),
+    "feasibility_threshold.tag_count": (lambda v: symmetry_test.feasibility_threshold(v, 0.001), ("2", "3", "9")),
+    "feasibility_threshold.delta": (lambda v: symmetry_test.feasibility_threshold(2, v), ("5e-324",) + _REALS),
+    "copies_required.tag_count": (lambda v: symmetry_test.copies_required(v, 0.001, 0.0), ("2", "3", "9")),
+    "copies_required.delta": (lambda v: symmetry_test.copies_required(2, v, 0.0), _REALS),
+    "copies_required.lambda_max": (lambda v: symmetry_test.copies_required(2, 0.5, v), ("0", "5e-324") + _REALS),
+    "impersonation_with_symmetry_test.tag_count": (
+        lambda v: symmetry_test.impersonation_with_symmetry_test(v, 0.5, 2), _COUNTS[1:-1]
+    ),
+    "impersonation_with_symmetry_test.lambda_max": (
+        lambda v: symmetry_test.impersonation_with_symmetry_test(4, v, 2), _OVERLAPS
+    ),
+    "impersonation_with_symmetry_test.n": (
+        lambda v: symmetry_test.impersonation_with_symmetry_test(4, 0.5, v), _REAL_COPIES
+    ),
+    "key_length_requirement.epsilon": (lambda v: symmetry_test.key_length_requirement(v, 2, 2), ("5e-324",) + _REALS),
+    "key_length_requirement.n": (lambda v: symmetry_test.key_length_requirement(0.125, v, 2), _COUNTS[:-1]),
+    "key_length_requirement.d": (lambda v: symmetry_test.key_length_requirement(0.125, 2, v), _COUNTS),
+    "sweep.t_values": (lambda v: symmetry_test.sweep([v]), _COUNTS[1:-1]),
+    "sweep.delta_fracs": (lambda v: symmetry_test.sweep([4], [v]), ("1",) + _REALS),
+    "sweep.lambda_fracs": (lambda v: symmetry_test.sweep([4], [0.5], [v]), ("0", "5e-324") + _REALS),
+}
+# values an accepted size would build that many things from, or that many pairs
+LEFT_OUT = {
+    "random_scheme.num_keys": ("4097",),
+    "random_scheme.num_messages": ("4097",),
+    "random_scheme_reports.num_keys": ("4097", "2**64", "10**400"),
+    "random_scheme_reports.num_messages": ("4097", "2**64", "10**400"),
+}
+# unbounded integer counts that reach a float, or a tuple of that many keys or messages
+OVERFLOW = {
+    ("key_length_lower_bound.observed_pairs", "10**400"),
+    ("random_scheme.num_keys", "2**64"), ("random_scheme.num_keys", "10**400"),
+    ("random_scheme.num_messages", "2**64"), ("random_scheme.num_messages", "10**400"),
+    ("feasibility_threshold.tag_count", "10**400"),
+    ("copies_required.tag_count", "10**400"),
+    ("impersonation_with_symmetry_test.tag_count", "10**400"),
+    ("key_length_requirement.n", "10**400"),
+    ("sweep.t_values", "10**400"),
+}
+CASES = [(entry, value) for entry in ENTRY_POINTS for value in VALUES if value not in LEFT_OUT.get(entry, ())]
+
+
+def outcome(call, value) -> str:
+    try:
+        call(value)
+    except ParameterError:
+        return "ParameterError"
+    except Exception as exc:  # noqa: BLE001 - the class is the outcome
+        return type(exc).__name__
+    return "ok"
+
+
+@pytest.mark.parametrize("entry,value", CASES)
+def test_outcome_class(entry, value):
+    call, accepted = ENTRY_POINTS[entry]
+    expected = "ok" if value in accepted else "OverflowError" if (entry, value) in OVERFLOW else "ParameterError"
+    assert outcome(call, VALUES[value]) == expected
+
+
+def test_table_covers_every_value_kind():
+    assert len(CASES) == 910
+    assert all(set(accepted) <= set(VALUES) for _, accepted in ENTRY_POINTS.values())
+    assert {entry for entry, _ in OVERFLOW} | set(LEFT_OUT) <= set(ENTRY_POINTS)

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from authsim import classical_mac
+from authsim import classical_mac, cli
 from authsim.classical_mac import (
+    BLOCKS,
     ENUMERATION_CAP,
+    MODULUS,
     WORK_CAP,
     DeceptionReport,
     FamilyKind,
@@ -203,6 +205,16 @@ class TestFamilyConstruction:
         with pytest.raises(ParameterError):
             make_poly_family(5, 0)
 
+    @pytest.mark.parametrize("blocks", [2**64, 10**400], ids=["2**64", "10**400"])
+    def test_huge_block_count_rejected_before_the_power(self, blocks):
+        # blocks is bounded by the config key's bound before p**blocks is formed, which never returned
+        assert BLOCKS == cli.CLASSICAL_MAC_SPEC.fields["blocks"]._replace(default=None, only_with=())
+        with pytest.raises(ParameterError, match=rf"^block count must be <= {BLOCKS.hi}, got {blocks}$"):
+            make_poly_family(3, blocks)
+
+    def test_modulus_field_is_the_config_key(self):
+        assert cli.CLASSICAL_MAC_SPEC.fields["p"] is MODULUS
+
     @pytest.mark.parametrize("blocks", [True, False, 2.0])
     def test_poly_blocks_must_be_int(self, blocks):
         with pytest.raises(ParameterError):
@@ -211,7 +223,7 @@ class TestFamilyConstruction:
     @pytest.mark.parametrize("size", [True, False, 2.0, "4"], ids=repr)
     def test_key_space_size_must_be_int(self, size):
         # a bool is not read as a key space of size 1 or 0
-        with pytest.raises(ParameterError, match="^key_space_size must be a positive integer"):
+        with pytest.raises(ParameterError, match="^key_space_size must be an integer, got "):
             HashFamily(size, (0, 1), (0,), lambda k, m: 0, FamilyKind.CUSTOM)
 
     def test_family_validation(self):

@@ -248,6 +248,26 @@ class TestGenericQmacScenario:
         assert counter.calls == {"_haar_columns": 0, "__post_init__": 0}
         assert not (tmp_path / "report.json").exists()
 
+    def test_inline_scheme_pairs_over_cap_exit_one_before_scoring(self, monkeypatch, tmp_path):
+        # 1025 keys of 2 messages at dim 1: every label has a unitary, and its pairs are over the cap
+        keys, labels = range(1025), [f"{k},{m}" for k in range(1025) for m in (0, 1)]
+        doc = {
+            "messages": [0, 1],
+            "keys": list(keys),
+            "label_table": [[f"{k},0", f"{k},1"] for k in keys],
+            "tag_unitaries": {label: {"matrix": [[[1.0, 0.0]]]} for label in labels},
+            "initial_state": {"amplitudes": [[1.0, 0.0]], "dims": [1]},
+        }
+        counter = CallCounter(monkeypatch)
+        counter.count(qmac_framework, "pair_overlaps")
+        config = write_config(tmp_path, "s.json", _cfg("GenericQmac", {"scheme": doc}))
+        code, out = run_cli(str(config), str(tmp_path / "report.json"))
+        assert code == 1
+        pairs = 2 * math.comb(1025, 2)
+        assert out == f"error: the scheme would score {pairs} label pairs; the cap is {cli.MAX_SCHEME_PAIRS}\n"
+        assert counter.calls == {"pair_overlaps": 0}
+        assert not (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize(
         "field,value",
         [
@@ -280,6 +300,13 @@ class TestGenericQmacScenario:
 
 
 class TestSymmetrySweepScenario:
+    def test_delta_fraction_that_underflows_exits_one_naming_it(self, tmp_path):
+        params = {"t_values": [4], "delta_fracs": [5e-324], "lambda_fracs": [0.0]}
+        config = write_config(tmp_path, "st.json", _cfg("SymmetryTestSweep", params))
+        code, out = run_cli(str(config), str(tmp_path / "report.json"))
+        assert (code, out) == (1, "error: delta_fracs[0] / |T| = 5e-324 / 4 underflows to 0\n")
+        assert not (tmp_path / "report.json").exists()
+
     def test_csv_artifact(self, tmp_path):
         out_path = tmp_path / "grid.csv"
         code, _ = run_cli("symtest-grid", str(out_path), "csv")

@@ -84,7 +84,7 @@ class TestNamedTupleRecords:
     def test_field_replace_keeps_the_rest(self):
         count = cli.SYMMETRY_SWEEP_SPEC.fields["t_max"]
         assert count == spec.Field(int, 16, lo=2, hi=2**53)
-        assert spec._read_value(count, 5, "t_max") == 5
+        assert spec.read_value(count, 5, "t_max") == 5
 
 
 def checked_values():

@@ -61,12 +61,12 @@ class TestAcceptanceErrorFormula:
 
     @pytest.mark.parametrize("lam", [True, False])
     def test_bool_overlap_rejected(self, lam):
-        with pytest.raises(ParameterError, match="overlap must be a real number"):
+        with pytest.raises(ParameterError, match="^overlap must be a number, got "):
             acceptance_error_formula(2, lam)
 
     @pytest.mark.parametrize("lam", ["0.5", None, 0.5j, [0.5]])
     def test_non_real_overlap_rejected(self, lam):
-        with pytest.raises(ParameterError, match="overlap must be a real number"):
+        with pytest.raises(ParameterError, match="^overlap must be a number, got "):
             acceptance_error_formula(2, lam)
 
     @pytest.mark.parametrize("n", [math.nan, math.inf, 0.5])
@@ -217,7 +217,7 @@ class TestRealArguments:
     @pytest.mark.parametrize("reader", REAL_READERS)
     def test_non_real_rejected_by_name(self, reader, value):
         call, name, _ = REAL_READERS[reader]
-        with pytest.raises(ParameterError, match=f"^{name} must be a real number, got "):
+        with pytest.raises(ParameterError, match=f"^{name} must be a number, got "):
             call(value)
 
     @pytest.mark.parametrize("reader", REAL_READERS)
@@ -318,8 +318,13 @@ class TestSweep:
     def test_non_real_fraction_rejected_by_name(self, name, value):
         # a bool is not read as 1 or 0, and a string is not compared with a float
         fracs = {"delta_fracs": [0.5], "lambda_fracs": [0.0], name: [value]}
-        with pytest.raises(ParameterError, match=rf"^{name}\[0\] must be a real number, got "):
+        with pytest.raises(ParameterError, match=rf"^{name}\[0\] must be a number, got "):
             sweep([2], **fracs)
+
+    def test_delta_fraction_that_underflows_is_named(self):
+        # 5e-324 / 4 is 0.0; the error names the fraction and |T|, not a delta the caller never gave
+        with pytest.raises(ParameterError, match=r"^delta_fracs\[1\] / \|T\| = 5e-324 / 4 underflows to 0$"):
+            sweep([4], delta_fracs=[0.5, 5e-324], lambda_fracs=[0.0])
 
     def test_tiny_delta_fraction_is_a_domain_error(self):
         with pytest.raises(DomainError, match="^copy count n_real = inf"):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from enum import Enum
 from fractions import Fraction
 from typing import Any, Callable
@@ -37,7 +38,7 @@ SCAN_ENTRIES = 1 << 14  # entries per joint-count block of observed messages, at
 MODULUS = Field(int, lo=2, hi=PRIME_CAP)  # p, a config key too
 # p >= 2 and p**blocks <= MESSAGE_SPACE_CAP bound blocks before p**blocks is computed
 BLOCKS = Field(int, lo=1, hi=MESSAGE_SPACE_CAP.bit_length() - 1)
-_KEY_COUNT, _PAIR_COUNT = Field(int, lo=1), Field(int, lo=0)
+_KEY_COUNT, _PAIR_COUNT, _REAL = Field(int, lo=1), Field(int, lo=0, hi=sys.float_info.max), Field(float)
 
 
 class FamilyKind(Enum):
@@ -320,12 +321,13 @@ def is_strongly_universal(family: HashFamily) -> bool:
 
 def key_length_lower_bound(observed_pairs: int, epsilon) -> float:
     """Minimum key length in bits for forgery probability epsilon after
-    observing the given number of valid pairs: (l + 1) * |log2(epsilon)|."""
+    observing the given number of valid pairs: (l + 1) * |log2(epsilon)|,
+    with an int or Fraction epsilon range checked exactly."""
     read_value(_PAIR_COUNT, observed_pairs, "observed pair count")
-    try:
-        eps = Fraction(epsilon)
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"epsilon {epsilon!r} is not a rational value") from exc
+    value = read_value(_REAL, epsilon, "epsilon")
+    eps = Fraction(epsilon) if isinstance(epsilon, (int, Fraction)) else value
     if not 0 < eps <= 1:
         raise ParameterError(f"epsilon {eps} outside (0, 1]")
+    if value == 0.0:
+        raise ParameterError(f"epsilon {eps} is 0.0 as a float")
     return (observed_pairs + 1) * abs(math.log2(eps))

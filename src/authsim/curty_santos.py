@@ -110,13 +110,10 @@ class CurtySantosInstance:
     """Carrier basis, public tagging unitary, and Bob's accepted outcomes."""
 
     def __init__(self, tag_unitary: UnitaryOperator, basis: tuple | None = None, accept_set: tuple = (0, 1)):
-        self.tag_unitary, self.basis, self.accept_set = tag_unitary, basis, accept_set
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.tag_unitary.d != 4:
-            raise ParameterError(f"tagging unitary must be 4x4, got {self.tag_unitary.d}")
-        self.basis, self.accept_set = _checked_basis(self.basis), _checked_accept_set(self.accept_set)
+        if tag_unitary.d != 4:
+            raise ParameterError(f"tagging unitary must be 4x4, got {tag_unitary.d}")
+        self.tag_unitary = tag_unitary
+        self.basis, self.accept_set = _checked_basis(basis), _checked_accept_set(accept_set)
 
     @cached_property
     def coding_operators(self) -> tuple[np.ndarray, np.ndarray]:

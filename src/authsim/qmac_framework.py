@@ -79,82 +79,71 @@ class QmacScheme:
     Keys are implicitly uniform. ``multiplicity`` is the number of keys
     sharing each realized label for a given message.
 
-    Construction compiles the scheme with one walk of ``label_fn`` over
+    ``__init__`` checks the sets, the multiplicity and the unitaries'
+    dimension, then compiles the scheme with one walk of ``label_fn`` over
     messages x keys: ``labels`` holds the distinct labels in order of first
     appearance over (message, key); ``index[mi][ki]`` is the position in
     ``labels`` of the label of message mi under key ki; ``blocks[mi]`` counts
     the keys of each label position that message mi reaches, in
-    first-appearance order over the keys. Structural symmetry is checked by
-    :meth:`validate` rather than at construction, so malformed schemes can be
-    built and then diagnosed; tag states and overlaps are computed on first
-    use, after validation, so a symmetry violation is reported before a
-    missing tagging unitary. The scheme is taken to be fixed once built.
+    first-appearance order over the keys. Symmetry is decided by one pass of
+    :meth:`validate` over these tables, not at construction, so malformed
+    schemes can be built and diagnosed; tag states and overlaps are computed
+    on first use, after validation, so a symmetry violation is reported
+    before a missing tagging unitary. The scheme is fixed once built.
     """
 
     def __init__(
         self, message_set: tuple, key_set: tuple, label_fn: Callable[[Any, Any], Label],
         tag_unitaries: Mapping[Label, UnitaryOperator], initial_state: PureState, multiplicity: int = 1, name: str = ""
     ):
+        if len(message_set) < 2:
+            raise ParameterError("message set must contain at least two messages")
+        if len(set(message_set)) != len(message_set):
+            raise ParameterError("message set contains duplicates")
+        if not key_set:
+            raise ParameterError("key set must be nonempty")
+        if len(set(key_set)) != len(key_set):
+            raise ParameterError("key set contains duplicates")
+        read_value(MULTIPLICITY, multiplicity, "multiplicity")
+        d = initial_state.d
+        for label, gate in tag_unitaries.items():
+            if gate.d != d:
+                raise ParameterError(f"tag unitary for label {label!r} has dimension {gate.d}, state has {d}")
         self.message_set, self.key_set, self.label_fn = message_set, key_set, label_fn
         self.tag_unitaries, self.initial_state, self.multiplicity, self.name = (
             tag_unitaries, initial_state, multiplicity, name
         )
-        self.__post_init__()
-
-    def __post_init__(self):
-        if len(self.message_set) < 2:
-            raise ParameterError("message set must contain at least two messages")
-        if len(set(self.message_set)) != len(self.message_set):
-            raise ParameterError("message set contains duplicates")
-        if not self.key_set:
-            raise ParameterError("key set must be nonempty")
-        if len(set(self.key_set)) != len(self.key_set):
-            raise ParameterError("key set contains duplicates")
-        read_value(MULTIPLICITY, self.multiplicity, "multiplicity")
-        d = self.initial_state.d
-        for label, gate in self.tag_unitaries.items():
-            if gate.d != d:
-                raise ParameterError(
-                    f"tag unitary for label {label!r} has dimension {gate.d}, state has {d}"
-                )
         positions: dict = {}
-        index = [
-            [positions.setdefault(self.label_fn(key, message), len(positions)) for key in self.key_set]
-            for message in self.message_set
+        self.index = [
+            [positions.setdefault(label_fn(key, message), len(positions)) for key in key_set]
+            for message in message_set
         ]
-        self.index, self.blocks, self.labels = index, [Counter(row) for row in index], tuple(positions)
+        self.blocks, self.labels = [Counter(row) for row in self.index], tuple(positions)
 
     @property
     def tags_per_message(self) -> int:
         return len(self.key_set) // self.multiplicity
 
-    def check_partition(self, mi: int) -> None:
-        """Uniform key partition for message index mi: the label blocks cover
-        the key set, all have size ``multiplicity``, and number |K|/L."""
-        message = self.message_set[mi]
-        n_keys = len(self.key_set)
-        multiplicity = self.multiplicity
-        if n_keys % multiplicity != 0:
-            raise InvariantViolation(
-                f"key count {n_keys} is not a multiple of multiplicity {multiplicity}"
-            )
-        for p, size in self.blocks[mi].items():
-            if size != multiplicity:
-                raise InvariantViolation(
-                    f"symmetry violation at message {message!r}, label {self.labels[p]!r}: "
-                    f"block size {size} != multiplicity {multiplicity}"
-                )
-        expected_blocks = n_keys // multiplicity
-        if len(self.blocks[mi]) != expected_blocks:
-            raise InvariantViolation(
-                f"symmetry violation at message {message!r}: {len(self.blocks[mi])} labels "
-                f"realized, expected |K|/L = {expected_blocks}"
-            )
-
     def validate(self) -> None:
-        """Uniform partition for every message, then label injectivity per key."""
-        for mi in range(len(self.blocks)):
-            self.check_partition(mi)
+        """Uniform key partition, then label injectivity per key: the key
+        count is a multiple of ``multiplicity``; each message's label blocks,
+        in message order, all have size ``multiplicity`` and number |K|/L;
+        no key maps two messages to one label."""
+        n_keys, multiplicity = len(self.key_set), self.multiplicity
+        if n_keys % multiplicity != 0:
+            raise InvariantViolation(f"key count {n_keys} is not a multiple of multiplicity {multiplicity}")
+        for message, blocks in zip(self.message_set, self.blocks):
+            for p, size in blocks.items():
+                if size != multiplicity:
+                    raise InvariantViolation(
+                        f"symmetry violation at message {message!r}, label {self.labels[p]!r}: "
+                        f"block size {size} != multiplicity {multiplicity}"
+                    )
+            if len(blocks) != self.tags_per_message:
+                raise InvariantViolation(
+                    f"symmetry violation at message {message!r}: {len(blocks)} labels "
+                    f"realized, expected |K|/L = {self.tags_per_message}"
+                )
         for ki, key in enumerate(self.key_set):
             seen: dict = {}
             for message, row in zip(self.message_set, self.index):
@@ -208,7 +197,7 @@ def _check_norms(rows: np.ndarray) -> None:
     off = ~(np.abs(norms - 1.0) <= NORM_ATOL)
     if off.any():
         norm = norms[np.argmax(off)]
-        raise ParameterError(f"state norm {norm!r} is not 1 within {NORM_ATOL}")
+        raise ParameterError(f"state norm {float(norm)} is not 1 within {NORM_ATOL}")
 
 
 def pair_overlaps(rows: np.ndarray, index: np.ndarray) -> list[float]:
@@ -230,9 +219,7 @@ def pair_overlaps(rows: np.ndarray, index: np.ndarray) -> list[float]:
     return values
 
 
-def validate_scheme(scheme: QmacScheme) -> None:
-    """Uniform partition for every message + label injectivity per key."""
-    scheme.validate()
+validate_scheme = QmacScheme.validate
 
 
 def overlap_matrix(scheme: QmacScheme, message) -> tuple[tuple, np.ndarray]:

@@ -102,7 +102,7 @@ class PureState:
         with np.errstate(over="ignore"):  # a huge component overflows to an infinite norm, failing the check
             norm = np.linalg.norm(amps)
         if not abs(norm - 1.0) <= NORM_ATOL:
-            raise ParameterError(f"state norm {norm!r} is not 1 within {NORM_ATOL}")
+            raise ParameterError(f"state norm {float(norm)} is not 1 within {NORM_ATOL}")
 
     @property
     def d(self) -> int:
@@ -261,7 +261,7 @@ def measure_projective(rho: HermitianOperator, basis: Sequence[PureState]) -> np
         raise ParameterError(f"basis is not orthonormal: max Gram defect {gram_defect:.3e}")
     probs = _born_probabilities(rho, stack)
     if not abs(probs.sum() - 1.0) <= ALGEBRA_ATOL:
-        raise InvariantViolation(f"outcome probabilities sum to {probs.sum()!r}")
+        raise InvariantViolation(f"outcome probabilities sum to {float(probs.sum())}")
     return probs
 
 

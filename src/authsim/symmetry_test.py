@@ -21,8 +21,10 @@ from .quantum_core import COPY_COUNT, PureState, symmetrize, tensor
 from .spec import Field, read_value
 
 DEFAULT_MESSAGE_SPACE_SIZE = 2**64
-_REAL, _TAG_COUNT, _COUNT = Field(float), Field(int, lo=2), Field(int, lo=1)
-_REAL_COPIES = Field(float, lo=1, hi=sys.float_info.max)  # a real copy count: hi keeps out inf
+_REAL, _DIMENSION = Field(float), Field(int, lo=1)  # log2 takes an int dimension of any size
+# counts that the closed forms turn into floats: hi keeps out inf, and ints too large to convert
+_TAG_COUNT, _COUNT = Field(int, lo=2, hi=sys.float_info.max), Field(int, lo=1, hi=sys.float_info.max)
+_REAL_COPIES = Field(float, lo=1, hi=sys.float_info.max)
 
 
 def acceptance_error_formula(n, lambda_max) -> float:
@@ -124,7 +126,7 @@ def key_length_requirement(
     if not 0.0 < epsilon < 1.0:
         raise ParameterError(f"epsilon {epsilon!r} outside (0, 1)")
     read_value(_COUNT, n, "copy count")
-    read_value(_COUNT, d, "tag dimension")
+    read_value(_DIMENSION, d, "tag dimension")
     if not isinstance(message_space_size, Real) or not 2 < message_space_size < math.inf:
         raise ParameterError(f"message space size must be finite and exceed 2, got {message_space_size!r}")
     security_bits = abs(math.log2(epsilon))

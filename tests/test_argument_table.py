@@ -9,12 +9,13 @@ class: ``ok``, ``ParameterError`` (``DomainError`` included) or the name of any
 other exception. Every other argument of the call is a valid value, and a
 lazy entry point is asked for its first item only.
 
-A few huge ints still escape as ``OverflowError``: the integer counts that
-the closed forms turn into floats have no upper bound, since bounding them
-would reject values that work (copy counts above 2**53, say). A real copy
-count is a float field bounded by the largest float, so ``10**400`` is a
-``ParameterError`` there, and a block count is bounded before ``p**blocks``
-is formed.
+The integer counts that the closed forms turn into floats (a pair count, a
+tag count, an integer copy count, a ``sweep`` tag size) are bounded by the
+largest float, as a real copy count is, so ``10**400`` is a ``ParameterError``
+there and no value that works is rejected; a tag dimension stays unbounded,
+as ``log2`` takes any int. A block count is bounded before ``p**blocks`` is
+formed. Only the shape of a random scheme still lets a huge int escape as
+``OverflowError``, from the tuple of that many keys or messages.
 """
 
 import math
@@ -118,16 +119,10 @@ LEFT_OUT = {
     "random_scheme_reports.num_keys": ("4097", "2**64", "10**400"),
     "random_scheme_reports.num_messages": ("4097", "2**64", "10**400"),
 }
-# unbounded integer counts that reach a float, or a tuple of that many keys or messages
+# a tuple of that many keys or messages
 OVERFLOW = {
-    ("key_length_lower_bound.observed_pairs", "10**400"),
     ("random_scheme.num_keys", "2**64"), ("random_scheme.num_keys", "10**400"),
     ("random_scheme.num_messages", "2**64"), ("random_scheme.num_messages", "10**400"),
-    ("feasibility_threshold.tag_count", "10**400"),
-    ("copies_required.tag_count", "10**400"),
-    ("impersonation_with_symmetry_test.tag_count", "10**400"),
-    ("key_length_requirement.n", "10**400"),
-    ("sweep.t_values", "10**400"),
 }
 CASES = [(entry, value) for entry in ENTRY_POINTS for value in VALUES if value not in LEFT_OUT.get(entry, ())]
 

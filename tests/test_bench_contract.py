@@ -4,12 +4,16 @@
 looked up with ``getattr`` on ``authsim.<layer>``, and the ``__post_init__``
 of every ``VALIDATED_TYPES`` class of ``quantum_core``. A name missing from
 the library crashes every traced benchmark run (``--trace 1``), so these
-tests pin the names, and traced smoke runs of the four workloads (the
+tests pin the names. An ``ast`` walk of ``src/authsim`` fails on a class that
+defines a ``__post_init__`` the tracer does not wrap: a check there is a
+second construction hook that no span times, so it belongs in ``__init__``.
+Traced smoke runs of the four workloads (the
 built-in scenarios, the classical and qmac ladders and the symmetry-test
 oracle) check that every wrapped call still goes through. The tracer imports only the standard library and is
 loaded by file path.
 """
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -17,10 +21,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-from authsim import quantum_core
+from authsim import qmac_framework, quantum_core
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER_PATH = ROOT / "bench" / "tracer.py"
+SRC = ROOT / "src" / "authsim"
 
 
 def load_tracer():
@@ -51,6 +56,41 @@ def test_every_validated_type_is_a_quantum_core_class():
         or "__post_init__" not in vars(getattr(quantum_core, name))
     ]
     assert types and missing == []
+
+
+def test_validate_scheme_is_the_scheme_check():
+    assert qmac_framework.validate_scheme is qmac_framework.QmacScheme.validate
+
+
+def post_init_classes(tree: ast.Module) -> list[str]:
+    """Names of the classes, nested ones too, whose body defines ``__post_init__``."""
+    return [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(item, ast.FunctionDef) and item.name == "__post_init__" for item in node.body)
+    ]
+
+
+def test_guard_finds_each_post_init():
+    source = (
+        "class A:\n    def __post_init__(self):\n        pass\n"
+        "class B:\n    def __init__(self):\n        self.__post_init__ = None\n"
+        "def f():\n    class C:\n        def __post_init__(self):\n            pass\n"
+        "def __post_init__(self):\n    pass\n"
+    )
+    assert post_init_classes(ast.parse(source)) == ["A", "C"]
+
+
+def test_only_tracer_wrapped_types_define_post_init():
+    wrapped = set(load_tracer().VALIDATED_TYPES)
+    found = [
+        f"{path.name}:{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in post_init_classes(ast.parse(path.read_text(encoding="utf-8")))
+        if name not in wrapped
+    ]
+    assert found == [], f"__post_init__ outside bench/tracer.py's VALIDATED_TYPES (check in __init__): {found}"
 
 
 def traced_smoke_metrics(workload: str) -> dict:

@@ -532,8 +532,25 @@ class TestKeyLengthBound:
             key_length_lower_bound(-1, Fraction(1, 2))
         with pytest.raises(ParameterError):
             key_length_lower_bound(1, Fraction(3, 2))
+        with pytest.raises(ParameterError, match="outside"):
+            key_length_lower_bound(1, Fraction(10**20 + 1, 10**20))  # 1.0 as a float: the range test is exact
         with pytest.raises(ParameterError):
             key_length_lower_bound(1, 0)
+
+    @pytest.mark.parametrize("epsilon", [True, "1/16", None, math.nan, math.inf, 10**400, Fraction(1, 10**400)])
+    def test_epsilon_read_as_a_real_number(self, epsilon):
+        with pytest.raises(ParameterError, match="^epsilon "):
+            key_length_lower_bound(1, epsilon)
+
+    def test_epsilon_underflowing_to_zero_named(self):
+        with pytest.raises(ParameterError, match=rf"^epsilon 1/{2**1076} is 0\.0 as a float$"):
+            key_length_lower_bound(1, Fraction(1, 2**1076))
+        assert key_length_lower_bound(1, Fraction(1, 2**1074)) == 2148.0  # the smallest subnormal
+
+    @pytest.mark.parametrize("epsilon", [Fraction(1, 3), 0.1, np.float64(0.1), np.float32(0.5), np.int64(1)])
+    def test_epsilon_bits_are_log2_of_the_value(self, epsilon):
+        # the bound of Fraction(1, 3) is log2 of the float 1/3, not log2(3), which differs in the last bit
+        assert key_length_lower_bound(1, epsilon) == 2 * abs(math.log2(float(epsilon)))
 
     @pytest.mark.parametrize("observed_pairs", [True, False])
     def test_bool_pair_count_rejected(self, observed_pairs):

@@ -236,7 +236,7 @@ class TestGenericQmacScenario:
         assert keys * messages <= cli.MAX_SCHEME_ENTRIES
         counter = CallCounter(monkeypatch)
         counter.count(qmac_framework, "_haar_columns")
-        counter.count(qmac_framework.QmacScheme, "__post_init__")
+        counter.count(qmac_framework.QmacScheme, "__init__")
         config = write_config(tmp_path, "r.json", _cfg("GenericQmac", {"random_schemes": shape}))
         code, out = run_cli(str(config), str(tmp_path / "report.json"))
         assert code == 1
@@ -245,7 +245,7 @@ class TestGenericQmacScenario:
             f"error: a random scheme would score num_messages * C(num_keys, 2) = {pairs} label pairs; "
             f"the cap is {cli.MAX_SCHEME_PAIRS}"
         ), out
-        assert counter.calls == {"_haar_columns": 0, "__post_init__": 0}
+        assert counter.calls == {"_haar_columns": 0, "__init__": 0}
         assert not (tmp_path / "report.json").exists()
 
     def test_inline_scheme_pairs_over_cap_exit_one_before_scoring(self, monkeypatch, tmp_path):
@@ -611,6 +611,15 @@ class TestConfigBoundary:
         assert code == 1
         assert check in out, out
 
+    def test_state_norm_printed_as_python_float(self, tmp_path):
+        basis = copy.deepcopy(INSTANCE_WITH_BASIS["basis"])
+        basis[0]["amplitudes"][0] = [2.0, 0.0]
+        doc = _cfg("CurtySantos", {"instance": dict(INSTANCE_WITH_BASIS, basis=basis)})
+        config = write_config(tmp_path, "config.json", doc)
+        assert run_cli(str(config), str(tmp_path / "report.json")) == (
+            1, "error: state norm 2.0 is not 1 within 1e-10\n"
+        )
+
     def test_list_label_named(self, tmp_path):
         config = write_config(tmp_path, "s.json", MALFORMED_CONFIGS["gq-scheme-label-list"])
         code, out = run_cli(str(config), str(tmp_path / "report.json"))
@@ -673,18 +682,18 @@ class TestConfigBoundary:
         columns per COLUMN_ENTRIES column entries of whole schemes (at least
         one scheme), not one per scheme."""
         calls = {"schemes": 0, "stacks": 0}
-        real_columns, real_compile = qmac_framework._haar_columns, qmac_framework.QmacScheme.__post_init__
+        real_columns, real_compile = qmac_framework._haar_columns, qmac_framework.QmacScheme.__init__
 
         def counted_columns(*args):
             calls["stacks"] += 1
             return real_columns(*args)
 
-        def counted_compile(scheme):
+        def counted_compile(scheme, *args, **kwargs):
             calls["schemes"] += 1
-            real_compile(scheme)
+            real_compile(scheme, *args, **kwargs)
 
         monkeypatch.setattr(qmac_framework, "_haar_columns", counted_columns)
-        monkeypatch.setattr(qmac_framework.QmacScheme, "__post_init__", counted_compile)
+        monkeypatch.setattr(qmac_framework.QmacScheme, "__init__", counted_compile)
         config = write_config(tmp_path, "c.json", _cfg("GenericQmac", {"random_schemes": shape}))
         assert run_cli(str(config), str(tmp_path / "r.json"))[0] == 0
         dim = shape.get("dim", 2)
@@ -708,10 +717,8 @@ class TestConfigBoundary:
         monkeypatch.setattr(
             curty_santos, "verdict_columns", counted("verdict_columns", curty_santos.verdict_columns)
         )
-        instance_check = curty_santos.CurtySantosInstance.__post_init__
-        monkeypatch.setattr(
-            curty_santos.CurtySantosInstance, "__post_init__", counted("instances", instance_check)
-        )
+        instance_check = curty_santos.CurtySantosInstance.__init__
+        monkeypatch.setattr(curty_santos.CurtySantosInstance, "__init__", counted("instances", instance_check))
         assert run_cli("cs-nogo-sweep", str(tmp_path / "nogo.json"))[0] == 0
         assert calls["iter_haar_stacks"] == 1
         assert calls["verdict_columns"] == 1

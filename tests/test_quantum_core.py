@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from authsim.errors import ParameterError
+from authsim.errors import InvariantViolation, ParameterError
 from authsim.qmac_framework import COLUMN_ENTRIES
 from authsim.quantum_core import (
     STACK_ENTRIES,
@@ -189,6 +189,22 @@ class TestNonFiniteRejected:
         skewed = [basis[0], _trusted(PureState, np.array([math.nan, 1.0]), (2,))]
         with pytest.raises(ParameterError, match="orthonormal"):
             measure_projective(half, skewed)
+
+
+class TestMessagesPrintPythonFloats:
+    """A computed numpy scalar is printed as a Python float: ``2.0``, not ``np.float64(2.0)``."""
+
+    def test_state_norm(self):
+        with pytest.raises(ParameterError, match=r"^state norm 2\.0 is not 1 within 1e-10$"):
+            PureState(np.array([2.0, 0.0]))
+
+    def test_outcome_probability_sum(self):
+        # each check passes within its tolerance, and the sum is off by about 1.19e-9 > ALGEBRA_ATOL
+        long = 1.0 + 0.99e-10
+        basis = [PureState(np.array([long, 0.0])), PureState(np.array([0.0, long]))]
+        rho = HermitianOperator(np.eye(2, dtype=complex) * (0.5 + 0.495e-9))
+        with pytest.raises(InvariantViolation, match=r"^outcome probabilities sum to 1\.00000000\d+$"):
+            measure_projective(rho, basis)
 
 
 # Entries for the kernel's bit-identity test: ordinary values, signed zeros and subnormals.

@@ -3,10 +3,11 @@ are built could move it silently.
 
 Results are ``typing.NamedTuple``s: tuples, compared by value, with
 ``_replace`` and ``_asdict``, in the field order their positional
-constructors rely on. Checked types are plain classes whose ``__init__``
-runs ``__post_init__`` once (the benchmark tracer wraps it on the
-``quantum_core`` types); ``quantum_core._trusted`` skips it. Neither kind is
-plain JSON, so the renderers reject both, as they always have.
+constructors rely on. Checked types are plain classes that check once per
+construction: the three ``quantum_core`` types in a ``__post_init__`` that
+their ``__init__`` calls (the benchmark tracer wraps it) and
+``quantum_core._trusted`` skips, the others in ``__init__`` itself. Neither
+kind is plain JSON, so the renderers reject both, as they always have.
 """
 
 from fractions import Fraction
@@ -145,29 +146,33 @@ class TestValueEquality:
 
 
 def post_init_builds():
-    """For each type whose ``__post_init__`` is its check: the class and a constructor of one instance."""
+    """For each checked type: the class, the method that runs its check and a
+    constructor of one instance. The ``quantum_core`` types check in
+    ``__post_init__``, which ``_trusted`` skips; the others check in ``__init__``."""
     gate = UnitaryOperator(EYE4, (2, 2))
     state, flip = basis_state(0, (2,)), UnitaryOperator(np.array([[0, 1], [1, 0]]))
     return {
-        "PureState": (PureState, lambda: PureState(np.array([0.6, 0.8j]), (2,))),
-        "UnitaryOperator": (UnitaryOperator, lambda: UnitaryOperator(EYE4, (2, 2))),
-        "HermitianOperator": (HermitianOperator, lambda: HermitianOperator(np.diag([0.5, 0.5]))),
+        "PureState": (PureState, "__post_init__", lambda: PureState(np.array([0.6, 0.8j]), (2,))),
+        "UnitaryOperator": (UnitaryOperator, "__post_init__", lambda: UnitaryOperator(EYE4, (2, 2))),
+        "HermitianOperator": (HermitianOperator, "__post_init__", lambda: HermitianOperator(np.diag([0.5, 0.5]))),
         "QmacScheme": (
             QmacScheme,
+            "__init__",
             lambda: QmacScheme((0, 1), (0,), lambda k, m: m, {0: UnitaryOperator(np.eye(2)), 1: flip}, state),
         ),
-        "CurtySantosInstance": (CurtySantosInstance, lambda: CurtySantosInstance(gate, accept_set=(1, 2))),
+        "CurtySantosInstance": (CurtySantosInstance, "__init__", lambda: CurtySantosInstance(gate, accept_set=(1, 2))),
     }
 
 
 @pytest.mark.parametrize("name", post_init_builds())
 def test_post_init_runs_once_per_construction(name, monkeypatch):
-    cls, build = post_init_builds()[name]
-    assert "__post_init__" in vars(cls)
+    cls, check, build = post_init_builds()[name]
+    assert check in vars(cls)
+    assert ("__post_init__" in vars(cls)) == (check == "__post_init__")
     counter = CallCounter(monkeypatch)
-    counter.count(cls, "__post_init__")
+    counter.count(cls, check)
     built = [build(), build()]
-    assert counter.calls == {"__post_init__": 2}
+    assert counter.calls == {check: 2}
     assert type(built[0]) is cls
 
 

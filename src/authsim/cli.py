@@ -341,7 +341,7 @@ def _run_symmetry_sweep(params: dict, config: ScenarioConfig) -> dict:
             "d": params["d"],
             "message_space_bits": bits,
         },
-        "rows": [dict(zip(symmetry_test.SWEEP_COLUMNS, r)) for r in result.rows],
+        "rows": [r._asdict() for r in result.rows],
         "crossover": [c._asdict() for c in result.crossovers],
     }
 
@@ -388,7 +388,7 @@ def _write_artifact(config: ScenarioConfig, report: dict, path: Path) -> None:
         path.write_text(render_json(report), encoding="utf-8")
         return
     if config.scenario_kind == "SymmetryTestSweep":
-        columns = symmetry_test.SWEEP_COLUMNS
+        columns = symmetry_test.SweepRow._fields
         header = list(columns) + ["seed", "config_sha256"]
         stamp = [config.seed, config.sha256]
         csv_rows = [[row[c] for c in columns] + stamp for row in report["rows"]]

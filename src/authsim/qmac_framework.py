@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import sys
 from collections import Counter
 from collections.abc import Hashable
 from functools import cached_property
@@ -62,7 +63,7 @@ from .symmetry_test import acceptance_error_formula
 OVERLAP_TOL = 1e-9
 COLUMN_ENTRIES = 2**10  # column entries per batch of whole random schemes, at least one scheme
 MULTIPLICITY = Field(int, 1, lo=1)  # a SCHEME_SPEC key too
-_COPIES = Field(int, lo=2)
+_COPIES = Field(int, lo=2, hi=sys.float_info.max)  # acceptance_error_formula's bound
 RANDOM_SHAPE = {  # the shape arguments of random schemes, the keys of a random_schemes config too
     "count": Field(int, lo=1),
     "dim": Field(int, 2, lo=1, hi=MAX_TOTAL_DIMENSION),

@@ -4,7 +4,7 @@ Bob checks a received tag against a locally prepared expected copy by
 projecting all n systems (n-1 received + 1 local) onto their symmetric
 subspace. Identical states always pass; a wrong tag with overlap lambda
 slips through with probability (1 + (n-1) lambda^2) / n, which drives both
-the copy-count formula and the key-length accounting below.
+the copy-count formula and the key budgets of ``sweep``.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from .spec import Field, read_value
 
 DEFAULT_MESSAGE_SPACE_SIZE = 2**64
 _REAL, _DIMENSION = Field(float), Field(int, lo=1)  # log2 takes an int dimension of any size
-# counts that the closed forms turn into floats: hi keeps out inf, and ints too large to convert
-_TAG_COUNT, _COUNT = Field(int, lo=2, hi=sys.float_info.max), Field(int, lo=1, hi=sys.float_info.max)
+_TAG_COUNT = Field(int, lo=2, hi=sys.float_info.max)  # hi keeps out ints too large for the closed forms' floats
 _REAL_COPIES = Field(float, lo=1, hi=sys.float_info.max)
 
 
@@ -34,8 +33,12 @@ def acceptance_error_formula(n, lambda_max) -> float:
     copy-count algebra.
     """
     n, lam = read_value(_REAL_COPIES, n, "copy count"), read_value(_REAL, lambda_max, "overlap")
-    if not 0.0 <= lambda_max <= 1.0 + 1e-12:
-        raise ParameterError(f"overlap {lambda_max!r} outside [0, 1]")
+    if not 0.0 <= lam <= 1.0 + 1e-12:
+        raise ParameterError(f"overlap {lam!r} outside [0, 1]")
+    return _acceptance_error(n, lam)
+
+
+def _acceptance_error(n, lam: float) -> float:
     return (1.0 + (n - 1.0) * lam**2) / n
 
 
@@ -64,6 +67,10 @@ def feasibility_threshold(tag_count: int, delta: float) -> float:
     delta = read_value(_REAL, delta, "delta")
     if not 0.0 < delta <= 1.0 / tag_count:
         raise ParameterError(f"delta {delta!r} outside (0, 1/{tag_count}]")
+    return _threshold(tag_count, delta)
+
+
+def _threshold(tag_count: int, delta: float) -> float:
     return math.sqrt(delta * tag_count / (tag_count - 1))
 
 
@@ -82,7 +89,11 @@ def copies_required(tag_count: int, delta, lambda_max) -> CopiesRequired:
     threshold = feasibility_threshold(tag_count, delta)
     delta, lam = float(delta), read_value(_REAL, lambda_max, "lambda_max")
     if not 0.0 <= lam <= 1.0:
-        raise ParameterError(f"overlap {lambda_max!r} outside [0, 1]")
+        raise ParameterError(f"overlap {lam!r} outside [0, 1]")
+    return _copies(tag_count, delta, lam, threshold)
+
+
+def _copies(tag_count: int, delta: float, lam: float, threshold: float) -> CopiesRequired:
     if lam >= threshold:
         raise DomainError(
             f"overlap {lam} is infeasible: must be below sqrt(delta*T/(T-1)) = {threshold}"
@@ -93,73 +104,15 @@ def copies_required(tag_count: int, delta, lambda_max) -> CopiesRequired:
     return CopiesRequired(n_real=n_real, n_ceil=math.ceil(n_real - 1e-9))
 
 
-def impersonation_with_symmetry_test(tag_count: int, lambda_max, n) -> float:
-    """Impersonation probability 1/|T| + (1 - 1/|T|) * acceptance error."""
-    read_value(_TAG_COUNT, tag_count, "tag count")
-    floor = 1.0 / tag_count
-    return floor + (1.0 - floor) * acceptance_error_formula(n, lambda_max)
-
-
-class KeyLengthBound(NamedTuple):
-    """Key budget in bits for a chosen security level.
-
-    info_gain_bound: Holevo ceiling (n-1)*log2(d) on what an adversary can
-        learn from the transmitted copies.
-    required_key_bits: |log2(epsilon)| + info_gain_bound.
-    classical_reference_bits: Wegman-Carter-style comparator
-        4*log2(|T|)*log2(log2(|M|)) with |T| = 1/epsilon, included so reports
-        can show the linear-vs-logarithmic gap.
-    """
-
-    info_gain_bound: float
-    required_key_bits: float
-    classical_reference_bits: float
-
-
-def key_length_requirement(
-    epsilon, n: int, d: int, message_space_size: int = DEFAULT_MESSAGE_SPACE_SIZE
-) -> KeyLengthBound:
-    """Key bits needed for forgery probability epsilon with n-system tags of
-    dimension d. n = 1 and d = 1 degenerate to the no-copies / no-information
-    cases (Holevo term zero)."""
-    epsilon = read_value(_REAL, epsilon, "epsilon")
-    if not 0.0 < epsilon < 1.0:
-        raise ParameterError(f"epsilon {epsilon!r} outside (0, 1)")
-    read_value(_COUNT, n, "copy count")
-    read_value(_DIMENSION, d, "tag dimension")
-    if not isinstance(message_space_size, Real) or not 2 < message_space_size < math.inf:
-        raise ParameterError(f"message space size must be finite and exceed 2, got {message_space_size!r}")
-    security_bits = abs(math.log2(epsilon))
-    info_gain = (n - 1) * math.log2(d)
-    classical = 4.0 * security_bits * math.log2(math.log2(message_space_size))
-    return KeyLengthBound(
-        info_gain_bound=info_gain,
-        required_key_bits=security_bits + info_gain,
-        classical_reference_bits=classical,
-    )
-
-
 class SweepRow(NamedTuple):
-    t_size: int
+    T_size: int
     delta: float
     lambda_max: float
     n_real: float
     n_ceil: int
-    p0: float
+    P0: float
     key_bits_quantum: float
     key_bits_classical_ref: float
-
-
-SWEEP_COLUMNS = (
-    "T_size",
-    "delta",
-    "lambda_max",
-    "n_real",
-    "n_ceil",
-    "P0",
-    "key_bits_quantum",
-    "key_bits_classical_ref",
-)
 
 
 class Crossover(NamedTuple):
@@ -183,12 +136,21 @@ def sweep(
     """Copy-count and key-budget table over a feasible (|T|, delta, lambda) grid.
 
     delta = frac/|T| for each delta_frac; lambda = frac * feasibility threshold
-    for each lambda_frac (fractions below 1 keep every point feasible).
-    P0 and the key budget are evaluated at the integer copy count; the handful
-    of fully degenerate points (fewer than 2 systems, or P0 = 1) are skipped.
-    The crossovers give, per (delta_frac, lambda_frac) pair in grid order,
-    the first |T| of ``t_values`` whose row has a quantum key budget above
-    the classical one (None if no row has), read off the rows as they are made.
+    for each lambda_frac (fractions below 1 keep every point feasible). At the
+    integer copy count n, P0 = 1/|T| + (1 - 1/|T|) * (1 + (n-1)*lambda^2)/n is
+    the impersonation probability. The quantum key budget is |log2(P0)| plus
+    the Holevo ceiling (n-1)*log2(d) on what an adversary can learn from the
+    transmitted copies (zero at d = 1). The classical reference is the
+    Wegman-Carter-style comparator 4*|log2(P0)|*log2(log2(|M|))
+    (message_space_size is |M|), which shows the linear-vs-logarithmic gap.
+    The handful of fully degenerate points (fewer than 2 systems, or P0 = 1)
+    are skipped. The crossovers give, per (delta_frac, lambda_frac) pair in
+    grid order, the first |T| of ``t_values`` whose row has a quantum key
+    budget above the classical one (None if no row has), read off the rows as
+    they are made.
+
+    Every argument is read once: the fractions, d and |M| before the first
+    point, each |T| when its points are reached.
     """
     delta_fracs = [read_value(_REAL, f, ("delta_fracs", i)) for i, f in enumerate(delta_fracs)]
     lambda_fracs = [read_value(_REAL, f, ("lambda_fracs", i)) for i, f in enumerate(lambda_fracs)]
@@ -196,38 +158,34 @@ def sweep(
         raise ParameterError("delta fractions must lie in (0, 1]")
     if any(not 0.0 <= f < 1.0 for f in lambda_fracs):
         raise ParameterError("lambda fractions must lie in [0, 1)")
+    read_value(_DIMENSION, d, "tag dimension")
+    if not isinstance(message_space_size, Real) or not 2 < message_space_size < math.inf:
+        raise ParameterError(f"message space size must be finite and exceed 2, got {message_space_size!r}")
+    log2_d, log2_log2_m = math.log2(d), math.log2(math.log2(message_space_size))
     rows = []
     first: dict = {}  # (delta_frac position, lambda_frac position) -> first crossing |T|
     for t_size in t_values:
         read_value(_TAG_COUNT, t_size, "tag count")
+        floor = 1.0 / t_size
         for i, dfrac in enumerate(delta_fracs):
             delta = dfrac / t_size
             if delta == 0.0:
                 raise ParameterError(f"delta_fracs[{i}] / |T| = {dfrac!r} / {t_size} underflows to 0")
-            threshold = feasibility_threshold(t_size, delta)
+            threshold = _threshold(t_size, delta)
             for j, lfrac in enumerate(lambda_fracs):
                 lam = lfrac * threshold
-                copies = copies_required(t_size, delta, lam)
+                copies = _copies(t_size, delta, lam, threshold)
                 if copies.n_ceil < 2:
                     continue
-                p0 = impersonation_with_symmetry_test(t_size, lam, copies.n_ceil)
+                p0 = floor + (1.0 - floor) * _acceptance_error(copies.n_ceil, lam)
                 if p0 >= 1.0 - 1e-12:
                     continue
-                bound = key_length_requirement(p0, copies.n_ceil, d, message_space_size)
-                if bound.required_key_bits > bound.classical_reference_bits:
+                security_bits = abs(math.log2(p0))
+                quantum = security_bits + (copies.n_ceil - 1) * log2_d
+                classical = 4.0 * security_bits * log2_log2_m
+                if quantum > classical:
                     first.setdefault((i, j), t_size)
-                rows.append(
-                    SweepRow(
-                        t_size=t_size,
-                        delta=delta,
-                        lambda_max=lam,
-                        n_real=copies.n_real,
-                        n_ceil=copies.n_ceil,
-                        p0=p0,
-                        key_bits_quantum=bound.required_key_bits,
-                        key_bits_classical_ref=bound.classical_reference_bits,
-                    )
-                )
+                rows.append(SweepRow(t_size, delta, lam, *copies, p0, quantum, classical))
     crossovers = [
         Crossover(dfrac, lfrac, first.get((i, j)))
         for i, dfrac in enumerate(delta_fracs)

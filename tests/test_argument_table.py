@@ -7,7 +7,10 @@ the bounds, bools, floats, numpy scalars, ``Fraction``, strings, ``None``,
 ``10**400``, NaN, infinities and the smallest subnormal) and pins the outcome
 class: ``ok``, ``ParameterError`` (``DomainError`` included) or the name of any
 other exception. Every other argument of the call is a valid value, and a
-lazy entry point is asked for its first item only.
+lazy entry point is asked for its first item only. ``sweep`` reads ``d`` and
+the message-space size before its first point, so they are also called on a
+grid whose every point is skipped, with the same outcomes; a projective
+decision rule takes no copy count, so there only ``None`` is ``ok``.
 
 The integer counts that the closed forms turn into floats (a pair count, a
 tag count, an integer copy count, a ``sweep`` tag size) are bounded by the
@@ -64,6 +67,7 @@ _SMALL = ("1", "2", "3", "9")
 _REALS = ("0.5", "np.float64(0.5)", "np.float32(0.5)", "Fraction(1, 2)")
 _REAL_COPIES = ("1", "2", "3", "9", "4097", "2**64", "2.0", "2.5", "np.int64(2)", "Fraction(2)")
 _OVERLAPS = ("0", "1", "5e-324") + _REALS
+_SIZES = ("3", "9", "4097", "2**64", "10**400", "2.5")
 
 # entry point.argument -> (call with the value, the value ids it accepts)
 ENTRY_POINTS = {
@@ -76,8 +80,12 @@ ENTRY_POINTS = {
     "key_length_lower_bound.observed_pairs": (
         lambda v: classical_mac.key_length_lower_bound(v, Fraction(1, 2)), ("0",) + _COUNTS[:-1]
     ),
+    "key_length_lower_bound.epsilon": (
+        lambda v: classical_mac.key_length_lower_bound(1, v), ("1", "5e-324") + _REALS
+    ),
     "QmacScheme.multiplicity": (_scheme, _COUNTS),
-    "DecisionRule.copies": (lambda v: qmac_framework.DecisionRule("symmetry-test", v), _COUNTS[1:]),
+    "DecisionRule.copies": (lambda v: qmac_framework.DecisionRule("symmetry-test", v), _COUNTS[1:-1]),
+    "DecisionRule.copies (projective)": (lambda v: qmac_framework.DecisionRule("projective", v), ("None",)),
     "random_scheme.dim": (lambda v: qmac_framework.random_scheme(_rng(), v, 2, 2), _SMALL),
     "random_scheme.num_keys": (lambda v: qmac_framework.random_scheme(_rng(), 2, v, 2), _SMALL),
     "random_scheme.num_messages": (lambda v: qmac_framework.random_scheme(_rng(), 2, 2, v), _SMALL[1:]),
@@ -96,21 +104,16 @@ ENTRY_POINTS = {
     "copies_required.tag_count": (lambda v: symmetry_test.copies_required(v, 0.001, 0.0), ("2", "3", "9")),
     "copies_required.delta": (lambda v: symmetry_test.copies_required(2, v, 0.0), _REALS),
     "copies_required.lambda_max": (lambda v: symmetry_test.copies_required(2, 0.5, v), ("0", "5e-324") + _REALS),
-    "impersonation_with_symmetry_test.tag_count": (
-        lambda v: symmetry_test.impersonation_with_symmetry_test(v, 0.5, 2), _COUNTS[1:-1]
-    ),
-    "impersonation_with_symmetry_test.lambda_max": (
-        lambda v: symmetry_test.impersonation_with_symmetry_test(4, v, 2), _OVERLAPS
-    ),
-    "impersonation_with_symmetry_test.n": (
-        lambda v: symmetry_test.impersonation_with_symmetry_test(4, 0.5, v), _REAL_COPIES
-    ),
-    "key_length_requirement.epsilon": (lambda v: symmetry_test.key_length_requirement(v, 2, 2), ("5e-324",) + _REALS),
-    "key_length_requirement.n": (lambda v: symmetry_test.key_length_requirement(0.125, v, 2), _COUNTS[:-1]),
-    "key_length_requirement.d": (lambda v: symmetry_test.key_length_requirement(0.125, 2, v), _COUNTS),
     "sweep.t_values": (lambda v: symmetry_test.sweep([v]), _COUNTS[1:-1]),
     "sweep.delta_fracs": (lambda v: symmetry_test.sweep([4], [v]), ("1",) + _REALS),
     "sweep.lambda_fracs": (lambda v: symmetry_test.sweep([4], [0.5], [v]), ("0", "5e-324") + _REALS),
+    "sweep.d": (lambda v: symmetry_test.sweep([4], d=v), _COUNTS),
+    "sweep.message_space_size": (lambda v: symmetry_test.sweep([4], message_space_size=v), _SIZES),
+    # |T| = 2 with delta = 1/|T| solves to a single system: the grid has no row
+    "sweep.d (no rows)": (lambda v: symmetry_test.sweep([2], [1.0], [0.0], d=v), _COUNTS),
+    "sweep.message_space_size (no rows)": (
+        lambda v: symmetry_test.sweep([2], [1.0], [0.0], message_space_size=v), _SIZES
+    ),
 }
 # values an accepted size would build that many things from, or that many pairs
 LEFT_OUT = {

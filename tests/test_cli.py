@@ -836,7 +836,7 @@ def reference_crossovers(t_values, delta_fracs, lambda_fracs, d, message_space_s
                 t_values, (dfrac,), (lfrac,), d=d, message_space_size=message_space_size
             ).rows
             first = next(
-                (r.t_size for r in series if r.key_bits_quantum > r.key_bits_classical_ref), None
+                (r.T_size for r in series if r.key_bits_quantum > r.key_bits_classical_ref), None
             )
             crossovers.append(
                 {"delta_frac": dfrac, "lambda_frac": lfrac, "first_quantum_exceeds_classical": first}

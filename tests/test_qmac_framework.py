@@ -550,6 +550,12 @@ class TestTheorem2:
         with pytest.raises(ParameterError):
             DecisionRule(kind="other")
 
+    def test_copy_count_beyond_the_largest_float_rejected_at_construction(self):
+        # the closed form reads the count as a float, so a larger one could never be scored
+        with pytest.raises(ParameterError, match=r"^copy count must be <= 1\.7976931348623157e\+308, got 1000"):
+            DecisionRule("symmetry-test", 10**400)
+        assert DecisionRule("symmetry-test", 2**1023).copies == 2**1023
+
 
 class TestSchemeJson:
     def test_round_trip_preserves_analysis(self):

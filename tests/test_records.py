@@ -36,7 +36,7 @@ def records():
         "HonestRunTrace": honest_run(instance, 0),
         "Condition13Report": incompatibility.condition_13,
         "IncompatibilityReport": incompatibility,
-        "KeyLengthBound": symmetry_test.key_length_requirement(0.1, 2, 2),
+        "SweepRow": symmetry_test.sweep([4]).rows[0],
         "ScenarioConfig": cli.load_config("affine-p5"),
         "Spec": cli.CLASSICAL_MAC_SPEC,
         "Field": cli.CLASSICAL_MAC_SPEC.fields["p"],
@@ -55,7 +55,9 @@ FIELDS = {
         "impersonation_at_floor", "substitution_blocked", "simultaneously_secure", "witness_message",
         "witness_overlap",
     ),
-    "KeyLengthBound": ("info_gain_bound", "required_key_bits", "classical_reference_bits"),
+    "SweepRow": (
+        "T_size", "delta", "lambda_max", "n_real", "n_ceil", "P0", "key_bits_quantum", "key_bits_classical_ref",
+    ),
     "ScenarioConfig": ("scenario_kind", "parameters", "seed", "output_format", "output_path", "base_dir", "name"),
     "Spec": ("fields", "one_of", "optional"),
     "Field": ("type", "default", "lo", "hi", "choices", "spec", "item", "only_with"),
@@ -223,7 +225,7 @@ def test_modules_share_one_record_style():
     for module, names in (
         (qmac_framework, ["Theorem2Report"]),
         (curty_santos, ["HonestRunTrace", "Condition13Report", "IncompatibilityReport"]),
-        (symmetry_test, ["KeyLengthBound"]),
+        (symmetry_test, ["SweepRow"]),
         (cli, ["ScenarioConfig"]),
         (spec, ["Field", "Spec"]),
     ):

@@ -14,7 +14,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "authsim"
-KEEP = {"is_strongly_universal", "impersonation_acceptance", "simulate_impersonation_acceptance", "random_state"}
+KEEP = {
+    "is_strongly_universal", "impersonation_acceptance", "simulate_impersonation_acceptance", "random_state",
+    "copies_required",
+}
 
 
 def public_definitions(tree: ast.Module) -> set[str]:

@@ -1,24 +1,24 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from authsim import symmetry_test
+from authsim import cli, symmetry_test
 from authsim.errors import DomainError, ParameterError
 from authsim.quantum_core import HermitianOperator, PureState, UnitaryOperator, basis_state, random_state
 from authsim.symmetry_test import (
-    SWEEP_COLUMNS,
     SweepRow,
     acceptance_error_formula,
     acceptance_error_oracle,
     copies_required,
     feasibility_threshold,
-    impersonation_with_symmetry_test,
-    key_length_requirement,
     sweep,
 )
-from testkit import CallCounter
+from testkit import CallCounter, impersonation_with_symmetry_test, key_length_requirement
 
 
 def plus_state():
@@ -73,8 +73,13 @@ class TestAcceptanceErrorFormula:
     def test_copy_count_outside_its_range_rejected(self, n):
         with pytest.raises(ParameterError, match="copy count"):
             acceptance_error_formula(n, 0.5)
-        with pytest.raises(ParameterError, match="copy count"):
-            impersonation_with_symmetry_test(4, 0.5, n)
+
+    @pytest.mark.parametrize("lam", [np.float64(1.5), Fraction(3, 2)], ids=repr)
+    def test_overlap_outside_its_range_names_the_float_read(self, lam):
+        with pytest.raises(ParameterError, match=r"^overlap 1\.5 outside \[0, 1\]$"):
+            acceptance_error_formula(2, lam)
+        with pytest.raises(ParameterError, match=r"^overlap 1\.5 outside \[0, 1\]$"):
+            copies_required(2, 0.5, lam)
 
     def test_numpy_and_python_float_overlaps_pass(self):
         assert acceptance_error_formula(3, np.float64(0.5)) == acceptance_error_formula(3, 0.5) == 0.5
@@ -206,24 +211,26 @@ REAL_READERS = {
     "copies_required.delta": (lambda v: copies_required(4, v, 0.0), "delta", 0.25),
     "copies_required.lambda_max": (lambda v: copies_required(4, 0.25, v), "lambda_max", 0.5),
     "feasibility_threshold.delta": (lambda v: feasibility_threshold(4, v), "delta", 0.25),
-    "key_length_requirement.epsilon": (lambda v: key_length_requirement(v, 2, 2), "epsilon", 0.125),
+    "sweep.delta_fracs": (lambda v: sweep([4], [v], [0.0]), "delta_fracs[0]", 0.5),
+    "sweep.lambda_fracs": (lambda v: sweep([4], [0.5], [v]), "lambda_fracs[0]", 0.5),
 }
 
 
 class TestRealArguments:
-    """delta, lambda_max and epsilon are read as real numbers; anything else is a ParameterError naming them."""
+    """delta, lambda_max and the sweep's fractions are read as real numbers; anything else is a
+    ParameterError naming them."""
 
     @pytest.mark.parametrize("value", ["x", "0.25", None, True, False, 1j, [0.25]], ids=repr)
     @pytest.mark.parametrize("reader", REAL_READERS)
     def test_non_real_rejected_by_name(self, reader, value):
         call, name, _ = REAL_READERS[reader]
-        with pytest.raises(ParameterError, match=f"^{name} must be a number, got "):
+        with pytest.raises(ParameterError, match=f"^{re.escape(name)} must be a number, got "):
             call(value)
 
     @pytest.mark.parametrize("reader", REAL_READERS)
     def test_huge_int_rejected_by_name(self, reader):
         call, name, _ = REAL_READERS[reader]
-        with pytest.raises(ParameterError, match=f"^{name} is too large for a float, got "):
+        with pytest.raises(ParameterError, match=f"^{re.escape(name)} is too large for a float, got "):
             call(10**400)
 
     @pytest.mark.parametrize("reader", REAL_READERS)
@@ -233,56 +240,49 @@ class TestRealArguments:
             assert call(same) == call(value)
 
 
-class TestKeyLengthRequirement:
-    def test_reference_values(self):
-        bound = key_length_requirement(0.5, 2, 2)
-        assert bound.required_key_bits == pytest.approx(2.0)
-        assert bound.info_gain_bound == pytest.approx(1.0)
-
-    def test_degenerate_dimension(self):
-        bound = key_length_requirement(0.25, 5, 1)
-        assert bound.info_gain_bound == 0.0
-        assert bound.required_key_bits == pytest.approx(2.0)
-
+class TestSweepKeyBudgets:
     def test_security_floor(self):
-        for eps in (0.5, 0.1, 1 / 64):
-            for n in (2, 4):
-                bound = key_length_requirement(eps, n, 2)
-                assert bound.required_key_bits >= abs(math.log2(eps))
+        for d in (1, 2, 3):
+            for row in sweep(range(2, 17), d=d).rows:
+                assert row.key_bits_quantum >= abs(math.log2(row.P0))
+                if d == 1:  # no Holevo term
+                    assert row.key_bits_quantum == abs(math.log2(row.P0))
 
     def test_linear_vs_logarithmic_scaling(self):
-        # epsilon ~ 1/T with the copy count at its T-2 floor: quantum budget
-        # grows linearly in T, the classical comparator logarithmically
+        # delta = 1/T and lambda = 0 give n = T - 1 copies and P0 = 2/T: the quantum
+        # budget grows linearly in T, the classical comparator logarithmically
         t_values = list(range(4, 33, 4))
-        quantum, classical = [], []
-        for t_size in t_values:
-            bound = key_length_requirement(1.0 / t_size, t_size - 1, 2)
-            quantum.append(bound.required_key_bits)
-            classical.append(bound.classical_reference_bits)
-            # comparator is exactly 4 * log2(T) * log2(log2(2**64)) here
-            assert bound.classical_reference_bits == pytest.approx(24 * math.log2(t_size))
-        q_diffs = np.diff(quantum)
-        c_diffs = np.diff(classical)
+        rows = sweep(t_values, delta_fracs=(1.0,), lambda_fracs=(0.0,)).rows
+        assert [(row.T_size, row.n_ceil) for row in rows] == [(t, t - 1) for t in t_values]
+        for row in rows:
+            # comparator is 4 * log2(T/2) * log2(log2(2**64)) here
+            assert row.key_bits_classical_ref == pytest.approx(24 * math.log2(row.T_size / 2))
+        q_diffs = np.diff([row.key_bits_quantum for row in rows])
+        c_diffs = np.diff([row.key_bits_classical_ref for row in rows])
         assert all(4.0 <= d <= 5.1 for d in q_diffs)  # constant slope + shrinking log term
         assert all(a > b for a, b in zip(c_diffs, c_diffs[1:]))  # log growth flattens
 
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            key_length_requirement(1.0, 2, 2)
-        with pytest.raises(ParameterError):
-            key_length_requirement(0.5, 0, 2)
-        with pytest.raises(ParameterError):
-            key_length_requirement(0.5, 2, 2, message_space_size=2)
-
     @pytest.mark.parametrize("size", ["x", None, math.nan, math.inf, 2, 1.5])
     def test_message_space_size_outside_its_range_rejected(self, size):
-        with pytest.raises(ParameterError, match="message space size"):
-            key_length_requirement(0.5, 2, 2, size)
+        with pytest.raises(ParameterError, match="^message space size must be finite and exceed 2, got "):
+            sweep([4], message_space_size=size)
 
-    @pytest.mark.parametrize("n,d", [(True, 2), (2, True)])
-    def test_bool_counts_rejected(self, n, d):
-        with pytest.raises(ParameterError):
-            key_length_requirement(0.1, n, d)
+    def test_bad_d_or_size_rejected_when_every_point_is_skipped(self):
+        # T = 2 with delta = 1/T solves to a single system, so the grid has no row
+        assert sweep([2], [1.0], [0.0]).rows == []
+        with pytest.raises(ParameterError, match="^tag dimension must be >= 1, got 0$"):
+            sweep([2], [1.0], [0.0], d=0)
+        with pytest.raises(ParameterError, match="^message space size must be finite and exceed 2, got 1$"):
+            sweep([2], [1.0], [0.0], message_space_size=1)
+
+    def test_arguments_read_once(self, monkeypatch):
+        params = cli.load_config("symtest-grid").parameters
+        t_values = list(range(params["t_min"], params["t_max"] + 1))
+        grid = (t_values, params["delta_fracs"], params["lambda_fracs"])
+        counter = CallCounter(monkeypatch)
+        counter.count(symmetry_test, "read_value")
+        assert sweep(*grid, d=params["d"], message_space_size=2 ** params["message_space_bits"]).rows
+        assert counter.calls == {"read_value": sum(map(len, grid)) + 1}
 
 
 class TestSweep:
@@ -290,22 +290,32 @@ class TestSweep:
         rows = sweep(range(2, 17)).rows
         assert rows
         for row in rows:
-            assert row.n_real > row.t_size - 2
+            assert row.n_real > row.T_size - 2
             assert row.n_ceil >= row.n_real - 1e-9
-            assert 0 < row.p0 < 1
+            assert 0 < row.P0 < 1
 
-    def test_columns_align(self):
+    def test_fields_are_the_report_columns(self):
         assert SweepRow._fields == (
-            "t_size", "delta", "lambda_max", "n_real", "n_ceil", "p0",
+            "T_size", "delta", "lambda_max", "n_real", "n_ceil", "P0",
             "key_bits_quantum", "key_bits_classical_ref",
         )
-        assert len(SWEEP_COLUMNS) == len(SweepRow._fields)
 
-    def test_key_budget_consistent(self):
-        for row in sweep([4, 8], delta_fracs=(1.0,), lambda_fracs=(0.0,)).rows:
-            bound = key_length_requirement(row.p0, row.n_ceil, 2)
-            assert row.key_bits_quantum == pytest.approx(bound.required_key_bits)
-            assert row.key_bits_classical_ref == pytest.approx(bound.classical_reference_bits)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        t_values=st.lists(st.integers(2, 40) | st.integers(2, 2**80), min_size=1, max_size=8),
+        delta_fracs=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=4),
+        lambda_fracs=st.lists(st.floats(0.0, 0.999), min_size=1, max_size=4),
+        d=st.integers(1, 4),
+        bits=st.integers(2, 80),
+    )
+    def test_key_budget_consistent(self, t_values, delta_fracs, lambda_fracs, d, bits):
+        # each row is bit for bit the reference through the checked public formulas
+        for row in sweep(t_values, delta_fracs, lambda_fracs, d=d, message_space_size=2**bits).rows:
+            assert copies_required(row.T_size, row.delta, row.lambda_max) == (row.n_real, row.n_ceil)
+            assert row.P0 == impersonation_with_symmetry_test(row.T_size, row.lambda_max, row.n_ceil)
+            assert (row.key_bits_quantum, row.key_bits_classical_ref) == key_length_requirement(
+                row.P0, row.n_ceil, d, 2**bits
+            )
 
     def test_degenerate_rows_skipped(self):
         # T=2 with delta = 1/T solves to a single system; the row is dropped

@@ -1,14 +1,16 @@
 """Helpers that only the tests use: JSON writers for states, operators and
 schemes (the inverses of the library's readers), the embedding of a
 Curty-Santos instance in the generic scheme framework, the np.kron tensor
-product that ``quantum_core.tensor`` is held to bit for bit, and a call
-counter for work-count tests.
+product that ``quantum_core.tensor`` is held to bit for bit, the symmetry-test
+impersonation probability and key budgets that ``symmetry_test.sweep``'s rows
+are held to bit for bit, and a call counter for work-count tests.
 
 The test modules import this file by name; pytest puts ``tests/`` on the
 import path because the directory is not a package.
 """
 
 import itertools
+import math
 from functools import reduce
 
 import numpy as np
@@ -16,6 +18,7 @@ import numpy as np
 from authsim.curty_santos import EYE4, CurtySantosInstance
 from authsim.qmac_framework import QmacScheme
 from authsim.quantum_core import PureState, UnitaryOperator
+from authsim.symmetry_test import acceptance_error_formula
 
 
 def state_to_json_dict(state: PureState) -> dict:
@@ -39,6 +42,23 @@ def kron_tensor(factors):
     field = "amplitudes" if kind is PureState else "matrix"
     values = reduce(np.kron, (getattr(f, field) for f in factors))
     return kind(values, tuple(itertools.chain.from_iterable(f.dims for f in factors)))
+
+
+def impersonation_with_symmetry_test(tag_count: int, lambda_max, n) -> float:
+    """Impersonation probability 1/|T| + (1 - 1/|T|) * acceptance error, through
+    the checked ``acceptance_error_formula``."""
+    floor = 1.0 / tag_count
+    return floor + (1.0 - floor) * acceptance_error_formula(n, lambda_max)
+
+
+def key_length_requirement(epsilon: float, n: int, d: int, message_space_size) -> tuple[float, float]:
+    """(quantum, classical) key bits for forgery probability epsilon with n-system
+    tags of dimension d: |log2(epsilon)| plus the Holevo term (n-1)*log2(d), and
+    the comparator 4*|log2(epsilon)|*log2(log2(|M|))."""
+    security_bits = abs(math.log2(epsilon))
+    info_gain = (n - 1) * math.log2(d)
+    classical = 4.0 * security_bits * math.log2(math.log2(message_space_size))
+    return security_bits + info_gain, classical
 
 
 def _label_to_str(label) -> str:

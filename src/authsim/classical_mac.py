@@ -62,7 +62,7 @@ class HashFamily:
         self, key_space_size: int, message_space: tuple, tag_space: tuple, evaluate: Callable[[int, Any], Any],
         family_kind: FamilyKind, epsilon: Fraction | None = None, name: str = "custom", g: np.ndarray | None = None
     ):
-        read_value(_KEY_COUNT, key_space_size, "key_space_size")
+        key_space_size = read_value(_KEY_COUNT, key_space_size, "key_space_size")
         if len(message_space) <= 1:
             raise ParameterError("message space must contain more than one message")
         if not tag_space:
@@ -124,7 +124,7 @@ def _is_prime(n: int) -> bool:
 
 
 def _check_prime(p) -> int:
-    if not _is_prime(read_value(MODULUS, p, "modulus")):
+    if not _is_prime(p := read_value(MODULUS, p, "modulus")):
         raise ParameterError(f"modulus {p} is not prime")
     return p
 
@@ -168,7 +168,7 @@ def make_poly_family(p: int, blocks: int) -> HashFamily:
     family's behavior.
     """
     p = _check_prime(p)
-    read_value(BLOCKS, blocks, "block count")
+    blocks = read_value(BLOCKS, blocks, "block count")
     if p**blocks > MESSAGE_SPACE_CAP:
         raise ParameterError(f"message space p**blocks = {p**blocks} exceeds cap {MESSAGE_SPACE_CAP}")
 
@@ -323,7 +323,7 @@ def key_length_lower_bound(observed_pairs: int, epsilon) -> float:
     """Minimum key length in bits for forgery probability epsilon after
     observing the given number of valid pairs: (l + 1) * |log2(epsilon)|,
     with an int or Fraction epsilon range checked exactly."""
-    read_value(_PAIR_COUNT, observed_pairs, "observed pair count")
+    observed_pairs = read_value(_PAIR_COUNT, observed_pairs, "observed pair count")
     value = read_value(_REAL, epsilon, "epsilon")
     eps = Fraction(epsilon) if isinstance(epsilon, (int, Fraction)) else value
     if not 0 < eps <= 1:

@@ -26,9 +26,10 @@ bits of its own vdot (``pair_overlaps``), and kept as one flat list that a
 scheme's decision rule scores in one call. A random scheme draws one Haar
 unitary per (key, message) label. An ensemble of them is decided from its
 tag states alone (``random_scheme_reports``): each batch of whole schemes
-factors only column 0 of each draw, as the initial state is |0>, and is
-scored together, each scheme from its largest overlap squared once, bit for
-bit as consecutive ``random_scheme`` calls would be.
+factors only column 0 of each draw, as the initial state is |0>, and each
+scheme's largest overlap is screened by one Gram product per message block,
+then recomputed by ``pair_overlaps`` on the pairs near it: bit for bit as
+consecutive ``random_scheme`` calls would be.
 """
 
 from __future__ import annotations
@@ -58,12 +59,12 @@ from .quantum_core import (
     basis_state,
 )
 from .spec import Field, Spec, read_spec, read_value
-from .symmetry_test import acceptance_error_formula
+from .symmetry_test import OVERLAP_MAX, _acceptance_error
 
 OVERLAP_TOL = 1e-9
 COLUMN_ENTRIES = 2**10  # column entries per batch of whole random schemes, at least one scheme
 MULTIPLICITY = Field(int, 1, lo=1)  # a SCHEME_SPEC key too
-_COPIES = Field(int, lo=2, hi=sys.float_info.max)  # acceptance_error_formula's bound
+_COPIES = Field(int, lo=2, hi=sys.float_info.max)  # symmetry_test.acceptance_error_formula's bound
 RANDOM_SHAPE = {  # the shape arguments of random schemes, the keys of a random_schemes config too
     "count": Field(int, lo=1),
     "dim": Field(int, 2, lo=1, hi=MAX_TOTAL_DIMENSION),
@@ -105,7 +106,7 @@ class QmacScheme:
             raise ParameterError("key set must be nonempty")
         if len(set(key_set)) != len(key_set):
             raise ParameterError("key set contains duplicates")
-        read_value(MULTIPLICITY, multiplicity, "multiplicity")
+        multiplicity = read_value(MULTIPLICITY, multiplicity, "multiplicity")
         d = initial_state.d
         for label, gate in tag_unitaries.items():
             if gate.d != d:
@@ -178,8 +179,8 @@ class QmacScheme:
     @cached_property
     def pair_index(self) -> np.ndarray:
         """Row positions (i, j) of the label pairs i < j of every message, in ``overlaps`` order."""
-        pairs = [pair for blocks in self.blocks for pair in itertools.combinations(blocks, 2)]
-        return np.array(pairs, dtype=np.intp).reshape(-1, 2)
+        rows = [np.fromiter(blocks, np.intp, len(blocks)) for blocks in self.blocks]
+        return np.concatenate([positions[_pair_positions(len(positions))].T for positions in rows])
 
     @cached_property
     def overlaps(self) -> list[float]:
@@ -199,6 +200,11 @@ def _check_norms(rows: np.ndarray) -> None:
     if off.any():
         norm = norms[np.argmax(off)]
         raise ParameterError(f"state norm {float(norm)} is not 1 within {NORM_ATOL}")
+
+
+def _pair_positions(n: int) -> np.ndarray:
+    """Positions i < j of the pairs of n items, a column (i, j) each, in itertools.combinations order."""
+    return np.array(np.triu_indices(n, 1), dtype=np.intp)
 
 
 def pair_overlaps(rows: np.ndarray, index: np.ndarray) -> list[float]:
@@ -258,7 +264,7 @@ class DecisionRule:
         if kind not in ("projective", "symmetry-test"):
             raise ParameterError(f"unknown decision rule {kind!r}")
         if kind == "symmetry-test":
-            read_value(_COPIES, copies, "copy count")
+            copies = read_value(_COPIES, copies, "copy count")
         elif copies is not None:
             raise ParameterError("projective rule takes no copy count")
         self.kind, self.copies = kind, copies
@@ -274,12 +280,16 @@ class DecisionRule:
 
         The projective rule squares each overlap as Python float ``** 2``
         (libm pow, which differs from np.square in the last bit of about
-        0.08% of values); the symmetry-test rule is
-        ``symmetry_test.acceptance_error_formula``, range check included.
+        0.08% of values); the symmetry-test rule checks the range of every overlap
+        first, then is ``symmetry_test.acceptance_error_formula``'s kernel.
         """
         if self.kind == "projective":
             return [float(lam) ** 2 for lam in overlaps]
-        return [acceptance_error_formula(self.copies, lam) for lam in overlaps]
+        lams, copies = [float(lam) for lam in overlaps], float(self.copies)
+        bad = [lam for lam in lams if not 0.0 <= lam <= OVERLAP_MAX]
+        if bad:
+            raise ParameterError(f"overlap {bad[0]!r} outside [0, 1]")
+        return [_acceptance_error(copies, lam) for lam in lams]
 
 
 class AttackReport:
@@ -325,9 +335,7 @@ def impersonation_deception(
     best_q = max(q, default=0.0)
     mean_q = sum(itertools.chain.from_iterable(zip(q, q))) / (2 * len(q)) if q else 0.0
 
-    witness_state = None
-    witness_message = None
-    witness_labels = None
+    witness_state = witness_message = witness_labels = None
     strategy = "guess a tag uniformly (single-label scheme)"
     if best_q > 0.0:
         position = q.index(best_q)
@@ -394,13 +402,12 @@ def _theorem2_report(attack: AttackReport, lam_max: float) -> Theorem2Report:
     )
 
 
-def _random_shape(num_keys: int, num_messages: int, **sizes: int) -> tuple[tuple, tuple, list]:
+def _random_shape(**shape: int) -> tuple:
     """Keys, messages and the labels (k, m) of a random scheme in draw order, key-major, once each
-    shape argument is read by its field in ``RANDOM_SHAPE``."""
-    for name, value in dict(sizes, num_keys=num_keys, num_messages=num_messages).items():
-        read_value(RANDOM_SHAPE[name], value, name)
-    keys, messages = tuple(range(num_keys)), tuple(range(num_messages))
-    return keys, messages, [(k, m) for k in keys for m in messages]
+    shape argument is read, in order, by its field in ``RANDOM_SHAPE``; then the other sizes as read."""
+    shape = {name: read_value(RANDOM_SHAPE[name], value, name) for name, value in shape.items()}
+    keys, messages = tuple(range(shape.pop("num_keys"))), tuple(range(shape.pop("num_messages")))
+    return keys, messages, [(k, m) for k in keys for m in messages], *shape.values()
 
 
 def _random_label(key, message) -> Label:
@@ -415,7 +422,7 @@ def random_scheme(
     what one stack-spanning stream of their unitaries would, bit for bit,
     generator state included, so they are the reference for
     ``random_scheme_reports``."""
-    keys, messages, labels = _random_shape(num_keys, num_messages, dim=dim)
+    keys, messages, labels, dim = _random_shape(dim=dim, num_keys=num_keys, num_messages=num_messages)
     return QmacScheme(
         message_set=messages,
         key_set=keys,
@@ -423,7 +430,7 @@ def random_scheme(
         tag_unitaries=dict(zip(labels, random_unitaries(len(labels), dim, rng))),
         initial_state=basis_state(0, (dim,)),
         multiplicity=1,
-        name=f"random-{dim}d-{num_keys}k",
+        name=f"random-{dim}d-{len(keys)}k",
     )
 
 
@@ -438,13 +445,13 @@ def random_scheme_reports(
     is column 0 of its unitary, bit for bit the gemv of ``QmacScheme.states``
     on the reference's draws. One ``_haar_columns`` call draws the rows of
     ``max(1, COLUMN_ENTRIES // (|labels| * dim))`` whole schemes, key-major;
-    swapping the key and message axes puts them in label order, and the batch
-    is scored as one table (``_theorem2_reports``), then released before the
-    next is drawn. The shape arguments and the dimension cap are checked
-    before anything is drawn. Each report's attack carries the deception
-    probability and the floor, range checked, but no witness and no mean.
+    swapping the key and message axes lays them out as message blocks in
+    label order, scored together (``_theorem2_reports``) and released before
+    the next batch is drawn, the shape arguments and the dimension cap
+    checked first. Each report's attack carries the deception probability
+    and the floor, range checked, but no witness and no mean.
     """
-    keys, messages, labels = _random_shape(num_keys, num_messages, count=count, dim=dim)
+    keys, messages, labels, count, dim = _random_shape(count=count, dim=dim, num_keys=num_keys, num_messages=num_messages)
     compiled = QmacScheme(
         message_set=messages,
         key_set=keys,
@@ -453,44 +460,59 @@ def random_scheme_reports(
         initial_state=basis_state(0, (dim,)),
     )
     compiled.validate()
-    floor = 1.0 / compiled.tags_per_message
+    floor, pairs = 1.0 / compiled.tags_per_message, _pair_positions(len(keys))
     per_batch = max(1, COLUMN_ENTRIES // (len(labels) * dim))
     for start in range(0, count, per_batch):
         schemes = min(per_batch, count - start)
-        table = _haar_columns(schemes * len(labels), dim, rng)
-        table = table.reshape(schemes, num_keys, num_messages, dim).swapaxes(1, 2).reshape(-1, dim)
-        yield from _theorem2_reports(table, schemes, compiled.pair_index, floor)
+        table = _haar_columns(schemes * len(labels), dim, rng).reshape(schemes, len(keys), len(messages), dim)
+        yield from _theorem2_reports(table.swapaxes(1, 2).reshape(-1, len(keys), dim), schemes, pairs, floor)
         del table  # a scored batch is released before the next is drawn
 
 
 def _theorem2_reports(
-    table: np.ndarray, schemes: int, pair_index: np.ndarray, floor: float
+    blocks: np.ndarray, schemes: int, pairs: np.ndarray, floor: float
 ) -> Iterator[Theorem2Report]:
-    """The Theorem 2 reports of ``schemes`` schemes of one label structure
-    whose tag-state rows fill ``table`` scheme after scheme, each in label
-    order, with ``pair_index`` the pairs of one scheme.
+    """The Theorem 2 reports of ``schemes`` schemes of one label structure,
+    their message blocks (tag-state rows in label order) filling ``blocks``
+    scheme after scheme; ``pairs`` holds a block's pair positions. If a norm
+    fails, the schemes before the failing one are reported first.
 
-    The table is norm-checked once and its overlaps are one ``pair_overlaps``
-    call on the pair index offset per scheme. Each scheme's largest overlap
-    is the maximum of its own slice, and its best Q is that maximum squared
-    once: the projective rule's Python float ``** 2`` is monotone on
-    non-negative floats, so it equals the maximum of the squares. If a norm
-    fails, the schemes before the failing one are reported first, as one
-    scheme at a time reports them.
+    A Gram product per block screens the pairs, and ``pair_overlaps``
+    recomputes those that could be the maximum. Re and Im of <x|y> each sum
+    2d real products, so in any order, FMA or not, a computed <x|y> is within
+    sqrt(2) gamma_2d |x|^T|y| of the exact one (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., secs. 3.1, 3.6; its complex gamma_{d+2}
+    takes products rounded before the sum, which BLAS need not do). Normed
+    rows have |x|^T|y| <= (1 + 2 NORM_ATOL)^2, one NORM_ATOL for the norm's
+    rounding, and np.hypot adds an ulp below 2: each Gram or zdot modulus is
+    within eps of the exact one, and the zdot maximizer within 2 tau = 4 eps
+    (2u more for rounding) of the scheme's Gram maximum. Those pairs are
+    recomputed in chunks of STACK_ENTRIES positions and reduced as they come:
+    each maximum is the full scan's, bit for bit, and its best Q is it
+    squared once (Python float ``** 2`` is monotone).
     """
-    size, pairs = len(table) // schemes, len(pair_index)
+    size, (num_keys, dim) = len(blocks) // schemes, blocks.shape[1:]
+    rows = blocks.reshape(-1, dim)
     try:
-        _check_norms(table)
+        _check_norms(rows)
     except ParameterError:
         if schemes == 1:
             raise
         for s in range(schemes):  # the failing scheme raises again
-            yield from _theorem2_reports(table[s * size : (s + 1) * size], 1, pair_index, floor)
+            yield from _theorem2_reports(blocks[s * size : (s + 1) * size], 1, pairs, floor)
         return
-    offsets = (np.arange(schemes, dtype=np.intp) * size)[:, None, None]
-    overlaps = pair_overlaps(table, (pair_index + offsets).reshape(-1, 2))
-    for lo in (s * pairs for s in range(schemes)):
-        lam_max = max(overlaps[lo : lo + pairs], default=0.0)
+    gram, step = np.empty((schemes, size * pairs.shape[1])), max(1, STACK_ENTRIES // num_keys**2)
+    for lo in range(0, len(blocks), step):
+        chunk = blocks[lo : lo + step]
+        moduli = np.abs((chunk.conj() @ chunk.transpose(0, 2, 1))[:, pairs[0], pairs[1]])
+        gram.reshape(len(blocks), pairs.shape[1])[lo : lo + step] = moduli
+    u, n = np.finfo(float).eps / 2, 2 * dim  # unit roundoff; real products in Re or Im of <x|y>
+    eps = 2**0.5 * n * u / (1 - n * u) * (1 + 2 * NORM_ATOL) ** 2 + 2 * u
+    keep, best = (gram >= gram.max(axis=1, initial=0.0)[:, None] - (4 * eps + 2 * u)).ravel(), np.zeros(schemes)
+    for lo in range(0, keep.size, STACK_ENTRIES):
+        block, pair = np.divmod(np.flatnonzero(keep[lo : lo + STACK_ENTRIES]) + lo, pairs.shape[1])
+        np.maximum.at(best, block // size, pair_overlaps(rows, pairs[:, pair].T + block[:, None] * num_keys))
+    for lam_max in best.tolist():
         yield _theorem2_report(AttackReport(_deception_probability(floor, lam_max**2), floor), lam_max)
 
 

@@ -331,8 +331,7 @@ def symmetric_projector(d: int, n: int) -> HermitianOperator:
     identity, reshaped to (d,)*n + (d**n,). Not cached: each call holds its
     own d**n x d**n matrix (256 MiB at the 4096 cap).
     """
-    read_value(_POSITIVE, d, "dimension")
-    read_value(COPY_COUNT, n, "copy count")
+    d, n = read_value(_POSITIVE, d, "dimension"), read_value(COPY_COUNT, n, "copy count")
     total = d**n
     if total > MAX_TOTAL_DIMENSION:
         raise ParameterError(f"d**n = {total} exceeds cap {MAX_TOTAL_DIMENSION}")
@@ -366,7 +365,7 @@ def iter_haar_stacks(count: int, dims, rng: np.random.Generator) -> Iterator[np.
     count, dims and dimension cap are checked before anything is drawn; the
     unitarity check runs once per stack.
     """
-    read_value(_POSITIVE, count, "unitary count")
+    count = read_value(_POSITIVE, count, "unitary count")
     total = math.prod(_resolve_dims(dims))
     if total > MAX_TOTAL_DIMENSION:
         raise ParameterError(f"total dimension {total} exceeds cap {MAX_TOTAL_DIMENSION}")

@@ -8,8 +8,9 @@ or ``copy count``, in one wording wherever the value came from.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Hashable
-from numbers import Real
+from numbers import Integral, Real
 from typing import NamedTuple
 
 from .errors import ParameterError
@@ -17,13 +18,13 @@ from .errors import ParameterError
 
 class Field(NamedTuple):
     """One key of a JSON object, or one argument: ``type`` is int (never
-    bool), float (any real number but a bool, numpy scalars and Fraction
-    too, read as a float), str, dict, list (items read by ``item``) or
-    Hashable (any JSON scalar); ``lo``/``hi`` are inclusive and bound a
-    list's length. A key without a default is required unless a one-of
-    group or the spec's ``optional`` names it. ``only_with`` = (key, value)
-    allows the key, and gives it its default, only where an earlier key of
-    the object reads that value."""
+    bool; numpy integers too, read as a Python int), float (any real number
+    but a bool, numpy scalars and Fraction too, read as a float), str, dict,
+    list (items read by ``item``) or Hashable (any JSON scalar); ``lo``/``hi``
+    are inclusive and bound a list's length. A key without a default is
+    required unless a one-of group or the spec's ``optional`` names it.
+    ``only_with`` = (key, value) allows the key, and gives it its default,
+    only where an earlier key of the object reads that value."""
 
     type: type
     default: object = None
@@ -50,6 +51,7 @@ _TYPE_NAMES = {
     int: "an integer", float: "a number", str: "a string", dict: "an object", list: "a list",
     Hashable: "a scalar",
 }
+_ACCEPTED = {float: (int, float, Real), int: (int, Integral)}  # int, float first: the ABC checks are slow
 
 
 def _path(where) -> str:
@@ -59,9 +61,10 @@ def _path(where) -> str:
 
 def read_value(field: Field, value, where):
     """``value`` checked against ``field`` and read, with ``where`` (a str, or (parent, index)) named in errors."""
-    accepted = (int, float, Real) if field.type is float else field.type  # int, float first: Real is a slow ABC check
+    accepted = _ACCEPTED.get(field.type, field.type)
     if isinstance(value, bool) and field.type is not Hashable or not isinstance(value, accepted):
         raise ParameterError(f"{_path(where)} must be {_TYPE_NAMES[field.type]}, got {value!r}")
+    value = operator.index(value) if field.type is int else value  # a Python int: numpy integers wrap
     if field.spec is not None:
         return read_spec(field.spec, value, _path(where))
     if field.item is not None:

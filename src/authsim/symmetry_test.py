@@ -24,6 +24,7 @@ DEFAULT_MESSAGE_SPACE_SIZE = 2**64
 _REAL, _DIMENSION = Field(float), Field(int, lo=1)  # log2 takes an int dimension of any size
 _TAG_COUNT = Field(int, lo=2, hi=sys.float_info.max)  # hi keeps out ints too large for the closed forms' floats
 _REAL_COPIES = Field(float, lo=1, hi=sys.float_info.max)
+OVERLAP_MAX = 1.0 + 1e-12  # the largest overlap acceptance_error_formula takes: 1 and a rounding slack
 
 
 def acceptance_error_formula(n, lambda_max) -> float:
@@ -33,7 +34,7 @@ def acceptance_error_formula(n, lambda_max) -> float:
     copy-count algebra.
     """
     n, lam = read_value(_REAL_COPIES, n, "copy count"), read_value(_REAL, lambda_max, "overlap")
-    if not 0.0 <= lam <= 1.0 + 1e-12:
+    if not 0.0 <= lam <= OVERLAP_MAX:
         raise ParameterError(f"overlap {lam!r} outside [0, 1]")
     return _acceptance_error(n, lam)
 
@@ -51,7 +52,7 @@ def acceptance_error_oracle(n: int, a: PureState, b: PureState) -> float:
     permutations (Harrow, arXiv:1308.6595), acts on Phi's (d,)*n tensor by the
     coset recursion of ``quantum_core.symmetrize``, with no d**n x d**n matrix.
     """
-    read_value(COPY_COUNT, n, "copy count")
+    n = read_value(COPY_COUNT, n, "copy count")
     for name, state in (("a", a), ("b", b)):
         if not isinstance(state, PureState):
             raise ParameterError(f"{name} must be a PureState, got {type(state).__name__}")
@@ -63,7 +64,7 @@ def acceptance_error_oracle(n: int, a: PureState, b: PureState) -> float:
 
 def feasibility_threshold(tag_count: int, delta: float) -> float:
     """Largest overlap for which a finite copy count can reach floor + delta, delta in (0, 1/tag_count]."""
-    read_value(_TAG_COUNT, tag_count, "tag count")
+    tag_count = read_value(_TAG_COUNT, tag_count, "tag count")
     delta = read_value(_REAL, delta, "delta")
     if not 0.0 < delta <= 1.0 / tag_count:
         raise ParameterError(f"delta {delta!r} outside (0, 1/{tag_count}]")
@@ -87,7 +88,7 @@ def copies_required(tag_count: int, delta, lambda_max) -> CopiesRequired:
     exceeds T - 2. The ceiling is what a deployment would use.
     """
     threshold = feasibility_threshold(tag_count, delta)
-    delta, lam = float(delta), read_value(_REAL, lambda_max, "lambda_max")
+    tag_count, delta, lam = int(tag_count), float(delta), read_value(_REAL, lambda_max, "lambda_max")
     if not 0.0 <= lam <= 1.0:
         raise ParameterError(f"overlap {lam!r} outside [0, 1]")
     return _copies(tag_count, delta, lam, threshold)
@@ -158,14 +159,14 @@ def sweep(
         raise ParameterError("delta fractions must lie in (0, 1]")
     if any(not 0.0 <= f < 1.0 for f in lambda_fracs):
         raise ParameterError("lambda fractions must lie in [0, 1)")
-    read_value(_DIMENSION, d, "tag dimension")
+    d = read_value(_DIMENSION, d, "tag dimension")
     if not isinstance(message_space_size, Real) or not 2 < message_space_size < math.inf:
         raise ParameterError(f"message space size must be finite and exceed 2, got {message_space_size!r}")
     log2_d, log2_log2_m = math.log2(d), math.log2(math.log2(message_space_size))
     rows = []
     first: dict = {}  # (delta_frac position, lambda_frac position) -> first crossing |T|
     for t_size in t_values:
-        read_value(_TAG_COUNT, t_size, "tag count")
+        t_size = read_value(_TAG_COUNT, t_size, "tag count")
         floor = 1.0 / t_size
         for i, dfrac in enumerate(delta_fracs):
             delta = dfrac / t_size

@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -238,8 +239,14 @@ class TestGenericQmacScenario:
         counter.count(qmac_framework, "_haar_columns")
         counter.count(qmac_framework.QmacScheme, "__init__")
         config = write_config(tmp_path, "r.json", _cfg("GenericQmac", {"random_schemes": shape}))
-        code, out = run_cli(str(config), str(tmp_path / "report.json"))
+        tracemalloc.start()
+        try:
+            code, out = run_cli(str(config), str(tmp_path / "report.json"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert code == 1
+        assert peak < 64 * 2**10  # about 6 KiB; the 2050 labels of 1025 keys would take more to compile
         pairs = messages * math.comb(keys, 2)
         assert out.startswith(
             f"error: a random scheme would score num_messages * C(num_keys, 2) = {pairs} label pairs; "

@@ -2,6 +2,7 @@ import gc
 import io
 import itertools
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -19,13 +20,14 @@ from authsim.qmac_framework import (
     impersonation_deception,
     max_offdiagonal_overlap,
     overlap_matrix,
+    pair_overlaps,
     random_scheme,
     random_scheme_reports,
     scheme_from_json_dict,
     validate_scheme,
     verify_theorem2,
 )
-from authsim import cli, qmac_framework, quantum_core
+from authsim import cli, qmac_framework, quantum_core, symmetry_test
 from authsim.quantum_core import (
     PureState,
     UnitaryOperator,
@@ -940,6 +942,182 @@ class TestRandomSchemeReports:
             next(reports)
 
 
+def full_scan_maxima(table: np.ndarray, schemes: int, num_keys: int, num_messages: int) -> list[float]:
+    """Each scheme's largest ``pair_overlaps`` value over every label pair of its key-major rows,
+    the pairs listed by itertools.combinations: the scan the screen stands in for. It calls the
+    kernel imported at the top, so a test that patches ``qmac_framework.pair_overlaps`` sees only
+    the screen's calls."""
+    rows = table.reshape(schemes, num_keys, num_messages, -1).swapaxes(1, 2).reshape(-1, table.shape[1])
+    per_scheme = num_keys * num_messages
+    maxima = []
+    for s in range(schemes):
+        starts = range(s * per_scheme, (s + 1) * per_scheme, num_keys)
+        blocks = (range(start, start + num_keys) for start in starts)
+        index = np.array([pair for block in blocks for pair in itertools.combinations(block, 2)], dtype=np.intp)
+        maxima.append(max(pair_overlaps(rows, index.reshape(-1, 2)), default=0.0))
+    return maxima
+
+
+def tilted_pair(u: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rows U e0 and U (c e0 + sqrt(1 - c^2) e1): overlap c before rounding, and rounded the way
+    generic tag states are."""
+    return u[:, 0].copy(), c * u[:, 0] + math.sqrt(1.0 - c * c) * u[:, 1]
+
+
+def ulps_above(x: float, k: int) -> float:
+    for _ in range(k):
+        x = float(np.nextafter(x, 2.0))
+    return x
+
+
+class TestOverlapScreen:
+    """The screened maxima of ``random_scheme_reports`` against the full ``pair_overlaps``
+    scan of the same rows, compared with ==, and the pairs the screen recomputes."""
+
+    @staticmethod
+    def drawn_tables(monkeypatch, edit=None) -> list[np.ndarray]:
+        """Route the ensemble's draws through ``edit`` (key-major rows, rng) and keep each table."""
+        real_columns, tables = qmac_framework._haar_columns, []
+
+        def columns(size, total, rng):
+            table = real_columns(size, total, rng)
+            table = edit(table.copy(), rng) if edit else table
+            tables.append(table)
+            return table
+
+        monkeypatch.setattr(qmac_framework, "_haar_columns", columns)
+        return tables
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(1, 16),
+        num_keys=st.integers(1, 7),
+        num_messages=st.integers(2, 5),
+        count=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+        ties=st.sampled_from(["none", "copies", "nudged"]),
+    )
+    @example(dim=16, num_keys=16, num_messages=4, count=2, seed=1, ties="none")
+    @example(dim=3, num_keys=6, num_messages=3, count=20, seed=2, ties="copies")
+    @example(dim=8, num_keys=5, num_messages=2, count=9, seed=3, ties="nudged")
+    def test_screened_maxima_equal_full_scan(self, dim, num_keys, num_messages, count, seed, ties):
+        # "copies" repeats a row within its message block (overlaps at 1 up to rounding), "nudged" also
+        # moves one entry of the copy by 1-4 ulps: the near-ties of the top pairs a screen must keep
+        def edit(table, rng):
+            if ties != "none" and num_keys > 1:
+                view = table.reshape(-1, num_keys, num_messages, dim)
+                for s in range(len(view)):
+                    src, dst = rng.choice(num_keys, 2, replace=False)
+                    m = rng.integers(num_messages)
+                    view[s, dst, m] = view[s, src, m]
+                    if ties == "nudged":
+                        z = view[s, dst, m, 0]
+                        view[s, dst, m, 0] = complex(ulps_above(z.real, int(rng.integers(1, 5))), z.imag)
+            return table
+
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            tables = self.drawn_tables(monkeypatch, edit)
+            reports = list(random_scheme_reports(np.random.default_rng(seed), count, dim, num_keys, num_messages))
+        per_table = [len(t) // (num_keys * num_messages) for t in tables]
+        expected = [lam for t, n in zip(tables, per_table) for lam in full_scan_maxima(t, n, num_keys, num_messages)]
+        assert [r.max_overlap for r in reports] == expected
+        assert [r.p0 for r in reports] == [
+            1.0 / num_keys + (1.0 - 1.0 / num_keys) * lam**2 if lam > OVERLAP_TOL else 1.0 / num_keys
+            for lam in expected
+        ]
+
+    @pytest.mark.parametrize("gap", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "layout,schemes,num_keys,num_messages",
+        [("one block", 1, 3, 2), ("two blocks", 1, 2, 3), ("two schemes", 2, 2, 2)],
+    )
+    def test_near_ties_select_the_zdot_maximum(self, monkeypatch, layout, schemes, num_keys, num_messages, gap):
+        # the two top pairs are `gap` ulps apart before rounding: in one message block, in two blocks of
+        # one scheme, or one pair in each of two schemes (each scheme's own tie, reversed in the second);
+        # the rounding of the Gram and zdot moduli differs from case to case, and whichever pair zdot puts
+        # on top, the report carries its bits
+        dim, rng = 16, np.random.default_rng(100 * gap + len(layout))
+        recomputed: list = []
+        real_pair_overlaps = qmac_framework.pair_overlaps
+
+        def recording(rows, index):
+            recomputed.extend(map(tuple, index.tolist()))
+            return real_pair_overlaps(rows, index)
+
+        monkeypatch.setattr(qmac_framework, "pair_overlaps", recording)
+        for _ in range(25):
+            c = float(rng.uniform(0.2, 0.95))
+            top = (c, ulps_above(c, gap))
+            blocks = np.zeros((schemes, num_messages, num_keys, dim), dtype=complex)
+            for s in range(schemes):
+                if layout == "one block":
+                    u = random_unitaries(1, dim, rng)[0].matrix
+                    x, y = tilted_pair(u, top[0])
+                    blocks[s, 0] = [x, y, top[1] * u[:, 0] + math.sqrt(1.0 - top[1] ** 2) * u[:, 2]]
+                    blocks[s, 1] = [u[:, 3], u[:, 4], u[:, 5]]
+                else:
+                    for m in range(num_messages):
+                        lam = (top[::-1] if s else top)[m] if m < 2 else 0.1
+                        blocks[s, m] = tilted_pair(random_unitaries(1, dim, rng)[0].matrix, lam)
+            table = blocks.swapaxes(1, 2).reshape(-1, dim)  # key-major, as drawn
+            monkeypatch.setattr(qmac_framework, "_haar_columns", lambda size, total, rng, table=table: table)
+            recomputed.clear()
+            reports = list(random_scheme_reports(rng, schemes, dim, num_keys, num_messages))
+            assert [r.max_overlap for r in reports] == full_scan_maxima(table, schemes, num_keys, num_messages)
+            size = num_keys * num_messages
+            tied = [(0, 1), (0, 2)] if layout == "one block" else [(0, 1), (num_keys, num_keys + 1)]
+            assert {(s * size + i, s * size + j) for s in range(schemes) for i, j in tied} <= set(recomputed)
+
+    def test_dim_one_recomputes_every_pair(self, monkeypatch):
+        # every overlap of two unit complex numbers is 1 up to rounding, so every pair is a candidate
+        tables, recomputed = self.drawn_tables(monkeypatch), []
+        real_pair_overlaps = qmac_framework.pair_overlaps
+
+        def recording(rows, index):
+            recomputed.append(len(index))
+            return real_pair_overlaps(rows, index)
+
+        monkeypatch.setattr(qmac_framework, "pair_overlaps", recording)
+        reports = list(random_scheme_reports(np.random.default_rng(12), 6, dim=1, num_keys=5, num_messages=3))
+        assert [r.max_overlap for r in reports] == full_scan_maxima(tables[0], 6, 5, 3)
+        assert sum(recomputed) == 6 * 3 * 10
+        assert all(abs(r.max_overlap - 1.0) < 1e-15 for r in reports)
+
+    def test_one_key_has_no_pairs(self, monkeypatch):
+        counter = CallCounter(monkeypatch)
+        counter.count(qmac_framework, "pair_overlaps")
+        reports = list(random_scheme_reports(np.random.default_rng(13), 7, dim=3, num_keys=1, num_messages=4))
+        assert [(r.max_overlap, r.p0, r.margin, r.classical_equivalent) for r in reports] == [(0.0, 1.0, 0.0, True)] * 7
+        assert counter.calls == {"pair_overlaps": 0}
+
+    def test_bad_norm_reported_after_the_schemes_before_it(self, monkeypatch):
+        # one batch of 5 two-key qubit schemes; the third scheme's last row is doubled
+        def edit(table, rng):
+            table[3 * 4 - 1] *= 2.0
+            return table
+
+        self.drawn_tables(monkeypatch, edit)
+        reports = random_scheme_reports(np.random.default_rng(14), 5, dim=2, num_keys=2, num_messages=2)
+        reference_rng = np.random.default_rng(14)
+        for _ in range(2):
+            assert theorem2_row(next(reports)) == theorem2_row(verify_theorem2(random_scheme(reference_rng, 2, 2, 2)))
+        with pytest.raises(ParameterError, match=r"^state norm [12]\.\d+ is not 1 within 1e-10$"):
+            next(reports)
+
+    def test_pair_memory_is_one_gram_block_not_a_list_of_pairs(self):
+        # 256 keys of 2 messages at dim 1: 65,280 pairs, every one a candidate; the screen holds one
+        # 256 x 256 Gram block and recomputes in bounded chunks (about 2.6 MB traced), where a list of
+        # every pair's overlap and its index took about 7 MB
+        list(random_scheme_reports(np.random.default_rng(0), 1, dim=1, num_keys=4, num_messages=2))
+        tracemalloc.start()
+        try:
+            list(random_scheme_reports(np.random.default_rng(15), 1, dim=1, num_keys=256, num_messages=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+
+
 class TestOverlapKernel:
     """The stacked overlap kernel and the list scoring against their
     one-value-at-a-time definitions, compared with ==. A numpy or BLAS
@@ -962,6 +1140,34 @@ class TestOverlapKernel:
         assert all(type(value) is float for value in scheme.overlaps)
         per_message = num_keys * (num_keys - 1) // 2
         assert scheme.pair_starts == [mi * per_message for mi in range(num_messages + 1)]
+
+    def test_pair_index_matches_itertools_on_ragged_blocks(self):
+        # message 0 reaches 4 labels, message 1 one label, message 2 three labels shared with message 0
+        # out of order, so the blocks are ragged, one has no pair, and one's rows are not contiguous
+        table = {0: "abcd", 1: "eeee", 2: "bffa"}
+        scheme = QmacScheme((0, 1, 2), (0, 1, 2, 3), lambda k, m: table[m][k], {}, basis_state(0, (2,)))
+        expected = [pair for blocks in scheme.blocks for pair in itertools.combinations(blocks, 2)]
+        assert scheme.pair_index.dtype == np.intp and scheme.pair_index.shape == (len(expected), 2)
+        assert scheme.pair_index.tolist() == [list(pair) for pair in expected]
+        assert expected[-3:] == [(1, 5), (1, 0), (5, 0)]
+        single = QmacScheme((0, 1), (0, 1), lambda k, m: m, {}, basis_state(0, (2,)))
+        assert single.pair_index.shape == (0, 2) and single.pair_index.dtype == np.intp
+
+    def test_symmetry_rule_reads_no_argument_while_scoring(self, monkeypatch):
+        # the copy count is read at construction and the overlaps are internal products, range checked
+        # once: no read_value call per overlap (scoring through acceptance_error_formula made two each,
+        # 224 for these 112 overlaps)
+        scheme = random_scheme(np.random.default_rng(40), dim=4, num_keys=8, num_messages=4)
+        rule = DecisionRule("symmetry-test", np.int64(3))
+        assert rule == DecisionRule("symmetry-test", 3) and type(rule.copies) is int
+        counter = CallCounter(monkeypatch)
+        counter.count(qmac_framework, "read_value")
+        counter.count(symmetry_test, "read_value")
+        impersonation_deception(scheme, rule)
+        assert counter.calls == {"read_value": 0}
+        q = rule.wrong_tag_acceptances(scheme.overlaps)
+        assert len(q) == 112
+        assert q == [acceptance_error_formula(3, lam) for lam in scheme.overlaps]
 
     def test_scored_q_is_python_float_square(self):
         lams = np.random.default_rng(1).random(20000).tolist() + [0.0, 1.0, 1.0 + 1e-12]

@@ -188,9 +188,9 @@ class QmacScheme:
 
         Messages follow in order, message mi's pairs from ``pair_starts[mi]``,
         each message's in itertools.combinations order over its labels; the
-        values are those of ``pair_overlaps``.
+        values are those of ``pair_overlaps``, as Python floats.
         """
-        return pair_overlaps(self.states, self.pair_index)
+        return pair_overlaps(self.states, self.pair_index).tolist()
 
 
 def _check_norms(rows: np.ndarray) -> None:
@@ -207,8 +207,8 @@ def _pair_positions(n: int) -> np.ndarray:
     return np.array(np.triu_indices(n, 1), dtype=np.intp)
 
 
-def pair_overlaps(rows: np.ndarray, index: np.ndarray) -> list[float]:
-    """|<rows[i]|rows[j]>| for each pair (i, j) of ``index``, as Python floats.
+def pair_overlaps(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """|<rows[i]|rows[j]>| for each pair (i, j) of ``index``, as a float64 array.
 
     Each pair is the 1 x d by d x 1 matmul of its conjugated and plain rows,
     which reaches the zdot kernel np.vdot calls, and its modulus is np.hypot,
@@ -218,11 +218,11 @@ def pair_overlaps(rows: np.ndarray, index: np.ndarray) -> list[float]:
     STACK_ENTRIES gathered entries per side.
     """
     step = max(1, STACK_ENTRIES // rows.shape[1])
-    values: list[float] = []
+    values = np.empty(len(index))
     for start in range(0, len(index), step):
         batch = index[start : start + step]
         dots = rows[batch[:, 0]].conj()[:, None, :] @ rows[batch[:, 1]][:, :, None]
-        values += np.hypot(dots.real, dots.imag).ravel().tolist()
+        values[start : start + step] = np.hypot(dots.real, dots.imag).ravel()
     return values
 
 

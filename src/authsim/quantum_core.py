@@ -310,15 +310,21 @@ def symmetrize(t: np.ndarray, n: int) -> np.ndarray:
 
         Sym_{k+1} = 1/(k+1) * sum_{j<=k} (j k) Sym_k,    (k k) = identity,
 
-    so each step adds k axis swaps of t to a copy of t: n(n-1)/2 swaps in
-    all, with working memory of two arrays the size of t. Axes past the
-    first n are carried along untouched. t itself is not modified.
+    so each step sums t and its k axis swaps, starting from t + (0 k) t
+    with no copy of t: n(n-1)/2 swaps in all, with working memory of two
+    arrays the size of t. The level is scaled by multiplying with the
+    reciprocal 1/(k+1): numpy divides a complex array by a real scalar by
+    computing that reciprocal and multiplying by it, so for complex t every
+    nonzero real or imaginary part has the bits of the division, at about a
+    fifth of its cost in place (a zero part may take the other sign); for
+    real t it may differ from the division by an ulp per level. Axes past
+    the first n are carried along untouched. t itself is not modified.
     """
     for k in range(1, n):
-        acc = t.copy()
-        for j in range(k):
-            acc += np.swapaxes(t, j, k)
-        acc /= k + 1
+        acc = t + t.swapaxes(0, k)
+        for j in range(1, k):
+            acc += t.swapaxes(j, k)
+        acc *= 1.0 / (k + 1)
         t = acc
     return t
 

@@ -1138,6 +1138,8 @@ class TestOverlapKernel:
         ]
         assert scheme.overlaps == expected
         assert all(type(value) is float for value in scheme.overlaps)
+        values = pair_overlaps(rows, scheme.pair_index)
+        assert type(values) is np.ndarray and values.dtype == np.float64 and values.tolist() == expected
         per_message = num_keys * (num_keys - 1) // 2
         assert scheme.pair_starts == [mi * per_message for mi in range(num_messages + 1)]
 

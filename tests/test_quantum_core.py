@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,8 @@ H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 SMALL_SUBSPACES = [(d, n) for d in range(1, 17) for n in range(1, 9) if d**n <= 256]
 # The symtest-oracle benchmark ladder.
 ORACLE_LADDER = [(2, 8), (3, 5), (8, 3), (4, 6), (16, 3)]
+# Every (d, n) with d <= 64 and n <= 8 under the oracle's d**n <= 4096 cap.
+SYMMETRIZE_SHAPES = [(d, n) for n in range(1, 9) for d in range(1, 65) if d**n <= 4096]
 
 
 def density_operator(state: PureState) -> HermitianOperator:
@@ -61,6 +64,33 @@ def reference_symmetric_projector(d: int, n: int) -> HermitianOperator:
         proj[targets, idx] += 1.0
     proj /= math.factorial(n)
     return HermitianOperator(proj.astype(complex), (d,) * n)
+
+
+def reference_symmetrize(t: np.ndarray, n: int) -> np.ndarray:
+    """The coset recursion as first written, copy then add then divide at
+    each level; the bits that the kernel's add-into-sum and reciprocal
+    scaling are held to on complex input."""
+    for k in range(1, n):
+        acc = t.copy()
+        for j in range(k):
+            acc += np.swapaxes(t, j, k)
+        acc /= k + 1
+        t = acc
+    return t
+
+
+@st.composite
+def complex_tensors(draw):
+    """(t, n): a complex (d,)*n tensor with d**n <= 4096, maybe with a
+    trailing axis, of Gaussian entries scaled by 10**e for e in [-300, 300];
+    in some tensors about half the real and imaginary parts are signed zeros."""
+    d, n = draw(st.sampled_from(SYMMETRIZE_SHAPES))
+    shape = (d,) * n + draw(st.sampled_from([(), (1,), (3,)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = rng.standard_normal((2,) + shape) * 10.0 ** draw(st.integers(-300, 300))
+    zeros = rng.random(parts.shape) < draw(st.sampled_from([0.0, 0.5]))
+    parts[zeros] = np.copysign(0.0, parts[zeros])
+    return parts[0] + 1j * parts[1], n
 
 
 def reference_random_unitary(dims, rng: np.random.Generator) -> UnitaryOperator:
@@ -580,6 +610,46 @@ class TestSymmetricSubspaceOracle:
             # bit for bit the oracle whose Phi comes from np.kron
             phi = kron_tensor([a] + [b] * (n - 1)).amplitudes.reshape((d,) * n)
             assert value == float(np.vdot(phi, symmetrize(phi, n)).real)
+            assert value == float(np.vdot(phi, reference_symmetrize(phi, n)).real)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=complex_tensors())
+    def test_kernel_bits_match_copy_and_divide(self, case):
+        # numpy's complex division by a real scalar multiplies by its reciprocal, so every nonzero
+        # real or imaginary part keeps its bits; a zero part may come out with the other sign
+        t, n = case
+        before = t.copy()
+        out = symmetrize(t, n)
+        expected = reference_symmetrize(t, n)
+        assert out.shape == t.shape and np.array_equal(out, expected)
+        same = out.view(np.uint64) == expected.view(np.uint64)
+        assert (same | (expected.view(np.float64) == 0.0)).all()
+        assert np.array_equal(t.view(np.uint64), before.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_signed_zeros_leave_oracle_bits(self, n):
+        # real states with zero amplitudes put -0.0 entries in Phi; the oracle's value is at
+        # least 1/n, so a zero's sign cannot reach it
+        a = PureState(np.array([1.0, 0.0, 0.0]))
+        b = PureState(np.array([-0.6, 0.0, 0.8]))
+        phi = kron_tensor([a] + [b] * (n - 1)).amplitudes.reshape((3,) * n)
+        assert np.signbit(phi.real[phi == 0]).any()
+        assert acceptance_error_oracle(n, a, b) == float(np.vdot(phi, reference_symmetrize(phi, n)).real)
+
+    @pytest.mark.parametrize("d,n", [(4, 6), (16, 3), (8, 4)])
+    def test_working_memory_is_a_few_tensors(self, d, n):
+        # Phi and the kernel's working arrays peak at about 4.03 complex tensors of d**n entries
+        # at each of these 4096-entry shapes; the dense projector would take 256 MiB
+        rng = np.random.default_rng(d * 100 + n)
+        a, b = random_state(d, rng), random_state(d, rng)
+        acceptance_error_oracle(2, random_state(2, rng), random_state(2, rng))
+        tracemalloc.start()
+        try:
+            acceptance_error_oracle(n, a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 16 * d**n
 
 
 class TestSerialization:

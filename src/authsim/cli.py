@@ -49,6 +49,7 @@ NAMED_UNITARIES = {
 # Work caps, checked before any computation starts.
 MAX_COUNT = 10_000  # draws of random_schemes and random_sweep
 MAX_SCHEME_ENTRIES = 2**22  # num_keys * num_messages * dim**2: entries of the normals one random scheme draws
+MAX_RUN_ENTRIES = 2**28  # count * num_keys * num_messages * dim**2 for a whole run: about 8 s at 34M entries/s
 MAX_SCHEME_PAIRS = 2**20  # label pairs one scheme scores: num_messages * C(num_keys, 2) for a random one
 MAX_SWEEP_POINTS = 2**16  # |T values| * |delta_fracs| * |lambda_fracs|
 MAX_MESSAGE_SPACE_BITS = 2**20  # message_space_bits, used as 2**bits
@@ -195,13 +196,15 @@ def _run_classical_mac(params: dict, config: ScenarioConfig) -> dict:
 def _run_generic_qmac(params: dict, config: ScenarioConfig) -> dict:
     if "random_schemes" in params:
         shape = params["random_schemes"]
-        keys, messages, dim = shape["num_keys"], shape["num_messages"], shape["dim"]
+        count, keys, messages, dim = shape["count"], shape["num_keys"], shape["num_messages"], shape["dim"]
+        pairs, entries = messages * math.comb(keys, 2), keys * messages * dim**2
         for work, size, cap in (
-            ("draw num_keys * num_messages * dim**2 = {} entries", keys * messages * dim**2, MAX_SCHEME_ENTRIES),
-            ("score num_messages * C(num_keys, 2) = {} label pairs", messages * math.comb(keys, 2), MAX_SCHEME_PAIRS),
+            ("a random scheme would draw num_keys * num_messages * dim**2 = {} entries", entries, MAX_SCHEME_ENTRIES),
+            ("a random scheme would score num_messages * C(num_keys, 2) = {} label pairs", pairs, MAX_SCHEME_PAIRS),
+            ("the run would draw count * num_keys * num_messages * dim**2 = {} entries", count * entries, MAX_RUN_ENTRIES),
         ):
             if size > cap:
-                raise ParameterError(f"a random scheme would {work.format(size)}; the cap is {cap}")
+                raise ParameterError(f"{work.format(size)}; the cap is {cap}")
         # the spec fills every key, and its keys are random_scheme_reports' parameter names
         reports = qmac_framework.random_scheme_reports(np.random.default_rng(config.seed), **shape)
         rows = [

@@ -22,14 +22,14 @@ messages x keys into a label-index table, from which the partition and
 injectivity checks are read; each realized label gets one tag-state row; and
 the overlaps of every label pair of every message are computed once, in
 bounded batches of stacked 1 x d by d x 1 products that give each pair the
-bits of its own vdot (``pair_overlaps``), and kept as one flat list that a
-scheme's decision rule scores in one call. A random scheme draws one Haar
-unitary per (key, message) label. An ensemble of them is decided from its
-tag states alone (``random_scheme_reports``): each batch of whole schemes
-factors only column 0 of each draw, as the initial state is |0>, and each
-scheme's largest overlap is screened by one Gram product per message block,
-then recomputed by ``pair_overlaps`` on the pairs near it: bit for bit as
-consecutive ``random_scheme`` calls would be.
+bits of its own vdot (``pair_overlaps``), into one read-only float64 array
+that a scheme's decision rule scores with no Python value per pair. A random
+scheme draws one Haar unitary per (key, message) label. An ensemble of them
+is decided from its tag states alone (``random_scheme_reports``): each batch
+of whole schemes factors only column 0 of each draw, as the initial state is
+|0>, and each scheme's largest overlap is screened by one Gram product per
+message block, then recomputed by ``pair_overlaps`` on the pairs near it: bit
+for bit as consecutive ``random_scheme`` calls would be.
 """
 
 from __future__ import annotations
@@ -183,14 +183,14 @@ class QmacScheme:
         return np.concatenate([positions[_pair_positions(len(positions))].T for positions in rows])
 
     @cached_property
-    def overlaps(self) -> list[float]:
-        """|<Psi_i|Psi_j>| for the label pairs i < j of every message, flat.
+    def overlaps(self) -> np.ndarray:
+        """|<Psi_i|Psi_j>| for the label pairs i < j of every message, one read-only float64 array.
 
         Messages follow in order, message mi's pairs from ``pair_starts[mi]``,
         each message's in itertools.combinations order over its labels; the
-        values are those of ``pair_overlaps``, as Python floats.
+        values are those of ``pair_overlaps``.
         """
-        return pair_overlaps(self.states, self.pair_index).tolist()
+        return pair_overlaps(self.states, self.pair_index)
 
 
 def _check_norms(rows: np.ndarray) -> None:
@@ -208,7 +208,7 @@ def _pair_positions(n: int) -> np.ndarray:
 
 
 def pair_overlaps(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """|<rows[i]|rows[j]>| for each pair (i, j) of ``index``, as a float64 array.
+    """|<rows[i]|rows[j]>| for each pair (i, j) of ``index``, as a read-only float64 array.
 
     Each pair is the 1 x d by d x 1 matmul of its conjugated and plain rows,
     which reaches the zdot kernel np.vdot calls, and its modulus is np.hypot,
@@ -223,6 +223,7 @@ def pair_overlaps(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
         batch = index[start : start + step]
         dots = rows[batch[:, 0]].conj()[:, None, :] @ rows[batch[:, 1]][:, :, None]
         values[start : start + step] = np.hypot(dots.real, dots.imag).ravel()
+    values.setflags(write=False)
     return values
 
 
@@ -239,16 +240,14 @@ def overlap_matrix(scheme: QmacScheme, message) -> tuple[tuple, np.ndarray]:
         raise ParameterError(f"unknown message {message!r}")
     mi = scheme.message_set.index(message)
     labels = tuple(scheme.labels[p] for p in scheme.blocks[mi])
-    lam = np.eye(len(labels))
-    pairs = scheme.overlaps[scheme.pair_starts[mi] : scheme.pair_starts[mi + 1]]
-    for (i, j), value in zip(itertools.combinations(range(len(labels)), 2), pairs):
-        lam[i, j] = lam[j, i] = value
+    lam, (i, j) = np.eye(len(labels)), _pair_positions(len(labels))
+    lam[i, j] = lam[j, i] = scheme.overlaps[scheme.pair_starts[mi] : scheme.pair_starts[mi + 1]]
     return labels, lam
 
 
 def max_offdiagonal_overlap(scheme: QmacScheme) -> float:
     """Largest tag overlap across all messages and distinct label pairs."""
-    return float(max(scheme.overlaps, default=0.0))
+    return float(scheme.overlaps.max(initial=0.0))
 
 
 class DecisionRule:
@@ -275,21 +274,19 @@ class DecisionRule:
     def __hash__(self):
         return hash(tuple(vars(self).values()))
 
-    def wrong_tag_acceptances(self, overlaps: list[float]) -> list[float]:
-        """Probability of accepting a wrong tag at each overlap.
+    def wrong_tag_acceptances(self, overlaps: np.ndarray) -> np.ndarray:
+        """Probability of accepting a wrong tag at each overlap of a float64 array, as an array.
 
-        The projective rule squares each overlap as Python float ``** 2``
-        (libm pow, which differs from np.square in the last bit of about
-        0.08% of values); the symmetry-test rule checks the range of every overlap
-        first, then is ``symmetry_test.acceptance_error_formula``'s kernel.
+        The projective rule squares as ``lam * lam``, correctly rounded (libm pow, float ``** 2``, is
+        not); the symmetry-test rule checks every overlap's range first, naming the first bad one, then
+        applies ``symmetry_test.acceptance_error_formula``'s kernel elementwise, IEEE op for IEEE op.
         """
         if self.kind == "projective":
-            return [float(lam) ** 2 for lam in overlaps]
-        lams, copies = [float(lam) for lam in overlaps], float(self.copies)
-        bad = [lam for lam in lams if not 0.0 <= lam <= OVERLAP_MAX]
-        if bad:
-            raise ParameterError(f"overlap {bad[0]!r} outside [0, 1]")
-        return [_acceptance_error(copies, lam) for lam in lams]
+            return overlaps * overlaps
+        bad = ~((0.0 <= overlaps) & (overlaps <= OVERLAP_MAX))
+        if bad.any():
+            raise ParameterError(f"overlap {float(overlaps[np.argmax(bad)])!r} outside [0, 1]")
+        return _acceptance_error(float(self.copies), overlaps)
 
 
 class AttackReport:
@@ -323,22 +320,21 @@ def impersonation_deception(
     accepts the mismatched tag with probability Q given by the rule and the
     pair's overlap, maximized exhaustively over messages and distinct label
     pairs (first maximizer in scan order wins ties). The mean-Q variant is
-    reported alongside, summed in scan order with each pair counted once
-    per ordering.
+    reported alongside, each pair counted once per ordering and summed in scan
+    order by ``np.cumsum``, as a Python loop would (``np.sum`` adds pairwise).
     """
     rule = rule or DecisionRule("projective")
     scheme.validate()
-    tag_count = scheme.tags_per_message
-    floor = 1.0 / tag_count
+    floor = 1.0 / scheme.tags_per_message
 
     q = rule.wrong_tag_acceptances(scheme.overlaps)
-    best_q = max(q, default=0.0)
-    mean_q = sum(itertools.chain.from_iterable(zip(q, q))) / (2 * len(q)) if q else 0.0
+    best_q = float(q.max(initial=0.0))
+    mean_q = float(np.cumsum(np.repeat(q, 2))[-1] / (2 * q.size)) if q.size else 0.0
 
     witness_state = witness_message = witness_labels = None
     strategy = "guess a tag uniformly (single-label scheme)"
     if best_q > 0.0:
-        position = q.index(best_q)
+        position = int(np.argmax(q))
         mi = bisect.bisect_right(scheme.pair_starts, position) - 1
         expected_p, forged_p = scheme.pair_index[position].tolist()
         witness_message = scheme.message_set[mi]
@@ -489,7 +485,7 @@ def _theorem2_reports(
     (2u more for rounding) of the scheme's Gram maximum. Those pairs are
     recomputed in chunks of STACK_ENTRIES positions and reduced as they come:
     each maximum is the full scan's, bit for bit, and its best Q is it
-    squared once (Python float ``** 2`` is monotone).
+    squared once (the correctly rounded ``lam * lam`` is monotone).
     """
     size, (num_keys, dim) = len(blocks) // schemes, blocks.shape[1:]
     rows = blocks.reshape(-1, dim)
@@ -513,7 +509,7 @@ def _theorem2_reports(
         block, pair = np.divmod(np.flatnonzero(keep[lo : lo + STACK_ENTRIES]) + lo, pairs.shape[1])
         np.maximum.at(best, block // size, pair_overlaps(rows, pairs[:, pair].T + block[:, None] * num_keys))
     for lam_max in best.tolist():
-        yield _theorem2_report(AttackReport(_deception_probability(floor, lam_max**2), floor), lam_max)
+        yield _theorem2_report(AttackReport(_deception_probability(floor, lam_max * lam_max), floor), lam_max)
 
 
 SCHEME_SPEC = Spec({

@@ -39,8 +39,8 @@ def acceptance_error_formula(n, lambda_max) -> float:
     return _acceptance_error(n, lam)
 
 
-def _acceptance_error(n, lam: float) -> float:
-    return (1.0 + (n - 1.0) * lam**2) / n
+def _acceptance_error(n, lam):
+    return (1.0 + (n - 1.0) * (lam * lam)) / n
 
 
 def acceptance_error_oracle(n: int, a: PureState, b: PureState) -> float:
@@ -99,7 +99,7 @@ def _copies(tag_count: int, delta: float, lam: float, threshold: float) -> Copie
         raise DomainError(
             f"overlap {lam} is infeasible: must be below sqrt(delta*T/(T-1)) = {threshold}"
         )
-    n_real = (tag_count - 1) * (1.0 - lam**2) / (delta * tag_count - (tag_count - 1) * lam**2)
+    n_real = (tag_count - 1) * (1.0 - lam * lam) / (delta * tag_count - (tag_count - 1) * (lam * lam))
     if not math.isfinite(n_real):
         raise DomainError(f"copy count n_real = {n_real} is not finite at delta {delta!r}, overlap {lam!r}")
     return CopiesRequired(n_real=n_real, n_ceil=math.ceil(n_real - 1e-9))

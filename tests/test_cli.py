@@ -1,10 +1,13 @@
 import copy
 import gc
+import importlib.util
 import io
 import json
 import math
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from authsim import classical_mac, cli, curty_santos, qmac_framework, quantum_co
 from authsim.qmac_framework import random_scheme
 from testkit import CallCounter, scheme_to_json_dict, state_to_json_dict
 
+ROOT = Path(__file__).resolve().parents[1]
 
 def run_cli(*argv):
     out = io.StringIO()
@@ -253,6 +257,44 @@ class TestGenericQmacScenario:
             f"the cap is {cli.MAX_SCHEME_PAIRS}"
         ), out
         assert counter.calls == {"_haar_columns": 0, "__init__": 0}
+        assert not (tmp_path / "report.json").exists()
+
+    def test_run_entry_cap_admits_every_builtin_and_ladder_rung(self, monkeypatch):
+        spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up
+        spec.loader.exec_module(workloads)
+        shapes = [(count, dim, keys, messages) for dim, keys, messages, count in workloads.QMAC_LADDER]
+        for scenario in cli.BUILTIN_SCENARIOS.values():
+            if "random_schemes" in scenario["parameters"]:
+                shape = scenario["parameters"]["random_schemes"]
+                shapes.append((shape["count"], shape["dim"], shape["num_keys"], shape["num_messages"]))
+        assert len(shapes) == len(workloads.QMAC_LADDER) + 1
+        assert all(count * keys * messages * dim**2 <= cli.MAX_RUN_ENTRIES for count, dim, keys, messages in shapes)
+        # 64 schemes at the per-scheme cap fill the run's cap
+        assert 64 * cli.MAX_SCHEME_ENTRIES == cli.MAX_RUN_ENTRIES
+
+    @pytest.mark.parametrize("count,dim", [(65, 1024), (cli.MAX_COUNT, 128)])
+    def test_random_run_entries_over_cap_exit_one_before_drawing(self, count, dim, monkeypatch, tmp_path):
+        # each scheme is within MAX_SCHEME_ENTRIES (65 of them at it) and MAX_SCHEME_PAIRS; the run is not
+        shape = {"count": count, "dim": dim, "num_keys": 2, "num_messages": 2}
+        assert 4 * dim**2 <= cli.MAX_SCHEME_ENTRIES
+        counter = CallCounter(monkeypatch)
+        counter.count(qmac_framework, "_haar_columns")
+        config = write_config(tmp_path, "r.json", _cfg("GenericQmac", {"random_schemes": shape}))
+        tracemalloc.start()
+        try:
+            code, out = run_cli(str(config), str(tmp_path / "report.json"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert peak < 64 * 2**10
+        assert out == (
+            f"error: the run would draw count * num_keys * num_messages * dim**2 = {count * 4 * dim**2} entries; "
+            f"the cap is {cli.MAX_RUN_ENTRIES}\n"
+        )
+        assert counter.calls == {"_haar_columns": 0}
         assert not (tmp_path / "report.json").exists()
 
     def test_inline_scheme_pairs_over_cap_exit_one_before_scoring(self, monkeypatch, tmp_path):

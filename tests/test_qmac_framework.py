@@ -231,7 +231,8 @@ def reference_max_offdiagonal_overlap(scheme: QmacScheme) -> float:
 def reference_wrong_tag_acceptance(rule: DecisionRule, lam) -> float:
     """Bob's acceptance of a wrong tag at overlap lam, one closed form per call."""
     if rule.kind == "projective":
-        return float(lam) ** 2
+        lam = float(lam)
+        return lam * lam
     return acceptance_error_formula(rule.copies, lam)
 
 
@@ -873,7 +874,7 @@ class TestRandomSchemeReports:
         assert ensemble_rng.bit_generator.state == reference_rng.bit_generator.state
         for report, scheme in zip(reports, schemes):
             oracle = gemv_vdot_overlaps(scheme)
-            assert scheme.overlaps == oracle
+            assert scheme.overlaps.tolist() == oracle
             assert report.max_overlap == max(oracle, default=0.0)
 
     @pytest.mark.parametrize(
@@ -1118,8 +1119,42 @@ class TestOverlapScreen:
         assert peak < 5 * 2**20
 
 
+def list_path_scores(scheme: QmacScheme, rule: DecisionRule) -> tuple[float, int | None, float]:
+    """Best Q, its position and mean Q as the list scoring path computed them from one Python float
+    per pair, with squares as x * x: max, list.index (the first maximizer) and a sequential sum of
+    each pair's Q twice, in scan order."""
+    lams = scheme.overlaps.tolist()
+    if rule.kind == "projective":
+        q = [lam * lam for lam in lams]
+    else:
+        n = float(rule.copies)
+        q = [(1.0 + (n - 1.0) * (lam * lam)) / n for lam in lams]
+    total = 0.0
+    for value in itertools.chain.from_iterable(zip(q, q)):
+        total += value
+    best = max(q, default=0.0)
+    return best, q.index(best) if best > 0.0 else None, total / (2 * len(q)) if q else 0.0
+
+
+@st.composite
+def scored_overlaps(draw):
+    """A random scheme's shape and overlaps to score in place of its own: independent values in
+    [0, 1], or values around a few centres, with exact ties, neighbours 1 ulp apart and, near 0,
+    neighbours whose squares tie."""
+    num_keys, num_messages = draw(st.integers(1, 6)), draw(st.integers(2, 4))
+    size = num_messages * math.comb(num_keys, 2)
+    if draw(st.booleans()):
+        return num_keys, num_messages, draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size))
+    centre = st.one_of(st.floats(0.0, 1.0), st.sampled_from((0.0, 1e-200, 2.0**-537, 2**-0.5, 1.0)))
+    centres, values = draw(st.lists(centre, min_size=1, max_size=3)), []
+    for _ in range(size):
+        c, step = draw(st.sampled_from(centres)), draw(st.sampled_from((-1, 0, 1)))
+        values.append(max(0.0, float(np.nextafter(c, step * math.inf))) if step else c)
+    return num_keys, num_messages, values
+
+
 class TestOverlapKernel:
-    """The stacked overlap kernel and the list scoring against their
+    """The stacked overlap kernel and the array scoring against their
     one-value-at-a-time definitions, compared with ==. A numpy or BLAS
     change that breaks the bit identity fails here by name."""
 
@@ -1136,10 +1171,9 @@ class TestOverlapKernel:
             for blocks in scheme.blocks
             for i, j in itertools.combinations(blocks, 2)
         ]
-        assert scheme.overlaps == expected
-        assert all(type(value) is float for value in scheme.overlaps)
-        values = pair_overlaps(rows, scheme.pair_index)
-        assert type(values) is np.ndarray and values.dtype == np.float64 and values.tolist() == expected
+        for values in (scheme.overlaps, pair_overlaps(rows, scheme.pair_index)):
+            assert type(values) is np.ndarray and values.dtype == np.float64 and not values.flags.writeable
+            assert values.tolist() == expected
         per_message = num_keys * (num_keys - 1) // 2
         assert scheme.pair_starts == [mi * per_message for mi in range(num_messages + 1)]
 
@@ -1168,19 +1202,24 @@ class TestOverlapKernel:
         impersonation_deception(scheme, rule)
         assert counter.calls == {"read_value": 0}
         q = rule.wrong_tag_acceptances(scheme.overlaps)
-        assert len(q) == 112
-        assert q == [acceptance_error_formula(3, lam) for lam in scheme.overlaps]
+        assert q.shape == (112,)
+        assert q.tolist() == [acceptance_error_formula(3, lam) for lam in scheme.overlaps.tolist()]
 
-    def test_scored_q_is_python_float_square(self):
-        lams = np.random.default_rng(1).random(20000).tolist() + [0.0, 1.0, 1.0 + 1e-12]
-        assert DecisionRule("projective").wrong_tag_acceptances(lams) == [float(lam) ** 2 for lam in lams]
+    def test_scored_q_is_ieee_square(self):
+        # one correctly rounded multiply per overlap: libm pow (Python float ** 2) is not correctly
+        # rounded and differs from lam * lam in the last bit of about 0.08% of values
+        lams = np.concatenate([np.random.default_rng(1).random(20000), [0.0, 1.0, 1.0 + 1e-12]])
+        q = DecisionRule("projective").wrong_tag_acceptances(lams)
+        assert type(q) is np.ndarray and q.dtype == np.float64
+        assert q.tolist() == [lam * lam for lam in lams.tolist()]
         for copies in (2, 3, 7):
-            rule = DecisionRule("symmetry-test", copies)
-            assert rule.wrong_tag_acceptances(lams) == [acceptance_error_formula(copies, lam) for lam in lams]
+            q = DecisionRule("symmetry-test", copies).wrong_tag_acceptances(lams).tolist()
+            assert q == [(1.0 + (copies - 1.0) * (lam * lam)) / copies for lam in lams.tolist()]
+            assert q == [acceptance_error_formula(copies, lam) for lam in lams.tolist()]
 
     def test_square_of_max_is_max_of_squares(self):
         # the ensemble squares each scheme's largest overlap once instead of taking the
-        # largest square; Python float ** 2 (libm pow) must be monotone for that to be exact
+        # largest square; the IEEE multiply x * x, correctly rounded, is monotone, so that is exact
         def adjacent(centre, steps=200):
             below, above = [centre], [centre]
             for _ in range(steps):
@@ -1191,33 +1230,83 @@ class TestOverlapKernel:
         # near 0, 2**-0.5, 1 and the overlap whose square is the least normal float
         ladders = [adjacent(c) for c in (0.0, 2**-0.5, 1.0, math.sqrt(2.0**-1022))]
         for ladder in ladders:
-            squares = [x**2 for x in ladder]
+            squares = [x * x for x in ladder]
             assert squares == sorted(squares)
         rng = np.random.default_rng(3)
         for run in [rng.random(5000).tolist(), *ladders]:
             for window in (rng.permutation(run[i : i + 7]).tolist() for i in range(0, len(run), 3)):
-                assert float(max(window)) ** 2 == max(float(x) ** 2 for x in window)
+                top = max(window)
+                assert top * top == max(x * x for x in window)
         # a scheme without pairs (one key) reports 0.0 both ways
-        assert max([], default=0.0) ** 2 == max([], default=0.0) == 0.0
+        top = np.empty(0).max(initial=0.0)
+        assert top * top == top == 0.0
 
     def test_symmetry_rule_keeps_range_check(self):
-        with pytest.raises(ParameterError, match="outside"):
-            DecisionRule("symmetry-test", 3).wrong_tag_acceptances([0.5, 1.0 + 1e-9])
-        assert DecisionRule("projective").wrong_tag_acceptances([]) == []
+        # one check over the whole array, naming the first bad overlap in scan order
+        with pytest.raises(ParameterError, match=r"^overlap 1\.000000001 outside \[0, 1\]$"):
+            DecisionRule("symmetry-test", 3).wrong_tag_acceptances(np.array([0.5, 1.0 + 1e-9, -2.0, math.nan]))
+        empty = DecisionRule("projective").wrong_tag_acceptances(np.empty(0))
+        assert empty.shape == (0,) and empty.dtype == np.float64
 
-    @pytest.mark.parametrize("lam", [1.0 + 1e-11, math.nan], ids=["above-slack", "nan"])
+    @pytest.mark.parametrize("lam", [1.0 + 1e-11, math.nan, -5e-324], ids=["above-slack", "nan", "negative"])
     def test_symmetry_rule_rejects_overlap_out_of_range(self, lam):
-        with pytest.raises(ParameterError, match=r"outside \[0, 1\]"):
-            DecisionRule("symmetry-test", 3).wrong_tag_acceptances([0.5, lam])
+        with pytest.raises(ParameterError, match=rf"^overlap {lam!r} outside \[0, 1\]$"):
+            DecisionRule("symmetry-test", 3).wrong_tag_acceptances(np.array([0.5, lam]))
 
     def test_symmetry_rule_accepts_overlap_within_slack(self):
         lam = 1.0 + 1e-13
-        assert DecisionRule("symmetry-test", 3).wrong_tag_acceptances([lam]) == [(1.0 + 2.0 * lam**2) / 3.0]
+        q = DecisionRule("symmetry-test", 3).wrong_tag_acceptances(np.array([lam]))
+        assert q.tolist() == [(1.0 + 2.0 * (lam * lam)) / 3.0]
 
     def test_projective_rule_checks_no_range(self):
         lams = [1.0 + 1e-11, -0.5, 2.0]
-        assert DecisionRule("projective").wrong_tag_acceptances(lams) == [lam**2 for lam in lams]
-        assert math.isnan(DecisionRule("projective").wrong_tag_acceptances([math.nan])[0])
+        assert DecisionRule("projective").wrong_tag_acceptances(np.array(lams)).tolist() == [lam * lam for lam in lams]
+        assert math.isnan(DecisionRule("projective").wrong_tag_acceptances(np.array([math.nan]))[0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=scored_overlaps(), rule=decision_rules)
+    # exact ties; 1-ulp neighbours whose squares tie at 2**-1074, so the first pair of largest Q, not
+    # of largest overlap, is the witness; squares that underflow to 0 (no witness when projective)
+    @example(case=(3, 2, [0.5] * 6), rule=DecisionRule("projective"))
+    @example(case=(2, 2, [2.0**-537, float(np.nextafter(2.0**-537, 1.0))]), rule=DecisionRule("projective"))
+    @example(case=(3, 2, [1e-200, 2e-200, 0.0, 3e-200, 1e-200, 0.0]), rule=DecisionRule("projective"))
+    @example(case=(3, 2, [1e-200, 2e-200, 0.0, 3e-200, 1e-200, 0.0]), rule=DecisionRule("symmetry-test", 3))
+    def test_array_scores_equal_list_path(self, case, rule):
+        num_keys, num_messages, values = case
+        scheme = random_scheme(np.random.default_rng(num_keys), 2, num_keys, num_messages)
+        overlaps = np.array(values, dtype=np.float64)
+        overlaps.setflags(write=False)
+        scheme.__dict__["overlaps"] = overlaps  # the cached property, scored in place of the scheme's own
+        best, position, mean = list_path_scores(scheme, rule)
+        scored = []
+        with pytest.MonkeyPatch.context() as patch:
+            real = qmac_framework._deception_probability
+            patch.setattr(qmac_framework, "_deception_probability", lambda f, q: scored.append(q) or real(f, q))
+            report = impersonation_deception(scheme, rule)
+        assert scored == [best, mean] and all(type(q) is float for q in scored)
+        if position is None:
+            assert report.witness_labels is None and report.witness_message is None
+        else:
+            i, j = scheme.pair_index[position].tolist()
+            assert report.witness_labels == (scheme.labels[i], scheme.labels[j])
+            assert report.witness_message == next(
+                m for m in range(num_messages) if scheme.pair_starts[m] <= position < scheme.pair_starts[m + 1]
+            )
+
+    def test_scoring_at_the_pair_cap_traces_no_float_per_pair(self):
+        # 1024 keys of 2 messages, 1,047,552 pairs: both attacks, scored as arrays, peak near 48 MiB
+        # traced (the overlaps, their Q, the doubled Q and its running sum); scored as lists of Python
+        # floats they peaked at 72 MiB
+        scheme = random_scheme(np.random.default_rng(16), dim=2, num_keys=1024, num_messages=2)
+        assert scheme.states.shape == (2048, 2) and scheme.pair_index.shape == (2 * math.comb(1024, 2), 2)
+        tracemalloc.start()
+        try:
+            verify_theorem2(scheme)
+            impersonation_deception(scheme, DecisionRule("symmetry-test", 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 60 * 2**20
 
 
 def test_tag_state_norm_checked_once_per_table():

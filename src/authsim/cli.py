@@ -51,6 +51,7 @@ MAX_COUNT = 10_000  # draws of random_schemes and random_sweep
 MAX_SCHEME_ENTRIES = 2**22  # num_keys * num_messages * dim**2: entries of the normals one random scheme draws
 MAX_RUN_ENTRIES = 2**28  # count * num_keys * num_messages * dim**2 for a whole run: about 8 s at 34M entries/s
 MAX_SCHEME_PAIRS = 2**20  # label pairs one scheme scores: num_messages * C(num_keys, 2) for a random one
+MAX_RUN_PAIRS = 2**26  # count * num_messages * C(num_keys, 2) for a whole run: about 5 s at 13M pairs/s
 MAX_SWEEP_POINTS = 2**16  # |T values| * |delta_fracs| * |lambda_fracs|
 MAX_MESSAGE_SPACE_BITS = 2**20  # message_space_bits, used as 2**bits
 _EXACT_FLOAT_INT = 2**53  # integers the symmetry-test formulas turn into floats
@@ -202,6 +203,7 @@ def _run_generic_qmac(params: dict, config: ScenarioConfig) -> dict:
             ("a random scheme would draw num_keys * num_messages * dim**2 = {} entries", entries, MAX_SCHEME_ENTRIES),
             ("a random scheme would score num_messages * C(num_keys, 2) = {} label pairs", pairs, MAX_SCHEME_PAIRS),
             ("the run would draw count * num_keys * num_messages * dim**2 = {} entries", count * entries, MAX_RUN_ENTRIES),
+            ("the run would score count * num_messages * C(num_keys, 2) = {} label pairs", count * pairs, MAX_RUN_PAIRS),
         ):
             if size > cap:
                 raise ParameterError(f"{work.format(size)}; the cap is {cap}")

@@ -321,7 +321,9 @@ def impersonation_deception(
     pair's overlap, maximized exhaustively over messages and distinct label
     pairs (first maximizer in scan order wins ties). The mean-Q variant is
     reported alongside, each pair counted once per ordering and summed in scan
-    order by ``np.cumsum``, as a Python loop would (``np.sum`` adds pairwise).
+    order by ``np.cumsum``, as a Python loop would (``np.sum`` adds pairwise):
+    STACK_ENTRIES pairs at a time, each chunk after the first led by the sum
+    so far, which makes the same additions in bounded memory.
     """
     rule = rule or DecisionRule("projective")
     scheme.validate()
@@ -329,7 +331,10 @@ def impersonation_deception(
 
     q = rule.wrong_tag_acceptances(scheme.overlaps)
     best_q = float(q.max(initial=0.0))
-    mean_q = float(np.cumsum(np.repeat(q, 2))[-1] / (2 * q.size)) if q.size else 0.0
+    total = np.empty(0)
+    for lo in range(0, q.size, STACK_ENTRIES):
+        total = np.cumsum(np.concatenate((total, np.repeat(q[lo : lo + STACK_ENTRIES], 2))))[-1:]
+    mean_q = float(total[0] / (2 * q.size)) if q.size else 0.0
 
     witness_state = witness_message = witness_labels = None
     strategy = "guess a tag uniformly (single-label scheme)"

@@ -14,7 +14,6 @@ total dimension is capped at 4096 and the symmetric subspace at 8 copies.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from functools import reduce
@@ -69,19 +68,21 @@ def _items(value) -> tuple:
 def _resolve_dims(dims, total: int | None = None) -> tuple[int, ...]:
     """Subsystem dimensions as a tuple of positive ints.
 
-    ``dims`` is an int or a sequence of them, each read by ``_index``.
-    When ``total`` is given, None means one system of that dimension
-    and the dims must multiply to it.
+    ``dims`` is an int or a sequence of them. Plain positive ints pass in
+    one look; otherwise each is read by ``_index``. When ``total`` is
+    given, None means one system of that dimension and the dims must
+    multiply to it.
     """
     if dims is None and total is not None:
         return (total,)
-    items = _items(dims)
-    try:
-        dims = tuple(_index(x, "subsystem dimension") for x in items)
-    except ParameterError:
-        raise ParameterError(f"subsystem dimensions must be integers, got {items!r}") from None
-    if not dims or any(x < 1 for x in dims):
-        raise ParameterError(f"subsystem dimensions must be positive, got {dims}")
+    dims = _items(dims)
+    if not (dims and all(type(x) is int and x > 0 for x in dims)):
+        try:
+            dims = tuple(_index(x, "subsystem dimension") for x in dims)
+        except ParameterError:
+            raise ParameterError(f"subsystem dimensions must be integers, got {dims!r}") from None
+        if not dims or any(x < 1 for x in dims):
+            raise ParameterError(f"subsystem dimensions must be positive, got {dims}")
     if total is not None and math.prod(dims) != total:
         raise ParameterError(f"dims {dims} do not multiply to total dimension {total}")
     return dims
@@ -99,14 +100,22 @@ class PureState:
         if amps.size < 1:
             raise ParameterError("state must have dimension >= 1")
         self.amplitudes, self.dims = amps, _resolve_dims(self.dims, amps.size)
-        with np.errstate(over="ignore"):  # a huge component overflows to an infinite norm, failing the check
-            norm = np.linalg.norm(amps)
+        norm = _norm(amps)
         if not abs(norm - 1.0) <= NORM_ATOL:
-            raise ParameterError(f"state norm {float(norm)} is not 1 within {NORM_ATOL}")
+            raise ParameterError(f"state norm {norm} is not 1 within {NORM_ATOL}")
 
     @property
     def d(self) -> int:
         return self.amplitudes.size
+
+
+def _norm(amps: np.ndarray) -> float:
+    """``np.linalg.norm`` of a complex vector, bit for bit: the ddot of its real
+    view plus the ddot of its imaginary view, then a correctly rounded square
+    root. ``np.vdot`` and Python floats raise no overflow warning, so a huge
+    component gives an infinite norm quietly, and a NaN one a NaN norm."""
+    re, im = amps.real, amps.imag
+    return math.sqrt(float(np.vdot(re, re)) + float(np.vdot(im, im)))
 
 
 class UnitaryOperator:
@@ -177,16 +186,22 @@ def basis_state(index: int, dims) -> PureState:
 def _trusted(kind, values: np.ndarray, dims):
     """Instance of ``kind`` from values whose check has already been made.
 
-    For a product of validated factors, a tag state from a norm-checked
-    table or a unitary of a checked Haar stack. The dims are checked
-    against the array; the norm, unitarity or hermiticity check is not run
-    again. ``values`` is frozen in place, not copied.
+    For a tag state from a norm-checked table or a unitary of a checked
+    Haar stack. The dims are checked against the array; the norm,
+    unitarity or hermiticity check is not run again. ``values`` is frozen
+    in place, not copied.
     """
     values = np.asarray(values, dtype=complex)
+    return _assemble(kind, values, _resolve_dims(dims, values.shape[0]))
+
+
+def _assemble(kind, values: np.ndarray, dims: tuple[int, ...]):
+    """Instance of ``kind`` holding the complex array ``values``, frozen in place, and ``dims`` as given:
+    for ``_trusted`` and for ``tensor``, whose product's dims are its checked factors' dims."""
     values.setflags(write=False)
     obj = object.__new__(kind)
     setattr(obj, "amplitudes" if kind is PureState else "matrix", values)
-    obj.dims = _resolve_dims(dims, values.shape[0])
+    obj.dims = dims
     return obj
 
 
@@ -201,7 +216,8 @@ def tensor(factors: Sequence):
     """Kronecker product of states or of operators (one kind per call).
 
     Subsystem dims concatenate; the result type matches the input type. The
-    dimension cap is checked before any product is formed.
+    dimension cap is checked before any product is formed. The factors were
+    checked when they were built, so their product and its dims are not.
     """
     factors = list(factors)
     if not factors:
@@ -211,12 +227,12 @@ def tensor(factors: Sequence):
         raise ParameterError(f"cannot tensor objects of type {kind.__name__}")
     if any(type(f) is not kind for f in factors):
         raise ParameterError("tensor factors must all be the same kind")
-    total = math.prod(f.d for f in factors)
+    dims = sum((f.dims for f in factors), ())
+    total = math.prod(dims)
     if total > MAX_TOTAL_DIMENSION:
         raise ParameterError(f"total dimension {total} exceeds cap {MAX_TOTAL_DIMENSION}")
-    dims = tuple(itertools.chain.from_iterable(f.dims for f in factors))
-    values = reduce(_kron, (f.amplitudes if kind is PureState else f.matrix for f in factors))
-    return _trusted(kind, values, dims)
+    values = reduce(_kron, [f.amplitudes for f in factors] if kind is PureState else [f.matrix for f in factors])
+    return _assemble(kind, values, dims)
 
 
 def overlap(a: PureState, b: PureState) -> complex:

@@ -297,6 +297,48 @@ class TestGenericQmacScenario:
         assert counter.calls == {"_haar_columns": 0}
         assert not (tmp_path / "report.json").exists()
 
+    def test_run_pair_cap_admits_every_builtin_and_ladder_rung(self, monkeypatch):
+        spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up
+        spec.loader.exec_module(workloads)
+        shapes = [(count, keys, messages) for _, keys, messages, count in workloads.QMAC_LADDER]
+        shapes += [
+            (shape["count"], shape["num_keys"], shape["num_messages"])
+            for shape in (s["parameters"].get("random_schemes") for s in cli.BUILTIN_SCENARIOS.values())
+            if shape is not None
+        ]
+        assert len(shapes) == len(workloads.QMAC_LADDER) + 1
+        assert all(count * messages * math.comb(keys, 2) <= cli.MAX_RUN_PAIRS for count, keys, messages in shapes)
+        # 64 schemes at the per-scheme pair cap fill the run's cap
+        assert 64 * cli.MAX_SCHEME_PAIRS == cli.MAX_RUN_PAIRS
+
+    @pytest.mark.parametrize("count,keys", [(65, 1024), (cli.MAX_COUNT, 83)])
+    def test_random_run_pairs_over_cap_exit_one_before_drawing(self, count, keys, monkeypatch, tmp_path):
+        # each scheme is within MAX_SCHEME_PAIRS and the run within MAX_RUN_ENTRIES; one scheme
+        # fewer, or one key fewer, and the run's pairs would be within MAX_RUN_PAIRS too
+        shape = {"count": count, "dim": 1, "num_keys": keys, "num_messages": 2}
+        pairs = 2 * math.comb(keys, 2)
+        assert pairs <= cli.MAX_SCHEME_PAIRS and count * keys * 2 <= cli.MAX_RUN_ENTRIES
+        assert min((count - 1) * pairs, count * 2 * math.comb(keys - 1, 2)) <= cli.MAX_RUN_PAIRS < count * pairs
+        counter = CallCounter(monkeypatch)
+        counter.count(qmac_framework, "_haar_columns")
+        config = write_config(tmp_path, "r.json", _cfg("GenericQmac", {"random_schemes": shape}))
+        tracemalloc.start()
+        try:
+            code, out = run_cli(str(config), str(tmp_path / "report.json"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert peak < 64 * 2**10
+        assert out == (
+            f"error: the run would score count * num_messages * C(num_keys, 2) = {count * pairs} label pairs; "
+            f"the cap is {cli.MAX_RUN_PAIRS}\n"
+        )
+        assert counter.calls == {"_haar_columns": 0}
+        assert not (tmp_path / "report.json").exists()
+
     def test_inline_scheme_pairs_over_cap_exit_one_before_scoring(self, monkeypatch, tmp_path):
         # 1025 keys of 2 messages at dim 1: every label has a unitary, and its pairs are over the cap
         keys, labels = range(1025), [f"{k},{m}" for k in range(1025) for m in (0, 1)]

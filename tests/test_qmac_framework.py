@@ -29,6 +29,7 @@ from authsim.qmac_framework import (
 )
 from authsim import cli, qmac_framework, quantum_core, symmetry_test
 from authsim.quantum_core import (
+    STACK_ENTRIES,
     PureState,
     UnitaryOperator,
     basis_state,
@@ -1294,9 +1295,10 @@ class TestOverlapKernel:
             )
 
     def test_scoring_at_the_pair_cap_traces_no_float_per_pair(self):
-        # 1024 keys of 2 messages, 1,047,552 pairs: both attacks, scored as arrays, peak near 48 MiB
-        # traced (the overlaps, their Q, the doubled Q and its running sum); scored as lists of Python
-        # floats they peaked at 72 MiB
+        # 1024 keys of 2 messages, 1,047,552 pairs: both attacks, scored as arrays, peak at 17.0 MiB
+        # traced (the overlaps and their Q, 8 MiB each; the mean adds in chunks of STACK_ENTRIES pairs);
+        # the pin leaves 3 MiB of margin. With the doubled Q and its running sum whole they peaked at
+        # 48 MiB, and scored as lists of Python floats at 72 MiB
         scheme = random_scheme(np.random.default_rng(16), dim=2, num_keys=1024, num_messages=2)
         assert scheme.states.shape == (2048, 2) and scheme.pair_index.shape == (2 * math.comb(1024, 2), 2)
         tracemalloc.start()
@@ -1306,7 +1308,27 @@ class TestOverlapKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 60 * 2**20
+        assert peak < 20 * 2**20
+
+    @pytest.mark.parametrize(
+        "rule", [DecisionRule("projective"), DecisionRule("symmetry-test", 3)], ids=["projective", "symmetry-test"]
+    )
+    @pytest.mark.parametrize("pairs", [STACK_ENTRIES - 1, STACK_ENTRIES, STACK_ENTRIES + 1, 3 * STACK_ENTRIES + 5])
+    def test_mean_across_chunks_equals_list_path(self, pairs, rule):
+        # 2 keys give one pair per message, so the mean adds 1 to 4 chunks of STACK_ENTRIES pairs,
+        # each after the first led by the sum so far; overlaps over six decades make every add round
+        scheme = random_scheme(np.random.default_rng(pairs), 1, 2, pairs)
+        rng = np.random.default_rng(0)
+        overlaps = rng.random(pairs) * 10.0 ** -rng.integers(0, 6, pairs)
+        overlaps.setflags(write=False)
+        scheme.__dict__["overlaps"] = overlaps  # the cached property, scored in place of the scheme's own
+        best, _, mean = list_path_scores(scheme, rule)
+        scored = []
+        with pytest.MonkeyPatch.context() as patch:
+            real = qmac_framework._deception_probability
+            patch.setattr(qmac_framework, "_deception_probability", lambda f, q: scored.append(q) or real(f, q))
+            impersonation_deception(scheme, rule)
+        assert scored == [best, mean]
 
 
 def test_tag_state_norm_checked_once_per_table():

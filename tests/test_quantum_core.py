@@ -16,6 +16,7 @@ from authsim.quantum_core import (
     UnitaryOperator,
     _haar_columns,
     _kron,
+    _norm,
     _trusted,
     basis_state,
     iter_haar_stacks,
@@ -219,6 +220,38 @@ class TestNonFiniteRejected:
         skewed = [basis[0], _trusted(PureState, np.array([math.nan, 1.0]), (2,))]
         with pytest.raises(ParameterError, match="orthonormal"):
             measure_projective(half, skewed)
+
+
+@st.composite
+def norm_operands(draw):
+    """A complex vector of 1 to 4096 entries at a scale from 1e-300 to 1e300, with
+    up to three real or imaginary parts set to NaN or an infinity."""
+    size = draw(st.integers(1, 4096))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vec = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) * draw(st.floats(1e-300, 1e300))
+    parts = vec.view(np.float64)
+    for _ in range(draw(st.integers(0, 3))):
+        parts[draw(st.integers(0, 2 * size - 1))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return vec
+
+
+class TestNormCheck:
+    """PureState's norm check reads ``_norm``, np.linalg.norm's value without its dispatch."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(vec=norm_operands())
+    def test_norm_is_numpy_norm(self, vec):
+        norm = _norm(vec)
+        with np.errstate(over="ignore"):  # np.linalg.norm warns where a square overflows; _norm does not
+            expected = np.linalg.norm(vec)
+        assert type(norm) is float
+        assert norm == expected or (math.isnan(norm) and math.isnan(expected))
+
+    @pytest.mark.parametrize("vec", [[1e300, 0.0], [1e200, 1e200j]], ids=["one-huge", "squares-overflow"])
+    def test_overflowing_norm_rejected_without_warning(self, vec):
+        # pyproject makes a RuntimeWarning an error, so an overflow warning would fail here first
+        with pytest.raises(ParameterError, match=r"^state norm inf is not 1 within 1e-10$"):
+            PureState(np.array(vec, dtype=complex))
 
 
 class TestMessagesPrintPythonFloats:

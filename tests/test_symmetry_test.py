@@ -1,3 +1,5 @@
+import io
+import json
 import math
 import re
 from fractions import Fraction
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from authsim import cli, symmetry_test
 from authsim.errors import DomainError, ParameterError
-from authsim.quantum_core import HermitianOperator, PureState, UnitaryOperator, basis_state, random_state
+from authsim.quantum_core import MAX_COPIES, HermitianOperator, PureState, UnitaryOperator, basis_state, random_state
 from authsim.symmetry_test import (
     SweepRow,
     acceptance_error_formula,
@@ -142,6 +144,121 @@ class TestAcceptanceErrorOracle:
             acceptance_error_oracle(n, basis_state(0, (1,)), basis_state(0, (1,)))
         with pytest.raises(ParameterError, match="copy count"):
             acceptance_error_oracle(n, basis_state(0, (3,)), basis_state(1, (3,)))
+
+
+def gaussian_integers(amplitudes: np.ndarray) -> tuple[list[tuple[int, int]], int]:
+    """The amplitudes times ``scale``, one power of two, as exact (re, im) int pairs.
+
+    Every float is num/den with den a power of two (``float.as_integer_ratio``),
+    so scaling by the largest den leaves no remainder.
+    """
+    ratios = [x.as_integer_ratio() for z in amplitudes.tolist() for x in (z.real, z.imag)]
+    scale = max(den for _, den in ratios)
+    ints = [num * (scale // den) for num, den in ratios]
+    return list(zip(ints[::2], ints[1::2])), scale
+
+
+def gaussian_inner(u, v) -> tuple[int, int]:
+    """<u|v> of two vectors of Gaussian integers."""
+    pairs = list(zip(u, v))
+    return sum(a * c + b * d for (a, b), (c, d) in pairs), sum(a * d - b * c for (a, b), (c, d) in pairs)
+
+
+def gaussian_mul(x, y) -> tuple[int, int]:
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def gaussian_pow(x, k: int) -> tuple[int, int]:
+    out = (1, 0)
+    while k:
+        if k & 1:
+            out = gaussian_mul(out, x)
+        x, k = gaussian_mul(x, x), k >> 1
+    return out
+
+
+def exact_acceptance(n: int, a: np.ndarray, b: np.ndarray) -> Fraction:
+    """<Phi|P_sym|Phi> for Phi = a (x) b^(x)(n-1), exactly, from the amplitudes as given.
+
+    It is perm(G)/n! for the Gram matrix G_ij = <v_i|v_j> of the n factors
+    (Harrow, arXiv:1308.6595). Ryser's formula, grouped by the column
+    multiplicities (1, n-1), has 2n terms,
+    sum_{s_a<=1, s_b<n} (-1)^(n-s_a-s_b) C(n-1, s_b) (s_a g_aa + s_b g_ab) (s_a g_ba + s_b g_bb)^(n-1),
+    evaluated in Gaussian integers on the scaled amplitudes; the scales
+    leave by one division at the end.
+    """
+    (u, scale_a), (v, scale_b) = gaussian_integers(a), gaussian_integers(b)
+    g_aa, g_ab, g_bb = gaussian_inner(u, u)[0], gaussian_inner(u, v), gaussian_inner(v, v)[0]
+    perm_re = perm_im = 0
+    for s_a in (0, 1):
+        for s_b in range(n):
+            head = (s_a * g_aa + s_b * g_ab[0], s_b * g_ab[1])
+            tail = gaussian_pow((s_a * g_ab[0] + s_b * g_bb, -s_a * g_ab[1]), n - 1)
+            re, im = gaussian_mul(head, tail)
+            weight = (-1) ** (n - s_a - s_b) * math.comb(n - 1, s_b)
+            perm_re, perm_im = perm_re + weight * re, perm_im + weight * im
+    assert perm_im == 0  # G is Hermitian, so its permanent is real
+    return Fraction(perm_re, math.factorial(n) * scale_a**2 * scale_b ** (2 * (n - 1)))
+
+
+def closed_form_with_norms(n: int, a: np.ndarray, b: np.ndarray) -> Fraction:
+    """(g_aa g_bb^(n-1) + (n-1)|g_ab|^2 g_bb^(n-2))/n in exact rationals: the
+    (1 + (n-1) lambda^2)/n of the paper for states whose norms are not exactly 1."""
+    fa = [(Fraction(z.real), Fraction(z.imag)) for z in a.tolist()]
+    fb = [(Fraction(z.real), Fraction(z.imag)) for z in b.tolist()]
+    g_aa, g_bb = (sum(x * x + y * y for x, y in f) for f in (fa, fb))
+    g_ab_re = sum(x1 * x2 + y1 * y2 for (x1, y1), (x2, y2) in zip(fa, fb))
+    g_ab_im = sum(x1 * y2 - y1 * x2 for (x1, y1), (x2, y2) in zip(fa, fb))
+    return (g_aa * g_bb ** (n - 1) + (n - 1) * (g_ab_re**2 + g_ab_im**2) * g_bb ** (n - 2)) / n
+
+
+@pytest.fixture(scope="module")
+def reported_copy_counts(tmp_path_factory):
+    """Every n_ceil of the symtest-grid built-in report."""
+    out = tmp_path_factory.mktemp("grid") / "grid.json"
+    assert cli.run("symtest-grid", output=str(out), stdout=io.StringIO()) == 0
+    return sorted({row["n_ceil"] for row in json.loads(out.read_text())["rows"]})
+
+
+class TestExactPermanent:
+    """The symmetry test's acceptance in exact arithmetic, from the Gram
+    permanent of the n factors: the closed form and the dense oracle are both
+    held to it, the closed form at every copy count the built-in grid reports,
+    past the oracle's 8-copy cap."""
+
+    def test_reported_copy_counts_run_past_the_oracle_cap(self, reported_copy_counts):
+        assert reported_copy_counts[0] == 2 and reported_copy_counts[-1] == 40 > MAX_COPIES
+
+    @pytest.mark.parametrize("d", [2, 5, 64])
+    def test_closed_form_equals_permanent(self, d, reported_copy_counts):
+        # random states are divided by their float norm, so their norms are 1 only within an ulp or so
+        rng = np.random.default_rng(d)
+        pairs = [(random_state(d, rng).amplitudes, random_state(d, rng).amplitudes) for _ in range(2)]
+        pairs.append((pairs[0][0], pairs[0][0]))  # lambda = 1 up to the norms
+        for n in reported_copy_counts:
+            for a, b in pairs:
+                assert exact_acceptance(n, a, b) == closed_form_with_norms(n, a, b), n
+
+    def test_basis_pairs(self):
+        # orthogonal states pass with probability 1/n, identical unit states always
+        zero, plus = np.array([1.0, 0.0]), np.array([1.0, 1.0]) / math.sqrt(2)
+        for n in (1, 2, 3, 20):
+            assert exact_acceptance(n, zero, np.array([0.0, 1.0])) == Fraction(1, n)
+            assert exact_acceptance(n, zero, zero) == 1
+            assert exact_acceptance(n, zero, plus) == closed_form_with_norms(n, zero, plus)
+
+    def test_dense_oracle_within_1e_15(self):
+        # every (d, n) with d <= 64 that the dense oracle admits: n <= 8 and d**n <= 4096
+        rng, worst = np.random.default_rng(7), {}
+        for d in range(1, 65):
+            for n in range(1, 9):
+                if d**n > 4096:
+                    break
+                a, b = random_state(d, rng), random_state(d, rng)
+                exact = float(exact_acceptance(n, a.amplitudes, b.amplitudes))
+                worst[d, n] = abs(acceptance_error_oracle(n, a, b) - exact)
+        assert len(worst) == 166
+        assert max(worst.values()) <= 1e-15, max(worst, key=worst.get)
 
 
 class TestCopiesRequired:

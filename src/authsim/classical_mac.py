@@ -53,14 +53,16 @@ class HashFamily:
     ``evaluate`` must be total on [0, key_space_size) x message_space and
     return elements of tag_space. ``epsilon`` carries the substitution bound
     of an almost-strongly-universal family and is required exactly for
-    ``FamilyKind.EPSILON_ASU``. ``g``, set by the built-in families, is the |M| x p
-    table whose key a*p + b tags message i with (g[i, a] + b) mod p, g linear over
-    message_space = Z_p^blocks (from the zero message) and tag_space = range(p).
+    ``FamilyKind.EPSILON_ASU``. ``g``, set only by ``make_affine_family`` and
+    ``make_poly_family`` on the family they build, is the |M| x p table whose key
+    a*p + b tags message i with (g[i, a] + b) mod p, g linear over message_space =
+    Z_p^blocks (from the zero message) and tag_space = range(p); it is None for
+    every other family, which is decided from ``evaluate``.
     """
 
     def __init__(
         self, key_space_size: int, message_space: tuple, tag_space: tuple, evaluate: Callable[[int, Any], Any],
-        family_kind: FamilyKind, epsilon: Fraction | None = None, name: str = "custom", g: np.ndarray | None = None
+        family_kind: FamilyKind, epsilon: Fraction | None = None, name: str = "custom"
     ):
         key_space_size = read_value(_KEY_COUNT, key_space_size, "key_space_size")
         if len(message_space) <= 1:
@@ -79,7 +81,7 @@ class HashFamily:
         self.key_space_size, self.message_space, self.tag_space, self.evaluate = (
             key_space_size, message_space, tag_space, evaluate
         )
-        self.family_kind, self.epsilon, self.name, self.g = family_kind, epsilon, name, g
+        self.family_kind, self.epsilon, self.name, self.g = family_kind, epsilon, name, None
 
 
 class DeceptionReport:
@@ -149,15 +151,16 @@ def make_affine_family(p: int) -> HashFamily:
         a, b = divmod(key_index, p)
         return (a * message + b) % p
 
-    return HashFamily(
+    family = HashFamily(
         key_space_size=p * p,
         message_space=tuple(range(p)),
         tag_space=tuple(range(p)),
         evaluate=evaluate,
         family_kind=FamilyKind.STRONGLY_UNIVERSAL,
         name=f"affine-p{p}",
-        g=_poly_g(p, 1),
     )
+    family.g = _poly_g(p, 1)
+    return family
 
 
 def make_poly_family(p: int, blocks: int) -> HashFamily:
@@ -180,7 +183,7 @@ def make_poly_family(p: int, blocks: int) -> HashFamily:
             acc += part * power
         return acc % p
 
-    return HashFamily(
+    family = HashFamily(
         key_space_size=p * p,
         message_space=tuple(itertools.product(range(p), repeat=blocks)),
         tag_space=tuple(range(p)),
@@ -188,8 +191,9 @@ def make_poly_family(p: int, blocks: int) -> HashFamily:
         family_kind=FamilyKind.EPSILON_ASU,
         epsilon=Fraction(blocks, p),
         name=f"poly-p{p}-l{blocks}",
-        g=_poly_g(p, blocks),
     )
+    family.g = _poly_g(p, blocks)
+    return family
 
 
 def check_caps(n_keys: int, n_msgs: int, n_tags: int) -> None:

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import classical_mac, curty_santos, qmac_framework, symmetry_test
 from .errors import InvariantViolation, ParameterError
-from .quantum_core import UnitaryOperator, _kron, iter_haar_stacks
+from .quantum_core import UnitaryOperator, _kron, haar_unitaries
 from .reporting import config_sha256, format_float, fraction_str, jsonable, render_csv, render_json
 from .spec import Field, Spec, read_spec, read_value
 
@@ -295,8 +295,7 @@ def _cs_instance_report(instance: curty_santos.CurtySantosInstance) -> dict:
 def _run_curty_santos(params: dict, config: ScenarioConfig) -> dict:
     if "random_sweep" in params:
         count = params["random_sweep"]["count"]
-        stacks = iter_haar_stacks(count, (2, 2), np.random.default_rng(config.seed))
-        verdicts = curty_santos.verdict_columns(stacks)
+        verdicts = curty_santos.verdict_columns(haar_unitaries(count, (2, 2), np.random.default_rng(config.seed)))
         impersonation, secure = verdicts["impersonation_probability"], verdicts["simultaneously_secure"]
         rows = [
             {"index": index, "impersonation": p, "conclusive": c, "at_floor": f, "blocked": b, "secure": s}

@@ -26,10 +26,10 @@ One kernel, ``_decide``, decides both verdicts for a stack of tagging
 unitaries on one checked frame: the attack operators are built as one
 (n, 4, 4) array and diagonalised by one batched ``eigh``, and every verdict
 field is one numpy column, taken out with ``tolist``; each value is bit for
-bit the one a single instance gives. ``verdict_columns`` runs it on Haar
-stacks, such as those of ``quantum_core.iter_haar_stacks``, on the default
-frame; ``incompatibility_report`` runs it on one instance as a stack of one,
-and ``analyze_instance`` does too, keeping its eigenvectors for the
+bit the one a single instance gives. ``verdict_columns`` runs it on an array
+of Haar unitaries, such as that of ``quantum_core.haar_unitaries``, on the
+default frame; ``incompatibility_report`` runs it on one instance as a stack
+of one, and ``analyze_instance`` does too, keeping its eigenvectors for the
 impersonation witness, so one report builds and diagonalises its attack
 operator once. The tests hold them to the per-instance reference built on
 ``optimal_impersonation``. An instance builds its honest-run encode and
@@ -268,20 +268,15 @@ def incompatibility_report(instance: CurtySantosInstance) -> IncompatibilityRepo
     return _reports(_decide(instance.tag_unitary.matrix[None], instance.basis, instance.accept_set)[3])[0]
 
 
-def verdict_columns(stacks) -> dict[str, list]:
+def verdict_columns(unitaries: np.ndarray) -> dict[str, list]:
     """The ``IncompatibilityReport`` fields as columns, one list per field
-    over every matrix of ``stacks`` in order: (n, 4, 4) arrays of checked
-    unitaries, such as the stacks of ``quantum_core.iter_haar_stacks``, on
-    the computational basis with outcomes 0 and 1 accepted, the default
-    frame of ``CurtySantosInstance``. Each stack is decided by ``_decide``."""
-    basis, accept = computational_basis(), (0, 1)
-    columns: dict[str, list] = {}
-    for stack in stacks:
-        if stack.shape[1:] != (4, 4):
-            raise ParameterError(f"tagging unitaries must be 4x4, got {stack.shape[1:]}")
-        for name, column in _decide(stack, basis, accept)[3].items():
-            columns.setdefault(name, []).extend(column)
-    return columns
+    over the matrices of ``unitaries`` in order: an (n, 4, 4) array of checked
+    unitaries, such as that of ``quantum_core.haar_unitaries``, decided by one
+    ``_decide`` call on the computational basis with outcomes 0 and 1
+    accepted, the default frame of ``CurtySantosInstance``."""
+    if unitaries.shape[1:] != (4, 4):
+        raise ParameterError(f"tagging unitaries must be 4x4, got {unitaries.shape[1:]}")
+    return _decide(unitaries, computational_basis(), (0, 1))[3]
 
 
 def _reports(columns: dict[str, list]) -> list[IncompatibilityReport]:

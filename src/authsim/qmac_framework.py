@@ -441,10 +441,10 @@ def random_scheme_reports(
     """``verify_theorem2`` of each of ``count`` consecutive ``random_scheme``
     calls on ``rng``, decided without building a scheme per draw.
 
-    The label structure is compiled and validated once, in one unitary-free
-    scheme. Its initial state is ``basis_state(0)``, so each tag state E|0>
-    is column 0 of its unitary, bit for bit the gemv of ``QmacScheme.states``
-    on the reference's draws. One ``_haar_columns`` call draws the rows of
+    The labels (k, m) are distinct, so each message holds one tag per key and
+    the floor is 1/|K|. The reference's initial state is ``basis_state(0)``,
+    so each tag state E|0> is column 0 of its unitary, bit for bit the gemv of
+    ``QmacScheme.states`` on the reference's draws. One ``_haar_columns`` call draws the rows of
     ``max(1, COLUMN_ENTRIES // (|labels| * dim))`` whole schemes, key-major;
     swapping the key and message axes lays them out as message blocks in
     label order, scored together (``_theorem2_reports``) and released before
@@ -453,19 +453,11 @@ def random_scheme_reports(
     and the floor, range checked, but no witness and no mean.
     """
     keys, messages, labels, count, dim = _random_shape(count=count, dim=dim, num_keys=num_keys, num_messages=num_messages)
-    compiled = QmacScheme(
-        message_set=messages,
-        key_set=keys,
-        label_fn=_random_label,
-        tag_unitaries={},
-        initial_state=basis_state(0, (dim,)),
-    )
-    compiled.validate()
-    floor, pairs = 1.0 / compiled.tags_per_message, _pair_positions(len(keys))
+    floor, pairs = 1.0 / len(keys), _pair_positions(len(keys))
     per_batch = max(1, COLUMN_ENTRIES // (len(labels) * dim))
     for start in range(0, count, per_batch):
         schemes = min(per_batch, count - start)
-        table = _haar_columns(schemes * len(labels), dim, rng).reshape(schemes, len(keys), len(messages), dim)
+        table = _haar_columns(schemes * len(labels), dim, rng, 1)[..., 0].reshape(schemes, len(keys), len(messages), dim)
         yield from _theorem2_reports(table.swapaxes(1, 2).reshape(-1, len(keys), dim), schemes, pairs, floor)
         del table  # a scored batch is released before the next is drawn
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import reduce
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,8 +34,9 @@ MAX_TOTAL_DIMENSION = 4096
 MAX_COPIES = 8
 COPY_COUNT = Field(int, lo=1, hi=MAX_COPIES)  # systems of a symmetric-subspace test
 _POSITIVE = Field(int, lo=1)
-# Matrix entries in one stacked draw of Haar unitaries: 64 KiB of normals, so
-# 16 draws of 16 x 16 or 1024 of 2 x 2 share one QR call.
+# Matrix entries per draw of normals for Haar unitaries (32 KiB of each of the real and
+# imaginary parts: 16 draws of 16 x 16 or 1024 of 2 x 2 at a time), and the chunk size of
+# the kernels that work on Gram entries or pair positions in bounded pieces.
 STACK_ENTRIES = 2**12
 
 
@@ -130,11 +131,7 @@ class UnitaryOperator:
         if mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
             raise ParameterError(f"operator must be square, got shape {mat.shape}")
         self.matrix, self.dims = mat, _resolve_dims(self.dims, mat.shape[0])
-        # an infinite entry, or one so large that U†U overflows, makes the defect inf or NaN: the check fails
-        with np.errstate(over="ignore", invalid="ignore"):
-            defect = np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max()
-        if not defect <= NORM_ATOL:
-            raise ParameterError(f"matrix is not unitary: max |U†U - I| = {defect:.3e}")
+        check_unitary(mat[None])
 
     @property
     def d(self) -> int:
@@ -164,6 +161,17 @@ class HermitianOperator:
         return float(np.trace(self.matrix).real)
 
 
+def check_unitary(stack: np.ndarray) -> None:
+    """Raise unless every matrix of an (n, d, d) stack is unitary within NORM_ATOL, naming the
+    defect of the first that is not. An infinite entry, or one so large that U†U overflows,
+    makes the defect inf or NaN: the check fails."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        defects = np.abs(stack.conj().swapaxes(1, 2) @ stack - np.eye(stack.shape[1])).max(axis=(1, 2))
+    off = ~(defects <= NORM_ATOL)
+    if off.any():
+        raise ParameterError(f"matrix is not unitary: max |U†U - I| = {defects[np.argmax(off)]:.3e}")
+
+
 def check_hermitian(matrices: np.ndarray) -> None:
     """Raise unless the matrix, or every matrix of a (..., d, d) stack, is Hermitian within NORM_ATOL."""
     defect = np.abs(matrices - matrices.conj().swapaxes(-1, -2)).max()
@@ -186,9 +194,9 @@ def basis_state(index: int, dims) -> PureState:
 def _trusted(kind, values: np.ndarray, dims):
     """Instance of ``kind`` from values whose check has already been made.
 
-    For a tag state from a norm-checked table or a unitary of a checked
-    Haar stack. The dims are checked against the array; the norm,
-    unitarity or hermiticity check is not run again. ``values`` is frozen
+    For a tag state from a norm-checked table or a unitary of the checked
+    array of ``haar_unitaries``. The dims are checked against the array; the
+    norm, unitarity or hermiticity check is not run again. ``values`` is frozen
     in place, not copied.
     """
     values = np.asarray(values, dtype=complex)
@@ -370,62 +378,45 @@ def random_state(dims, rng: np.random.Generator) -> PureState:
     return PureState(vec / np.linalg.norm(vec), dims)
 
 
-def iter_haar_stacks(count: int, dims, rng: np.random.Generator) -> Iterator[np.ndarray]:
+def haar_unitaries(count: int, dims, rng: np.random.Generator) -> np.ndarray:
     """``count`` Haar-random unitaries via QR with the phase convention
-    diag(R) > 0, as checked read-only ``(size, d, d)`` stacks drawn one at a
-    time as they are taken.
+    diag(R) > 0, as one checked read-only ``(count, d, d)`` array.
 
-    Stacked draws of normals and batched QR (Mezzadri, "How to generate
-    random matrices from the classical compact groups",
-    arXiv:math-ph/0609050). The normals come off ``rng`` in the order of
-    ``count`` single draws, and the QR of each matrix is the same LAPACK call,
-    so the unitaries, and the generator state once all are taken, are those
-    of ``count`` calls to ``random_unitary``. A stack holds at most
-    STACK_ENTRIES matrix entries, so its temporaries stay near 64 KiB however
-    large the matrices, and it is drawn only when the previous one is used
-    up; the generator keeps no reference to a stack it has yielded. The
+    The normals come off ``rng`` in the order of ``count`` single draws, and
+    the QR of each matrix is the same LAPACK call, so the unitaries, and the
+    generator state, are those of ``count`` calls to ``random_unitary``. The
     count, dims and dimension cap are checked before anything is drawn; the
-    unitarity check runs once per stack.
+    unitarity check runs once over the whole array.
     """
     count = read_value(_POSITIVE, count, "unitary count")
     total = math.prod(_resolve_dims(dims))
     if total > MAX_TOTAL_DIMENSION:
         raise ParameterError(f"total dimension {total} exceeds cap {MAX_TOTAL_DIMENSION}")
-    per_stack = max(1, STACK_ENTRIES // total**2)
-    for start in range(0, count, per_stack):
-        yield _haar_stack(min(per_stack, count - start), total, rng)
-
-
-def _haar_columns(size: int, total: int, rng: np.random.Generator) -> np.ndarray:
-    """Column 0 of each unitary ``_haar_stack`` would draw, bit for bit: all normals are drawn, a
-    stack at a time, but a Householder QR builds Q e1 from column 0 alone (Golub & Van Loan, Matrix
-    Computations, 5.2), whatever other columns share the call."""
-    per_stack = max(1, STACK_ENTRIES // total**2)
-    normals = np.empty((size, 2, total, 1))
-    for lo in range(0, size, per_stack):
-        normals[lo : lo + per_stack] = rng.standard_normal((min(per_stack, size - lo), 2, total, total))[..., :1]
-    q, r = np.linalg.qr((normals[:, 0] + 1j * normals[:, 1]) / math.sqrt(2))
-    return (q * (r / np.abs(r)))[..., 0]
-
-
-def _haar_stack(size: int, total: int, rng: np.random.Generator) -> np.ndarray:
-    """One checked, read-only stack of ``size`` Haar unitaries of dimension ``total``."""
-    normals = rng.standard_normal((size, 2, total, total))
-    q, r = np.linalg.qr((normals[:, 0] + 1j * normals[:, 1]) / math.sqrt(2))
-    diag = np.diagonal(r, axis1=1, axis2=2)
-    q = q * (diag / np.abs(diag))[:, None, :]
-    defects = np.abs(q.conj().transpose(0, 2, 1) @ q - np.eye(total)).max(axis=(1, 2))
-    off = ~(defects <= NORM_ATOL)
-    if off.any():
-        raise ParameterError(f"matrix is not unitary: max |U†U - I| = {defects[np.argmax(off)]:.3e}")
+    q = _haar_columns(count, total, rng, total)
+    check_unitary(q)
     q.setflags(write=False)
     return q
 
 
+def _haar_columns(size: int, total: int, rng: np.random.Generator, columns: int) -> np.ndarray:
+    """The first ``columns`` columns of ``size`` Haar unitaries of dimension ``total``, as a
+    ``(size, total, columns)`` array: stacked draws of normals and one batched QR with the diag(R)
+    phase fix (Mezzadri, "How to generate random matrices from the classical compact groups",
+    arXiv:math-ph/0609050). All normals are drawn, STACK_ENTRIES entries at a time, but a
+    Householder QR builds Q e1 .. Q ek from the first k columns alone (Golub & Van Loan, Matrix
+    Computations, 5.2), so the kept columns have the bits of the whole unitary's."""
+    per_stack = max(1, STACK_ENTRIES // total**2)
+    normals = np.empty((size, 2, total, columns))
+    for lo in range(0, size, per_stack):
+        normals[lo : lo + per_stack] = rng.standard_normal((min(per_stack, size - lo), 2, total, total))[..., :columns]
+    q, r = np.linalg.qr((normals[:, 0] + 1j * normals[:, 1]) / math.sqrt(2))
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    return q * (diag / np.abs(diag))[:, None, :]
+
+
 def random_unitaries(count: int, dims, rng: np.random.Generator) -> list[UnitaryOperator]:
-    """The ``count`` unitaries of ``iter_haar_stacks``, each a read-only view into its stack."""
-    stacks = iter_haar_stacks(count, dims, rng)
-    return [_trusted(UnitaryOperator, matrix, dims) for stack in stacks for matrix in stack]
+    """The ``count`` unitaries of ``haar_unitaries``, each a read-only view into its array."""
+    return [_trusted(UnitaryOperator, matrix, dims) for matrix in haar_unitaries(count, dims, rng)]
 
 
 def random_unitary(dims, rng: np.random.Generator) -> UnitaryOperator:

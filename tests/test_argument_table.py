@@ -99,7 +99,7 @@ ENTRY_POINTS = {
     "random_scheme_reports.num_messages": (lambda v: _reports(num_messages=v), _SMALL[1:]),
     "symmetric_projector.d": (lambda v: quantum_core.symmetric_projector(v, 2), _SMALL),
     "symmetric_projector.n": (lambda v: quantum_core.symmetric_projector(2, v), ("1", "2", "3")),
-    "iter_haar_stacks.count": (lambda v: next(quantum_core.iter_haar_stacks(v, 2, _rng())), _COUNTS),
+    "haar_unitaries.count": (lambda v: quantum_core.haar_unitaries(v, 2, _rng()), _COUNTS),
     "acceptance_error_formula.n": (lambda v: symmetry_test.acceptance_error_formula(v, 0.5), _REAL_COPIES),
     "acceptance_error_formula.lambda_max": (lambda v: symmetry_test.acceptance_error_formula(2, v), _OVERLAPS),
     "acceptance_error_oracle.n": (_oracle, ("1", "2", "3")),
@@ -121,6 +121,7 @@ ENTRY_POINTS = {
 }
 # values an accepted size would build that many things from, or that many pairs
 LEFT_OUT = {
+    "haar_unitaries.count": ("2**64", "10**400"),
     "random_scheme.num_keys": ("4097",),
     "random_scheme.num_messages": ("4097",),
     "random_scheme_reports.num_keys": ("4097", "2**64", "10**400"),
@@ -157,6 +158,6 @@ def test_outcome_class(entry, value):
 
 
 def test_table_covers_every_value_kind():
-    assert len(CASES) == 978
+    assert len(CASES) == 976
     assert all(set(accepted) <= set(VALUES) for _, accepted in ENTRY_POINTS.values())
     assert {entry for entry, _ in OVERFLOW} | set(LEFT_OUT) <= set(ENTRY_POINTS)

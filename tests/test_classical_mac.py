@@ -170,8 +170,11 @@ STRUCTURED_CASES = [(p, None) for p in PRIMES_TO_61 if p**4 <= 1 << 20] + [
 
 
 def without_g(family: HashFamily) -> HashFamily:
-    """The same family without its ``g`` table, so it takes the generic scan."""
-    return HashFamily(**{**vars(family), "g": None})
+    """The family's fields other than ``g`` rebuilt as a ``HashFamily``, which sets no ``g``
+    table, so it takes the generic scan."""
+    rebuilt = HashFamily(**{key: value for key, value in vars(family).items() if key != "g"})
+    assert rebuilt.g is None
+    return rebuilt
 
 
 class TestFamilyConstruction:
@@ -491,6 +494,9 @@ class TestNumpyKernels:
         report = deception_probabilities(family)
         assert isinstance(report.p0, Fraction) and isinstance(report.p1, Fraction)
         assert report == deception_probabilities(without_g(family))
+        # no caller can hand a family a table of its own, so none can choose the structured path
+        with pytest.raises(TypeError, match="'g'"):
+            HashFamily(**{**vars(family), "g": np.zeros_like(family.g)})
 
     @pytest.mark.parametrize("family", BUILTIN_FAMILIES, ids=lambda family: family.name)
     def test_builtin_families_under_every_block_size(self, family):

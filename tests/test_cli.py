@@ -750,7 +750,7 @@ class TestConfigBoundary:
         def watched_columns(*args):
             alive_at_draw.append(sum(ref() is not None for ref in drawn))
             rows = real_columns(*args)
-            # the buffer, not the view: another view of it would keep the stack alive
+            # the buffer, not the view: another view of it would keep the batch alive
             drawn.append(weakref.ref(rows if rows.base is None else rows.base))
             return rows
 
@@ -769,9 +769,9 @@ class TestConfigBoundary:
         [{"count": 4, "dim": 16, "num_keys": 2, "num_messages": 16}, {"count": 300}, {"count": 7, "dim": 5}],
     )
     def test_random_schemes_are_batched(self, shape, monkeypatch, tmp_path):
-        """One compiled scheme for the whole ensemble, and one batch of Haar
-        columns per COLUMN_ENTRIES column entries of whole schemes (at least
-        one scheme), not one per scheme."""
+        """No compiled scheme for the ensemble, and one batch of Haar columns
+        per COLUMN_ENTRIES column entries of whole schemes (at least one
+        scheme), not one per scheme."""
         calls = {"schemes": 0, "stacks": 0}
         real_columns, real_compile = qmac_framework._haar_columns, qmac_framework.QmacScheme.__init__
 
@@ -791,11 +791,11 @@ class TestConfigBoundary:
         labels = shape.get("num_keys", 2) * shape.get("num_messages", 2)
         per_batch = max(1, qmac_framework.COLUMN_ENTRIES // (labels * dim))  # whole schemes
         assert per_batch == {16: 2, 2: 128, 5: 51}[dim]
-        assert calls == {"schemes": 1, "stacks": math.ceil(shape["count"] / per_batch)}
+        assert calls == {"schemes": 0, "stacks": math.ceil(shape["count"] / per_batch)}
 
     def test_nogo_sweep_is_batched(self, monkeypatch, tmp_path):
-        """One stacked draw, one kernel call, no instance per unitary."""
-        calls = {"iter_haar_stacks": 0, "verdict_columns": 0, "instances": 0}
+        """One draw of the whole array, one kernel call, no instance per unitary."""
+        calls = {"haar_unitaries": 0, "verdict_columns": 0, "_decide": 0, "instances": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -804,15 +804,17 @@ class TestConfigBoundary:
 
             return wrapper
 
-        monkeypatch.setattr(cli, "iter_haar_stacks", counted("iter_haar_stacks", cli.iter_haar_stacks))
+        monkeypatch.setattr(cli, "haar_unitaries", counted("haar_unitaries", cli.haar_unitaries))
         monkeypatch.setattr(
             curty_santos, "verdict_columns", counted("verdict_columns", curty_santos.verdict_columns)
         )
+        monkeypatch.setattr(curty_santos, "_decide", counted("_decide", curty_santos._decide))
         instance_check = curty_santos.CurtySantosInstance.__init__
         monkeypatch.setattr(curty_santos.CurtySantosInstance, "__init__", counted("instances", instance_check))
         assert run_cli("cs-nogo-sweep", str(tmp_path / "nogo.json"))[0] == 0
-        assert calls["iter_haar_stacks"] == 1
+        assert calls["haar_unitaries"] == 1
         assert calls["verdict_columns"] == 1
+        assert calls["_decide"] == 1
         assert calls["instances"] <= 1
 
 

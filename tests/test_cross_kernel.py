@@ -34,19 +34,14 @@ TESTS = Path(__file__).resolve().parent
 
 # Why they move: CSV reports write lists at 17 digits (cli._flatten), so the last bits of
 # random draws and Gram products show; cs-hadamard and cs-instance print roundoff as data
-# (a factorization residual, an eigenvalue of about 1e-34); the inline schemes are drawn by
-# random_scheme in the rendering process, so the config itself, and its SHA-256 in the
-# report, moves with the kernel's QR.
+# (a factorization residual, an eigenvalue of about 1e-34). The inline schemes are read
+# from a committed fixture, so their configs do not move with the kernel's QR.
 KERNEL_MOVES = {
     "Haswell": {
         ("4x8x8", "csv"),
         ("cs-nogo-sweep", "csv"),
         ("cs-sweep-stack-boundary", "csv"),
         ("cs-sweep-stack-boundary", "json"),
-        ("qmac-inline-dim16-symmetry-rule", "csv"),
-        ("qmac-inline-dim16-symmetry-rule", "json"),
-        ("qmac-inline-symmetry-rule", "csv"),
-        ("qmac-inline-symmetry-rule", "json"),
         ("theorem2-random", "csv"),
     },
     "Sandybridge": {
@@ -59,10 +54,6 @@ KERNEL_MOVES = {
         ("cs-nogo-sweep", "csv"),
         ("cs-sweep-stack-boundary", "csv"),
         ("cs-sweep-stack-boundary", "json"),
-        ("qmac-inline-dim16-symmetry-rule", "csv"),
-        ("qmac-inline-dim16-symmetry-rule", "json"),
-        ("qmac-inline-symmetry-rule", "csv"),
-        ("qmac-inline-symmetry-rule", "json"),
         ("random-schemes", "csv"),
         ("theorem2-random", "csv"),
     },

@@ -347,7 +347,7 @@ class TestBatchedReports:
         # named unitaries on the thresholds, then Haar ones, in one stack
         unitaries = [UnitaryOperator(NAMED_UNITARIES[name](), (2, 2)) for name in ("identity", "xi", "hh")]
         unitaries += random_unitaries(13, (2, 2), np.random.default_rng(5))
-        columns = curty_santos.verdict_columns([np.array([gate.matrix for gate in unitaries])])
+        columns = curty_santos.verdict_columns(np.array([gate.matrix for gate in unitaries]))
         expected = [reference_incompatibility_report(CurtySantosInstance(tag_unitary=u)) for u in unitaries]
         assert curty_santos._reports(columns) == expected
 
@@ -388,15 +388,15 @@ class TestBatchedReports:
 
 
 class TestSweepColumns:
-    """``verdict_columns`` on Haar stacks and the ``cs-nogo-sweep`` rows against
+    """``verdict_columns`` on Haar unitaries and the ``cs-nogo-sweep`` rows against
     ``incompatibility_report`` of ``random_unitaries``, and those against the
     per-instance reference, compared with ==."""
 
-    # 256 unitaries of 4 x 4 fill one stack, so 257 and 600 cross stack boundaries
+    # 256 unitaries of 4 x 4 fill one draw of normals, so 257 and 600 cross draw boundaries
     @pytest.mark.parametrize("count", [1, 256, 257, 600])
     def test_matches_reports_of_drawn_unitaries(self, count):
         stack_rng, reference_rng = np.random.default_rng(count), np.random.default_rng(count)
-        columns = curty_santos.verdict_columns(quantum_core.iter_haar_stacks(count, (2, 2), stack_rng))
+        columns = curty_santos.verdict_columns(quantum_core.haar_unitaries(count, (2, 2), stack_rng))
         instances = [CurtySantosInstance(tag_unitary=u) for u in random_unitaries(count, (2, 2), reference_rng)]
         expected = [incompatibility_report(instance) for instance in instances]
         assert curty_santos._reports(columns) == expected
@@ -419,7 +419,7 @@ class TestSweepColumns:
         assert report["min_impersonation"] == min(nogo.impersonation_probability for nogo in expected)
 
     def test_wrong_matrix_shape_rejected(self):
-        assert "4x4" in error_message(lambda: curty_santos.verdict_columns([np.zeros((2, 2, 2), dtype=complex)]))
+        assert "4x4" in error_message(lambda: curty_santos.verdict_columns(np.zeros((2, 2, 2), dtype=complex)))
 
 
 # The unitaries of the cs-unitary and cs-instance report inputs: the swap of

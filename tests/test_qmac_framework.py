@@ -802,11 +802,11 @@ class TestMalformedSchemesMatchReference:
 
 class TestRandomSchemesStream:
     """Consecutive ``random_scheme`` calls against one stream of their
-    unitaries, drawn in stacks that span schemes."""
+    unitaries, drawn as one array whose draws of normals span schemes."""
 
     @pytest.mark.parametrize(
         "dim,num_keys,num_messages,count",
-        # unitaries per stack: 4096, 1024, 455 (boundaries inside schemes), 16
+        # unitaries per draw of normals: 4096, 1024, 455 (boundaries inside schemes), 16
         [(1, 2, 2, 1100), (2, 2, 2, 300), (3, 4, 3, 80), (16, 16, 16, 3)],
     )
     def test_stream_equals_sequential_schemes(self, dim, num_keys, num_messages, count):
@@ -909,15 +909,20 @@ class TestRandomSchemeReports:
 
     def test_tag_rows_factor_column_zero_only(self, monkeypatch, tmp_path):
         # the ensemble never forms a whole unitary; the Curty-Santos sweep still needs them
-        counter = CallCounter(monkeypatch)
-        counter.count(quantum_core, "_haar_stack")
-        counter.count(qmac_framework, "_haar_columns")
+        real_columns, kept = quantum_core._haar_columns, []
+
+        def recorded(size, total, rng, columns):
+            kept.append(columns)
+            return real_columns(size, total, rng, columns)
+
+        monkeypatch.setattr(quantum_core, "_haar_columns", recorded)
+        monkeypatch.setattr(qmac_framework, "_haar_columns", recorded)
         list(random_scheme_reports(np.random.default_rng(0), 40, dim=3, num_keys=3, num_messages=4))
-        assert counter.calls == {"_haar_stack": 0, "_haar_columns": 2}  # 40 schemes, 28 per batch
+        assert kept == [1, 1]  # 40 schemes, 28 per batch
         list(random_scheme_reports(np.random.default_rng(0), 10, dim=16, num_keys=3, num_messages=4))
-        assert counter.calls == {"_haar_stack": 0, "_haar_columns": 4}  # 2 more: 10 schemes, 5 per batch
+        assert kept == [1] * 4  # 2 more: 10 schemes, 5 per batch
         assert cli.run("cs-nogo-sweep", output=str(tmp_path / "nogo.json"), stdout=io.StringIO()) == 0
-        assert counter.calls == {"_haar_stack": 1, "_haar_columns": 4}
+        assert kept == [1] * 4 + [4]  # the sweep's whole 4 x 4 unitaries, in one call
 
     def test_one_scoring_pass_per_stack(self, monkeypatch):
         # 12 labels of dim 3 per scheme: a batch of 28 whole schemes, then one of the last 12
@@ -932,8 +937,8 @@ class TestRandomSchemeReports:
         # the column kernel checks no unitarity, so a bad column must still not yield a tag state
         real_columns = qmac_framework._haar_columns
 
-        def scaled_columns(size, total, rng):
-            rows = real_columns(size, total, rng).copy()
+        def scaled_columns(size, total, rng, columns):
+            rows = real_columns(size, total, rng, columns).copy()
             rows[-1] *= 2.0
             return rows
 
@@ -981,11 +986,11 @@ class TestOverlapScreen:
         """Route the ensemble's draws through ``edit`` (key-major rows, rng) and keep each table."""
         real_columns, tables = qmac_framework._haar_columns, []
 
-        def columns(size, total, rng):
-            table = real_columns(size, total, rng)
+        def columns(size, total, rng, columns):
+            table = real_columns(size, total, rng, columns)[..., 0]
             table = edit(table.copy(), rng) if edit else table
             tables.append(table)
-            return table
+            return table[..., None]
 
         monkeypatch.setattr(qmac_framework, "_haar_columns", columns)
         return tables
@@ -1062,7 +1067,7 @@ class TestOverlapScreen:
                         lam = (top[::-1] if s else top)[m] if m < 2 else 0.1
                         blocks[s, m] = tilted_pair(random_unitaries(1, dim, rng)[0].matrix, lam)
             table = blocks.swapaxes(1, 2).reshape(-1, dim)  # key-major, as drawn
-            monkeypatch.setattr(qmac_framework, "_haar_columns", lambda size, total, rng, table=table: table)
+            monkeypatch.setattr(qmac_framework, "_haar_columns", lambda size, total, rng, k, t=table: t[..., None])
             recomputed.clear()
             reports = list(random_scheme_reports(rng, schemes, dim, num_keys, num_messages))
             assert [r.max_overlap for r in reports] == full_scan_maxima(table, schemes, num_keys, num_messages)

@@ -19,7 +19,8 @@ from authsim.quantum_core import (
     _norm,
     _trusted,
     basis_state,
-    iter_haar_stacks,
+    check_unitary,
+    haar_unitaries,
     max_eigenpair,
     measure_projective,
     overlap,
@@ -210,6 +211,13 @@ class TestNonFiniteRejected:
         with np.errstate(invalid="ignore"):
             with pytest.raises(ParameterError, match=r"not unitary: max \|U†U - I\| = nan"):
                 random_unitaries(3, 2, NanNormals())
+        # the second matrix of a stack fails, and the message is the one it fails with alone
+        bad = np.array([[1.0, 1e-6], [0.0, 1.0]], dtype=complex)
+        with pytest.raises(ParameterError) as alone:
+            UnitaryOperator(bad)
+        with pytest.raises(ParameterError) as stacked:
+            check_unitary(np.array([np.eye(2), bad, 2 * bad], dtype=complex))
+        assert str(stacked.value) == str(alone.value)
 
     def test_measurement_checks(self):
         basis = [basis_state(j, (2,)) for j in range(2)]
@@ -377,19 +385,24 @@ class TestRandomUnitaries:
     @pytest.mark.parametrize(
         "dims,count",
         [(dims, count) for dims in (1, 2, 3, 4, 8, 16, (2, 2), (2, 3)) for count in (1, 2, 7)]
-        + [(64, 40), (256, 3)],  # several stacks per call
+        + [(64, 40), (256, 3)]  # several draws of normals per call
+        # two whole draws of normals and one matrix more
+        + [(d, 2 * max(1, STACK_ENTRIES // d**2) + 1) for d in (2, 5, 16, 64)],
     )
     def test_stack_equals_sequential_draws(self, dims, count):
         seed = 1000 * count + (dims if isinstance(dims, int) else sum(dims))
-        stacked_rng, sequential_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        stacked = random_unitaries(count, dims, stacked_rng)
+        stacked_rng, array_rng, sequential_rng = (np.random.default_rng(seed) for _ in range(3))
+        stacked, array = random_unitaries(count, dims, stacked_rng), haar_unitaries(count, dims, array_rng)
         sequential = [reference_random_unitary(dims, sequential_rng) for _ in range(count)]
         assert len(stacked) == count
         for a, b in zip(stacked, sequential):
             assert np.array_equal(a.matrix, b.matrix)
             assert a.dims == b.dims
             assert not a.matrix.flags.writeable
+        assert not array.flags.writeable
+        assert np.array_equal(array, np.array([b.matrix for b in sequential]))
         assert stacked_rng.bit_generator.state == sequential_rng.bit_generator.state
+        assert array_rng.bit_generator.state == sequential_rng.bit_generator.state
 
     def test_single_draw_matches_reference(self):
         a, b = np.random.default_rng(3), np.random.default_rng(3)
@@ -409,39 +422,43 @@ class TestRandomUnitaries:
         with pytest.raises(ParameterError):
             random_unitaries(count, dims, rng)
         with pytest.raises(ParameterError):
-            next(iter_haar_stacks(count, dims, rng))
+            haar_unitaries(count, dims, rng)
         assert rng.bit_generator.state == before
 
     @pytest.mark.parametrize("dims,count", [(1, 5000), (2, 1500), (5, 400), (16, 40), ((2, 3), 7)])
     def test_stacks_hold_the_unitary_stream(self, dims, count):
+        # one read-only (count, d, d) array holds the unitaries, each one a view into it
         stack_rng, unitary_rng = np.random.default_rng(count), np.random.default_rng(count)
-        stacks = list(iter_haar_stacks(count, dims, stack_rng))
+        stack = haar_unitaries(count, dims, stack_rng)
         unitaries = random_unitaries(count, dims, unitary_rng)
         total = unitaries[0].d
-        assert [len(stack) for stack in stacks[:-1]] == [STACK_ENTRIES // total**2] * (len(stacks) - 1)
-        assert all(not stack.flags.writeable for stack in stacks)
-        assert np.array_equal(np.concatenate(stacks), np.array([u.matrix for u in unitaries]))
+        assert stack.shape == (count, total, total) and not stack.flags.writeable
+        assert np.array_equal(stack, np.array([u.matrix for u in unitaries]))
+        assert all(u.matrix.base is unitaries[0].matrix.base is not None for u in unitaries)
         assert stack_rng.bit_generator.state == unitary_rng.bit_generator.state
 
     # 129 and 200 lie past LAPACK's blocked-QR crossover of 128 columns
     @pytest.mark.parametrize("dim", [*range(1, 41), 64, 129, 200])
     def test_columns_are_column_zero_bit_for_bit(self, dim):
         """Factoring only column 0 of each draw, a batch of columns per QR
-        call, gives the bits of U|0> from the full QR of each stack: a
+        call, gives the bits of U|0> from the QR of the whole unitaries: a
         Householder QR builds Q e1 from column 0 alone. Two full batches and a
         partial one, each one ``_haar_columns`` call; at dims such as 5, 12 or
-        40 a batch ends mid-stack and a stack ends mid-batch."""
+        40 a batch ends mid-draw of normals and a draw ends mid-batch. The
+        first three columns, factored alone, are those of the whole unitaries too."""
         per_stack = max(1, STACK_ENTRIES // dim**2)
-        batch = max(per_stack, COLUMN_ENTRIES // dim)  # at dim <= 4 one stack per batch
+        batch = max(per_stack, COLUMN_ENTRIES // dim)  # at dim <= 4 one draw of normals per batch
         count = 2 * batch + 1
-        column_rng, stack_rng = np.random.default_rng(dim), np.random.default_rng(dim)
-        columns = [_haar_columns(size, dim, column_rng) for size in (batch, batch, 1)]
-        stacks = list(iter_haar_stacks(count, dim, stack_rng))
+        column_rng, stack_rng, three_rng = (np.random.default_rng(dim) for _ in range(3))
+        columns = [_haar_columns(size, dim, column_rng, 1) for size in (batch, batch, 1)]
+        unitaries = haar_unitaries(count, dim, stack_rng)
         e0 = basis_state(0, dim).amplitudes
-        assert [rows.shape for rows in columns] == [(batch, dim), (batch, dim), (1, dim)]
-        rows, reference = np.concatenate(columns), np.concatenate([stack @ e0 for stack in stacks])
-        assert np.array_equal(rows.view(np.uint64), reference.view(np.uint64))
+        assert [rows.shape for rows in columns] == [(batch, dim, 1), (batch, dim, 1), (1, dim, 1)]
+        rows = np.concatenate(columns)[..., 0]
+        assert np.array_equal(rows.view(np.uint64), (unitaries @ e0).view(np.uint64))
         assert column_rng.bit_generator.state == stack_rng.bit_generator.state
+        three = _haar_columns(count, dim, three_rng, min(3, dim))
+        assert np.array_equal(three.view(np.uint64), unitaries[..., :3].view(np.uint64))
 
 
 class TestPartialTrace:

@@ -1,7 +1,8 @@
 """Byte identity of reports: the SHA-256 of every built-in report, JSON and
 CSV, of random-scheme reports at each benchmark scheme size past 2 x 2 x 2,
 of one config per input form that no built-in uses, and of a Curty-Santos
-random sweep long enough to cross a stack boundary of ``random_unitaries``.
+random sweep long enough to cross a boundary between the draws of normals
+of ``quantum_core.haar_unitaries``.
 
 Reports render floats at full repr precision, so a change in summation order
 anywhere on the path (for example a Gram product in place of per-pair inner
@@ -11,6 +12,7 @@ products) shows here as a changed digest.
 import hashlib
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,10 +93,15 @@ def test_random_schemes_ladder_bytes(shape, fmt, tmp_path):
 
 def input_form_configs(directory):
     """One config per non-built-in input form; writes the scheme file the
-    ``scheme_path`` form reads into ``directory``."""
-    scheme = scheme_to_json_dict(random_scheme(np.random.default_rng(5), dim=3, num_keys=4, num_messages=3))
+    ``scheme_path`` form reads into ``directory``. The two schemes are read
+    from ``input_form_schemes.json``, which holds the JSON of
+    ``random_scheme(np.random.default_rng(5), dim=3, num_keys=4, num_messages=3)``
+    and of ``random_scheme(np.random.default_rng(13), dim=16, num_keys=6,
+    num_messages=4)`` as drawn once, so a config does not move with the QR
+    of the BLAS kernel that runs the test."""
+    schemes = json.loads((Path(__file__).resolve().parent / "input_form_schemes.json").read_text(encoding="utf-8"))
+    scheme, wide = schemes["scheme"], schemes["wide"]
     (directory / "scheme.json").write_text(json.dumps(scheme))
-    wide = scheme_to_json_dict(random_scheme(np.random.default_rng(13), dim=16, num_keys=6, num_messages=4))
     swap = np.eye(4)[[0, 2, 1, 3]]
     h_on_a = np.kron(np.array([[1, 1], [1, -1]]) / np.sqrt(2), np.eye(2))
     basis = [{"dims": [4], "amplitudes": [[float(x), 0.0] for x in row]} for row in np.eye(4)[[3, 1, 2, 0]]]
@@ -144,8 +151,8 @@ INPUT_FORM_DIGESTS = {
     ("classical-poly", "json"): "9ad36c33408321f06957d0d385ec61f6904e14da48e846e0d586f7d2ab262cef",
     ("cs-instance", "csv"): "c5927dee7edd91ea3c50c7f1369c37b7ba2a05e5d2dcaf71fb13113c0075d962",
     ("cs-instance", "json"): "d592771ede6128fc1ffc412c290e6cccdef1bc11826d6a690e0e7ded24a72db6",
-    # Taken with one draw and one report per unitary; 5000 draws of 4x4 cross
-    # the stack boundaries of random_unitaries.
+    # Taken with one draw and one report per unitary; 5000 unitaries of 4x4 cross
+    # the boundaries between the sampler's draws of normals.
     ("cs-sweep-stack-boundary", "csv"): "a923aacc97ae1c42557477d8c2635f04a4f43c80f9a0c638faefa50862019778",
     ("cs-sweep-stack-boundary", "json"): "a679f0c6010a9c37e769613b7e21f30bf272c63143b4c2fbb894cda5334b9a13",
     ("cs-unitary", "csv"): "b7b2351ef5f09f3ed27c72a9a8a3a7a61669744cfff3992a6f4c7e61e4e7a312",
@@ -160,6 +167,24 @@ INPUT_FORM_DIGESTS = {
     ("sweep-t-values", "csv"): "5497992baa898f698dfb3d691ce289457386e94599c0faed5c7e100d115c3ca0",
     ("sweep-t-values", "json"): "07a3beab4334090ea93d70fb422acbef8a05832adc6eb8eb3043ed1f524f1058",
 }
+
+
+def test_input_form_schemes_hold_their_draws(tmp_path):
+    # to rounding: the fixture's bits are those of one BLAS kernel's QR, and the digests pin them
+    configs = input_form_configs(tmp_path)
+    draws = {
+        "qmac-inline-symmetry-rule": random_scheme(np.random.default_rng(5), dim=3, num_keys=4, num_messages=3),
+        "qmac-inline-dim16-symmetry-rule": random_scheme(np.random.default_rng(13), dim=16, num_keys=6, num_messages=4),
+    }
+    for name, scheme in draws.items():
+        fixture, drawn = configs[name]["parameters"]["scheme"], scheme_to_json_dict(scheme)
+        assert {key: value for key, value in fixture.items() if key != "tag_unitaries"} == {
+            key: value for key, value in drawn.items() if key != "tag_unitaries"
+        }
+        assert fixture["tag_unitaries"].keys() == drawn["tag_unitaries"].keys()
+        for label, gate in drawn["tag_unitaries"].items():
+            assert fixture["tag_unitaries"][label]["dims"] == gate["dims"]
+            assert np.allclose(fixture["tag_unitaries"][label]["matrix"], gate["matrix"], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("name,fmt", sorted(INPUT_FORM_DIGESTS))

@@ -47,11 +47,11 @@ import numpy as np
 from .errors import InvariantViolation, ParameterError
 from .qmac_framework import AttackReport
 from .quantum_core import (
+    INDEX,
     HermitianOperator,
     PureState,
     UnitaryOperator,
     _born_probabilities,
-    _index,
     _kron,
     basis_state,
     check_hermitian,
@@ -63,7 +63,7 @@ from .quantum_core import (
     top_eigenvector,
     unitary_from_json_dict,
 )
-from .spec import Field, Spec, read_spec
+from .spec import Field, Spec, read_spec, read_value
 
 CONDITION_TOL = 1e-9
 VERDICT_TOL = 1e-6
@@ -100,7 +100,7 @@ def _checked_basis(basis) -> tuple:
 
 
 def _checked_accept_set(accept_set) -> tuple[int, int]:
-    accept = tuple(_index(j, "accept set index") for j in accept_set)
+    accept = tuple(read_value(INDEX, j, "accept set index") for j in accept_set)
     if len(accept) != 2 or len(set(accept)) != 2 or any(j not in range(4) for j in accept):
         raise ParameterError(f"accept set must be two distinct basis indices, got {accept!r}")
     return accept
@@ -126,7 +126,7 @@ class CurtySantosInstance:
 
 
 def _check_message(m) -> int:
-    m = _index(m, "message")
+    m = read_value(INDEX, m, "message")
     if m not in (0, 1):
         raise ParameterError(f"message must be the bit 0 or 1, got {m!r}")
     return m

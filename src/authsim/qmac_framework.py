@@ -46,6 +46,7 @@ import numpy as np
 
 from .errors import InvariantViolation, ParameterError
 from .quantum_core import (
+    MAX_RUN_ENTRIES,
     MAX_TOTAL_DIMENSION,
     NORM_ATOL,
     STACK_ENTRIES,
@@ -59,13 +60,18 @@ from .quantum_core import (
     basis_state,
 )
 from .spec import Field, Spec, read_spec, read_value
-from .symmetry_test import OVERLAP_MAX, _acceptance_error
+from .symmetry_test import _acceptance_error
 
 OVERLAP_TOL = 1e-9
+NORMED_OVERLAP_MAX = (1 + 2 * NORM_ATOL) ** 2  # bounds |x|^T|y| of two norm-checked rows, rounding included
 COLUMN_ENTRIES = 2**10  # column entries per batch of whole random schemes, at least one scheme
+# Work caps, checked before anything is drawn or scored; the run's entry cap is quantum_core.MAX_RUN_ENTRIES.
+MAX_SCHEME_ENTRIES = 2**22  # num_keys * num_messages * dim**2: entries of the normals one random scheme draws
+MAX_SCHEME_PAIRS = 2**20  # label pairs one scheme scores: num_messages * C(num_keys, 2) for a random one
+MAX_RUN_PAIRS = 2**26  # count * num_messages * C(num_keys, 2) for a whole run: about 5 s at 13M pairs/s
 MULTIPLICITY = Field(int, 1, lo=1)  # a SCHEME_SPEC key too
 _COPIES = Field(int, lo=2, hi=sys.float_info.max)  # symmetry_test.acceptance_error_formula's bound
-RANDOM_SHAPE = {  # the shape arguments of random schemes, the keys of a random_schemes config too
+RANDOM_SHAPE = {  # random-scheme shape arguments, read by _random_shape before its work caps; random_schemes config keys
     "count": Field(int, lo=1),
     "dim": Field(int, 2, lo=1, hi=MAX_TOTAL_DIMENSION),
     "num_keys": Field(int, 2, lo=1),
@@ -188,8 +194,12 @@ class QmacScheme:
 
         Messages follow in order, message mi's pairs from ``pair_starts[mi]``,
         each message's in itertools.combinations order over its labels; the
-        values are those of ``pair_overlaps``.
+        values are those of ``pair_overlaps``. The pair count, read from the
+        compiled labels, is held to ``MAX_SCHEME_PAIRS`` before any tag state
+        is formed.
         """
+        if self.pair_starts[-1] > MAX_SCHEME_PAIRS:
+            raise ParameterError(f"the scheme would score {self.pair_starts[-1]} label pairs; the cap is {MAX_SCHEME_PAIRS}")
         return pair_overlaps(self.states, self.pair_index)
 
 
@@ -280,10 +290,11 @@ class DecisionRule:
         The projective rule squares as ``lam * lam``, correctly rounded (libm pow, float ``** 2``, is
         not); the symmetry-test rule checks every overlap's range first, naming the first bad one, then
         applies ``symmetry_test.acceptance_error_formula``'s kernel elementwise, IEEE op for IEEE op.
+        The range is [0, NORMED_OVERLAP_MAX], which holds the overlap of any two norm-checked tag states.
         """
         if self.kind == "projective":
             return overlaps * overlaps
-        bad = ~((0.0 <= overlaps) & (overlaps <= OVERLAP_MAX))
+        bad = ~((0.0 <= overlaps) & (overlaps <= NORMED_OVERLAP_MAX))
         if bad.any():
             raise ParameterError(f"overlap {float(overlaps[np.argmax(bad)])!r} outside [0, 1]")
         return _acceptance_error(float(self.copies), overlaps)
@@ -403,12 +414,20 @@ def _theorem2_report(attack: AttackReport, lam_max: float) -> Theorem2Report:
     )
 
 
-def _random_shape(**shape: int) -> tuple:
-    """Keys, messages and the labels (k, m) of a random scheme in draw order, key-major, once each
-    shape argument is read, in order, by its field in ``RANDOM_SHAPE``; then the other sizes as read."""
-    shape = {name: read_value(RANDOM_SHAPE[name], value, name) for name, value in shape.items()}
-    keys, messages = tuple(range(shape.pop("num_keys"))), tuple(range(shape.pop("num_messages")))
-    return keys, messages, [(k, m) for k in keys for m in messages], *shape.values()
+def _random_shape(**shape: int) -> list[int]:
+    """count, dim, num_keys and num_messages as ints, each read in the order given by its ``RANDOM_SHAPE``
+    field, once the normals and label pairs of one scheme and of the run are within the work caps."""
+    count, dim, keys, messages = shape = [read_value(RANDOM_SHAPE[name], value, name) for name, value in shape.items()]
+    entries, pairs = keys * messages * dim**2, messages * (keys * (keys - 1) // 2)
+    for work, size, cap in (
+        ("a random scheme would draw num_keys * num_messages * dim**2 = {} entries", entries, MAX_SCHEME_ENTRIES),
+        ("a random scheme would score num_messages * C(num_keys, 2) = {} label pairs", pairs, MAX_SCHEME_PAIRS),
+        ("the run would draw count * num_keys * num_messages * dim**2 = {} entries", count * entries, MAX_RUN_ENTRIES),
+        ("the run would score count * num_messages * C(num_keys, 2) = {} label pairs", count * pairs, MAX_RUN_PAIRS),
+    ):
+        if size > cap:
+            raise ParameterError(f"{work.format(size)}; the cap is {cap}")
+    return shape
 
 
 def _random_label(key, message) -> Label:
@@ -423,15 +442,16 @@ def random_scheme(
     what one stack-spanning stream of their unitaries would, bit for bit,
     generator state included, so they are the reference for
     ``random_scheme_reports``."""
-    keys, messages, labels, dim = _random_shape(dim=dim, num_keys=num_keys, num_messages=num_messages)
+    _, dim, num_keys, num_messages = _random_shape(count=1, dim=dim, num_keys=num_keys, num_messages=num_messages)
+    keys, messages = tuple(range(num_keys)), tuple(range(num_messages))
     return QmacScheme(
         message_set=messages,
         key_set=keys,
         label_fn=_random_label,
-        tag_unitaries=dict(zip(labels, random_unitaries(len(labels), dim, rng))),
+        tag_unitaries=dict(zip(itertools.product(keys, messages), random_unitaries(num_keys * num_messages, dim, rng))),
         initial_state=basis_state(0, (dim,)),
         multiplicity=1,
-        name=f"random-{dim}d-{len(keys)}k",
+        name=f"random-{dim}d-{num_keys}k",
     )
 
 
@@ -448,17 +468,18 @@ def random_scheme_reports(
     ``max(1, COLUMN_ENTRIES // (|labels| * dim))`` whole schemes, key-major;
     swapping the key and message axes lays them out as message blocks in
     label order, scored together (``_theorem2_reports``) and released before
-    the next batch is drawn, the shape arguments and the dimension cap
-    checked first. Each report's attack carries the deception probability
+    the next batch is drawn. ``_random_shape`` reads the shape and checks the
+    work caps at the first request, before any draw; no key, message or label
+    tuple is built. Each report's attack carries the deception probability
     and the floor, range checked, but no witness and no mean.
     """
-    keys, messages, labels, count, dim = _random_shape(count=count, dim=dim, num_keys=num_keys, num_messages=num_messages)
-    floor, pairs = 1.0 / len(keys), _pair_positions(len(keys))
-    per_batch = max(1, COLUMN_ENTRIES // (len(labels) * dim))
+    count, dim, num_keys, num_messages = _random_shape(count=count, dim=dim, num_keys=num_keys, num_messages=num_messages)
+    floor, pairs, labels = 1.0 / num_keys, _pair_positions(num_keys), num_keys * num_messages
+    per_batch = max(1, COLUMN_ENTRIES // (labels * dim))
     for start in range(0, count, per_batch):
         schemes = min(per_batch, count - start)
-        table = _haar_columns(schemes * len(labels), dim, rng, 1)[..., 0].reshape(schemes, len(keys), len(messages), dim)
-        yield from _theorem2_reports(table.swapaxes(1, 2).reshape(-1, len(keys), dim), schemes, pairs, floor)
+        table = _haar_columns(schemes * labels, dim, rng, 1)[..., 0].reshape(schemes, num_keys, num_messages, dim)
+        yield from _theorem2_reports(table.swapaxes(1, 2).reshape(-1, num_keys, dim), schemes, pairs, floor)
         del table  # a scored batch is released before the next is drawn
 
 
@@ -476,7 +497,7 @@ def _theorem2_reports(
     sqrt(2) gamma_2d |x|^T|y| of the exact one (Higham, Accuracy and Stability
     of Numerical Algorithms, 2nd ed., secs. 3.1, 3.6; its complex gamma_{d+2}
     takes products rounded before the sum, which BLAS need not do). Normed
-    rows have |x|^T|y| <= (1 + 2 NORM_ATOL)^2, one NORM_ATOL for the norm's
+    rows have |x|^T|y| <= NORMED_OVERLAP_MAX, (1 + 2 NORM_ATOL)^2 with one NORM_ATOL for the norm's
     rounding, and np.hypot adds an ulp below 2: each Gram or zdot modulus is
     within eps of the exact one, and the zdot maximizer within 2 tau = 4 eps
     (2u more for rounding) of the scheme's Gram maximum. Those pairs are
@@ -500,7 +521,7 @@ def _theorem2_reports(
         moduli = np.abs((chunk.conj() @ chunk.transpose(0, 2, 1))[:, pairs[0], pairs[1]])
         gram.reshape(len(blocks), pairs.shape[1])[lo : lo + step] = moduli
     u, n = np.finfo(float).eps / 2, 2 * dim  # unit roundoff; real products in Re or Im of <x|y>
-    eps = 2**0.5 * n * u / (1 - n * u) * (1 + 2 * NORM_ATOL) ** 2 + 2 * u
+    eps = 2**0.5 * n * u / (1 - n * u) * NORMED_OVERLAP_MAX + 2 * u
     keep, best = (gram >= gram.max(axis=1, initial=0.0)[:, None] - (4 * eps + 2 * u)).ravel(), np.zeros(schemes)
     for lo in range(0, keep.size, STACK_ENTRIES):
         block, pair = np.divmod(np.flatnonzero(keep[lo : lo + STACK_ENTRIES]) + lo, pairs.shape[1])

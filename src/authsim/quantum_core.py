@@ -15,7 +15,6 @@ total dimension is capped at 4096 and the symmetric subspace at 8 copies.
 from __future__ import annotations
 
 import math
-import operator
 from functools import reduce
 from typing import Sequence
 
@@ -33,7 +32,9 @@ ALGEBRA_ATOL = 1e-9
 MAX_TOTAL_DIMENSION = 4096
 MAX_COPIES = 8
 COPY_COUNT = Field(int, lo=1, hi=MAX_COPIES)  # systems of a symmetric-subspace test
+MAX_RUN_ENTRIES = 2**28  # entries of normals one haar_unitaries call or random-scheme run draws: about 8 s at 34M/s
 _POSITIVE = Field(int, lo=1)
+INDEX = Field(int)  # basis and keep indices, subsystem dimensions, the Curty-Santos message and accept set
 # Matrix entries per draw of normals for Haar unitaries (32 KiB of each of the real and
 # imaginary parts: 16 draws of 16 x 16 or 1024 of 2 x 2 at a time), and the chunk size of
 # the kernels that work on Gram entries or pair positions in bounded pieces.
@@ -48,16 +49,6 @@ def _frozen_complex(values, ndim: int, what: str) -> np.ndarray:
     return arr
 
 
-def _index(value, what: str) -> int:
-    """``value`` as an int by ``operator.index``: numpy integers pass; bools, floats and strings do not."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ParameterError(f"{what} must be an integer, got {value!r}")
-
-
 def _items(value) -> tuple:
     """The items of ``value``, or ``value`` alone when it is not iterable."""
     try:
@@ -70,7 +61,7 @@ def _resolve_dims(dims, total: int | None = None) -> tuple[int, ...]:
     """Subsystem dimensions as a tuple of positive ints.
 
     ``dims`` is an int or a sequence of them. Plain positive ints pass in
-    one look; otherwise each is read by ``_index``. When ``total`` is
+    one look; otherwise each is read by ``spec.read_value``. When ``total`` is
     given, None means one system of that dimension and the dims must
     multiply to it.
     """
@@ -79,7 +70,7 @@ def _resolve_dims(dims, total: int | None = None) -> tuple[int, ...]:
     dims = _items(dims)
     if not (dims and all(type(x) is int and x > 0 for x in dims)):
         try:
-            dims = tuple(_index(x, "subsystem dimension") for x in dims)
+            dims = tuple(read_value(INDEX, x, "subsystem dimension") for x in dims)
         except ParameterError:
             raise ParameterError(f"subsystem dimensions must be integers, got {dims!r}") from None
         if not dims or any(x < 1 for x in dims):
@@ -183,7 +174,7 @@ def basis_state(index: int, dims) -> PureState:
     """Computational basis vector |index> on subsystems of the given dims."""
     dims = _resolve_dims(dims)
     total = math.prod(dims)
-    index = _index(index, "basis index")
+    index = read_value(INDEX, index, "basis index")
     if not 0 <= index < total:
         raise ParameterError(f"basis index {index} out of range for dimension {total}")
     amps = np.zeros(total, dtype=complex)
@@ -252,12 +243,12 @@ def overlap(a: PureState, b: PureState) -> complex:
 
 def partial_trace(state: PureState, keep) -> HermitianOperator:
     """Reduced operator of |psi><psi| on the kept subsystems (original order preserved); ``keep`` is
-    an index or a collection of them, each read by ``_index``."""
+    an index or a collection of them, each read by ``spec.read_value``."""
     if not isinstance(state, PureState):
         raise ParameterError(f"partial_trace expects a PureState, got {type(state).__name__}")
     dims = state.dims
     n = len(dims)
-    keep = tuple(sorted({_index(i, "keep index") for i in _items(keep)}))
+    keep = tuple(sorted({read_value(INDEX, i, "keep index") for i in _items(keep)}))
     if not keep:
         raise ParameterError("keep set must name at least one subsystem")
     if any(i < 0 or i >= n for i in keep):
@@ -385,13 +376,16 @@ def haar_unitaries(count: int, dims, rng: np.random.Generator) -> np.ndarray:
     The normals come off ``rng`` in the order of ``count`` single draws, and
     the QR of each matrix is the same LAPACK call, so the unitaries, and the
     generator state, are those of ``count`` calls to ``random_unitary``. The
-    count, dims and dimension cap are checked before anything is drawn; the
-    unitarity check runs once over the whole array.
+    count, dims, dimension cap and ``count * d**2 <= MAX_RUN_ENTRIES`` are
+    checked before anything is allocated; the unitarity check runs once over
+    the whole array.
     """
     count = read_value(_POSITIVE, count, "unitary count")
     total = math.prod(_resolve_dims(dims))
     if total > MAX_TOTAL_DIMENSION:
         raise ParameterError(f"total dimension {total} exceeds cap {MAX_TOTAL_DIMENSION}")
+    if count * total**2 > MAX_RUN_ENTRIES:
+        raise ParameterError(f"the draw would take count * d**2 = {count * total**2} entries; the cap is {MAX_RUN_ENTRIES}")
     q = _haar_columns(count, total, rng, total)
     check_unitary(q)
     q.setflags(write=False)

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from authsim import classical_mac, cli, curty_santos, qmac_framework, quantum_core, symmetry_test
+from authsim.errors import ParameterError
 from authsim.qmac_framework import random_scheme
 from testkit import CallCounter, scheme_to_json_dict, state_to_json_dict
 
@@ -30,6 +31,45 @@ def write_config(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return path
+
+
+# the library calls that would draw a random_schemes shape, one scheme, or every label's unitary of the run
+SHAPE_CALLS = {
+    "random_scheme_reports": lambda rng, shape: next(qmac_framework.random_scheme_reports(rng, **shape)),
+    "random_scheme": lambda rng, shape: random_scheme(rng, shape["dim"], shape["num_keys"], shape["num_messages"]),
+    "haar_unitaries": lambda rng, shape: quantum_core.haar_unitaries(
+        shape["count"] * shape["num_keys"] * shape["num_messages"], shape["dim"], rng
+    ),
+}
+
+
+def run_shape(via, shape, tmp_path):
+    """(exit code, output, tracemalloc peak) of the random_schemes ``shape`` run by ``cli.run``
+    (``via`` "cli") or by ``SHAPE_CALLS[via]``, whose ParameterError is printed as ``cli.run`` prints it."""
+    config = write_config(tmp_path, "r.json", _cfg("GenericQmac", {"random_schemes": shape}))
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        if via == "cli":
+            code, out = run_cli(str(config), str(tmp_path / "report.json"))
+        else:
+            try:
+                SHAPE_CALLS[via](rng, shape)
+                code, out = 0, ""
+            except ParameterError as exc:
+                code, out = 1, f"error: {exc}\n"
+        return code, out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def count_draws(monkeypatch):
+    """A CallCounter on the Haar sampler, through either module that calls it, and on QmacScheme.__init__."""
+    counter = CallCounter(monkeypatch)
+    counter.count(qmac_framework, "_haar_columns")
+    counter.count(quantum_core, "_haar_columns")
+    counter.count(qmac_framework.QmacScheme, "__init__")
+    return counter
 
 
 class TestCatalog:
@@ -187,6 +227,27 @@ class TestGenericQmacScenario:
         assert run_cli(str(config), str(tmp_path / "r.json"))[0] == 0
         assert counter.calls == {"impersonation_deception": calls, "validate": calls}
 
+    @pytest.mark.parametrize("rule", [{}, {"kind": "symmetry-test", "copies": 3}], ids=["projective", "symmetry-test"])
+    def test_tags_sharing_a_scaled_identity_score_under_every_rule(self, rule, tmp_path):
+        # labels a and b of message 0 share (1 + 4e-11) I, unitary within 1e-10, so both tag states pass
+        # their norm check; their overlap, about 1 + 8e-11, is within (1 + 2 NORM_ATOL)**2
+        def gate(entries):
+            return {"matrix": [[[value, 0.0] for value in row] for row in entries]}
+
+        scaled = gate([[1 + 4e-11, 0.0], [0.0, 1 + 4e-11]])
+        doc = {
+            "messages": [0, 1],
+            "keys": [0, 1],
+            "label_table": [["a", "c"], ["b", "d"]],
+            "tag_unitaries": {"a": scaled, "b": scaled, "c": gate([[1, 0], [0, 1]]), "d": gate([[0, 1], [1, 0]])},
+            "initial_state": {"amplitudes": [[1.0, 0.0], [0.0, 0.0]], "dims": [2]},
+        }
+        config = write_config(tmp_path, "s.json", _cfg("GenericQmac", {"scheme": doc, "rule": rule}))
+        code, out = run_cli(str(config), str(tmp_path / "r.json"))
+        assert code == 0, out
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["impersonation"]["deception_probability"] == pytest.approx(1.0, abs=1e-9)
+
     def test_broken_scheme_exits_two(self, tmp_path):
         scheme = random_scheme(np.random.default_rng(6))
         doc = scheme_to_json_dict(scheme)
@@ -232,29 +293,45 @@ class TestGenericQmacScenario:
         assert not (tmp_path / "report.json").exists()
 
     def test_pair_cap_admits_1024_keys_of_two_messages(self):
-        assert 2 * math.comb(1024, 2) <= cli.MAX_SCHEME_PAIRS < 2 * math.comb(1025, 2)
+        assert 2 * math.comb(1024, 2) <= qmac_framework.MAX_SCHEME_PAIRS < 2 * math.comb(1025, 2)
 
-    @pytest.mark.parametrize("keys,messages", [(1025, 2), (16384, 2), (5, 2**17 + 1)])
-    def test_random_scheme_pairs_over_cap_exit_one_before_drawing(self, keys, messages, monkeypatch, tmp_path):
+    @pytest.mark.parametrize(
+        "dim,keys,via",
+        [(1025, 2, "cli"), (1025, 2, "random_scheme_reports"), (1025, 2, "random_scheme"), (1, 10**9, "cli")],
+        ids=["dim-1025", "random_scheme_reports-dim-1025", "random_scheme-dim-1025", "keys-10**9"],
+    )
+    def test_random_scheme_entries_over_cap_exit_one_before_drawing(self, dim, keys, via, monkeypatch, tmp_path):
+        # 1025 x 1025 normals for each label of 2 keys x 2 messages: just over the per-scheme entry cap
+        shape = {"count": 1, "dim": dim, "num_keys": keys, "num_messages": 2}
+        counter = count_draws(monkeypatch)
+        code, out, peak = run_shape(via, shape, tmp_path)
+        assert code == 1
+        assert peak < 64 * 2**10
+        assert out == (
+            f"error: a random scheme would draw num_keys * num_messages * dim**2 = {keys * 2 * dim**2} "
+            f"entries; the cap is {qmac_framework.MAX_SCHEME_ENTRIES}\n"
+        )
+        assert counter.calls == {"_haar_columns": 0, "__init__": 0}
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "keys,messages,via",
+        [(1025, 2, "cli"), (16384, 2, "cli"), (5, 2**17 + 1, "cli"),
+         (1025, 2, "random_scheme_reports"), (1025, 2, "random_scheme")],
+        ids=["1025-2", "16384-2", "5-131073", "random_scheme_reports-1025-2", "random_scheme-1025-2"],
+    )
+    def test_random_scheme_pairs_over_cap_exit_one_before_drawing(self, keys, messages, via, monkeypatch, tmp_path):
         # each shape passes MAX_SCHEME_ENTRIES at dim 1; its label pairs alone are over the cap
         shape = {"count": 1, "dim": 1, "num_keys": keys, "num_messages": messages}
-        assert keys * messages <= cli.MAX_SCHEME_ENTRIES
-        counter = CallCounter(monkeypatch)
-        counter.count(qmac_framework, "_haar_columns")
-        counter.count(qmac_framework.QmacScheme, "__init__")
-        config = write_config(tmp_path, "r.json", _cfg("GenericQmac", {"random_schemes": shape}))
-        tracemalloc.start()
-        try:
-            code, out = run_cli(str(config), str(tmp_path / "report.json"))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        assert keys * messages <= qmac_framework.MAX_SCHEME_ENTRIES
+        counter = count_draws(monkeypatch)
+        code, out, peak = run_shape(via, shape, tmp_path)
         assert code == 1
         assert peak < 64 * 2**10  # about 6 KiB; the 2050 labels of 1025 keys would take more to compile
         pairs = messages * math.comb(keys, 2)
         assert out.startswith(
             f"error: a random scheme would score num_messages * C(num_keys, 2) = {pairs} label pairs; "
-            f"the cap is {cli.MAX_SCHEME_PAIRS}"
+            f"the cap is {qmac_framework.MAX_SCHEME_PAIRS}"
         ), out
         assert counter.calls == {"_haar_columns": 0, "__init__": 0}
         assert not (tmp_path / "report.json").exists()
@@ -270,31 +347,32 @@ class TestGenericQmacScenario:
                 shape = scenario["parameters"]["random_schemes"]
                 shapes.append((shape["count"], shape["dim"], shape["num_keys"], shape["num_messages"]))
         assert len(shapes) == len(workloads.QMAC_LADDER) + 1
-        assert all(count * keys * messages * dim**2 <= cli.MAX_RUN_ENTRIES for count, dim, keys, messages in shapes)
+        assert all(
+            count * keys * messages * dim**2 <= quantum_core.MAX_RUN_ENTRIES for count, dim, keys, messages in shapes
+        )
         # 64 schemes at the per-scheme cap fill the run's cap
-        assert 64 * cli.MAX_SCHEME_ENTRIES == cli.MAX_RUN_ENTRIES
+        assert 64 * qmac_framework.MAX_SCHEME_ENTRIES == quantum_core.MAX_RUN_ENTRIES
 
-    @pytest.mark.parametrize("count,dim", [(65, 1024), (cli.MAX_COUNT, 128)])
-    def test_random_run_entries_over_cap_exit_one_before_drawing(self, count, dim, monkeypatch, tmp_path):
-        # each scheme is within MAX_SCHEME_ENTRIES (65 of them at it) and MAX_SCHEME_PAIRS; the run is not
+    @pytest.mark.parametrize(
+        "count,dim,via",
+        [(65, 1024, "cli"), (cli.MAX_COUNT, 128, "cli"), (65, 1024, "random_scheme_reports"),
+         (65, 1024, "haar_unitaries"), (cli.MAX_COUNT, 128, "haar_unitaries")],
+        ids=["65-1024", "10000-128", "random_scheme_reports-65-1024", "haar_unitaries-65-1024",
+             "haar_unitaries-10000-128"],
+    )
+    def test_random_run_entries_over_cap_exit_one_before_drawing(self, count, dim, via, monkeypatch, tmp_path):
+        # each scheme is within MAX_SCHEME_ENTRIES (65 of them at it) and MAX_SCHEME_PAIRS; the run is not.
+        # haar_unitaries is asked for the unitaries of every label of every scheme: the same entries
         shape = {"count": count, "dim": dim, "num_keys": 2, "num_messages": 2}
-        assert 4 * dim**2 <= cli.MAX_SCHEME_ENTRIES
-        counter = CallCounter(monkeypatch)
-        counter.count(qmac_framework, "_haar_columns")
-        config = write_config(tmp_path, "r.json", _cfg("GenericQmac", {"random_schemes": shape}))
-        tracemalloc.start()
-        try:
-            code, out = run_cli(str(config), str(tmp_path / "report.json"))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        assert 4 * dim**2 <= qmac_framework.MAX_SCHEME_ENTRIES
+        counter = count_draws(monkeypatch)
+        code, out, peak = run_shape(via, shape, tmp_path)
         assert code == 1
         assert peak < 64 * 2**10
-        assert out == (
-            f"error: the run would draw count * num_keys * num_messages * dim**2 = {count * 4 * dim**2} entries; "
-            f"the cap is {cli.MAX_RUN_ENTRIES}\n"
-        )
-        assert counter.calls == {"_haar_columns": 0}
+        work = "count * d**2" if via == "haar_unitaries" else "count * num_keys * num_messages * dim**2"
+        what = "the draw would take" if via == "haar_unitaries" else "the run would draw"
+        assert out == f"error: {what} {work} = {count * 4 * dim**2} entries; the cap is {quantum_core.MAX_RUN_ENTRIES}\n"
+        assert counter.calls == {"_haar_columns": 0, "__init__": 0}
         assert not (tmp_path / "report.json").exists()
 
     def test_run_pair_cap_admits_every_builtin_and_ladder_rung(self, monkeypatch):
@@ -309,55 +387,63 @@ class TestGenericQmacScenario:
             if shape is not None
         ]
         assert len(shapes) == len(workloads.QMAC_LADDER) + 1
-        assert all(count * messages * math.comb(keys, 2) <= cli.MAX_RUN_PAIRS for count, keys, messages in shapes)
+        assert all(
+            count * messages * math.comb(keys, 2) <= qmac_framework.MAX_RUN_PAIRS for count, keys, messages in shapes
+        )
         # 64 schemes at the per-scheme pair cap fill the run's cap
-        assert 64 * cli.MAX_SCHEME_PAIRS == cli.MAX_RUN_PAIRS
+        assert 64 * qmac_framework.MAX_SCHEME_PAIRS == qmac_framework.MAX_RUN_PAIRS
 
-    @pytest.mark.parametrize("count,keys", [(65, 1024), (cli.MAX_COUNT, 83)])
-    def test_random_run_pairs_over_cap_exit_one_before_drawing(self, count, keys, monkeypatch, tmp_path):
+    @pytest.mark.parametrize(
+        "count,keys,via",
+        [(65, 1024, "cli"), (cli.MAX_COUNT, 83, "cli"), (65, 1024, "random_scheme_reports")],
+        ids=["65-1024", "10000-83", "random_scheme_reports-65-1024"],
+    )
+    def test_random_run_pairs_over_cap_exit_one_before_drawing(self, count, keys, via, monkeypatch, tmp_path):
         # each scheme is within MAX_SCHEME_PAIRS and the run within MAX_RUN_ENTRIES; one scheme
         # fewer, or one key fewer, and the run's pairs would be within MAX_RUN_PAIRS too
         shape = {"count": count, "dim": 1, "num_keys": keys, "num_messages": 2}
         pairs = 2 * math.comb(keys, 2)
-        assert pairs <= cli.MAX_SCHEME_PAIRS and count * keys * 2 <= cli.MAX_RUN_ENTRIES
-        assert min((count - 1) * pairs, count * 2 * math.comb(keys - 1, 2)) <= cli.MAX_RUN_PAIRS < count * pairs
-        counter = CallCounter(monkeypatch)
-        counter.count(qmac_framework, "_haar_columns")
-        config = write_config(tmp_path, "r.json", _cfg("GenericQmac", {"random_schemes": shape}))
-        tracemalloc.start()
-        try:
-            code, out = run_cli(str(config), str(tmp_path / "report.json"))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        assert pairs <= qmac_framework.MAX_SCHEME_PAIRS and count * keys * 2 <= quantum_core.MAX_RUN_ENTRIES
+        run_pairs = min((count - 1) * pairs, count * 2 * math.comb(keys - 1, 2))
+        assert run_pairs <= qmac_framework.MAX_RUN_PAIRS < count * pairs
+        counter = count_draws(monkeypatch)
+        code, out, peak = run_shape(via, shape, tmp_path)
         assert code == 1
         assert peak < 64 * 2**10
         assert out == (
             f"error: the run would score count * num_messages * C(num_keys, 2) = {count * pairs} label pairs; "
-            f"the cap is {cli.MAX_RUN_PAIRS}\n"
+            f"the cap is {qmac_framework.MAX_RUN_PAIRS}\n"
         )
-        assert counter.calls == {"_haar_columns": 0}
+        assert counter.calls == {"_haar_columns": 0, "__init__": 0}
         assert not (tmp_path / "report.json").exists()
 
     def test_inline_scheme_pairs_over_cap_exit_one_before_scoring(self, monkeypatch, tmp_path):
-        # 1025 keys of 2 messages at dim 1: every label has a unitary, and its pairs are over the cap
-        keys, labels = range(1025), [f"{k},{m}" for k in range(1025) for m in (0, 1)]
-        doc = {
-            "messages": [0, 1],
-            "keys": list(keys),
-            "label_table": [[f"{k},0", f"{k},1"] for k in keys],
-            "tag_unitaries": {label: {"matrix": [[[1.0, 0.0]]]} for label in labels},
-            "initial_state": {"amplitudes": [[1.0, 0.0]], "dims": [1]},
-        }
         counter = CallCounter(monkeypatch)
         counter.count(qmac_framework, "pair_overlaps")
-        config = write_config(tmp_path, "s.json", _cfg("GenericQmac", {"scheme": doc}))
+        config = write_config(tmp_path, "s.json", _cfg("GenericQmac", {"scheme": OVER_CAP_SCHEME}))
         code, out = run_cli(str(config), str(tmp_path / "report.json"))
         assert code == 1
         pairs = 2 * math.comb(1025, 2)
-        assert out == f"error: the scheme would score {pairs} label pairs; the cap is {cli.MAX_SCHEME_PAIRS}\n"
+        assert out == f"error: the scheme would score {pairs} label pairs; the cap is {qmac_framework.MAX_SCHEME_PAIRS}\n"
         assert counter.calls == {"pair_overlaps": 0}
         assert not (tmp_path / "report.json").exists()
+
+    def test_scheme_overlaps_over_cap_raise_before_states(self, monkeypatch):
+        scheme = qmac_framework.scheme_from_json_dict(OVER_CAP_SCHEME)
+        counter = CallCounter(monkeypatch)
+        counter.count(qmac_framework, "pair_overlaps")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError) as raised:
+                scheme.overlaps
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        pairs = 2 * math.comb(1025, 2)
+        assert str(raised.value) == f"the scheme would score {pairs} label pairs; the cap is {qmac_framework.MAX_SCHEME_PAIRS}"
+        assert peak < 64 * 2**10
+        assert counter.calls == {"pair_overlaps": 0}
+        assert "states" not in vars(scheme)  # no tag state formed
 
     @pytest.mark.parametrize(
         "field,value",
@@ -491,6 +577,16 @@ class TestDeterminismAndErrors:
 
 
 SWAP_UNITARY = {"dims": [2, 2], "matrix": [[[float(x), 0.0] for x in row] for row in np.eye(4)[[0, 2, 1, 3]]]}
+
+
+# 1025 keys of 2 messages at dim 1: every label has a unitary, and its pairs are over the cap
+OVER_CAP_SCHEME = {
+    "messages": [0, 1],
+    "keys": list(range(1025)),
+    "label_table": [[f"{k},0", f"{k},1"] for k in range(1025)],
+    "tag_unitaries": {f"{k},{m}": {"matrix": [[[1.0, 0.0]]]} for k in range(1025) for m in (0, 1)},
+    "initial_state": {"amplitudes": [[1.0, 0.0]], "dims": [1]},
+}
 
 
 def _cfg(kind, params, **top):

@@ -1254,7 +1254,7 @@ class TestOverlapKernel:
         empty = DecisionRule("projective").wrong_tag_acceptances(np.empty(0))
         assert empty.shape == (0,) and empty.dtype == np.float64
 
-    @pytest.mark.parametrize("lam", [1.0 + 1e-11, math.nan, -5e-324], ids=["above-slack", "nan", "negative"])
+    @pytest.mark.parametrize("lam", [1.0 + 1e-9, math.nan, -5e-324], ids=["above-slack", "nan", "negative"])
     def test_symmetry_rule_rejects_overlap_out_of_range(self, lam):
         with pytest.raises(ParameterError, match=rf"^overlap {lam!r} outside \[0, 1\]$"):
             DecisionRule("symmetry-test", 3).wrong_tag_acceptances(np.array([0.5, lam]))
@@ -1263,6 +1263,18 @@ class TestOverlapKernel:
         lam = 1.0 + 1e-13
         q = DecisionRule("symmetry-test", 3).wrong_tag_acceptances(np.array([lam]))
         assert q.tolist() == [(1.0 + 2.0 * (lam * lam)) / 3.0]
+
+    def test_symmetry_rule_takes_every_overlap_of_normed_states(self):
+        # two tag states that pass their 1e-10 norm check can overlap by up to (1 + 2e-10)**2, rounding included
+        top = qmac_framework.NORMED_OVERLAP_MAX
+        assert top == (1 + 2 * quantum_core.NORM_ATOL) ** 2
+        rule = DecisionRule("symmetry-test", 3)
+        assert rule.wrong_tag_acceptances(np.array([1.0 + 8e-11, top])).tolist() == [
+            (1.0 + 2.0 * (lam * lam)) / 3.0 for lam in (1.0 + 8e-11, top)
+        ]
+        above = float(np.nextafter(top, 2.0))
+        with pytest.raises(ParameterError, match=rf"^overlap {above!r} outside \[0, 1\]$"):
+            rule.wrong_tag_acceptances(np.array([above]))
 
     def test_projective_rule_checks_no_range(self):
         lams = [1.0 + 1e-11, -0.5, 2.0]

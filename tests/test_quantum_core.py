@@ -41,6 +41,13 @@ X = np.array([[0, 1], [1, 0]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
 # Every (d, n) whose reference projector is small enough to build per example.
+class IndexOnly:
+    """Has ``__index__`` but is not an ``Integral``: an index reader that calls ``operator.index`` takes it."""
+
+    def __index__(self):
+        return 1
+
+
 SMALL_SUBSPACES = [(d, n) for d in range(1, 17) for n in range(1, 9) if d**n <= 256]
 # The symtest-oracle benchmark ladder.
 ORACLE_LADDER = [(2, 8), (3, 5), (8, 3), (4, 6), (16, 3)]
@@ -159,7 +166,7 @@ class TestConstruction:
         with pytest.raises(ParameterError, match="must be integers"):
             build()
 
-    @pytest.mark.parametrize("index", [True, False, 1.0, "1"])
+    @pytest.mark.parametrize("index", [True, False, 1.0, "1", np.array(1), IndexOnly()])
     def test_basis_index_must_be_an_integer(self, index):
         with pytest.raises(ParameterError, match="^basis index must be an integer"):
             basis_state(index, 2)

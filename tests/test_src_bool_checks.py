@@ -4,16 +4,15 @@
 ``Field``, and it alone decides that a bool is neither an int nor a real
 number. A hand-written ``isinstance(x, bool)`` elsewhere would be a second
 reader of the same values, with its own accept set and its own wording. An
-``ast`` walk of ``src/authsim`` fails on any such check outside ``spec.py``
-and ``quantum_core._index``, which reads indices by ``operator.index`` so that
-numpy integers pass, and names the file and line.
+``ast`` walk of ``src/authsim`` fails on any such check outside ``spec.py``,
+and names the file and line.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "authsim"
-ALLOWED = {("quantum_core.py", "_index")}  # (file, top-level function); spec.py is skipped whole
+ALLOWED: set[tuple[str, str]] = set()  # (file, top-level function); spec.py is skipped whole
 
 
 def _names_bool(node: ast.AST) -> bool:

@@ -187,8 +187,9 @@ def impersonation_acceptance(instance: CurtySantosInstance, psi: PureState) -> f
     total = 0.0
     for j in instance.accept_set:
         phi = instance.basis[j].amplitudes
-        total += 0.5 * abs(np.vdot(phi, psi.amplitudes)) ** 2
-        total += 0.5 * abs(np.vdot(psi.amplitudes, u @ phi)) ** 2
+        received, decoded = abs(np.vdot(phi, psi.amplitudes)), abs(np.vdot(psi.amplitudes, u @ phi))
+        total += 0.5 * (received * received)
+        total += 0.5 * (decoded * decoded)
     return float(total)
 
 

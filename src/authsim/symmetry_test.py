@@ -12,12 +12,13 @@ from __future__ import annotations
 import math
 import sys
 from numbers import Real
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .quantum_core import COPY_COUNT, PureState, symmetrize, tensor
+from .quantum_core import COPY_COUNT, MAX_TOTAL_DIMENSION, PureState
 from .spec import Field, read_value
 
 DEFAULT_MESSAGE_SPACE_SIZE = 2**64
@@ -47,10 +48,14 @@ def acceptance_error_oracle(n: int, a: PureState, b: PureState) -> float:
     """Same quantity from first principles: <Phi|P_sym|Phi> with
     Phi = a (x) b^(x)(n-1). Independent of the closed form.
 
-    a and b must be PureStates of one dimension, checked before Phi is formed
-    by ``quantum_core.tensor`` (bit for bit np.kron). P_sym, the mean of the n!
-    permutations (Harrow, arXiv:1308.6595), acts on Phi's (d,)*n tensor by the
-    coset recursion of ``quantum_core.symmetrize``, with no d**n x d**n matrix.
+    a and b must be PureStates of one dimension d, and d**n is held to the
+    cap of ``quantum_core.tensor`` before any amplitude is read. The value is
+    perm(G)/n! for the Gram matrix G of the n factors (Harrow,
+    arXiv:1308.6595), by Ryser's formula grouped by the column multiplicities
+    (1, n-1): the 2n terms
+    sum_{s_a<=1, s_b<n} (-1)^(n-s_a-s_b) C(n-1, s_b) (s_a g_aa + s_b g_ab) (s_a g_ba + s_b g_bb)^(n-1)
+    are summed in Gaussian integers (``_ints``), real part only since G is
+    Hermitian, and divided once: the exact value, correctly rounded.
     """
     n = read_value(COPY_COUNT, n, "copy count")
     for name, state in (("a", a), ("b", b)):
@@ -58,8 +63,37 @@ def acceptance_error_oracle(n: int, a: PureState, b: PureState) -> float:
             raise ParameterError(f"{name} must be a PureState, got {type(state).__name__}")
     if a.d != b.d:
         raise ParameterError(f"dimension mismatch: {a.d} vs {b.d}")
-    phi = tensor([a] + [b] * (n - 1)).amplitudes.reshape((a.d,) * n)
-    return float(np.vdot(phi, symmetrize(phi, n)).real)
+    if a.d**n > MAX_TOTAL_DIMENSION:
+        raise ParameterError(f"total dimension {a.d**n} exceeds cap {MAX_TOTAL_DIMENSION}")
+    ints, k = _ints(np.concatenate((a.amplitudes, b.amplitudes)))  # a contiguous copy of any view
+    u, v = ints[: 2 * a.d], ints[2 * a.d :]
+    g_aa, g_bb = sum(map(mul, u, u)), sum(map(mul, v, v))
+    g_re = sum(map(mul, u, v))  # g_ab = <a|b> = g_re + i g_im
+    g_im = sum(map(mul, u[::2], v[1::2])) - sum(map(mul, u[1::2], v[::2]))
+    m, perm = n - 1, 0
+    g_bb_m = g_bb**m
+    for s in range(n):
+        # s_a = 1: Re((g_aa + s g_ab) (g_ba + s g_bb)^m); s_a = 0: Re(s g_ab (s g_bb)^m)
+        base_re, tail_re, tail_im = g_re + s * g_bb, 1, 0
+        for _ in range(m):  # times g_ba + s g_bb = base_re - i g_im
+            tail_re, tail_im = tail_re * base_re + tail_im * g_im, tail_im * base_re - tail_re * g_im
+        terms = (g_aa + s * g_re) * tail_re - s * g_im * tail_im - s**n * g_re * g_bb_m
+        perm += (-1) ** (m - s) * math.comb(m, s) * terms
+    return perm / (math.factorial(n) << 2 * n * k)
+
+
+def _ints(amps: np.ndarray) -> tuple[list[int], int]:
+    """(ints, k): the real and imaginary parts of the C-contiguous complex array
+    ``amps``, interleaved, as ints times 2**-k.
+
+    ``np.frexp`` splits each part x exactly into x = f * 2**e with f * 2**53 an
+    int below 2**53, so with k = 53 - min(e) each x * 2**k is that int shifted
+    left by e - min(e).
+    """
+    fractions, exponents = np.frexp(amps.view(np.float64))
+    low = int(exponents.min())
+    mantissas = np.ldexp(fractions, 53).astype(np.int64).tolist()
+    return list(map(int.__lshift__, mantissas, (exponents - low).tolist())), 53 - low
 
 
 def feasibility_threshold(tag_count: int, delta: float) -> float:

@@ -35,7 +35,7 @@ from authsim.quantum_core import (
     unitary_from_json_dict,
 )
 from authsim.symmetry_test import acceptance_error_formula, acceptance_error_oracle
-from testkit import kron_tensor, operator_to_json_dict, state_to_json_dict
+from testkit import closed_form_with_norms, kron_tensor, operator_to_json_dict, state_to_json_dict
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -664,10 +664,11 @@ class TestSymmetricSubspaceOracle:
             lam = abs(np.vdot(a.amplitudes, b.amplitudes))
             value = acceptance_error_oracle(n, a, b)
             assert abs(value - acceptance_error_formula(n, lam)) <= 1e-9
-            # bit for bit the oracle whose Phi comes from np.kron
+            # the exact value correctly rounded; the dense routes, with Phi from np.kron, within 1e-15
+            assert value == float(closed_form_with_norms(n, a.amplitudes, b.amplitudes))
             phi = kron_tensor([a] + [b] * (n - 1)).amplitudes.reshape((d,) * n)
-            assert value == float(np.vdot(phi, symmetrize(phi, n)).real)
-            assert value == float(np.vdot(phi, reference_symmetrize(phi, n)).real)
+            assert abs(value - np.vdot(phi, symmetrize(phi, n)).real) <= 1e-15
+            assert abs(value - np.vdot(phi, reference_symmetrize(phi, n)).real) <= 1e-15
 
     @settings(max_examples=300, deadline=None)
     @given(case=complex_tensors())
@@ -685,18 +686,24 @@ class TestSymmetricSubspaceOracle:
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_signed_zeros_leave_oracle_bits(self, n):
-        # real states with zero amplitudes put -0.0 entries in Phi; the oracle's value is at
-        # least 1/n, so a zero's sign cannot reach it
+        # real states with zero amplitudes put -0.0 entries in the dense route's Phi; the oracle
+        # reads every zero part as the int 0, so flipping the sign of each leaves its bits
         a = PureState(np.array([1.0, 0.0, 0.0]))
         b = PureState(np.array([-0.6, 0.0, 0.8]))
         phi = kron_tensor([a] + [b] * (n - 1)).amplitudes.reshape((3,) * n)
         assert np.signbit(phi.real[phi == 0]).any()
-        assert acceptance_error_oracle(n, a, b) == float(np.vdot(phi, reference_symmetrize(phi, n)).real)
+        value = acceptance_error_oracle(n, a, b)
+        assert value == float(closed_form_with_norms(n, a.amplitudes, b.amplitudes))
+        assert abs(value - np.vdot(phi, reference_symmetrize(phi, n)).real) <= 1e-15
+        parts = [s.amplitudes.view(np.float64) for s in (a, b)]
+        flipped = [PureState(np.where(x == 0, -x, x).view(complex)) for x in parts]
+        assert all(np.signbit(s.amplitudes.imag).all() for s in flipped)
+        assert acceptance_error_oracle(n, *flipped) == value
 
     @pytest.mark.parametrize("d,n", [(4, 6), (16, 3), (8, 4)])
-    def test_working_memory_is_a_few_tensors(self, d, n):
-        # Phi and the kernel's working arrays peak at about 4.03 complex tensors of d**n entries
-        # at each of these 4096-entry shapes; the dense projector would take 256 MiB
+    def test_working_memory_is_below_one_tensor(self, d, n):
+        # the oracle forms nothing of d**n entries: its peak stays below one complex tensor
+        # of Phi's size at each of these 4096-entry shapes (the dense projector takes 256 MiB)
         rng = np.random.default_rng(d * 100 + n)
         a, b = random_state(d, rng), random_state(d, rng)
         acceptance_error_oracle(2, random_state(2, rng), random_state(2, rng))
@@ -706,7 +713,7 @@ class TestSymmetricSubspaceOracle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 5 * 16 * d**n
+        assert peak < 16 * d**n
 
 
 class TestSerialization:

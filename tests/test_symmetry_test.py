@@ -11,7 +11,18 @@ from hypothesis import strategies as st
 
 from authsim import cli, symmetry_test
 from authsim.errors import DomainError, ParameterError
-from authsim.quantum_core import MAX_COPIES, HermitianOperator, PureState, UnitaryOperator, basis_state, random_state
+from authsim.quantum_core import (
+    MAX_COPIES,
+    MAX_TOTAL_DIMENSION,
+    HermitianOperator,
+    PureState,
+    UnitaryOperator,
+    _trusted,
+    basis_state,
+    random_state,
+    symmetrize,
+    tensor,
+)
 from authsim.symmetry_test import (
     SweepRow,
     acceptance_error_formula,
@@ -20,7 +31,7 @@ from authsim.symmetry_test import (
     feasibility_threshold,
     sweep,
 )
-from testkit import CallCounter, impersonation_with_symmetry_test, key_length_requirement
+from testkit import CallCounter, closed_form_with_norms, impersonation_with_symmetry_test, key_length_requirement
 
 
 def plus_state():
@@ -114,8 +125,9 @@ class TestAcceptanceErrorOracle:
             ) <= 1e-9
 
     def test_caps_and_validation(self):
-        with pytest.raises(ParameterError):
-            acceptance_error_oracle(7, basis_state(0, (4,)), basis_state(1, (4,)))  # 4**7 too big
+        # d**n is held to the cap of quantum_core.tensor, with its message
+        with pytest.raises(ParameterError, match=r"^total dimension 16384 exceeds cap 4096$"):
+            acceptance_error_oracle(7, basis_state(0, (4,)), basis_state(1, (4,)))
         with pytest.raises(ParameterError):
             acceptance_error_oracle(2, basis_state(0, (2,)), basis_state(0, (3,)))
 
@@ -129,13 +141,13 @@ class TestAcceptanceErrorOracle:
         ],
         ids=["unitary", "hermitian", "array"],
     )
-    def test_non_state_rejected_by_name_before_any_product(self, position, value, kind, monkeypatch):
+    def test_non_state_rejected_by_name_before_any_amplitude_read(self, position, value, kind, monkeypatch):
         counter = CallCounter(monkeypatch)
-        counter.count(symmetry_test, "tensor")
+        counter.count(symmetry_test, "_ints")
         args = {"a": basis_state(0, (2,)), "b": basis_state(1, (2,)), position: value}
         with pytest.raises(ParameterError, match=f"^{position} must be a PureState, got {kind}$"):
             acceptance_error_oracle(2, args["a"], args["b"])
-        assert counter.calls == {"tensor": 0}
+        assert counter.calls == {"_ints": 0}
 
     @pytest.mark.parametrize("n", [True, False, 0, 9, 10**6, 10**7, 2.0])
     def test_invalid_copy_count_rejected_before_work(self, n):
@@ -201,15 +213,32 @@ def exact_acceptance(n: int, a: np.ndarray, b: np.ndarray) -> Fraction:
     return Fraction(perm_re, math.factorial(n) * scale_a**2 * scale_b ** (2 * (n - 1)))
 
 
-def closed_form_with_norms(n: int, a: np.ndarray, b: np.ndarray) -> Fraction:
-    """(g_aa g_bb^(n-1) + (n-1)|g_ab|^2 g_bb^(n-2))/n in exact rationals: the
-    (1 + (n-1) lambda^2)/n of the paper for states whose norms are not exactly 1."""
-    fa = [(Fraction(z.real), Fraction(z.imag)) for z in a.tolist()]
-    fb = [(Fraction(z.real), Fraction(z.imag)) for z in b.tolist()]
-    g_aa, g_bb = (sum(x * x + y * y for x, y in f) for f in (fa, fb))
-    g_ab_re = sum(x1 * x2 + y1 * y2 for (x1, y1), (x2, y2) in zip(fa, fb))
-    g_ab_im = sum(x1 * y2 - y1 * x2 for (x1, y1), (x2, y2) in zip(fa, fb))
-    return (g_aa * g_bb ** (n - 1) + (n - 1) * (g_ab_re**2 + g_ab_im**2) * g_bb ** (n - 2)) / n
+# Every (d, n) with d <= 16 that the oracle admits.
+ORACLE_SHAPES = [(d, n) for d in range(1, 17) for n in range(1, MAX_COPIES + 1) if d**n <= MAX_TOTAL_DIMENSION]
+_SIGN = st.sampled_from([1.0, -1.0])
+# zeros of either sign, parts from about 1e-300 to 1, and subnormals
+_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda f, e: f * 10.0**e, st.floats(-1.0, 1.0), st.integers(-300, 0)),
+    st.builds(lambda k, sign: sign * k * 5e-324, st.integers(1, 2**52 - 1), _SIGN),
+)
+
+
+@st.composite
+def oracle_cases(draw):
+    """(n, a, b) for every admitted (d, n) with d <= 16: each state has one part of
+    size 1/2 to 1 and the rest from ``_PARTS``, is divided by its norm, and
+    holds its amplitudes contiguous, as a strided view or as a reversed view."""
+
+    def state():
+        parts = np.array(draw(st.lists(_PARTS, min_size=2 * d, max_size=2 * d)))
+        parts[draw(st.integers(0, 2 * d - 1))] = draw(st.floats(0.5, 1.0)) * draw(_SIGN)
+        amps = PureState(parts.view(complex) / np.linalg.norm(parts)).amplitudes
+        layouts = {"contiguous": amps, "strided": np.repeat(amps, 2)[::2], "reversed": amps[::-1].copy()[::-1]}
+        return _trusted(PureState, layouts[draw(st.sampled_from(sorted(layouts)))], (d,))
+
+    d, n = draw(st.sampled_from(ORACLE_SHAPES))
+    return n, state(), state()
 
 
 @pytest.fixture(scope="module")
@@ -222,9 +251,10 @@ def reported_copy_counts(tmp_path_factory):
 
 class TestExactPermanent:
     """The symmetry test's acceptance in exact arithmetic, from the Gram
-    permanent of the n factors: the closed form and the dense oracle are both
-    held to it, the closed form at every copy count the built-in grid reports,
-    past the oracle's 8-copy cap."""
+    permanent of the n factors: the closed form is held to it at every copy
+    count the built-in grid reports, past the oracle's 8-copy cap. The oracle
+    is the closed form correctly rounded, and the dense route through
+    ``quantum_core.symmetrize`` is within 1e-15 of it."""
 
     def test_reported_copy_counts_run_past_the_oracle_cap(self, reported_copy_counts):
         assert reported_copy_counts[0] == 2 and reported_copy_counts[-1] == 40 > MAX_COPIES
@@ -247,18 +277,29 @@ class TestExactPermanent:
             assert exact_acceptance(n, zero, zero) == 1
             assert exact_acceptance(n, zero, plus) == closed_form_with_norms(n, zero, plus)
 
-    def test_dense_oracle_within_1e_15(self):
-        # every (d, n) with d <= 64 that the dense oracle admits: n <= 8 and d**n <= 4096
+    def test_oracle_exact_and_dense_route_within_1e_15(self):
+        # every (d, n) with d <= 64 that the oracle admits: n <= 8 and d**n <= 4096
         rng, worst = np.random.default_rng(7), {}
         for d in range(1, 65):
             for n in range(1, 9):
                 if d**n > 4096:
                     break
                 a, b = random_state(d, rng), random_state(d, rng)
-                exact = float(exact_acceptance(n, a.amplitudes, b.amplitudes))
-                worst[d, n] = abs(acceptance_error_oracle(n, a, b) - exact)
+                value = acceptance_error_oracle(n, a, b)
+                assert value == float(exact_acceptance(n, a.amplitudes, b.amplitudes)), (d, n)
+                phi = tensor([a] + [b] * (n - 1)).amplitudes.reshape((d,) * n)
+                worst[d, n] = abs(value - np.vdot(phi, symmetrize(phi, n)).real)
         assert len(worst) == 166
         assert max(worst.values()) <= 1e-15, max(worst, key=worst.get)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=oracle_cases())
+    def test_oracle_is_the_closed_form_correctly_rounded(self, case):
+        n, a, b = case
+        value = acceptance_error_oracle(n, a, b)
+        assert value == float(closed_form_with_norms(n, a.amplitudes, b.amplitudes))
+        if n == 1:  # the correctly rounded squared norm of a
+            assert value == float(sum(Fraction(x) ** 2 for z in a.amplitudes.tolist() for x in (z.real, z.imag)))
 
 
 class TestCopiesRequired:

@@ -3,7 +3,9 @@ schemes (the inverses of the library's readers), the embedding of a
 Curty-Santos instance in the generic scheme framework, the np.kron tensor
 product that ``quantum_core.tensor`` is held to bit for bit, the symmetry-test
 impersonation probability and key budgets that ``symmetry_test.sweep``'s rows
-are held to bit for bit, and a call counter for work-count tests.
+are held to bit for bit, the symmetry test's closed form in exact rationals
+that ``symmetry_test.acceptance_error_oracle`` is held to, and a call counter
+for work-count tests.
 
 The test modules import this file by name; pytest puts ``tests/`` on the
 import path because the directory is not a package.
@@ -11,6 +13,7 @@ import path because the directory is not a package.
 
 import itertools
 import math
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -49,6 +52,17 @@ def impersonation_with_symmetry_test(tag_count: int, lambda_max, n) -> float:
     the checked ``acceptance_error_formula``."""
     floor = 1.0 / tag_count
     return floor + (1.0 - floor) * acceptance_error_formula(n, lambda_max)
+
+
+def closed_form_with_norms(n: int, a: np.ndarray, b: np.ndarray) -> Fraction:
+    """(g_aa g_bb^(n-1) + (n-1)|g_ab|^2 g_bb^(n-2))/n in exact rationals: the
+    (1 + (n-1) lambda^2)/n of the paper for states whose norms are not exactly 1."""
+    fa = [(Fraction(z.real), Fraction(z.imag)) for z in a.tolist()]
+    fb = [(Fraction(z.real), Fraction(z.imag)) for z in b.tolist()]
+    g_aa, g_bb = (sum(x * x + y * y for x, y in f) for f in (fa, fb))
+    g_ab_re = sum(x1 * x2 + y1 * y2 for (x1, y1), (x2, y2) in zip(fa, fb))
+    g_ab_im = sum(x1 * y2 - y1 * x2 for (x1, y1), (x2, y2) in zip(fa, fb))
+    return (g_aa * g_bb ** (n - 1) + (n - 1) * (g_ab_re**2 + g_ab_im**2) * g_bb ** (n - 2)) / n
 
 
 def key_length_requirement(epsilon: float, n: int, d: int, message_space_size) -> tuple[float, float]:

@@ -48,9 +48,7 @@ NAMED_UNITARIES = {
 
 # Caps on what a report holds, checked before any computation starts; the work caps are the library's own.
 MAX_COUNT = 10_000  # draws of random_schemes and random_sweep: one report row each
-MAX_SWEEP_POINTS = 2**16  # |T values| * |delta_fracs| * |lambda_fracs|
 MAX_MESSAGE_SPACE_BITS = 2**20  # message_space_bits, used as 2**bits
-_EXACT_FLOAT_INT = 2**53  # integers the symmetry-test formulas turn into floats
 
 CLASSICAL_MAC_SPEC = Spec({
     "family": Field(str, "affine", choices=("affine", "poly")),
@@ -60,7 +58,7 @@ CLASSICAL_MAC_SPEC = Spec({
 _RANDOM_SCHEMES_SPEC = Spec(dict(qmac_framework.RANDOM_SHAPE, count=Field(int, 100, lo=1, hi=MAX_COUNT)))
 _RULE_SPEC = Spec({
     "kind": Field(str, "projective", choices=("projective", "symmetry-test")),
-    "copies": Field(int, 2, lo=2, hi=_EXACT_FLOAT_INT, only_with=("kind", "symmetry-test")),
+    "copies": qmac_framework.COPIES._replace(default=2, only_with=("kind", "symmetry-test")),
 })
 # Random schemes are always scored under the projective rule: a rule next to them is an error.
 GENERIC_QMAC_SPEC = Spec({
@@ -75,11 +73,10 @@ CURTY_SANTOS_SPEC = Spec({
     "instance": Field(dict),
     "random_sweep": Field(dict, spec=Spec({"count": Field(int, 200, lo=1, hi=MAX_COUNT)})),
 }, one_of=(("random_sweep", "unitary_name", "unitary", "instance"),))
-_TAG_COUNT = Field(int, lo=2, hi=_EXACT_FLOAT_INT)
 SYMMETRY_SWEEP_SPEC = Spec({
-    "t_values": Field(list, item=_TAG_COUNT),
-    "t_min": _TAG_COUNT._replace(default=2),
-    "t_max": _TAG_COUNT._replace(default=16),
+    "t_values": Field(list, item=symmetry_test.TAG_COUNT),
+    "t_min": symmetry_test.TAG_COUNT._replace(default=2),
+    "t_max": symmetry_test.TAG_COUNT._replace(default=16),
     "delta_fracs": Field(list, [0.5, 1.0], item=Field(float, lo=0, hi=1)),
     "lambda_fracs": Field(list, [0.0, 0.5], item=Field(float, lo=0, hi=1)),
     "d": Field(int, 2, lo=1),
@@ -313,11 +310,6 @@ def _run_curty_santos(params: dict, config: ScenarioConfig) -> dict:
 def _run_symmetry_sweep(params: dict, config: ScenarioConfig) -> dict:
     t_values = params["t_values"] if "t_values" in params else range(params["t_min"], params["t_max"] + 1)
     delta_fracs, lambda_fracs = params["delta_fracs"], params["lambda_fracs"]
-    points = len(t_values) * len(delta_fracs) * len(lambda_fracs)
-    if not 1 <= points <= MAX_SWEEP_POINTS:
-        raise ParameterError(
-            f"the sweep grid holds {points} points; it must hold 1 to {MAX_SWEEP_POINTS} (is t_min > t_max?)"
-        )
     bits = params["message_space_bits"]
     result = symmetry_test.sweep(t_values, delta_fracs, lambda_fracs, d=params["d"], message_space_size=2**bits)
     return {

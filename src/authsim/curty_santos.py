@@ -53,6 +53,7 @@ from .quantum_core import (
     UnitaryOperator,
     _born_probabilities,
     _kron,
+    _orthonormal_rows,
     basis_state,
     check_hermitian,
     max_eigenpair,
@@ -90,12 +91,7 @@ def computational_basis() -> tuple[PureState, PureState, PureState, PureState]:
 def _checked_basis(basis) -> tuple:
     """The carrier basis as a tuple (computational when None), checked orthonormal."""
     basis = tuple(basis if basis is not None else computational_basis())
-    if len(basis) != 4 or any(s.d != 4 for s in basis):
-        raise ParameterError("basis must contain four states of dimension 4")
-    stack = np.array([s.amplitudes for s in basis])
-    defect = np.abs(stack.conj() @ stack.T - np.eye(4)).max()
-    if not defect <= CONDITION_TOL:
-        raise ParameterError(f"basis is not orthonormal: max Gram defect {defect:.3e}")
+    _orthonormal_rows(basis, 4)
     return basis
 
 

@@ -70,7 +70,7 @@ MAX_SCHEME_ENTRIES = 2**22  # num_keys * num_messages * dim**2: entries of the n
 MAX_SCHEME_PAIRS = 2**20  # label pairs one scheme scores: num_messages * C(num_keys, 2) for a random one
 MAX_RUN_PAIRS = 2**26  # count * num_messages * C(num_keys, 2) for a whole run: about 5 s at 13M pairs/s
 MULTIPLICITY = Field(int, 1, lo=1)  # a SCHEME_SPEC key too
-_COPIES = Field(int, lo=2, hi=sys.float_info.max)  # symmetry_test.acceptance_error_formula's bound
+COPIES = Field(int, lo=2, hi=sys.float_info.max)  # acceptance_error_formula's bound; a config key too
 RANDOM_SHAPE = {  # random-scheme shape arguments, read by _random_shape before its work caps; random_schemes config keys
     "count": Field(int, lo=1),
     "dim": Field(int, 2, lo=1, hi=MAX_TOTAL_DIMENSION),
@@ -273,7 +273,7 @@ class DecisionRule:
         if kind not in ("projective", "symmetry-test"):
             raise ParameterError(f"unknown decision rule {kind!r}")
         if kind == "symmetry-test":
-            copies = read_value(_COPIES, copies, "copy count")
+            copies = read_value(COPIES, copies, "copy count")
         elif copies is not None:
             raise ParameterError("projective rule takes no copy count")
         self.kind, self.copies = kind, copies

@@ -6,10 +6,9 @@ Validation happens where values enter (normalization, unitarity,
 hermiticity), so downstream code can assume well-formed objects; tensor
 products of validated factors are built without repeating those checks.
 Every tolerance check is written ``not (value <= tol)``, so a NaN fails it.
-The symmetric subspace is reached through one matrix-free kernel,
-``symmetrize``, that works on the d**n amplitude tensor; the dense projector
-is built from the same kernel. Everything is sized for desk-scale work:
-total dimension is capped at 4096 and the symmetric subspace at 8 copies.
+The symmetric-subspace projector is built from the orbits of basis states
+under permutations of the systems. Everything is sized for desk-scale work:
+total dimension is capped at 4096 and a symmetric-subspace test at 64 copies.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ NORM_ATOL = 1e-10
 ALGEBRA_ATOL = 1e-9
 
 MAX_TOTAL_DIMENSION = 4096
-MAX_COPIES = 8
+MAX_COPIES = 64  # the symmetry-test oracle takes about 10 ms at 64 copies of dimension 4096
 COPY_COUNT = Field(int, lo=1, hi=MAX_COPIES)  # systems of a symmetric-subspace test
 MAX_RUN_ENTRIES = 2**28  # entries of normals one haar_unitaries call or random-scheme run draws: about 8 s at 34M/s
 _POSITIVE = Field(int, lo=1)
@@ -268,16 +267,21 @@ def measure_projective(rho: HermitianOperator, basis: Sequence[PureState]) -> np
         raise ParameterError(f"density operator trace {rho.trace!r} is not 1")
     if not np.linalg.eigvalsh(rho.matrix).min() >= -ALGEBRA_ATOL:
         raise ParameterError("density operator is not positive semidefinite")
+    probs = _born_probabilities(rho, _orthonormal_rows(basis, d))
+    if not abs(probs.sum() - 1.0) <= ALGEBRA_ATOL:
+        raise InvariantViolation(f"outcome probabilities sum to {float(probs.sum())}")
+    return probs
+
+
+def _orthonormal_rows(basis: Sequence[PureState], d: int) -> np.ndarray:
+    """The amplitudes of ``basis`` as rows, checked to be d states of dimension d with Gram defect <= ALGEBRA_ATOL."""
     if len(basis) != d or any(s.d != d for s in basis):
         raise ParameterError(f"basis must contain {d} states of dimension {d}")
     stack = np.array([s.amplitudes for s in basis])
     gram_defect = np.abs(stack.conj() @ stack.T - np.eye(d)).max()
     if not gram_defect <= ALGEBRA_ATOL:
         raise ParameterError(f"basis is not orthonormal: max Gram defect {gram_defect:.3e}")
-    probs = _born_probabilities(rho, stack)
-    if not abs(probs.sum() - 1.0) <= ALGEBRA_ATOL:
-        raise InvariantViolation(f"outcome probabilities sum to {float(probs.sum())}")
-    return probs
+    return stack
 
 
 def _born_probabilities(rho: HermitianOperator, stack: np.ndarray) -> np.ndarray:
@@ -292,7 +296,7 @@ def _born_probabilities(rho: HermitianOperator, stack: np.ndarray) -> np.ndarray
 
 def max_eigenpair(a: HermitianOperator) -> tuple[float, PureState]:
     """Largest eigenvalue and a deterministic unit eigenvector (``top_eigenvector``)
-    of the matrix symmetrized, (A + A†)/2."""
+    of the Hermitian part of the matrix, (A + A†)/2."""
     eigenvalues, vectors = np.linalg.eigh((a.matrix + a.matrix.conj().T) / 2.0)
     return float(eigenvalues[-1]), PureState(top_eigenvector(eigenvalues, vectors), a.dims)
 
@@ -316,49 +320,23 @@ def top_eigenvector(eigenvalues: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     raise InvariantViolation("empty dominant eigenspace")  # cannot happen: the block has a unit column
 
 
-def symmetrize(t: np.ndarray, n: int) -> np.ndarray:
-    """Apply the symmetric-subspace projector to the first n axes of t.
-
-    The projector is the average of the n! permutation operators (Harrow,
-    "The Church of the Symmetric Subspace", arXiv:1308.6595). It is applied
-    without being formed, by the coset recursion
-
-        Sym_{k+1} = 1/(k+1) * sum_{j<=k} (j k) Sym_k,    (k k) = identity,
-
-    so each step sums t and its k axis swaps, starting from t + (0 k) t
-    with no copy of t: n(n-1)/2 swaps in all, with working memory of two
-    arrays the size of t. The level is scaled by multiplying with the
-    reciprocal 1/(k+1): numpy divides a complex array by a real scalar by
-    computing that reciprocal and multiplying by it, so for complex t every
-    nonzero real or imaginary part has the bits of the division, at about a
-    fifth of its cost in place (a zero part may take the other sign); for
-    real t it may differ from the division by an ulp per level. Axes past
-    the first n are carried along untouched. t itself is not modified.
-    """
-    for k in range(1, n):
-        acc = t + t.swapaxes(0, k)
-        for j in range(1, k):
-            acc += t.swapaxes(j, k)
-        acc *= 1.0 / (k + 1)
-        t = acc
-    return t
-
-
 def symmetric_projector(d: int, n: int) -> HermitianOperator:
     """Orthogonal projector onto the symmetric subspace of n d-level systems.
 
     The average of the n! permutation operators (Harrow, arXiv:1308.6595),
-    built column by column by ``symmetrize``'s coset recursion applied to the
-    identity, reshaped to (d,)*n + (d**n,). Not cached: each call holds its
-    own d**n x d**n matrix (256 MiB at the 4096 cap).
+    from its definition: column y averages the orbit of basis state y under
+    permutations of the systems, so P[x, y] is 1/|orbit(y)|, correctly rounded,
+    where x has y's multiset of digits, and 0 elsewhere. Not cached: each call
+    holds its own d**n x d**n matrix (256 MiB at the 4096 cap).
     """
     d, n = read_value(_POSITIVE, d, "dimension"), read_value(COPY_COUNT, n, "copy count")
     total = d**n
     if total > MAX_TOTAL_DIMENSION:
         raise ParameterError(f"d**n = {total} exceeds cap {MAX_TOTAL_DIMENSION}")
-    eye = np.eye(total).reshape((d,) * n + (total,))
-    proj = symmetrize(eye, n).reshape(total, total)
-    return HermitianOperator(proj, (d,) * n)
+    places = d ** np.arange(n)
+    multisets = np.sort(np.arange(total)[:, None] // places % d, axis=1) @ places  # sorted digits as one int
+    same = multisets[:, None] == multisets[None, :]
+    return HermitianOperator(same / same.sum(axis=0), (d,) * n)
 
 
 def random_state(dims, rng: np.random.Generator) -> PureState:

@@ -23,8 +23,9 @@ from .spec import Field, read_value
 
 DEFAULT_MESSAGE_SPACE_SIZE = 2**64
 _REAL, _DIMENSION = Field(float), Field(int, lo=1)  # log2 takes an int dimension of any size
-_TAG_COUNT = Field(int, lo=2, hi=sys.float_info.max)  # hi keeps out ints too large for the closed forms' floats
+TAG_COUNT = Field(int, lo=2, hi=sys.float_info.max)  # a config key too; hi keeps out ints too large for a float
 _REAL_COPIES = Field(float, lo=1, hi=sys.float_info.max)
+MAX_SWEEP_POINTS = 2**16  # |T values| * |delta_fracs| * |lambda_fracs| of one sweep, checked before its first point
 OVERLAP_MAX = 1.0 + 1e-12  # the largest overlap acceptance_error_formula takes: 1 and a rounding slack
 
 
@@ -48,8 +49,9 @@ def acceptance_error_oracle(n: int, a: PureState, b: PureState) -> float:
     """Same quantity from first principles: <Phi|P_sym|Phi> with
     Phi = a (x) b^(x)(n-1). Independent of the closed form.
 
-    a and b must be PureStates of one dimension d, and d**n is held to the
-    cap of ``quantum_core.tensor`` before any amplitude is read. The value is
+    a and b must be PureStates of one dimension d. Before any amplitude is
+    read, d and n are held to caps on this arithmetic's cost, not on d**n (d
+    to MAX_TOTAL_DIMENSION, n to COPY_COUNT's 64). The value is
     perm(G)/n! for the Gram matrix G of the n factors (Harrow,
     arXiv:1308.6595), by Ryser's formula grouped by the column multiplicities
     (1, n-1): the 2n terms
@@ -63,8 +65,8 @@ def acceptance_error_oracle(n: int, a: PureState, b: PureState) -> float:
             raise ParameterError(f"{name} must be a PureState, got {type(state).__name__}")
     if a.d != b.d:
         raise ParameterError(f"dimension mismatch: {a.d} vs {b.d}")
-    if a.d**n > MAX_TOTAL_DIMENSION:
-        raise ParameterError(f"total dimension {a.d**n} exceeds cap {MAX_TOTAL_DIMENSION}")
+    if a.d > MAX_TOTAL_DIMENSION:
+        raise ParameterError(f"dimension {a.d} exceeds cap {MAX_TOTAL_DIMENSION}")
     ints, k = _ints(np.concatenate((a.amplitudes, b.amplitudes)))  # a contiguous copy of any view
     u, v = ints[: 2 * a.d], ints[2 * a.d :]
     g_aa, g_bb = sum(map(mul, u, u)), sum(map(mul, v, v))
@@ -98,7 +100,7 @@ def _ints(amps: np.ndarray) -> tuple[list[int], int]:
 
 def feasibility_threshold(tag_count: int, delta: float) -> float:
     """Largest overlap for which a finite copy count can reach floor + delta, delta in (0, 1/tag_count]."""
-    tag_count = read_value(_TAG_COUNT, tag_count, "tag count")
+    tag_count = read_value(TAG_COUNT, tag_count, "tag count")
     delta = read_value(_REAL, delta, "delta")
     if not 0.0 < delta <= 1.0 / tag_count:
         raise ParameterError(f"delta {delta!r} outside (0, 1/{tag_count}]")
@@ -185,10 +187,17 @@ def sweep(
     they are made.
 
     Every argument is read once: the fractions, d and |M| before the first
-    point, each |T| when its points are reached.
+    point, each |T| when its points are reached. Before the first point too,
+    ``t_values`` must have a length and the grid 1 to MAX_SWEEP_POINTS points.
     """
     delta_fracs = [read_value(_REAL, f, ("delta_fracs", i)) for i, f in enumerate(delta_fracs)]
     lambda_fracs = [read_value(_REAL, f, ("lambda_fracs", i)) for i, f in enumerate(lambda_fracs)]
+    try:  # an unsized t_values, or a range longer than sys.maxsize, has no len
+        points = len(t_values) * len(delta_fracs) * len(lambda_fracs)
+    except (TypeError, OverflowError):
+        raise ParameterError("t_values must be a sized collection of tag counts") from None
+    if not 1 <= points <= MAX_SWEEP_POINTS:
+        raise ParameterError(f"the sweep grid holds {points} points; it must hold 1 to {MAX_SWEEP_POINTS}")
     if any(not 0.0 < f <= 1.0 for f in delta_fracs):
         raise ParameterError("delta fractions must lie in (0, 1]")
     if any(not 0.0 <= f < 1.0 for f in lambda_fracs):
@@ -200,7 +209,7 @@ def sweep(
     rows = []
     first: dict = {}  # (delta_frac position, lambda_frac position) -> first crossing |T|
     for t_size in t_values:
-        t_size = read_value(_TAG_COUNT, t_size, "tag count")
+        t_size = read_value(TAG_COUNT, t_size, "tag count")
         floor = 1.0 / t_size
         for i, dfrac in enumerate(delta_fracs):
             delta = dfrac / t_size

@@ -99,11 +99,11 @@ ENTRY_POINTS = {
     "random_scheme_reports.num_keys": (lambda v: _reports(num_keys=v), _SMALL),
     "random_scheme_reports.num_messages": (lambda v: _reports(num_messages=v), _SMALL[1:] + ("4097",)),
     "symmetric_projector.d": (lambda v: quantum_core.symmetric_projector(v, 2), _SMALL),
-    "symmetric_projector.n": (lambda v: quantum_core.symmetric_projector(2, v), ("1", "2", "3")),
+    "symmetric_projector.n": (lambda v: quantum_core.symmetric_projector(2, v), ("1", "2", "3", "9")),
     "haar_unitaries.count": (lambda v: quantum_core.haar_unitaries(v, 2, _rng()), _COUNTS[:-2]),
     "acceptance_error_formula.n": (lambda v: symmetry_test.acceptance_error_formula(v, 0.5), _REAL_COPIES),
     "acceptance_error_formula.lambda_max": (lambda v: symmetry_test.acceptance_error_formula(2, v), _OVERLAPS),
-    "acceptance_error_oracle.n": (_oracle, ("1", "2", "3")),
+    "acceptance_error_oracle.n": (_oracle, ("1", "2", "3", "9")),
     "feasibility_threshold.tag_count": (lambda v: symmetry_test.feasibility_threshold(v, 0.001), ("2", "3", "9")),
     "feasibility_threshold.delta": (lambda v: symmetry_test.feasibility_threshold(2, v), ("5e-324",) + _REALS),
     "copies_required.tag_count": (lambda v: symmetry_test.copies_required(v, 0.001, 0.0), ("2", "3", "9")),

@@ -737,6 +737,7 @@ MALFORMED_CONFIGS = {
     "st-t-min-str": _cfg("SymmetryTestSweep", {"t_min": "x"}),
     "st-t-min-above-t-max": _cfg("SymmetryTestSweep", {"t_min": 9, "t_max": 3}),
     "st-grid-over-cap": _cfg("SymmetryTestSweep", {"t_max": 10**9}),
+    "st-grid-past-maxsize": _cfg("SymmetryTestSweep", {"t_max": 2**70}),
     "st-delta-fracs-str": _cfg("SymmetryTestSweep", {"delta_fracs": "x"}),
     "st-delta-fracs-empty": _cfg("SymmetryTestSweep", {"delta_fracs": []}),
     # positive and in range, but its copy count overflows to inf
@@ -966,9 +967,13 @@ def mutated_builtin_configs(draw):
 
 
 def assert_exits_cleanly(doc, tmp_path):
-    config = tmp_path / "fuzz.json"
+    # every example reuses one tmp_path; unlinking the last example's files first makes each write
+    # a new file, where overwriting a just-written one can cost tens of milliseconds
+    config, report = tmp_path / "fuzz.json", tmp_path / "fuzz-report.out"
+    config.unlink(missing_ok=True)
+    report.unlink(missing_ok=True)
     config.write_text(json.dumps(doc))
-    code, out = run_cli(str(config), str(tmp_path / "fuzz-report.out"))
+    code, out = run_cli(str(config), str(report))
     assert code in (0, 1, 2), out
 
 
@@ -1050,3 +1055,33 @@ def test_crossovers_match_rerun_reference(t_values, delta_fracs, lambda_fracs, d
     result = symmetry_test.sweep(t_values, delta_fracs, lambda_fracs, d=d, message_space_size=2**bits)
     derived = [crossover._asdict() for crossover in result.crossovers]
     assert derived == reference_crossovers(t_values, delta_fracs, lambda_fracs, d, 2**bits)
+
+
+class TestLibraryBounds:
+    """The config keys that a library argument also reads take the library's own field."""
+
+    def test_specs_reuse_the_library_fields(self):
+        sweep_fields = cli.SYMMETRY_SWEEP_SPEC.fields
+        assert sweep_fields["t_values"].item is symmetry_test.TAG_COUNT
+        assert sweep_fields["t_min"] == symmetry_test.TAG_COUNT._replace(default=2)
+        assert sweep_fields["t_max"] == symmetry_test.TAG_COUNT._replace(default=16)
+        expected = qmac_framework.COPIES._replace(default=2, only_with=("kind", "symmetry-test"))
+        assert cli.GENERIC_QMAC_SPEC.fields["rule"].spec.fields["copies"] == expected
+
+    def test_counts_past_2_53_run(self, tmp_path):
+        # tag counts and copy counts past 2**53 run: the CLI reads them with the library fields, up to the largest float
+        doc = scheme_to_json_dict(random_scheme(np.random.default_rng(8)))
+        rule = {"kind": "symmetry-test", "copies": 2**53 + 1}
+        config = write_config(tmp_path, "s.json", _cfg("GenericQmac", {"scheme": doc, "rule": rule}))
+        code, out = run_cli(str(config), str(tmp_path / "r.json"))
+        assert code == 0, out
+        assert json.loads((tmp_path / "r.json").read_text())["rule"]["copies"] == 2**53 + 1
+        config = write_config(tmp_path, "t.json", _cfg("SymmetryTestSweep", {"t_values": [4, 2**53 + 1]}))
+        code, out = run_cli(str(config), str(tmp_path / "t.json.out"))
+        assert code == 0, out
+        assert json.loads((tmp_path / "t.json.out").read_text())["grid"]["t_values"] == [4, 2**53 + 1]
+
+    def test_grid_cap_is_the_library_check(self, tmp_path):
+        config = write_config(tmp_path, "c.json", _cfg("SymmetryTestSweep", {"t_min": 9, "t_max": 3}))
+        code, out = run_cli(str(config), str(tmp_path / "r.json"))
+        assert (code, out) == (1, "error: the sweep grid holds 0 points; it must hold 1 to 65536\n")

@@ -366,7 +366,7 @@ class TestBatchedReports:
         "basis,accept,message",
         [
             ("skew", (0, 1), "basis is not orthonormal"),
-            ("short", (0, 1), "basis must contain four states"),
+            ("short", (0, 1), "basis must contain 4 states of dimension 4"),
             (None, (0, 0), "accept set must be two distinct basis indices"),
             (None, (0, 4), "accept set must be two distinct basis indices"),
             (None, (1,), "accept set must be two distinct basis indices"),

@@ -30,12 +30,11 @@ from authsim.quantum_core import (
     random_unitary,
     state_from_json_dict,
     symmetric_projector,
-    symmetrize,
     tensor,
     unitary_from_json_dict,
 )
 from authsim.symmetry_test import acceptance_error_formula, acceptance_error_oracle
-from testkit import closed_form_with_norms, kron_tensor, operator_to_json_dict, state_to_json_dict
+from testkit import closed_form_with_norms, kron_tensor, operator_to_json_dict, reference_symmetrize, state_to_json_dict
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -51,8 +50,6 @@ class IndexOnly:
 SMALL_SUBSPACES = [(d, n) for d in range(1, 17) for n in range(1, 9) if d**n <= 256]
 # The symtest-oracle benchmark ladder.
 ORACLE_LADDER = [(2, 8), (3, 5), (8, 3), (4, 6), (16, 3)]
-# Every (d, n) with d <= 64 and n <= 8 under the oracle's d**n <= 4096 cap.
-SYMMETRIZE_SHAPES = [(d, n) for n in range(1, 9) for d in range(1, 65) if d**n <= 4096]
 
 
 def density_operator(state: PureState) -> HermitianOperator:
@@ -73,33 +70,6 @@ def reference_symmetric_projector(d: int, n: int) -> HermitianOperator:
         proj[targets, idx] += 1.0
     proj /= math.factorial(n)
     return HermitianOperator(proj.astype(complex), (d,) * n)
-
-
-def reference_symmetrize(t: np.ndarray, n: int) -> np.ndarray:
-    """The coset recursion as first written, copy then add then divide at
-    each level; the bits that the kernel's add-into-sum and reciprocal
-    scaling are held to on complex input."""
-    for k in range(1, n):
-        acc = t.copy()
-        for j in range(k):
-            acc += np.swapaxes(t, j, k)
-        acc /= k + 1
-        t = acc
-    return t
-
-
-@st.composite
-def complex_tensors(draw):
-    """(t, n): a complex (d,)*n tensor with d**n <= 4096, maybe with a
-    trailing axis, of Gaussian entries scaled by 10**e for e in [-300, 300];
-    in some tensors about half the real and imaginary parts are signed zeros."""
-    d, n = draw(st.sampled_from(SYMMETRIZE_SHAPES))
-    shape = (d,) * n + draw(st.sampled_from([(), (1,), (3,)]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    parts = rng.standard_normal((2,) + shape) * 10.0 ** draw(st.integers(-300, 300))
-    zeros = rng.random(parts.shape) < draw(st.sampled_from([0.0, 0.5]))
-    parts[zeros] = np.copysign(0.0, parts[zeros])
-    return parts[0] + 1j * parts[1], n
 
 
 def reference_random_unitary(dims, rng: np.random.Generator) -> UnitaryOperator:
@@ -624,8 +594,11 @@ class TestSymmetricProjector:
         assert np.allclose(proj.matrix @ copies.amplitudes, copies.amplitudes, atol=1e-12)
 
     def test_caps(self):
-        with pytest.raises(ParameterError):
-            symmetric_projector(2, 9)
+        assert symmetric_projector(2, 9).d == 512
+        with pytest.raises(ParameterError, match=r"^d\*\*n = 8192 exceeds cap 4096$"):
+            symmetric_projector(2, 13)
+        with pytest.raises(ParameterError, match="^copy count must be <= 64, got 65$"):
+            symmetric_projector(1, 65)  # d = 1 keeps d**n at 1, so only the copy cap refuses
         with pytest.raises(ParameterError):
             symmetric_projector(13, 4)  # 13**4 > 4096
         with pytest.raises(ParameterError):
@@ -635,6 +608,18 @@ class TestSymmetricProjector:
     def test_bool_counts_rejected(self, d, n):
         with pytest.raises(ParameterError):
             symmetric_projector(d, n)
+
+    @pytest.mark.parametrize("d,n", SMALL_SUBSPACES)
+    def test_entries_are_inverse_orbit_sizes(self, d, n):
+        # P[x, y] is 1/|orbit(y)| bit for bit where x is a permutation of y's digits, and 0.0 elsewhere;
+        # the orbit size is the multinomial n! / prod(multiplicity!)
+        digits = np.array(np.unravel_index(np.arange(d**n), (d,) * n)).T
+        multisets = np.unique(np.sort(digits, axis=1), axis=0, return_inverse=True)[1].reshape(-1)
+        counts = [np.bincount(row, minlength=d) for row in digits]
+        sizes = np.array([math.factorial(n) // math.prod(map(math.factorial, c.tolist())) for c in counts])
+        expected = np.where(multisets[:, None] == multisets[None, :], 1.0 / sizes[None, :], 0.0)
+        matrix = symmetric_projector(d, n).matrix
+        assert np.array_equal(matrix.view(np.uint64), expected.astype(complex).view(np.uint64))
 
     @pytest.mark.parametrize("d,n", SMALL_SUBSPACES)
     def test_matches_reference(self, d, n):
@@ -664,25 +649,10 @@ class TestSymmetricSubspaceOracle:
             lam = abs(np.vdot(a.amplitudes, b.amplitudes))
             value = acceptance_error_oracle(n, a, b)
             assert abs(value - acceptance_error_formula(n, lam)) <= 1e-9
-            # the exact value correctly rounded; the dense routes, with Phi from np.kron, within 1e-15
+            # the exact value correctly rounded; the dense route, with Phi from np.kron, within 1e-15
             assert value == float(closed_form_with_norms(n, a.amplitudes, b.amplitudes))
             phi = kron_tensor([a] + [b] * (n - 1)).amplitudes.reshape((d,) * n)
-            assert abs(value - np.vdot(phi, symmetrize(phi, n)).real) <= 1e-15
             assert abs(value - np.vdot(phi, reference_symmetrize(phi, n)).real) <= 1e-15
-
-    @settings(max_examples=300, deadline=None)
-    @given(case=complex_tensors())
-    def test_kernel_bits_match_copy_and_divide(self, case):
-        # numpy's complex division by a real scalar multiplies by its reciprocal, so every nonzero
-        # real or imaginary part keeps its bits; a zero part may come out with the other sign
-        t, n = case
-        before = t.copy()
-        out = symmetrize(t, n)
-        expected = reference_symmetrize(t, n)
-        assert out.shape == t.shape and np.array_equal(out, expected)
-        same = out.view(np.uint64) == expected.view(np.uint64)
-        assert (same | (expected.view(np.float64) == 0.0)).all()
-        assert np.array_equal(t.view(np.uint64), before.view(np.uint64))
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_signed_zeros_leave_oracle_bits(self, n):

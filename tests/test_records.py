@@ -10,6 +10,7 @@ their ``__init__`` calls (the benchmark tracer wraps it) and
 kind is plain JSON, so the renderers reject both, as they always have.
 """
 
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -86,7 +87,7 @@ class TestNamedTupleRecords:
 
     def test_field_replace_keeps_the_rest(self):
         count = cli.SYMMETRY_SWEEP_SPEC.fields["t_max"]
-        assert count == spec.Field(int, 16, lo=2, hi=2**53)
+        assert count == spec.Field(int, 16, lo=2, hi=sys.float_info.max) == symmetry_test.TAG_COUNT._replace(default=16)
         assert spec.read_value(count, 5, "t_max") == 5
 
 

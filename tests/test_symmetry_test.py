@@ -20,10 +20,10 @@ from authsim.quantum_core import (
     _trusted,
     basis_state,
     random_state,
-    symmetrize,
     tensor,
 )
 from authsim.symmetry_test import (
+    MAX_SWEEP_POINTS,
     SweepRow,
     acceptance_error_formula,
     acceptance_error_oracle,
@@ -31,7 +31,15 @@ from authsim.symmetry_test import (
     feasibility_threshold,
     sweep,
 )
-from testkit import CallCounter, closed_form_with_norms, impersonation_with_symmetry_test, key_length_requirement
+from testkit import (
+    CallCounter,
+    closed_form_of_gram,
+    closed_form_with_norms,
+    gram_fractions,
+    impersonation_with_symmetry_test,
+    key_length_requirement,
+    reference_symmetrize,
+)
 
 
 def plus_state():
@@ -124,12 +132,18 @@ class TestAcceptanceErrorOracle:
                 acceptance_error_oracle(n, a, b) - acceptance_error_formula(n, lam)
             ) <= 1e-9
 
-    def test_caps_and_validation(self):
-        # d**n is held to the cap of quantum_core.tensor, with its message
-        with pytest.raises(ParameterError, match=r"^total dimension 16384 exceeds cap 4096$"):
-            acceptance_error_oracle(7, basis_state(0, (4,)), basis_state(1, (4,)))
+    def test_caps_and_validation(self, monkeypatch):
+        # d is held to MAX_TOTAL_DIMENSION, not d**n, before any amplitude is read
+        assert acceptance_error_oracle(7, basis_state(0, (4,)), basis_state(1, (4,))) == 1 / 7
+        counter = CallCounter(monkeypatch)
+        counter.count(symmetry_test, "_ints")
+        with pytest.raises(ParameterError, match=r"^dimension 4097 exceeds cap 4096$"):
+            acceptance_error_oracle(2, basis_state(0, (4097,)), basis_state(1, (4097,)))
+        with pytest.raises(ParameterError, match=r"^copy count must be <= 64, got 65$"):
+            acceptance_error_oracle(65, basis_state(0, (2,)), basis_state(1, (2,)))
         with pytest.raises(ParameterError):
             acceptance_error_oracle(2, basis_state(0, (2,)), basis_state(0, (3,)))
+        assert counter.calls == {"_ints": 0}
 
     @pytest.mark.parametrize("position", ["a", "b"])
     @pytest.mark.parametrize(
@@ -149,7 +163,7 @@ class TestAcceptanceErrorOracle:
             acceptance_error_oracle(2, args["a"], args["b"])
         assert counter.calls == {"_ints": 0}
 
-    @pytest.mark.parametrize("n", [True, False, 0, 9, 10**6, 10**7, 2.0])
+    @pytest.mark.parametrize("n", [True, False, 0, 65, 10**6, 10**7, 2.0])
     def test_invalid_copy_count_rejected_before_work(self, n):
         # d = 1 keeps d**n under the dimension cap, so only the copy check can refuse
         with pytest.raises(ParameterError, match="copy count"):
@@ -213,8 +227,9 @@ def exact_acceptance(n: int, a: np.ndarray, b: np.ndarray) -> Fraction:
     return Fraction(perm_re, math.factorial(n) * scale_a**2 * scale_b ** (2 * (n - 1)))
 
 
-# Every (d, n) with d <= 16 that the oracle admits.
-ORACLE_SHAPES = [(d, n) for d in range(1, 17) for n in range(1, MAX_COPIES + 1) if d**n <= MAX_TOTAL_DIMENSION]
+# Every (d, n) with d <= 16, n <= 8 and d**n <= 4096. With parts down to subnormals the exact ints
+# grow by about 2300 bits a copy, so larger counts are left to the tests at the reported copy counts.
+ORACLE_SHAPES = [(d, n) for d in range(1, 17) for n in range(1, 9) if d**n <= MAX_TOTAL_DIMENSION]
 _SIGN = st.sampled_from([1.0, -1.0])
 # zeros of either sign, parts from about 1e-300 to 1, and subnormals
 _PARTS = st.one_of(
@@ -252,12 +267,23 @@ def reported_copy_counts(tmp_path_factory):
 class TestExactPermanent:
     """The symmetry test's acceptance in exact arithmetic, from the Gram
     permanent of the n factors: the closed form is held to it at every copy
-    count the built-in grid reports, past the oracle's 8-copy cap. The oracle
-    is the closed form correctly rounded, and the dense route through
-    ``quantum_core.symmetrize`` is within 1e-15 of it."""
+    count the built-in grid reports. The oracle is the closed form correctly
+    rounded at each of those counts, and the dense route,
+    ``testkit.reference_symmetrize``, is within 1e-15 of it."""
 
-    def test_reported_copy_counts_run_past_the_oracle_cap(self, reported_copy_counts):
-        assert reported_copy_counts[0] == 2 and reported_copy_counts[-1] == 40 > MAX_COPIES
+    def test_reported_copy_counts_are_within_the_oracle_cap(self, reported_copy_counts):
+        assert reported_copy_counts[0] == 2 and reported_copy_counts[-1] == 40
+        assert all(n <= MAX_COPIES for n in reported_copy_counts)
+
+    @pytest.mark.parametrize("d", [2, 5, 64, 4096])
+    def test_oracle_is_the_closed_form_at_every_reported_copy_count(self, d, reported_copy_counts):
+        # each pair's exact Gram entries are computed once; lambda is random, then 1 up to the norms
+        rng = np.random.default_rng(d)
+        a, b = random_state(d, rng), random_state(d, rng)
+        for x, y in ((a, b), (a, a)):
+            gram = gram_fractions(x.amplitudes, y.amplitudes)
+            for n in reported_copy_counts:
+                assert acceptance_error_oracle(n, x, y) == float(closed_form_of_gram(n, *gram)), (d, n)
 
     @pytest.mark.parametrize("d", [2, 5, 64])
     def test_closed_form_equals_permanent(self, d, reported_copy_counts):
@@ -278,7 +304,7 @@ class TestExactPermanent:
             assert exact_acceptance(n, zero, plus) == closed_form_with_norms(n, zero, plus)
 
     def test_oracle_exact_and_dense_route_within_1e_15(self):
-        # every (d, n) with d <= 64 that the oracle admits: n <= 8 and d**n <= 4096
+        # every (d, n) with d <= 64 and n <= 8 at which the dense route fits: d**n <= 4096
         rng, worst = np.random.default_rng(7), {}
         for d in range(1, 65):
             for n in range(1, 9):
@@ -288,7 +314,7 @@ class TestExactPermanent:
                 value = acceptance_error_oracle(n, a, b)
                 assert value == float(exact_acceptance(n, a.amplitudes, b.amplitudes)), (d, n)
                 phi = tensor([a] + [b] * (n - 1)).amplitudes.reshape((d,) * n)
-                worst[d, n] = abs(value - np.vdot(phi, symmetrize(phi, n)).real)
+                worst[d, n] = abs(value - np.vdot(phi, reference_symmetrize(phi, n)).real)
         assert len(worst) == 166
         assert max(worst.values()) <= 1e-15, max(worst, key=worst.get)
 
@@ -505,3 +531,36 @@ class TestSweep:
             sweep([4], lambda_fracs=(1.0,))
         with pytest.raises(ParameterError):
             sweep([1])
+
+    def test_grid_cap_checked_before_the_first_point(self):
+        class Endless:
+            """Claims a length; iterating it would be the work the cap refuses."""
+
+            def __len__(self):
+                return 10**12
+
+            def __iter__(self):
+                raise AssertionError("the grid was walked")
+
+        for t_values in (Endless(), range(2, 2 + 10**12)):
+            with pytest.raises(ParameterError, match=r"^the sweep grid holds 4000000000000 points; it must hold"):
+                sweep(t_values)
+        with pytest.raises(ParameterError, match=r"^the sweep grid holds 65537 points"):
+            sweep(range(2, 2 + MAX_SWEEP_POINTS + 1), [1.0], [0.0])
+        assert len(sweep(range(2, 2 + MAX_SWEEP_POINTS), [1.0], [0.0]).crossovers) == 1
+
+    @pytest.mark.parametrize(
+        "t_values,delta_fracs,lambda_fracs",
+        [([], [0.5], [0.0]), ([4], [], [0.0]), ([4], [0.5], [])],
+        ids=["no-tag-counts", "no-delta-fracs", "no-lambda-fracs"],
+    )
+    def test_empty_grid_rejected(self, t_values, delta_fracs, lambda_fracs):
+        with pytest.raises(ParameterError, match=r"^the sweep grid holds 0 points; it must hold 1 to 65536$"):
+            sweep(t_values, delta_fracs, lambda_fracs)
+
+    @pytest.mark.parametrize(
+        "t_values", [iter([4]), (t for t in [4]), range(2, 2**70)], ids=["iterator", "generator", "range-past-maxsize"]
+    )
+    def test_unsized_tag_counts_rejected(self, t_values):
+        with pytest.raises(ParameterError, match=r"^t_values must be a sized collection of tag counts$"):
+            sweep(t_values)

@@ -4,7 +4,8 @@ Curty-Santos instance in the generic scheme framework, the np.kron tensor
 product that ``quantum_core.tensor`` is held to bit for bit, the symmetry-test
 impersonation probability and key budgets that ``symmetry_test.sweep``'s rows
 are held to bit for bit, the symmetry test's closed form in exact rationals
-that ``symmetry_test.acceptance_error_oracle`` is held to, and a call counter
+that ``symmetry_test.acceptance_error_oracle`` is held to, the dense
+symmetric-subspace route that it is held to within 1e-15, and a call counter
 for work-count tests.
 
 The test modules import this file by name; pytest puts ``tests/`` on the
@@ -54,15 +55,40 @@ def impersonation_with_symmetry_test(tag_count: int, lambda_max, n) -> float:
     return floor + (1.0 - floor) * acceptance_error_formula(n, lambda_max)
 
 
-def closed_form_with_norms(n: int, a: np.ndarray, b: np.ndarray) -> Fraction:
-    """(g_aa g_bb^(n-1) + (n-1)|g_ab|^2 g_bb^(n-2))/n in exact rationals: the
-    (1 + (n-1) lambda^2)/n of the paper for states whose norms are not exactly 1."""
+def gram_fractions(a: np.ndarray, b: np.ndarray) -> tuple[Fraction, Fraction, Fraction]:
+    """(g_aa, g_bb, |g_ab|^2) of two amplitude vectors in exact rationals."""
     fa = [(Fraction(z.real), Fraction(z.imag)) for z in a.tolist()]
     fb = [(Fraction(z.real), Fraction(z.imag)) for z in b.tolist()]
     g_aa, g_bb = (sum(x * x + y * y for x, y in f) for f in (fa, fb))
     g_ab_re = sum(x1 * x2 + y1 * y2 for (x1, y1), (x2, y2) in zip(fa, fb))
     g_ab_im = sum(x1 * y2 - y1 * x2 for (x1, y1), (x2, y2) in zip(fa, fb))
-    return (g_aa * g_bb ** (n - 1) + (n - 1) * (g_ab_re**2 + g_ab_im**2) * g_bb ** (n - 2)) / n
+    return g_aa, g_bb, g_ab_re**2 + g_ab_im**2
+
+
+def closed_form_of_gram(n: int, g_aa: Fraction, g_bb: Fraction, g_ab_squared: Fraction) -> Fraction:
+    """(g_aa g_bb^(n-1) + (n-1)|g_ab|^2 g_bb^(n-2))/n: the (1 + (n-1) lambda^2)/n of
+    the paper for states whose norms are not exactly 1, from ``gram_fractions``."""
+    return (g_aa * g_bb ** (n - 1) + (n - 1) * g_ab_squared * g_bb ** (n - 2)) / n
+
+
+def closed_form_with_norms(n: int, a: np.ndarray, b: np.ndarray) -> Fraction:
+    """``closed_form_of_gram`` of two amplitude vectors, in exact rationals."""
+    return closed_form_of_gram(n, *gram_fractions(a, b))
+
+
+def reference_symmetrize(t: np.ndarray, n: int) -> np.ndarray:
+    """The symmetric-subspace projector applied to the first n axes of t
+    without being formed: the coset recursion
+    Sym_{k+1} = 1/(k+1) * sum_{j<=k} (j k) Sym_k (Harrow, arXiv:1308.6595),
+    copy then add then divide at each level. Axes past the first n are carried
+    along; t itself is not modified."""
+    for k in range(1, n):
+        acc = t.copy()
+        for j in range(k):
+            acc += np.swapaxes(t, j, k)
+        acc /= k + 1
+        t = acc
+    return t
 
 
 def key_length_requirement(epsilon: float, n: int, d: int, message_space_size) -> tuple[float, float]:

@@ -32,11 +32,11 @@ from .spec import Field, read_value
 
 ENUMERATION_CAP = 1 << 22  # |K| * |M| ceiling for brute-force analysis
 PRIME_CAP = 1 << 20
-MESSAGE_SPACE_CAP = 1 << 20  # p**blocks ceiling for the polynomial family
+MESSAGE_SPACE_CAP = 1 << 20  # p**blocks * p ceiling for the |M| x p table of both built-in families
 WORK_CAP = 1 << 27  # |M| * (|M| - 1) * |T|**2 ceiling for the substitution scan
 SCAN_ENTRIES = 1 << 14  # entries per joint-count block of observed messages, at least one message
 MODULUS = Field(int, lo=2, hi=PRIME_CAP)  # p, a config key too
-# p >= 2 and p**blocks <= MESSAGE_SPACE_CAP bound blocks before p**blocks is computed
+# p >= 2 and p**blocks * p <= MESSAGE_SPACE_CAP bound blocks before p**blocks is computed
 BLOCKS = Field(int, lo=1, hi=MESSAGE_SPACE_CAP.bit_length() - 1)
 _KEY_COUNT, _PAIR_COUNT, _REAL = Field(int, lo=1), Field(int, lo=0, hi=sys.float_info.max), Field(float)
 
@@ -132,8 +132,10 @@ def _check_prime(p) -> int:
 
 
 def _poly_g(p: int, blocks: int) -> np.ndarray:
-    """The poly family's g[i, a] = sum_j m_ij * a**j mod p (affine at blocks = 1), one message
-    digit at a time, most significant first; int64 is exact, as a**j < p**blocks <= 2**20."""
+    """The poly family's g[i, a] = sum_j m_ij * a**j mod p (affine at blocks = 1), one message digit at a
+    time, most significant first, once p**blocks * p <= MESSAGE_SPACE_CAP; int64 is exact, as a**j < 2**20."""
+    if p**blocks * p > MESSAGE_SPACE_CAP:
+        raise ParameterError(f"family table p**blocks * p = {p**blocks * p} exceeds cap {MESSAGE_SPACE_CAP}")
     a, g = np.arange(p, dtype=np.int64), np.zeros((1, p), dtype=np.int64)
     for j in range(1, blocks + 1):
         g = ((g[:, None, :] + np.outer(a, a**j)) % p).reshape(-1, p)
@@ -143,9 +145,10 @@ def _poly_g(p: int, blocks: int) -> np.ndarray:
 def make_affine_family(p: int) -> HashFamily:
     """Strongly universal family h_(a,b)(m) = a*m + b mod p, key (a, b) in Z_p^2.
 
-    Key index k encodes (a, b) = divmod(k, p); messages and tags are Z_p.
+    Key index k encodes (a, b) = divmod(k, p); messages and tags are Z_p; the p x p table caps p at 1021.
     """
     p = _check_prime(p)
+    g = _poly_g(p, 1)
 
     def evaluate(key_index: int, message: int):
         a, b = divmod(key_index, p)
@@ -159,7 +162,7 @@ def make_affine_family(p: int) -> HashFamily:
         family_kind=FamilyKind.STRONGLY_UNIVERSAL,
         name=f"affine-p{p}",
     )
-    family.g = _poly_g(p, 1)
+    family.g = g
     return family
 
 
@@ -167,13 +170,12 @@ def make_poly_family(p: int, blocks: int) -> HashFamily:
     """blocks/p-ASU family h_(a,b)(m) = b + sum_i m_i * a^i mod p.
 
     Messages are tuples in Z_p^blocks (lexicographic order); key (a, b) is
-    decoded as for the affine family. blocks = 1 coincides with the affine
-    family's behavior.
+    decoded as for the affine family. blocks = 1 coincides with the affine family's behavior.
+    The capped |M| x p table of ``_poly_g`` is built before the message tuples.
     """
     p = _check_prime(p)
     blocks = read_value(BLOCKS, blocks, "block count")
-    if p**blocks > MESSAGE_SPACE_CAP:
-        raise ParameterError(f"message space p**blocks = {p**blocks} exceeds cap {MESSAGE_SPACE_CAP}")
+    g = _poly_g(p, blocks)
 
     def evaluate(key_index: int, message: tuple):
         a, b = divmod(key_index, p)
@@ -192,7 +194,7 @@ def make_poly_family(p: int, blocks: int) -> HashFamily:
         epsilon=Fraction(blocks, p),
         name=f"poly-p{p}-l{blocks}",
     )
-    family.g = _poly_g(p, blocks)
+    family.g = g
     return family
 
 

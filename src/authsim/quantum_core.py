@@ -7,8 +7,8 @@ hermiticity), so downstream code can assume well-formed objects; tensor
 products of validated factors are built without repeating those checks.
 Every tolerance check is written ``not (value <= tol)``, so a NaN fails it.
 The symmetric-subspace projector is built from the orbits of basis states
-under permutations of the systems. Everything is sized for desk-scale work:
-total dimension is capped at 4096 and a symmetric-subspace test at 64 copies.
+under permutations of the systems. Everything is sized for desk-scale work: total
+dimension is capped at 4096 where dims are read, a symmetric-subspace test at 64 copies.
 """
 
 from __future__ import annotations
@@ -57,25 +57,29 @@ def _items(value) -> tuple:
 
 
 def _resolve_dims(dims, total: int | None = None) -> tuple[int, ...]:
-    """Subsystem dimensions as a tuple of positive ints.
+    """Subsystem dimensions as a tuple of positive ints multiplying to at most MAX_TOTAL_DIMENSION.
 
-    ``dims`` is an int or a sequence of them. Plain positive ints pass in
-    one look; otherwise each is read by ``spec.read_value``. When ``total`` is
-    given, None means one system of that dimension and the dims must
-    multiply to it.
+    ``dims`` is an int or a sequence of them. Plain positive ints pass in one look; otherwise each
+    is read by ``spec.read_value``. When ``total`` is given, None means one system of that dimension
+    and the dims must multiply to it. Every value and builder of this module reads its dims here,
+    so the cap holds before it allocates or runs its O(d**3) check.
     """
     if dims is None and total is not None:
-        return (total,)
-    dims = _items(dims)
-    if not (dims and all(type(x) is int and x > 0 for x in dims)):
-        try:
-            dims = tuple(read_value(INDEX, x, "subsystem dimension") for x in dims)
-        except ParameterError:
-            raise ParameterError(f"subsystem dimensions must be integers, got {dims!r}") from None
-        if not dims or any(x < 1 for x in dims):
-            raise ParameterError(f"subsystem dimensions must be positive, got {dims}")
-    if total is not None and math.prod(dims) != total:
-        raise ParameterError(f"dims {dims} do not multiply to total dimension {total}")
+        dims = (total,)
+    else:
+        dims = _items(dims)
+        if not (dims and all(type(x) is int and x > 0 for x in dims)):
+            try:
+                dims = tuple(read_value(INDEX, x, "subsystem dimension") for x in dims)
+            except ParameterError:
+                raise ParameterError(f"subsystem dimensions must be integers, got {dims!r}") from None
+            if not dims or any(x < 1 for x in dims):
+                raise ParameterError(f"subsystem dimensions must be positive, got {dims}")
+        if total is not None and math.prod(dims) != total:
+            raise ParameterError(f"dims {dims} do not multiply to total dimension {total}")
+        total = math.prod(dims)
+    if total > MAX_TOTAL_DIMENSION:
+        raise ParameterError(f"total dimension {total} exceeds cap {MAX_TOTAL_DIMENSION}")
     return dims
 
 
@@ -213,9 +217,9 @@ def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def tensor(factors: Sequence):
     """Kronecker product of states or of operators (one kind per call).
 
-    Subsystem dims concatenate; the result type matches the input type. The
-    dimension cap is checked before any product is formed. The factors were
-    checked when they were built, so their product and its dims are not.
+    Subsystem dims concatenate, read by ``_resolve_dims`` before any product
+    is formed; the result type matches the input type. The factors were
+    checked when they were built, so their product is not.
     """
     factors = list(factors)
     if not factors:
@@ -225,10 +229,7 @@ def tensor(factors: Sequence):
         raise ParameterError(f"cannot tensor objects of type {kind.__name__}")
     if any(type(f) is not kind for f in factors):
         raise ParameterError("tensor factors must all be the same kind")
-    dims = sum((f.dims for f in factors), ())
-    total = math.prod(dims)
-    if total > MAX_TOTAL_DIMENSION:
-        raise ParameterError(f"total dimension {total} exceeds cap {MAX_TOTAL_DIMENSION}")
+    dims = _resolve_dims(sum((f.dims for f in factors), ()))
     values = reduce(_kron, [f.amplitudes for f in factors] if kind is PureState else [f.matrix for f in factors])
     return _assemble(kind, values, dims)
 
@@ -354,14 +355,12 @@ def haar_unitaries(count: int, dims, rng: np.random.Generator) -> np.ndarray:
     The normals come off ``rng`` in the order of ``count`` single draws, and
     the QR of each matrix is the same LAPACK call, so the unitaries, and the
     generator state, are those of ``count`` calls to ``random_unitary``. The
-    count, dims, dimension cap and ``count * d**2 <= MAX_RUN_ENTRIES`` are
-    checked before anything is allocated; the unitarity check runs once over
+    count, dims (with the dimension cap) and ``count * d**2 <= MAX_RUN_ENTRIES``
+    are checked before anything is allocated; the unitarity check runs once over
     the whole array.
     """
     count = read_value(_POSITIVE, count, "unitary count")
     total = math.prod(_resolve_dims(dims))
-    if total > MAX_TOTAL_DIMENSION:
-        raise ParameterError(f"total dimension {total} exceeds cap {MAX_TOTAL_DIMENSION}")
     if count * total**2 > MAX_RUN_ENTRIES:
         raise ParameterError(f"the draw would take count * d**2 = {count * total**2} entries; the cap is {MAX_RUN_ENTRIES}")
     q = _haar_columns(count, total, rng, total)

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .quantum_core import COPY_COUNT, MAX_TOTAL_DIMENSION, PureState
+from .quantum_core import COPY_COUNT, PureState
 from .spec import Field, read_value
 
 DEFAULT_MESSAGE_SPACE_SIZE = 2**64
@@ -49,9 +49,9 @@ def acceptance_error_oracle(n: int, a: PureState, b: PureState) -> float:
     """Same quantity from first principles: <Phi|P_sym|Phi> with
     Phi = a (x) b^(x)(n-1). Independent of the closed form.
 
-    a and b must be PureStates of one dimension d. Before any amplitude is
-    read, d and n are held to caps on this arithmetic's cost, not on d**n (d
-    to MAX_TOTAL_DIMENSION, n to COPY_COUNT's 64). The value is
+    a and b must be PureStates of one dimension d. The caps bound this
+    arithmetic's cost, not d**n: d <= 4096 holds for every PureState, and n is
+    held to COPY_COUNT's 64 before any amplitude is read. The value is
     perm(G)/n! for the Gram matrix G of the n factors (Harrow,
     arXiv:1308.6595), by Ryser's formula grouped by the column multiplicities
     (1, n-1): the 2n terms
@@ -65,8 +65,6 @@ def acceptance_error_oracle(n: int, a: PureState, b: PureState) -> float:
             raise ParameterError(f"{name} must be a PureState, got {type(state).__name__}")
     if a.d != b.d:
         raise ParameterError(f"dimension mismatch: {a.d} vs {b.d}")
-    if a.d > MAX_TOTAL_DIMENSION:
-        raise ParameterError(f"dimension {a.d} exceeds cap {MAX_TOTAL_DIMENSION}")
     ints, k = _ints(np.concatenate((a.amplitudes, b.amplitudes)))  # a contiguous copy of any view
     u, v = ints[: 2 * a.d], ints[2 * a.d :]
     g_aa, g_bb = sum(map(mul, u, u)), sum(map(mul, v, v))

@@ -204,7 +204,7 @@ class TestFamilyConstruction:
 
     def test_poly_cap(self):
         with pytest.raises(ParameterError):
-            make_poly_family(2, 21)  # 2**21 messages over the cap
+            make_poly_family(2, 21)  # 21 blocks, over the bound of BLOCKS
         with pytest.raises(ParameterError):
             make_poly_family(5, 0)
 

@@ -130,7 +130,7 @@ class TestClassicalMacScenario:
         assert json.loads(out_path.read_text())["deception"]["p0"] == "1/7"
 
     def test_poly_over_work_cap_exits_before_its_messages_exist(self, tmp_path, monkeypatch):
-        # 2**20 messages of 20 blocks: the message space fits MESSAGE_SPACE_CAP, the scan does not
+        # 2**20 messages of 20 blocks: the work cap rejects them before the library's family-table cap would
         def build(p, blocks):
             raise AssertionError("the message space was built")
 
@@ -715,6 +715,9 @@ MALFORMED_CONFIGS = {
     "gq-initial-state-component-overflows": _inline_scheme(
         lambda doc: doc["initial_state"].update(amplitudes=[[1e200, 0.0], [0.0, 0.0]])
     ),
+    "gq-initial-state-over-cap": _inline_scheme(
+        lambda doc: doc["initial_state"].update(amplitudes=[[1.0, 0.0]] + [[0.0, 0.0]] * 4096, dims=[4097])
+    ),
     "gq-scheme-unknown-key": _inline_scheme(lambda doc: doc.update(comment="x")),
     "gq-initial-state-unknown-key": _inline_scheme(lambda doc: doc["initial_state"].update(norm=1)),
     "gq-initial-state-component-true": _inline_scheme(
@@ -806,6 +809,13 @@ class TestConfigBoundary:
         config = write_config(tmp_path, "config.json", doc)
         assert run_cli(str(config), str(tmp_path / "report.json")) == (
             1, "error: state norm 2.0 is not 1 within 1e-10\n"
+        )
+
+    def test_initial_state_over_dimension_cap_named(self, tmp_path):
+        # the state is held to the dimension cap where it is read, before the scheme is checked
+        config = write_config(tmp_path, "config.json", MALFORMED_CONFIGS["gq-initial-state-over-cap"])
+        assert run_cli(str(config), str(tmp_path / "report.json")) == (
+            1, "error: total dimension 4097 exceeds cap 4096\n"
         )
 
     def test_list_label_named(self, tmp_path):

@@ -51,10 +51,10 @@ def test_numpy_integers_are_read_as_python_ints():
 
 
 def test_numpy_integer_powers_cannot_wrap(monkeypatch):
-    # np.int64(1048573) ** 20 wraps to a negative int64, which would pass the message-space cap;
+    # np.int64(1048573) ** 20 wraps to a negative int64, which would pass the family-table cap;
     # the read Python ints give the true power, and the family is rejected before it is built
     assert np.int64(1048573) ** 20 < 0
     # were the cap check wrapped, the build would fail here at once instead of running without end
     monkeypatch.setattr(classical_mac.itertools, "product", None)
-    with pytest.raises(ParameterError, match=r"^message space p\*\*blocks = \d+ exceeds cap 1048576$"):
+    with pytest.raises(ParameterError, match=r"^family table p\*\*blocks \* p = \d+ exceeds cap 1048576$"):
         make_poly_family(np.int64(1048573), np.int64(20))

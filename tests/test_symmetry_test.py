@@ -133,12 +133,12 @@ class TestAcceptanceErrorOracle:
             ) <= 1e-9
 
     def test_caps_and_validation(self, monkeypatch):
-        # d is held to MAX_TOTAL_DIMENSION, not d**n, before any amplitude is read
+        # d is held to MAX_TOTAL_DIMENSION, not d**n: a 4097-dim state is rejected when it is built
         assert acceptance_error_oracle(7, basis_state(0, (4,)), basis_state(1, (4,))) == 1 / 7
+        with pytest.raises(ParameterError, match=r"^total dimension 4097 exceeds cap 4096$"):
+            basis_state(0, (4097,))
         counter = CallCounter(monkeypatch)
         counter.count(symmetry_test, "_ints")
-        with pytest.raises(ParameterError, match=r"^dimension 4097 exceeds cap 4096$"):
-            acceptance_error_oracle(2, basis_state(0, (4097,)), basis_state(1, (4097,)))
         with pytest.raises(ParameterError, match=r"^copy count must be <= 64, got 65$"):
             acceptance_error_oracle(65, basis_state(0, (2,)), basis_state(1, (2,)))
         with pytest.raises(ParameterError):
